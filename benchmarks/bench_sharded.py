@@ -81,12 +81,10 @@ class SeedPathDetector(RaceDetector):
         thread_id = event.thread_id
 
         if self.ownership is not None:
-            admit, transitioned = self.ownership.admit(key, thread_id)
+            admit, _ = self.ownership.admit(key, thread_id)
             if not admit:
                 self.stats.owned_filtered += 1
                 return
-            if transitioned and self.cache is not None:
-                self.cache.on_location_shared(key)
 
         if self.cache is not None:
             if self.cache.lookup(thread_id, key, event.kind):

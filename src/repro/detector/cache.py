@@ -17,11 +17,15 @@ entry is created, the thread's most recently acquired *real* lock is
 the first of the entry's real locks that will be released, so the entry
 is linked onto that lock's eviction list; releasing the lock evicts the
 whole list (Section 4.2).  Entries created while holding no real lock
-are unconditional — only an ownership transition (Section 7.2) or a
-conflict replacement can remove them.  Join pseudo-locks ``S_j`` are
-deliberately *not* eviction anchors: they are monotone (never released
-during the thread's lifetime), so they can never invalidate the subset
-condition.
+are unconditional — only a conflict replacement can remove them.  Join
+pseudo-locks ``S_j`` are deliberately *not* eviction anchors: they are
+monotone (never released during the thread's lifetime), so they can
+never invalidate the subset condition.
+
+Section 7.2's ownership transition needs no eviction here: the
+ownership filter runs before the cache, so while a location is owned
+none of its accesses reach the cache, and once it is shared it stays
+shared.  No thread can hold an entry for a location at its transition.
 
 The hash follows the paper's implementation (Section 4.3): multiply the
 location key's hash by a constant and take the upper bits of a 32-bit
@@ -47,7 +51,6 @@ class CacheStats:
     misses: int = 0
     conflict_evictions: int = 0
     lock_evictions: int = 0
-    ownership_evictions: int = 0
     #: Lazy compactions of the lock eviction lists (dead-entry sweeps).
     list_compactions: int = 0
 
@@ -66,7 +69,6 @@ class CacheStats:
         self.misses += other.misses
         self.conflict_evictions += other.conflict_evictions
         self.lock_evictions += other.lock_evictions
-        self.ownership_evictions += other.ownership_evictions
         self.list_compactions += other.list_compactions
 
 
@@ -96,11 +98,9 @@ class _DirectMappedCache:
         self._stats = stats
         #: lock uid -> entries to evict when the lock is released.
         self._lock_lists: dict[int, list[_Entry]] = {}
-        #: location key -> entry, for O(1) targeted (ownership) eviction.
-        self._by_key: dict = {}
         #: Entries currently linked on some eviction list / of those,
-        #: how many were invalidated by conflict or ownership eviction
-        #: (dead weight a long-held lock would otherwise accumulate).
+        #: how many were invalidated by conflict eviction (dead weight a
+        #: long-held lock would otherwise accumulate).
         self._listed = 0
         self._dead_listed = 0
 
@@ -142,13 +142,11 @@ class _DirectMappedCache:
         old = self._slots[index]
         if old is not None and old.valid:
             old.valid = False
-            del self._by_key[old.key]
             self._stats.conflict_evictions += 1
             if old.anchored:
                 self._dead_listed += 1
         entry = _Entry(key, index)
         self._slots[index] = entry
-        self._by_key[key] = entry
         if anchor_lock is not None:
             entry.anchored = True
             self._lock_lists.setdefault(anchor_lock, []).append(entry)
@@ -162,10 +160,10 @@ class _DirectMappedCache:
     def _compact_lock_lists(self) -> None:
         """Drop invalidated entries from every eviction list.
 
-        Conflict and ownership evictions invalidate entries in place but
-        leave them linked on their anchor lock's list; a long-held lock
-        would accumulate dead entries without bound.  Run lazily once
-        more than half of the listed entries are dead."""
+        Conflict evictions invalidate entries in place but leave them
+        linked on their anchor lock's list; a long-held lock would
+        accumulate dead entries without bound.  Run lazily once more
+        than half of the listed entries are dead."""
         self._stats.list_compactions += 1
         for lock_uid in list(self._lock_lists):
             live = [entry for entry in self._lock_lists[lock_uid] if entry.valid]
@@ -185,19 +183,9 @@ class _DirectMappedCache:
             if entry.valid:
                 entry.valid = False
                 self._slots[entry.index] = None
-                del self._by_key[entry.key]
                 self._stats.lock_evictions += 1
             else:
                 self._dead_listed -= 1
-
-    def evict_key(self, key) -> None:
-        entry = self._by_key.pop(key, None)
-        if entry is not None and entry.valid:
-            entry.valid = False
-            self._slots[entry.index] = None
-            self._stats.ownership_evictions += 1
-            if entry.anchored:
-                self._dead_listed += 1
 
     @property
     def listed_entries(self) -> tuple[int, int]:
@@ -332,9 +320,3 @@ class AccessCache:
             caches.read.evict_lock(lock_uid)
             caches.write.evict_lock(lock_uid)
 
-    def on_location_shared(self, key) -> None:
-        """Ownership transition: forcibly evict ``key`` from *every*
-        thread's caches (Section 7.2's fix for the run-time optimizer)."""
-        for caches in self._threads.values():
-            caches.read.evict_key(key)
-            caches.write.evict_key(key)

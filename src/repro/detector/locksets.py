@@ -29,7 +29,10 @@ version counter ticks on every lockset mutation, letting consumers
 detect "lockset unchanged since I last looked" without comparing sets.
 Sharing canonical frozensets across events is sound because locksets
 are immutable values — a mutation *replaces* a thread's lockset, it
-never updates one in place.
+never updates one in place.  Next to each canonical lockset the table
+keeps its *sorted lock path* (the tuple the lockset trie is addressed
+by), so the detector sorts once per distinct lockset rather than on
+every access that reaches the trie.
 """
 
 from __future__ import annotations
@@ -52,13 +55,14 @@ class LockTracker:
         self._stacks: dict[int, list[int]] = {}
         #: thread id -> set of held pseudo-locks.
         self._pseudo: dict[int, set[int]] = {}
-        #: thread id -> cached canonical lockset (invalidated on change).
-        self._cached: dict[int, Optional[frozenset]] = {}
+        #: thread id -> cached intern-table entry (invalidated on change).
+        self._cached: dict[int, Optional[tuple]] = {}
         #: thread id -> mutation counter.
         self._versions: dict[int, int] = {}
-        #: value -> canonical pre-hashed frozenset (the intern table).
-        self._intern: dict[frozenset, frozenset] = {
-            _EMPTY_LOCKSET: _EMPTY_LOCKSET
+        #: value -> (canonical pre-hashed frozenset, sorted lock path):
+        #: the intern table.
+        self._intern: dict[frozenset, tuple] = {
+            _EMPTY_LOCKSET: (_EMPTY_LOCKSET, ())
         }
 
     def _invalidate(self, thread_id: int) -> None:
@@ -107,6 +111,15 @@ class LockTracker:
         interned frozenset (identical object for identical value)."""
         cached = self._cached.get(thread_id)
         if cached is not None:
+            return cached[0]
+        return self.lockset_path(thread_id)[0]
+
+    def lockset_path(self, thread_id: int) -> tuple[frozenset, tuple]:
+        """``(lockset, path)``: the canonical lockset as :meth:`lockset`
+        returns it, plus its locks as a sorted tuple.  Both are shared
+        by every thread holding the same combination."""
+        cached = self._cached.get(thread_id)
+        if cached is not None:
             return cached
         stack = self._stacks.get(thread_id)
         pseudo = self._pseudo.get(thread_id)
@@ -116,14 +129,14 @@ class LockTracker:
             result = frozenset(pseudo)
         else:
             result = _EMPTY_LOCKSET
-        canonical = self._intern.get(result)
-        if canonical is None:
+        entry = self._intern.get(result)
+        if entry is None:
             # First sighting of this value: it becomes the canonical
             # object.  The dict insertion also computes (and frozenset
             # caches) its hash, so every later use is pre-hashed.
-            self._intern[result] = canonical = result
-        self._cached[thread_id] = canonical
-        return canonical
+            self._intern[result] = entry = (result, tuple(sorted(result)))
+        self._cached[thread_id] = entry
+        return entry
 
     def version(self, thread_id: int) -> int:
         """Mutation counter for the thread's lockset (ticks on every

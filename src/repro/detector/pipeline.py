@@ -7,7 +7,7 @@ Event flow for each access::
       → ownership filter          (Section 7; optional)
       → per-thread R/W caches     (Section 4;  optional)
       → trie detector             (Section 3: weaker-check, race-check,
-                                   insert, prune)
+                                   insert, prune — one LockTrie.observe)
 
 Monitor and thread lifecycle events maintain the locksets, drive cache
 eviction (outermost monitorexit), and implement the ``S_j`` join
@@ -32,7 +32,7 @@ from .config import DetectorConfig
 from .locksets import LockTracker, join_pseudo_lock
 from .ownership import SHARED, OwnershipFilter
 from .report import RaceReport, ReportCollector
-from .trie import LockTrie, TrieStats
+from .trie import FILTERED, LockTrie, TrieStats
 from .trie_packed import PackedLockTrie
 
 
@@ -148,6 +148,8 @@ class RaceDetector(EventSink):
         self._locks_enter = self.locks.enter
         self._locks_exit = self.locks.exit
         self._cache_release = self.cache.on_lock_release if self.cache else None
+        self._lockset_path = self.locks.lockset_path
+        self._read_read_races = self.config.read_read_races
         # Main thread's own pseudo-lock, for uniformity with children.
         if self.config.join_pseudolocks:
             self.locks.acquire_pseudo(0, join_pseudo_lock(0))
@@ -259,14 +261,11 @@ class RaceDetector(EventSink):
                 stats.owned_filtered += 1
                 return
             else:
+                # No cache can hold ``key`` yet: the owner's accesses
+                # returned above, before the cache was consulted, and
+                # SHARED is terminal — so there is nothing to evict.
                 owners[key] = SHARED
                 self._own_stats.transitions += 1
-                if self.cache is not None:
-                    # The owner may have cached accesses to this
-                    # location while it was owned; those entries were
-                    # never sent to the detector and must not suppress
-                    # future events.
-                    self.cache.on_location_shared(key)
 
         cache_access = self._cache_access
         if cache_access is not None and cache_access(
@@ -284,47 +283,24 @@ class RaceDetector(EventSink):
         self, key, object_uid, field, thread_id, kind, site_id, object_kind,
         object_label,
     ) -> None:
-        lockset = self.locks.lockset(thread_id)
-        prior = None
+        lockset, path = self._lockset_path(thread_id)
         if self._packed is not None:
-            trie = self._packed
-            if trie.find_weaker(key, lockset, thread_id, kind):
-                self.stats.detector_weaker_filtered += 1
-                return
-            self.stats.detector_processed += 1
-            prior = trie.find_race(
-                key,
-                lockset,
-                thread_id,
-                kind,
-                read_read_races=self.config.read_read_races,
+            prior = self._packed.observe(
+                key, lockset, path, thread_id, kind, self._read_read_races
             )
-            node, merged = trie.insert(key, lockset, thread_id, kind)
-            trie.prune_stronger(key, lockset, merged[0], merged[1], keep=node)
         else:
             trie = self._tries.get(key)
             if trie is None:
                 trie = self.trie_class(self.trie_stats)
                 self._tries[key] = trie
-
-            # Weakness check: the vast majority of accesses stop here.
-            if trie.find_weaker(lockset, thread_id, kind):
-                self.stats.detector_weaker_filtered += 1
-                return
-            self.stats.detector_processed += 1
-
-            prior = trie.find_race(
-                lockset,
-                thread_id,
-                kind,
-                read_read_races=self.config.read_read_races,
+            prior = trie.observe(
+                lockset, path, thread_id, kind, self._read_read_races
             )
-            node = trie.insert(lockset, thread_id, kind)
-            # Prune with the node's *post-meet* value: if the insert
-            # merged threads to t⊥ (or kinds to WRITE), the node now
-            # covers strictly more stored accesses than the raw event
-            # would.
-            trie.prune_stronger(lockset, node.thread, node.kind, keep=node)
+        # The weakness check drops the vast majority of accesses here.
+        if prior is FILTERED:
+            self.stats.detector_weaker_filtered += 1
+            return
+        self.stats.detector_processed += 1
         if prior is not None:
             event = AccessEvent(
                 location=self.interner.intern(object_uid, field),
@@ -369,7 +345,6 @@ class RaceDetector(EventSink):
         return len(self._tries)
 
     def total_trie_nodes(self) -> int:
-        """Live trie nodes (the paper reports 7967 for tsp)."""
-        if self._packed is not None:
-            return self._packed.node_count()
-        return sum(trie.node_count() for trie in self._tries.values())
+        """Live trie nodes (the paper reports 7967 for tsp), read off
+        the shared allocation counters rather than walked."""
+        return self.trie_stats.live_nodes

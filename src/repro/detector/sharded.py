@@ -309,7 +309,11 @@ def _detect_sharded_mapped(
     process executor; only the path crosses the boundary)."""
     path = reader.path
     if shards == 1:
-        outcomes = [_detect_shard_mapped(0, path, 1, config)]
+        # Replay through the caller's open reader: re-opening the path
+        # would decode the string table and block index a second time.
+        detector = RaceDetector(config=config)
+        reader.replay_into(detector)
+        outcomes = [_shard_outcome(0, detector)]
     elif executor == "serial":
         # One decode pass multiplexed across all shard detectors —
         # serial sharding pays the file's decode cost once, not once

@@ -33,12 +33,20 @@ Three traversals implement the algorithm of Section 3.2.1:
     accesses that the new access makes redundant (strictly stronger
     nodes), demoting their nodes to internal status and trimming
     childless internal nodes.
+
+The detector runs them as one transaction per access,
+:meth:`LockTrie.observe`, which takes the lockset together with its
+sorted lock path (interned once per distinct lockset by the
+:class:`~repro.detector.locksets.LockTracker`) so no traversal sorts.
+The public methods are thin wrappers over the same internal helpers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from ..lang.ast import AccessKind
 from .weaker import THREAD_BOTTOM, THREAD_TOP, ThreadValue
@@ -52,6 +60,28 @@ from .weaker import THREAD_BOTTOM, THREAD_TOP, ThreadValue
 #: ``t⊤``.
 _WRITE = AccessKind.WRITE
 
+#: The children of every childless node: one shared, read-only empty
+#: mapping.  About half of a large trie's nodes are leaves, so a real
+#: dict is allocated only when a node gains its first child (and a
+#: write into this one raises instead of corrupting another node).
+_NO_CHILDREN = MappingProxyType({})
+
+
+class _Filtered:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "FILTERED"
+
+
+#: :meth:`LockTrie.observe`'s answer for an access the weakness check
+#: dropped (a stored access is weaker, so the trie is left unchanged).
+FILTERED = _Filtered()
+
+#: Compares above (and unequal to) every lock id: the prune walk's
+#: "smallest still-required lock" once the whole lockset is on the path.
+_ABOVE_EVERY_LOCK = math.inf
+
 
 class TrieNode:
     """One node of a lockset trie."""
@@ -61,7 +91,7 @@ class TrieNode:
     def __init__(self) -> None:
         self.thread: ThreadValue = THREAD_TOP
         self.kind: AccessKind = AccessKind.READ
-        self.children: dict[int, "TrieNode"] = {}
+        self.children: Mapping[int, "TrieNode"] = _NO_CHILDREN
 
     @property
     def holds_accesses(self) -> bool:
@@ -100,6 +130,8 @@ class TrieStats:
 
     @property
     def live_nodes(self) -> int:
+        """Nodes currently allocated across every trie sharing these
+        counters — the O(1) equivalent of summing ``node_count()``."""
         return self.nodes_allocated - self.nodes_freed
 
     def merge(self, other: "TrieStats") -> None:
@@ -122,6 +154,36 @@ class LockTrie:
         self.stats.nodes_allocated += 1
 
     # ------------------------------------------------------------------
+    # The per-access transaction.
+
+    def observe(
+        self,
+        lockset: frozenset,
+        path: tuple,
+        thread: int,
+        kind: AccessKind,
+        read_read_races: bool = False,
+    ):
+        """Process one access: weakness check, race check, insert, prune.
+
+        ``path`` is ``lockset`` as a sorted tuple.  Returns
+        :data:`FILTERED` if a stored access is weaker (the trie is left
+        unchanged); otherwise records the access and returns the prior
+        access of the first race found, or ``None``.  Equivalent to
+        ``find_weaker`` → ``find_race`` → ``insert`` → ``prune_stronger``.
+        """
+        if self._find_weaker(path, thread, kind):
+            return FILTERED
+        root = self.root
+        prior = self._find_race(root, [], lockset, thread, kind, read_read_races)
+        node = self._insert(path, thread, kind)
+        # Prune with the node's *post-meet* value: if the insert merged
+        # threads to t⊥ (or kinds to WRITE), the node now covers
+        # strictly more stored accesses than the raw event would.
+        self._prune(root, path, 0, node.thread, node.kind, node)
+        return prior
+
+    # ------------------------------------------------------------------
     # Weakness check.
 
     def find_weaker(
@@ -129,42 +191,37 @@ class LockTrie:
     ) -> bool:
         """True iff some stored access is weaker than ``(lockset, thread,
         kind)`` (so the incoming event can be ignored)."""
-        found = self._find_weaker(self.root, lockset, thread, kind)
-        if found:
-            self.stats.weaker_hits += 1
-        else:
-            self.stats.weaker_misses += 1
-        return found
+        return self._find_weaker(tuple(sorted(lockset)), thread, kind)
 
-    def _find_weaker(
-        self, node: TrieNode, lockset: frozenset, thread: int, kind: AccessKind
-    ) -> bool:
-        node_thread = node.thread
-        if (
-            node_thread is not THREAD_TOP
-            and (node_thread == thread or node_thread is THREAD_BOTTOM)
-            and (node.kind is kind or node.kind is _WRITE)
-        ):
-            return True
-        children = node.children
-        if not children:
-            return False
+    def _find_weaker(self, path: tuple, thread: int, kind: AccessKind) -> bool:
         # Only edges labeled with locks in the event's lockset may be
-        # followed; intersect from whichever side is smaller.
-        if len(children) <= len(lockset):
-            for lock, child in children.items():
-                if lock in lockset and self._find_weaker(
-                    child, lockset, thread, kind
-                ):
-                    return True
-        else:
-            get = children.get
-            for lock in lockset:
-                child = get(lock)
-                if child is not None and self._find_weaker(
-                    child, lockset, thread, kind
-                ):
-                    return True
+        # followed.  Stored paths are sorted, so below the edge for
+        # ``path[i]`` only ``path[i + 1:]`` can label a further edge.
+        # The answer is a boolean, so visit order is free: an explicit
+        # stack of ``(node, next index)`` instead of a call per node.
+        stack = [(self.root, 0)]
+        pop = stack.pop
+        push = stack.append
+        end = len(path)
+        while stack:
+            node, index = pop()
+            node_thread = node.thread
+            if (
+                node_thread is not THREAD_TOP
+                and (node_thread == thread or node_thread is THREAD_BOTTOM)
+                and (node.kind is kind or node.kind is _WRITE)
+            ):
+                self.stats.weaker_hits += 1
+                return True
+            children = node.children
+            if children:
+                get = children.get
+                while index < end:
+                    child = get(path[index])
+                    index += 1
+                    if child is not None:
+                        push((child, index))
+        self.stats.weaker_misses += 1
         return False
 
     # ------------------------------------------------------------------
@@ -231,13 +288,19 @@ class LockTrie:
 
     def insert(self, lockset: frozenset, thread: int, kind: AccessKind) -> TrieNode:
         """Record the access, creating or updating the node for ``lockset``."""
+        return self._insert(tuple(sorted(lockset)), thread, kind)
+
+    def _insert(self, path: tuple, thread: int, kind: AccessKind) -> TrieNode:
         node = self.root
-        for lock in sorted(lockset):
-            child = node.children.get(lock)
+        for lock in path:
+            children = node.children
+            child = children.get(lock)
             if child is None:
                 child = TrieNode()
                 self.stats.nodes_allocated += 1
-                node.children[lock] = child
+                if children is _NO_CHILDREN:
+                    node.children = children = {}
+                children[lock] = child
             node = child
         node_thread = node.thread
         if node_thread is THREAD_TOP:
@@ -268,58 +331,63 @@ class LockTrie:
         untouched, and the trie holds no dead internal nodes between
         prunes, so skipping never strands a trimmable node.)
         """
-        removed = self._prune(self.root, tuple(sorted(lockset)), thread, kind, keep)
-        return removed
+        return self._prune(
+            self.root, tuple(sorted(lockset)), 0, thread, kind, keep
+        )
 
     def _prune(
         self,
         node: TrieNode,
-        required: tuple,
+        path: tuple,
+        index: int,
         thread: int,
         kind: AccessKind,
         keep: TrieNode,
     ) -> int:
+        # ``path[index:]`` are the locks still missing from the walk's
+        # lockset; advancing ``index`` replaces slicing a fresh tuple.
         removed = 0
-        if not required and node is not keep:
-            node_thread = node.thread
-            if (
-                node_thread is not THREAD_TOP
-                and (thread == node_thread or thread is THREAD_BOTTOM)
-                and (kind is node.kind or kind is _WRITE)
-            ):
-                node.clear_accesses()
-                removed += 1
-        dead_children = []
-        if required:
-            first = required[0]
-            rest = required[1:]
-            for lock, child in node.children.items():
-                if lock > first:
-                    # Edges below carry strictly larger labels, so
-                    # ``first`` can never join the path: skip.
-                    continue
-                removed += self._prune(
-                    child, rest if lock == first else required, thread, kind,
-                    keep,
-                )
+        if index == len(path):
+            if node is not keep:
+                node_thread = node.thread
                 if (
-                    not child.children
-                    and child.thread is THREAD_TOP
-                    and child is not keep
+                    node_thread is not THREAD_TOP
+                    and (thread == node_thread or thread is THREAD_BOTTOM)
+                    and (kind is node.kind or kind is _WRITE)
                 ):
-                    dead_children.append(lock)
+                    node.clear_accesses()
+                    removed = 1
+            # Nothing is required any more: every edge qualifies.
+            first = _ABOVE_EVERY_LOCK
         else:
-            for lock, child in node.children.items():
-                removed += self._prune(child, required, thread, kind, keep)
-                if (
-                    not child.children
-                    and child.thread is THREAD_TOP
-                    and child is not keep
-                ):
-                    dead_children.append(lock)
-        for lock in dead_children:
-            del node.children[lock]
-            self.stats.nodes_freed += 1
+            first = path[index]
+        children = node.children
+        if not children:
+            return removed
+        dead = None
+        for lock, child in children.items():
+            if lock > first:
+                # Edges below carry strictly larger labels, so
+                # ``first`` can never join the path: skip.
+                continue
+            removed += self._prune(
+                child, path, index + 1 if lock == first else index,
+                thread, kind, keep,
+            )
+            if (
+                child.thread is THREAD_TOP
+                and not child.children
+                and child is not keep
+            ):
+                if dead is None:
+                    dead = []
+                dead.append(lock)
+        if dead is not None:
+            for lock in dead:
+                del children[lock]
+            self.stats.nodes_freed += len(dead)
+            if not children:
+                node.children = _NO_CHILDREN
         return removed
 
     # ------------------------------------------------------------------

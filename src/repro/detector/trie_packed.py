@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..lang.ast import AccessKind
-from .trie import PriorAccess, TrieStats
+from .trie import _ABOVE_EVERY_LOCK, FILTERED, PriorAccess, TrieStats
 from .weaker import THREAD_BOTTOM, access_meet, thread_meet
 
 #: Hot traversals inline the one-line partial-order helpers of
@@ -57,6 +57,23 @@ class PackedLockTrie:
         self.root = PackedNode()
         self.stats.nodes_allocated += 1
         self._locations: set = set()
+
+    # ------------------------------------------------------------------
+
+    def observe(self, key, lockset: frozenset, path: tuple, thread: int,
+                kind: AccessKind, read_read_races: bool = False):
+        """One location's access transaction, exactly as
+        :meth:`~.trie.LockTrie.observe`: :data:`~.trie.FILTERED`, the
+        racing prior access, or ``None``."""
+        if self.find_weaker(key, lockset, thread, kind):
+            return FILTERED
+        root = self.root
+        prior = self._find_race(
+            root, [], key, lockset, thread, kind, read_read_races
+        )
+        node, merged = self._insert(key, path, thread, kind)
+        self._prune(root, path, 0, key, merged[0], merged[1], node)
+        return prior
 
     # ------------------------------------------------------------------
 
@@ -137,9 +154,12 @@ class PackedLockTrie:
 
     def insert(self, key, lockset: frozenset, thread: int,
                kind: AccessKind) -> tuple:
+        return self._insert(key, tuple(sorted(lockset)), thread, kind)
+
+    def _insert(self, key, path: tuple, thread: int, kind: AccessKind) -> tuple:
         self._locations.add(key)
         node = self.root
-        for lock in sorted(lockset):
+        for lock in path:
             child = node.children.get(lock)
             if child is None:
                 child = PackedNode()
@@ -161,42 +181,38 @@ class PackedLockTrie:
 
     def prune_stronger(self, key, lockset: frozenset, thread, kind,
                        keep: PackedNode) -> int:
-        removed = self._prune(self.root, tuple(sorted(lockset)), key, thread,
-                              kind, keep)
-        return removed
+        return self._prune(self.root, tuple(sorted(lockset)), 0, key, thread,
+                           kind, keep)
 
-    def _prune(self, node, required, key, thread, kind, keep) -> int:
+    def _prune(self, node, path, index, key, thread, kind, keep) -> int:
         # Targeted walk (see LockTrie._prune): paths are sorted, so an
-        # edge labeled above the smallest still-required lock can never
-        # lead to a superset of the lockset — skip the subtree.
+        # edge labeled above the smallest still-required lock
+        # ``path[index]`` can never lead to a superset of the lockset —
+        # skip the subtree.
         removed = 0
-        if not required and node is not keep:
-            entry = node.entries.get(key)
-            if (
-                entry is not None
-                and (thread == entry[0] or thread is THREAD_BOTTOM)
-                and (kind is entry[1] or kind is _WRITE)
-            ):
-                del node.entries[key]
-                removed += 1
-        dead = []
-        if required:
-            first = required[0]
-            rest = required[1:]
-            for lock, child in node.children.items():
-                if lock > first:
-                    continue
-                removed += self._prune(
-                    child, rest if lock == first else required, key, thread,
-                    kind, keep,
-                )
-                if not child.children and not child.entries and child is not keep:
-                    dead.append(lock)
+        if index == len(path):
+            if node is not keep:
+                entry = node.entries.get(key)
+                if (
+                    entry is not None
+                    and (thread == entry[0] or thread is THREAD_BOTTOM)
+                    and (kind is entry[1] or kind is _WRITE)
+                ):
+                    del node.entries[key]
+                    removed += 1
+            first = _ABOVE_EVERY_LOCK
         else:
-            for lock, child in node.children.items():
-                removed += self._prune(child, required, key, thread, kind, keep)
-                if not child.children and not child.entries and child is not keep:
-                    dead.append(lock)
+            first = path[index]
+        dead = []
+        for lock, child in node.children.items():
+            if lock > first:
+                continue
+            removed += self._prune(
+                child, path, index + 1 if lock == first else index, key,
+                thread, kind, keep,
+            )
+            if not child.children and not child.entries and child is not keep:
+                dead.append(lock)
         for lock in dead:
             del node.children[lock]
             self.stats.nodes_freed += 1

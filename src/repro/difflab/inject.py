@@ -31,9 +31,9 @@ from typing import Callable
 
 from ..detector.config import DetectorConfig
 from ..detector.pipeline import RaceDetector
-from ..detector.trie import LockTrie, PriorAccess, TrieNode
+from ..detector.trie import LockTrie, PriorAccess
 from ..lang.ast import AccessKind
-from ..detector.weaker import THREAD_BOTTOM, THREAD_TOP, access_meet, thread_meet
+from ..detector.weaker import THREAD_BOTTOM, thread_meet
 
 
 @dataclass(frozen=True)
@@ -59,24 +59,18 @@ class NoMeetLockTrie(LockTrie):
     Definition 1 completeness break (the §3.1 optimization done wrong).
     """
 
-    def insert(self, lockset, thread, kind):
+    def _insert(self, path, thread, kind):
         node = self.root
-        for lock in sorted(lockset):
-            child = node.children.get(lock)
-            if child is None:
-                child = TrieNode()
-                self.stats.nodes_allocated += 1
-                node.children[lock] = child
-            node = child
-        if node.holds_accesses:
-            self.stats.updates += 1
+        for lock in path:
+            node = node.children.get(lock)
+            if node is None:
+                break
         else:
-            self.stats.inserts += 1
-        # The bug: keep the existing thread value instead of meeting.
-        if node.thread is THREAD_TOP:
-            node.thread = thread
-        node.kind = access_meet(node.kind, kind)
-        return node
+            if node.holds_accesses:
+                # The bug: re-store the existing thread value, so the
+                # meet keeps it instead of going to t⊥.
+                thread = node.thread
+        return super()._insert(path, thread, kind)
 
 
 class ReadBlindLockTrie(LockTrie):

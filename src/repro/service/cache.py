@@ -34,6 +34,7 @@ job.
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +50,11 @@ UNCACHED = "n/a"
 #: plan field, a different site-id assignment, a resolver change that
 #: alters what execution reads from the cached front end.
 PLAN_SCHEMA_VERSION = 2
+
+#: Compiled programs one cache keeps: a worker's memory stays bounded
+#: however many distinct programs it sees, while a daemon's recurring
+#: working set (far smaller) stays resident.
+MAX_ENTRIES = 256
 
 
 def plan_fingerprint(planner: Optional[PlannerConfig] = None) -> str:
@@ -108,13 +114,12 @@ class CompileCache:
 
     def __init__(
         self,
-        max_entries: Optional[int] = None,
+        max_entries: int = MAX_ENTRIES,
         planner: Optional[PlannerConfig] = None,
     ) -> None:
-        #: FIFO-evicted when ``max_entries`` is set (insertion order —
-        #: good enough for a daemon whose program population is small
-        #: and recurring; no LRU bookkeeping on the hot path).
-        self._entries: dict[str, CachedProgram] = {}
+        #: Least recently used first: a hit moves its entry to the end,
+        #: and a miss at capacity evicts the front.
+        self._entries: OrderedDict[str, CachedProgram] = OrderedDict()
         self.max_entries = max_entries
         self.planner = planner if planner is not None else PlannerConfig()
         #: The plan component every key of this cache carries.
@@ -141,6 +146,7 @@ class CompileCache:
         entry = self._entries.get(fingerprint)
         if entry is not None:
             self.hits += 1
+            self._entries.move_to_end(fingerprint)
             return CachedProgram(
                 fingerprint=fingerprint,
                 filename=filename,
@@ -158,11 +164,8 @@ class CompileCache:
             plan=plan,
             status=MISS,
         )
-        if (
-            self.max_entries is not None
-            and len(self._entries) >= self.max_entries
-        ):
-            self._entries.pop(next(iter(self._entries)))
+        if len(self._entries) >= self.max_entries:
+            self._entries.popitem(last=False)
         self._entries[fingerprint] = entry
         return entry
 

@@ -9,11 +9,20 @@ three traversals must agree with the obvious linear-scan definitions:
   hides such an s;
 * after ``insert`` + ``prune_stronger`` the stored set equals the
   brute-force minimal frontier.
+
+The detector's fused transaction, ``observe``, must equal those four
+steps run one after another — for the real trie and for both of the
+difflab's deliberately broken ones — and the O(1) live-node counter
+must equal a full walk.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.detector import LockTrie, THREAD_BOTTOM
+from repro.detector import LockTrie, THREAD_BOTTOM, TrieStats
+from repro.detector.trie import FILTERED
+from repro.detector.trie_packed import PackedLockTrie
+from repro.difflab.inject import NoMeetLockTrie, ReadBlindLockTrie
 from repro.detector.weaker import (
     access_leq,
     access_meet,
@@ -27,6 +36,10 @@ threads = st.integers(0, 3)
 kinds = st.sampled_from([AccessKind.READ, AccessKind.WRITE])
 events = st.tuples(locksets, threads, kinds)
 event_lists = st.lists(events, max_size=12)
+long_event_lists = st.lists(events, max_size=30)
+keyed_event_lists = st.lists(
+    st.tuples(st.sampled_from("abc"), locksets, threads, kinds), max_size=30
+)
 
 
 def build_trie_like_detector(history):
@@ -126,3 +139,59 @@ class TestTrieMatchesModel:
         prior = trie.find_race(probe_lockset, 7, AccessKind.WRITE)
         if prior is not None:
             assert not (prior.lockset & probe_lockset)
+
+
+def four_steps(trie, lockset, thread, kind, read_read_races):
+    """The detector's per-access protocol as four separate traversals."""
+    if trie.find_weaker(lockset, thread, kind):
+        return FILTERED
+    prior = trie.find_race(lockset, thread, kind, read_read_races)
+    node = trie.insert(lockset, thread, kind)
+    trie.prune_stronger(lockset, node.thread, node.kind, keep=node)
+    return prior
+
+
+def normalized(stored):
+    return sorted((tuple(sorted(l)), repr(t), k.value) for l, t, k in stored)
+
+
+class TestObserveMatchesFourSteps:
+    @pytest.mark.parametrize(
+        "trie_class", [LockTrie, NoMeetLockTrie, ReadBlindLockTrie]
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(history=long_event_lists, read_read_races=st.booleans())
+    def test_same_answers_stored_sets_and_stats(
+        self, trie_class, history, read_read_races
+    ):
+        fused, split = trie_class(), trie_class()
+        for lockset, thread, kind in history:
+            expected = four_steps(split, lockset, thread, kind, read_read_races)
+            answer = fused.observe(
+                lockset, tuple(sorted(lockset)), thread, kind, read_read_races
+            )
+            assert answer == expected
+            assert normalized(fused.stored_accesses()) == normalized(
+                split.stored_accesses()
+            )
+            assert fused.stats == split.stats
+
+
+class TestLiveNodeCounter:
+    @settings(max_examples=200, deadline=None)
+    @given(keyed_event_lists)
+    def test_live_nodes_equals_node_count_walk(self, history):
+        # Per-location tries share one counter, as in the detector.
+        stats = TrieStats()
+        tries = {}
+        packed = PackedLockTrie()
+        for key, lockset, thread, kind in history:
+            path = tuple(sorted(lockset))
+            if key not in tries:
+                tries[key] = LockTrie(stats)
+            tries[key].observe(lockset, path, thread, kind)
+            packed.observe(key, lockset, path, thread, kind)
+            assert stats.live_nodes == sum(
+                trie.node_count() for trie in tries.values()
+            )
+            assert packed.stats.live_nodes == packed.node_count()

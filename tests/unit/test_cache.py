@@ -106,23 +106,6 @@ class TestLockEviction:
         assert cache.stats.lock_evictions == 1
 
 
-class TestOwnershipEviction:
-    def test_shared_transition_evicts_from_every_thread(self):
-        cache = AccessCache()
-        cache.insert(1, "m", READ, anchor_lock=None)
-        cache.insert(2, "m", WRITE, anchor_lock=None)
-        cache.on_location_shared("m")
-        assert not cache.lookup(1, "m", READ)
-        assert not cache.lookup(2, "m", WRITE)
-        assert cache.stats.ownership_evictions == 2
-
-    def test_shared_transition_of_other_key_is_noop(self):
-        cache = AccessCache()
-        cache.insert(1, "m", READ, anchor_lock=None)
-        cache.on_location_shared("other")
-        assert cache.lookup(1, "m", READ)
-
-
 class TestStats:
     def test_hit_rate(self):
         cache = AccessCache()
@@ -154,15 +137,12 @@ class TestStats:
         from repro.detector import CacheStats
 
         a = CacheStats(hits=1, misses=2, conflict_evictions=3,
-                       lock_evictions=4, ownership_evictions=5,
-                       list_compactions=6)
+                       lock_evictions=4, list_compactions=6)
         b = CacheStats(hits=10, misses=20, conflict_evictions=30,
-                       lock_evictions=40, ownership_evictions=50,
-                       list_compactions=60)
+                       lock_evictions=40, list_compactions=60)
         a.merge(b)
         assert (a.hits, a.misses, a.conflict_evictions, a.lock_evictions,
-                a.ownership_evictions, a.list_compactions) == (
-            11, 22, 33, 44, 55, 66)
+                a.list_compactions) == (11, 22, 33, 44, 66)
 
 
 class TestFusedAccess:
@@ -251,20 +231,3 @@ class TestEvictionListCompaction:
         for lock in range(3):
             cache.evict_lock(lock)
         assert cache.listed_entries == (0, 0)
-
-    def test_ownership_eviction_feeds_compaction(self):
-        from repro.detector.cache import CacheStats, _DirectMappedCache
-
-        stats = CacheStats()
-        cache = _DirectMappedCache(64, stats)
-        for step in range(32):
-            cache.insert(f"k{step}", anchor_lock=5)
-        for step in range(32):
-            cache.evict_key(f"k{step}")
-        # All listed entries are dead; the next anchored insert trips
-        # the half-dead threshold.
-        cache.insert("fresh", anchor_lock=5)
-        assert stats.list_compactions >= 1
-        total, dead = cache.listed_entries
-        assert dead == 0
-        assert total == 1

@@ -15,6 +15,7 @@ from repro.runtime.events import (
 )
 from repro.service.cache import (
     HIT,
+    MAX_ENTRIES,
     MISS,
     CompileCache,
     plan_fingerprint,
@@ -202,6 +203,21 @@ class TestCompileCache:
         cache.lookup(PROGRAM, "b.mj")
         assert len(cache) == 1
         assert cache.lookup(PROGRAM, "a.mj").status == MISS
+
+    def test_bounded_by_default(self):
+        assert CompileCache().max_entries == MAX_ENTRIES
+
+    def test_unique_misses_stay_bounded_and_keep_the_recurring_program(self):
+        cache = CompileCache(max_entries=3)
+        cache.lookup(PROGRAM, "hot.mj")
+        for index in range(8):
+            assert cache.lookup(PROGRAM, f"cold{index}.mj").status == MISS
+            assert len(cache) <= cache.max_entries
+            # Least recently used goes first, so the program every
+            # other request repeats is never the one evicted.
+            assert cache.lookup(PROGRAM, "hot.mj").status == HIT
+        assert len(cache) == cache.max_entries
+        assert cache.lookup(PROGRAM, "cold0.mj").status == MISS
 
     def test_compile_error_propagates_uncached(self):
         cache = CompileCache()
