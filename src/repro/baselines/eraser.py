@@ -24,17 +24,24 @@ demonstrate (Sections 8.3 and 9):
   pseudo-locks.  This implementation still runs *with* them by default
   so that the single-common-lock difference can be isolated; pass
   ``join_pseudolocks=False`` for the historically faithful variant.
+
+Accesses arrive as scalars through :meth:`EraserDetector.on_access_parts`,
+the one access routine; ``on_access`` is an adapter that unpacks an
+:class:`AccessEvent` into it.  Per-location state is keyed by the plain
+``(object_uid, field)`` tuple, and a :class:`MemoryLocation` is built
+only when a race is reported.  A Virgin location is one with no entry
+yet: its first access creates the entry in the Exclusive state.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..detector.locksets import LockTracker, join_pseudo_lock
 from ..lang.ast import AccessKind
-from ..runtime.events import AccessEvent, EventSink
+from ..runtime.events import AccessEvent, EventSink, MemoryLocation
 from .condsync import SyncClocks
 
 
@@ -45,16 +52,19 @@ class LocationState(enum.Enum):
     SHARED_MODIFIED = "shared-modified"
 
 
-@dataclass
 class _LocationInfo:
-    state: LocationState = LocationState.VIRGIN
-    owner: Optional[int] = None
-    #: Condition-sync epoch of the owner's most recent access; an
-    #: Exclusive location hands ownership to a thread whose first access
-    #: is wait/notify-ordered after this epoch instead of going Shared.
-    owner_epoch: Optional[tuple] = None
-    candidates: Optional[frozenset] = None
-    reported: bool = False
+    __slots__ = ("state", "owner", "owner_epoch", "candidates", "reported")
+
+    def __init__(self, state: LocationState, owner: int, owner_epoch: tuple):
+        self.state = state
+        self.owner = owner
+        #: Condition-sync epoch of the owner's most recent access; an
+        #: Exclusive location hands ownership to a thread whose first
+        #: access is wait/notify-ordered after this epoch instead of
+        #: going Shared.
+        self.owner_epoch = owner_epoch
+        self.candidates: Optional[frozenset] = None
+        self.reported = False
 
 
 @dataclass
@@ -111,61 +121,72 @@ class EraserDetector(EventSink):
     # -- the state machine --------------------------------------------------
 
     def on_access(self, event: AccessEvent) -> None:
-        info = self._locations.get(event.location)
-        if info is None:
-            info = _LocationInfo()
-            self._locations[event.location] = info
-        thread = event.thread_id
-        held = self.locks.lockset(thread)
+        location = event.location
+        self.on_access_parts(
+            location.object_uid,
+            location.field,
+            event.thread_id,
+            event.kind,
+            event.site_id,
+            event.object_kind,
+            event.object_label,
+        )
 
-        if info.state is LocationState.VIRGIN:
-            info.state = LocationState.EXCLUSIVE
-            info.owner = thread
-            info.owner_epoch = self._sync.epoch(thread)
+    def on_access_parts(
+        self, object_uid, field, thread_id, kind, site_id, object_kind, object_label
+    ) -> None:
+        key = (object_uid, field)
+        info = self._locations.get(key)
+        if info is None:
+            self._locations[key] = _LocationInfo(
+                LocationState.EXCLUSIVE, thread_id, self._sync.epoch(thread_id)
+            )
             return
-        if info.state is LocationState.EXCLUSIVE:
-            if thread == info.owner:
-                info.owner_epoch = self._sync.epoch(thread)
+        state = info.state
+        if state is LocationState.EXCLUSIVE:
+            if thread_id == info.owner:
+                info.owner_epoch = self._sync.epoch(thread_id)
                 return
-            if self._sync.ordered(info.owner_epoch, thread):
+            if self._sync.ordered(info.owner_epoch, thread_id):
                 # Condition-sync handoff: the previous owner's last
                 # access happened before this one, so the initialization
                 # discipline continues under the new owner — the state
                 # machine stays Exclusive (Eraser's deferral).
-                info.owner = thread
-                info.owner_epoch = self._sync.epoch(thread)
+                info.owner = thread_id
+                info.owner_epoch = self._sync.epoch(thread_id)
                 return
-            info.candidates = held
-            if event.kind is AccessKind.WRITE:
+            info.candidates = self.locks.lockset(thread_id)
+            if kind is AccessKind.WRITE:
                 info.state = LocationState.SHARED_MODIFIED
-                self._check(info, event)
+                self._check(info, key, object_label, thread_id, site_id)
             else:
                 info.state = LocationState.SHARED
             return
         # Shared / Shared-Modified: refine the candidate set.
-        info.candidates = (
-            held if info.candidates is None else info.candidates & held
-        )
-        if info.state is LocationState.SHARED:
-            if event.kind is AccessKind.WRITE:
+        held = self.locks.lockset(thread_id)
+        candidates = info.candidates
+        info.candidates = held if candidates is None else candidates & held
+        if state is LocationState.SHARED:
+            if kind is AccessKind.WRITE:
                 info.state = LocationState.SHARED_MODIFIED
-                self._check(info, event)
+                self._check(info, key, object_label, thread_id, site_id)
             return
-        self._check(info, event)
+        self._check(info, key, object_label, thread_id, site_id)
 
-    def _check(self, info: _LocationInfo, event: AccessEvent) -> None:
+    def _check(self, info, key, object_label, thread_id, site_id) -> None:
         if info.reported or info.candidates:
             return
         info.reported = True
-        self.racy_locations.add(event.location)
-        self.racy_objects.add(event.object_label)
+        location = MemoryLocation(*key)
+        self.racy_locations.add(location)
+        self.racy_objects.add(object_label)
         self.reports.append(
             EraserReport(
-                location=event.location,
-                object_label=event.object_label,
-                field=event.location.field,
-                thread_id=event.thread_id,
-                site_id=event.site_id,
+                location=location,
+                object_label=object_label,
+                field=location.field,
+                thread_id=thread_id,
+                site_id=site_id,
             )
         )
 

@@ -15,16 +15,21 @@ drive exactly that scenario.
 
 Implementation: Djit-style vector clocks with a full last-read map and
 last-write epoch per location (FastTrack's read-map fallback without
-the epoch fast path — clarity over speed, as this is a baseline).
+the epoch fast path, so every unordered prior access is reported).
+Accesses arrive as scalars through :meth:`~HappensBeforeDetector.on_access_parts`,
+the one access routine; ``on_access`` is an adapter that unpacks an
+:class:`AccessEvent` into it.  Per-location state is keyed by the plain
+``(object_uid, field)`` tuple, and a :class:`MemoryLocation` is built
+only when a race is reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..lang.ast import AccessKind
-from ..runtime.events import AccessEvent, EventSink
+from ..runtime.events import AccessEvent, EventSink, MemoryLocation
 
 
 class VectorClock(dict):
@@ -43,13 +48,14 @@ class VectorClock(dict):
         return clock <= self.get(thread, 0)
 
 
-@dataclass
 class _LocationHistory:
-    #: Last write epoch: (thread, clock), or None.
-    write: Optional[tuple] = None
-    write_label: str = ""
-    #: Last read epoch per thread.
-    reads: dict = field(default_factory=dict)
+    __slots__ = ("write", "reads")
+
+    def __init__(self) -> None:
+        #: Last write epoch: (thread, clock), or None.
+        self.write: Optional[tuple] = None
+        #: Last read epoch per thread.
+        self.reads: dict = {}
 
 
 @dataclass
@@ -139,49 +145,69 @@ class HappensBeforeDetector(EventSink):
     # -- accesses -----------------------------------------------------------
 
     def on_access(self, event: AccessEvent) -> None:
-        history = self._locations.get(event.location)
+        location = event.location
+        self.on_access_parts(
+            location.object_uid,
+            location.field,
+            event.thread_id,
+            event.kind,
+            event.site_id,
+            event.object_kind,
+            event.object_label,
+        )
+
+    def on_access_parts(
+        self, object_uid, field, thread_id, kind, site_id, object_kind, object_label
+    ) -> None:
+        key = (object_uid, field)
+        history = self._locations.get(key)
         if history is None:
-            history = _LocationHistory()
-            self._locations[event.location] = history
-        thread = event.thread_id
-        clock = self._clock(thread)
+            history = self._locations[key] = _LocationHistory()
+        clock = self._thread_clocks.get(thread_id)
+        if clock is None:
+            clock = self._clock(thread_id)
+        # ``happened_before(t, c)`` inlined: ``c <= clock.get(t, 0)``.
+        get = clock.get
+        is_write = kind is AccessKind.WRITE
 
-        if event.kind is AccessKind.WRITE:
-            # Write must be ordered after the previous write and after
-            # every previous read.
-            if history.write is not None:
-                w_thread, w_clock = history.write
-                if w_thread != thread and not clock.happened_before(
-                    w_thread, w_clock
-                ):
-                    self._report(event, w_thread, "write-write")
-            for r_thread, r_clock in history.reads.items():
-                if r_thread != thread and not clock.happened_before(
-                    r_thread, r_clock
-                ):
-                    self._report(event, r_thread, "read-write")
-            history.write = (thread, clock.get(thread, 0))
-            history.write_label = event.object_label
-            history.reads = {}
+        # Every access must be ordered after the previous write.
+        write = history.write
+        if write is not None:
+            w_thread, w_clock = write
+            if w_thread != thread_id and w_clock > get(w_thread, 0):
+                self._report(
+                    key, object_label, thread_id, site_id, w_thread,
+                    "write-write" if is_write else "write-read",
+                )
+
+        if is_write:
+            # A write must also be ordered after every previous read.
+            reads = history.reads
+            if reads:
+                for r_thread, r_clock in reads.items():
+                    if r_thread != thread_id and r_clock > get(r_thread, 0):
+                        self._report(
+                            key, object_label, thread_id, site_id, r_thread,
+                            "read-write",
+                        )
+                history.reads = {}
+            history.write = (thread_id, get(thread_id, 0))
         else:
-            if history.write is not None:
-                w_thread, w_clock = history.write
-                if w_thread != thread and not clock.happened_before(
-                    w_thread, w_clock
-                ):
-                    self._report(event, w_thread, "write-read")
-            history.reads[thread] = clock.get(thread, 0)
+            history.reads[thread_id] = get(thread_id, 0)
 
-    def _report(self, event: AccessEvent, prior_thread: int, kind: str) -> None:
-        self.racy_locations.add(event.location)
-        self.racy_objects.add(event.object_label)
+    def _report(
+        self, key, object_label, thread_id, site_id, prior_thread, kind
+    ) -> None:
+        location = MemoryLocation(*key)
+        self.racy_locations.add(location)
+        self.racy_objects.add(object_label)
         self.reports.append(
             HBRaceReport(
-                location=event.location,
-                object_label=event.object_label,
-                current_thread=event.thread_id,
+                location=location,
+                object_label=object_label,
+                current_thread=thread_id,
                 prior_thread=prior_thread,
-                site_id=event.site_id,
+                site_id=site_id,
                 kind=kind,
             )
         )

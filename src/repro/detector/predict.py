@@ -99,7 +99,6 @@ class _PredictHistory:
 
     #: (thread, epoch, clock snapshot, lockset), or None.
     write: Optional[tuple] = None
-    write_label: str = ""
     #: thread id -> (epoch, lockset).
     reads: dict = field(default_factory=dict)
 
@@ -240,7 +239,6 @@ class SHBPredictor(EventSink):
                 clock.copy(),
                 lockset,
             )
-            history.write_label = event.object_label
             history.reads = {}
         else:
             if history.write is not None:

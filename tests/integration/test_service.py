@@ -13,8 +13,13 @@ here, per the service contract (docs/service.md):
   ``timeout``, and the pool keeps serving afterwards;
 * malformed uploads fail at submit time with the log-error taxonomy
   mapped to 404/422/400 (422 bodies carry the byte offset);
-* NDJSON streaming emits one verdict per detector axis;
+* NDJSON streaming emits one verdict per detector axis, and the hb and
+  eraser verdicts equal the baselines replayed in-process;
 * SIGTERM drains in-flight jobs before exit.
+
+Every daemon runs in its own session, so killing its process group
+takes its forked workers with it; a module teardown asserts that no
+process of any of those groups survives.
 """
 
 import http.client
@@ -67,6 +72,40 @@ MEDIUM = SLOW.replace("5000000", "300000")
 
 TERMINAL = ("done", "error", "timeout")
 
+#: Process group of every daemon this module started.
+PROCESS_GROUPS = []
+
+
+def surviving_processes(groups) -> list:
+    """Live pids in any of ``groups``, read from /proc.  Zombies do not
+    count: a killed worker is an orphan, reaped whenever init gets to
+    it."""
+    alive = []
+    for entry in os.scandir("/proc"):
+        if not entry.name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry.name}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # Fields after the parenthesized command: state, ppid, pgrp, ...
+        state, _, group = stat.rsplit(")", 1)[1].split()[:3]
+        if state != "Z" and int(group) in groups:
+            alive.append(int(entry.name))
+    return alive
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_daemon_outlives_the_module():
+    yield
+    if not os.path.isdir("/proc"):
+        return
+    deadline = time.monotonic() + 10
+    while surviving_processes(PROCESS_GROUPS) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert surviving_processes(PROCESS_GROUPS) == []
+
 
 class Daemon:
     def __init__(self, *extra_args):
@@ -79,7 +118,9 @@ class Daemon:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            start_new_session=True,
         )
+        PROCESS_GROUPS.append(self.proc.pid)
         banner = self.proc.stdout.readline()
         match = re.search(r":(\d+) \(", banner)
         assert match, f"no port in banner: {banner!r}"
@@ -122,14 +163,17 @@ class Daemon:
         try:
             return self.proc.wait(timeout=budget)
         except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait(timeout=10)
+            self.kill()
             raise
 
     def kill(self):
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait(timeout=10)
+        """SIGKILL the daemon's process group, so its forked workers
+        (one may be spinning on an endless job) die with it."""
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        self.proc.wait(timeout=10)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +194,30 @@ def canonical(payload) -> str:
 def cli_report_json(capsys, *args) -> str:
     main(["check", *args, "--report-json"])
     return capsys.readouterr().out.strip()
+
+
+def baseline_verdicts(replay) -> list:
+    """The hb and eraser verdicts of a stream replayed in-process into
+    fresh baselines, as the service computes its extra axes."""
+    from repro.baselines import EraserDetector, HappensBeforeDetector
+    from repro.service.protocol import verdict_payload
+
+    verdicts = []
+    for axis, detector_class in (
+        ("hb", HappensBeforeDetector),
+        ("eraser", EraserDetector),
+    ):
+        detector = detector_class()
+        replay(detector)
+        verdicts.append(
+            verdict_payload(
+                axis,
+                detector.racy_locations,
+                detector.racy_objects,
+                len(detector.reports),
+            )
+        )
+    return verdicts
 
 
 class TestEndpoints:
@@ -225,6 +293,37 @@ class TestProgramJobs:
         assert [axis["axis"] for axis in record["axes"]] == [
             "paper", "hb", "eraser",
         ]
+
+    def test_axis_verdicts_match_in_process_baselines(self, daemon):
+        from repro.runtime import (
+            DEFAULT_ENGINE,
+            RandomPolicy,
+            RecordingSink,
+            engine_runner,
+            replay_entries,
+        )
+        from repro.service.cache import CompileCache
+        from repro.workloads import ALL_WORKLOADS
+
+        source = ALL_WORKLOADS["tsp2"].build(4)
+        _, _, record = daemon.submit_json(
+            "/submit?wait=1&seed=5&filename=axes.mj",
+            source.encode(),
+            expect=200,
+        )
+        cached = CompileCache().lookup(source, "axes.mj")
+        log = RecordingSink()
+        engine_runner(DEFAULT_ENGINE)(
+            cached.resolved,
+            sink=log,
+            trace_sites=cached.plan.trace_sites,
+            policy=RandomPolicy(5),
+        )
+        expected = baseline_verdicts(
+            lambda sink: replay_entries(log.log, sink)
+        )
+        assert expected[0]["races"] > 0
+        assert record["axes"][1:] == expected
 
     def test_compile_error_is_422_job_error(self, daemon):
         status, _, record = daemon.submit_json(
@@ -432,6 +531,22 @@ class TestLogJobs:
         assert record["job"]["kind"] == "binary-log"
         expected = cli_report_json(capsys, "--from-log", str(binary_log))
         assert canonical(record["result"]["report"]) == expected
+
+    def test_axis_verdicts_match_in_process_baselines(
+        self, daemon, tmp_path
+    ):
+        from repro.runtime.binlog import open_log
+        from repro.runtime.synthlog import synthesize_file
+
+        path = tmp_path / "synth.mjbl"
+        synthesize_file(path, 4_000, seed=5)
+        _, _, record = daemon.submit_json(
+            "/submit?wait=1", path.read_bytes(), expect=200
+        )
+        with open_log(path) as reader:
+            expected = baseline_verdicts(reader.replay_into)
+        assert expected[0]["races"] > 0
+        assert record["axes"][1:] == expected
 
     def test_tuple_log_round_trips(self, daemon, binary_log):
         from repro.runtime.binlog import read_binary_log
