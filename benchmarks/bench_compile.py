@@ -1,7 +1,7 @@
 """The compiled-engine before/after benchmarks: AST interpretation vs
 closure-threaded code with statically specialized trace stubs.
 
-Three configurations per workload:
+Two configurations per workload:
 
 * **Base** — no instrumentation, no detector: the pure interpretation
   speedup of closure-threading (all per-node dispatch, name resolution,
@@ -10,14 +10,10 @@ Three configurations per workload:
   attached: the end-to-end speedup of a detection run, where the
   compiled engine additionally fuses the instrumentation plan into the
   generated code (untraced sites are bare loads/stores, traced sites
-  call pre-bound ``on_access_parts`` stubs).
-* **Full+tiering** — the same detection run with ``tiering="on"``
-  (compiled engine only): traced sites compile to inline owner-check/
-  cache-hit fast paths and provably filtered accesses elide entirely
-  (:mod:`repro.runtime.tiering`).  The row's ``ast_seconds`` is the
-  Full AST baseline (the AST engine has no tiered mode), so its
-  speedup shows how much of the Base-vs-Full gap tiering closes; the
-  run's tier-transition counters are committed alongside.
+  finish owned accesses and shared cache hits inline and call the
+  pre-bound ``on_access_parts`` for the rest).  The row carries the
+  inline fast path's two counts, ``inline_owned`` and
+  ``inline_cache_hits``.
 
 Engine construction — which for the compiled engine includes closure
 compilation — stays *outside* the timed region, matching the harness
@@ -26,9 +22,10 @@ executable, not compile time.
 
 Before any timing is accepted, both engines' runs are asserted to be
 *byte-identical*: same schema-v3 event log, same output, same race
-reports — and the tiered run is asserted byte-identical to the
-untired one (reports, full pipeline/ownership/cache counters,
-output).  A speedup over a divergent execution would be meaningless.
+reports — and the timed Full runs, where the detector is the sole sink
+and the inline fast path engages, must end with identical reports and
+pipeline, ownership and cache counters.  A speedup over a divergent
+execution would be meaningless.
 
 Running ``PYTHONPATH=src python benchmarks/bench_compile.py`` writes
 ``BENCH_compile.json`` at the repo root with both configurations at the
@@ -114,101 +111,60 @@ def assert_engine_parity(name, resolved, plan) -> dict:
     return {"races": ast_side["races"], "events": ast_side["events"]}
 
 
-def assert_tiered_parity(name, resolved, plan) -> dict:
-    """One detection run per tiering mode (compiled engine); reports,
-    counters, and output must match exactly.  Returns the tiered run's
-    tier-transition counters for the JSON row."""
-    observed = {}
-    counters = None
-    for tiering in ("off", "on"):
-        detector = _detector(resolved, plan)
-        result = engine_class("compiled")(
-            resolved,
-            sink=detector,
-            trace_sites=plan.trace_sites,
-            tiering=tiering,
-        ).run()
-        observed[tiering] = {
-            "steps": result.steps,
-            "output": tuple(result.output),
-            "reports": _report_keys(detector),
-            "stats": repr(detector.stats),
-            "ownership": repr(detector.ownership.stats),
-            "cache_hits": detector.cache.stats.hits,
-        }
-        if tiering == "on":
-            assert detector.tiering is not None, f"{name}: tiering never engaged"
-            counters = detector.tiering.as_dict()
-    off_side, on_side = observed["off"], observed["on"]
-    assert off_side == on_side, (
-        f"{name}: tiering diverged — "
-        + ", ".join(key for key in off_side if off_side[key] != on_side[key])
+def _detector_counters(detector) -> tuple:
+    """Reports and every counter the inline fast path defers."""
+    return (
+        _report_keys(detector),
+        repr(detector.stats),
+        repr(detector.ownership.stats),
+        repr(detector.cache.stats),
     )
-    return counters
 
 
-def _time_engine(
-    engine, resolved, trace_sites, sink_factory, repeats, tiering=None
-):
-    """Best-of-``repeats`` wall time of ``runner.run()`` alone."""
+def _time_engine(engine, resolved, trace_sites, sink_factory, repeats):
+    """Best-of-``repeats`` wall time of ``runner.run()`` alone, and the
+    last run's sink."""
     cls = engine_class(engine)
     best = None
     for _ in range(repeats):
         sink = sink_factory()
-        runner = cls(
-            resolved, sink=sink, trace_sites=trace_sites, tiering=tiering
-        )
+        runner = cls(resolved, sink=sink, trace_sites=trace_sites)
         started = time.perf_counter()
         runner.run()
         elapsed = time.perf_counter() - started
         if best is None or elapsed < best:
             best = elapsed
-    return best
+    return best, sink
 
 
 def bench_workload(name: str, scale: int, repeats: int) -> list:
-    """All three configurations for one workload; parity asserted
-    first (cross-engine, then cross-tier)."""
+    """Both configurations for one workload; cross-engine parity
+    asserted first, and again on the timed Full runs' detectors."""
     resolved, plan = _compile(name, scale)
     shared = assert_engine_parity(name, resolved, plan)
-    tier_counters = assert_tiered_parity(name, resolved, plan)
 
     rows = []
     configurations = (
-        # (config name, trace sites, sink factory, tiering, extra fields)
-        ("Base", set(), lambda: None, None, {}),
-        (
-            "Full",
-            plan.trace_sites,
-            lambda: _detector(resolved, plan),
-            None,
-            shared,
-        ),
-        (
-            "Full+tiering",
-            plan.trace_sites,
-            lambda: _detector(resolved, plan),
-            "on",
-            {**shared, "tiering": tier_counters},
-        ),
+        # (config name, trace sites, sink factory, extra fields)
+        ("Base", set(), lambda: None, {}),
+        ("Full", plan.trace_sites, lambda: _detector(resolved, plan), shared),
     )
-    full_ast_seconds = None
-    for config, trace_sites, sink_factory, tiering, extra in configurations:
-        if tiering is None:
-            ast_seconds = _time_engine(
-                "ast", resolved, trace_sites, sink_factory, repeats
-            )
-            if config == "Full":
-                full_ast_seconds = ast_seconds
-        else:
-            # The AST engine has no tiered mode: the tiered row is
-            # measured against the Full AST baseline, so its speedup
-            # reads as "end-to-end detection vs the reference".
-            ast_seconds = full_ast_seconds
-        compiled_seconds = _time_engine(
-            "compiled", resolved, trace_sites, sink_factory, repeats,
-            tiering=tiering,
+    for config, trace_sites, sink_factory, extra in configurations:
+        ast_seconds, ast_sink = _time_engine(
+            "ast", resolved, trace_sites, sink_factory, repeats
         )
+        compiled_seconds, compiled_sink = _time_engine(
+            "compiled", resolved, trace_sites, sink_factory, repeats
+        )
+        if compiled_sink is not None:
+            assert _detector_counters(ast_sink) == _detector_counters(
+                compiled_sink
+            ), f"{name}: the timed detection runs diverged"
+            extra = {
+                **extra,
+                "inline_owned": compiled_sink.inline_owned,
+                "inline_cache_hits": compiled_sink.inline_cache_hits,
+            }
         rows.append(
             {
                 "workload": name,
@@ -248,12 +204,10 @@ def generate(quick: bool = False, repeats: int = 3) -> dict:
             "generator split at the AST interpreter's exact preemption "
             "points, instrumentation plan fused into the generated "
             "stubs (untraced sites are bare loads/stores, traced sites "
-            "pre-bound on_access_parts closures); byte-identical event "
-            "streams asserted before timing.  Full+tiering adds "
-            "--tiering on: inline owner-check/cache-hit fast paths "
-            "plus static and settled elision, byte-identical reports "
-            "and counters asserted before timing against the Full "
-            "AST baseline"
+            "closures that finish owned accesses and shared cache hits "
+            "inline and call the pre-bound on_access_parts for the "
+            "rest); byte-identical event streams asserted before "
+            "timing, identical detector reports and counters after"
         ),
         "quick": quick,
         "repeats": repeats,
@@ -324,25 +278,7 @@ class TestFullConfiguration:
 
         detector = benchmark(run)
         assert detector.stats.accesses > 0
-
-    def test_compiled_engine_tiered(self, benchmark, tsp_quick):
-        resolved, plan = tsp_quick
-        benchmark.group = "compile:full"
-        assert_tiered_parity("tsp2", resolved, plan)
-
-        def run():
-            detector = _detector(resolved, plan)
-            engine_class("compiled")(
-                resolved,
-                sink=detector,
-                trace_sites=plan.trace_sites,
-                tiering="on",
-            ).run()
-            return detector
-
-        detector = benchmark(run)
-        assert detector.stats.accesses > 0
-        assert detector.tiering is not None
+        assert detector.inline_cache_hits > 0
 
 
 # ----------------------------------------------------------------------

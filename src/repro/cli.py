@@ -64,12 +64,10 @@ from .instrument import PlannerConfig, plan_instrumentation
 from .lang import MJError, compile_source
 from .runtime import (
     DEFAULT_ENGINE,
-    DEFAULT_TIERING,
     ENGINES,
     MulticastSink,
     RandomPolicy,
     RoundRobinPolicy,
-    TIERING_MODES,
     engine_runner,
 )
 
@@ -91,12 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_ENGINE,
                        help="execution engine: the AST interpreter or the "
                        "closure-compiled backend (default: %(default)s)")
-    check.add_argument("--tiering", choices=TIERING_MODES, default=None,
-                       help="compiled-engine instrumentation tiering: "
-                       "inline ownership fast paths plus elision of "
-                       "provably thread-local accesses; race reports "
-                       "stay byte-identical (default: REPRO_TIERING, "
-                       f"currently {DEFAULT_TIERING!r})")
     check.add_argument("--seed", type=int, default=None,
                        help="random-scheduler seed (default: round-robin)")
     check.add_argument("--no-static", action="store_true",
@@ -147,10 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--engine", choices=sorted(ENGINES),
                      default=DEFAULT_ENGINE,
                      help="execution engine (default: %(default)s)")
-    run.add_argument("--tiering", choices=TIERING_MODES, default=None,
-                     help="compiled-engine instrumentation tiering "
-                     "(inert without a detector sink; default: "
-                     f"REPRO_TIERING, currently {DEFAULT_TIERING!r})")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--record", type=Path, default=None, metavar="PATH",
                      help="record the event stream to a JSON tuple log")
@@ -226,10 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_ENGINE,
                        help="execution engine the detection workers run "
                        "programs under (default: %(default)s)")
-    serve.add_argument("--tiering", choices=TIERING_MODES, default=None,
-                       help="compiled-engine tiering for worker program "
-                       "runs; reports stay byte-identical (default: "
-                       f"REPRO_TIERING, currently {DEFAULT_TIERING!r})")
 
     difflab = sub.add_parser(
         "difflab",
@@ -241,13 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          "a non-ast engine is differentially checked "
                          "against the ast reference on every case "
                          "(default: %(default)s)")
-    difflab.add_argument("--tiering", choices=TIERING_MODES, default=None,
-                         help="compiled-engine tiering for corpus + "
-                         "campaign runs; with tiering on every case is "
-                         "additionally cross-checked against an untired "
-                         "rerun — any verdict difference is a hard "
-                         "divergence (default: REPRO_TIERING, currently "
-                         f"{DEFAULT_TIERING!r})")
     difflab.add_argument("--budget", default=None, metavar="TIME",
                          help='campaign time budget, e.g. "120s" or "2m" '
                          "(keeps drawing fuzz seeds until time is up)")
@@ -294,21 +271,6 @@ def _policy(seed):
     return RandomPolicy(seed) if seed is not None else RoundRobinPolicy()
 
 
-def _tiering_usage_error(args) -> bool:
-    """Explicit ``--tiering on`` needs the compiled engine.
-
-    The env default (``REPRO_TIERING=on``) stays inert on the AST
-    engine so the whole suite can run under one environment; asking for
-    it explicitly on a run that cannot honor it is a usage error.
-    """
-    if args.tiering == "on" and args.engine == "ast":
-        print("error: --tiering on requires --engine compiled "
-              "(the AST interpreter has no tiered stubs)",
-              file=sys.stderr)
-        return True
-    return False
-
-
 def _compile(path: Path):
     try:
         source = path.read_text()
@@ -321,8 +283,6 @@ def cmd_check(args) -> int:
     if args.file is None and args.from_log is None:
         print("error: check needs an MJ program, a --from-log PATH, "
               "or both", file=sys.stderr)
-        return 2
-    if _tiering_usage_error(args):
         return 2
     resolved = _compile(args.file) if args.file is not None else None
     planner = PlannerConfig(
@@ -365,7 +325,7 @@ def cmd_check(args) -> int:
     predictor = None
     predicted = set()
     observed = set()
-    tier_counters = None
+    detector = None
     if post_mortem:
         from .detector import detect_sharded
         from .runtime import RecordingSink, open_log, replay_entries
@@ -391,7 +351,6 @@ def cmd_check(args) -> int:
                 sink=sink,
                 trace_sites=plan.trace_sites,
                 policy=_policy(args.seed),
-                tiering=args.tiering,
             )
         sharded = detect_sharded(
             log,
@@ -439,13 +398,11 @@ def cmd_check(args) -> int:
             sink=sink,
             trace_sites=plan.trace_sites,
             policy=_policy(args.seed),
-            tiering=args.tiering,
         )
         wall_seconds = time.perf_counter() - started
         reports = detector.reports.reports
         funnel = detector.stats
         cache_stats = detector.cache.stats if detector.cache else None
-        tier_counters = detector.tiering
     if args.report_json:
         from .service.protocol import canonical_json, detection_report
 
@@ -503,8 +460,8 @@ def cmd_check(args) -> int:
         print(f"funnel: {funnel.funnel()}")
         if cache_stats is not None:
             print(f"cache hit rate: {cache_stats.hit_rate:.1%}")
-        if tier_counters is not None:
-            print(f"tiering: {_tiering_line(tier_counters)}")
+        if detector is not None and args.engine == "compiled":
+            print(f"inline fast path: {_inline_line(detector)}")
         if sharded is not None:
             print(f"post-mortem: {sharded.shard_summary()}")
             print(f"  accesses partitioned: {sharded.partitioned_accesses}; "
@@ -519,33 +476,21 @@ def cmd_check(args) -> int:
             label = name.replace("lockset_trie", "lockset/trie")
             print(f"  {label:<12} {seconds:.3f}s "
                   f"({100.0 * seconds / denom:.0f}%)")
-        if tier_counters is not None:
-            print(f"  tiering: {_tiering_line(tier_counters)}")
-            print("  (tier-0 fast-path time runs outside the sink and is "
-                  "attributed to interpret)")
+        if args.engine == "compiled":
+            print(f"  inline fast path: {_inline_line(detector)} "
+                  "(its time is attributed to interpret)")
     return 1 if reports or predicted else 0
 
 
-def _tiering_line(counters) -> str:
-    """One human-readable line of tier-transition counters."""
-    settled = (
-        f"settled (survivor thread {counters.survivor})"
-        if counters.settled
-        else "not settled"
-    )
+def _inline_line(detector) -> str:
+    """The compiled engine's inline fast-path completions, one line."""
     return (
-        f"sites tier0={counters.sites_tier0} "
-        f"tier1-static={counters.sites_tier1_static}; "
-        f"inline owned={counters.inline_owned} "
-        f"cache-hits={counters.inline_cache_hits}; "
-        f"elided static={counters.elided_static} "
-        f"settled={counters.elided_settled}; {settled}"
+        f"owned={detector.inline_owned} "
+        f"cache-hits={detector.inline_cache_hits}"
     )
 
 
 def cmd_run(args) -> int:
-    if _tiering_usage_error(args):
-        return 2
     if args.compress is not None and args.record_binary is None:
         print("error: --compress requires --record-binary", file=sys.stderr)
         return 2
@@ -572,7 +517,7 @@ def cmd_run(args) -> int:
     elif sinks:
         sink = MulticastSink(sinks)
     result = engine_runner(args.engine)(
-        resolved, sink=sink, policy=_policy(args.seed), tiering=args.tiering
+        resolved, sink=sink, policy=_policy(args.seed)
     )
     for line in result.output:
         print(line)
@@ -778,8 +723,6 @@ def cmd_difflab(args) -> int:
         for name, injection in sorted(INJECTIONS.items()):
             print(f"{name}: {injection.description}")
         return 0
-    if _tiering_usage_error(args):
-        return 2
     injection = None
     if args.inject is not None:
         injection = INJECTIONS.get(args.inject)
@@ -792,9 +735,7 @@ def cmd_difflab(args) -> int:
 
     if not args.skip_corpus:
         directory = args.corpus if args.corpus is not None else DEFAULT_CORPUS
-        entries, problems = verify_corpus(
-            directory, engine=args.engine, tiering=args.tiering
-        )
+        entries, problems = verify_corpus(directory, engine=args.engine)
         covered = sorted({klass for e in entries for klass in e.classes})
         print(f"corpus: {len(entries)} entries from {directory}")
         for entry in entries:
@@ -836,7 +777,6 @@ def cmd_difflab(args) -> int:
             shrink=not args.no_shrink,
             progress=lambda message: print(f"  .. {message}"),
             engine=args.engine,
-            tiering=args.tiering,
             hunt_classes=hunt_classes,
         )
         print(result.summary())
@@ -889,8 +829,6 @@ def cmd_serve(args) -> int:
     if args.timeout <= 0:
         print("error: --timeout must be positive", file=sys.stderr)
         return 2
-    if _tiering_usage_error(args):
-        return 2
     return serve_forever(ServeConfig(
         host=args.host,
         port=args.port,
@@ -898,7 +836,6 @@ def cmd_serve(args) -> int:
         queue_depth=args.queue_depth,
         timeout=args.timeout,
         engine=args.engine,
-        tiering=args.tiering,
     ))
 
 

@@ -18,12 +18,7 @@ State machine, per location::
     SHARED          ──any access──▶ SHARED              (admitted)
 
 ``SHARED`` is *terminal*: no edge leaves it (``reown`` is restricted to
-still-owned locations).  ``EXCLUSIVE(t)`` is terminal *relative to a
-sole surviving thread t*: if every other thread has ended and no new
-thread can ever be started, only the ``t``-loop edge remains reachable.
-The tiered compiler (:mod:`repro.runtime.tiering`) promotes on exactly
-these terminal states — promotion is irreversible because the states
-themselves admit no escaping transition.
+still-owned locations).
 """
 
 from __future__ import annotations
@@ -88,24 +83,3 @@ class OwnershipFilter:
     def owner_of(self, key):
         """The owner thread id, ``SHARED``, or ``None`` (never accessed)."""
         return self._owners.get(key)
-
-    def would_filter(self, key, thread_id: int) -> bool:
-        """Pure predicate: would :meth:`admit` filter this access?
-
-        True exactly when the access is in a state whose only effect is
-        the two ``owned_filtered`` counters (plus a virgin claim) —
-        the elision-eligibility condition of the tiered compiler.
-        Never mutates the owner table or the statistics.
-        """
-        owner = self._owners.get(key, None)
-        if owner is SHARED:
-            return False
-        return owner is None or owner == thread_id
-
-    def fold_elided(self, count: int) -> None:
-        """Account ``count`` accesses the tiered engine proved would be
-        filtered and therefore never materialized.  Each elided access
-        is, by :meth:`would_filter`, an access whose untired effect is
-        exactly ``owned_filtered += 1`` — so folding the count restores
-        counter parity with the untired pipeline."""
-        self.stats.owned_filtered += count

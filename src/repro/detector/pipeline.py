@@ -27,7 +27,7 @@ from typing import Optional
 from ..lang.ast import AccessKind
 from ..lang.resolver import ResolvedProgram
 from ..runtime.events import AccessEvent, EventSink, LocationInterner, ObjectKind
-from .cache import AccessCache
+from .cache import _HASH_MULTIPLIER, _MASK32, AccessCache
 from .config import DetectorConfig
 from .locksets import LockTracker, join_pseudo_lock
 from .ownership import SHARED, OwnershipFilter
@@ -126,9 +126,12 @@ class RaceDetector(EventSink):
         )
         self.reports = ReportCollector()
         self.stats = PipelineStats()
-        #: Tier-transition counters, set at run end by the compiled
-        #: engine's tiering layer (None when tiering never engaged).
-        self.tiering = None
+        #: Accesses the compiled engine's inline fast path completed
+        #: without calling :meth:`on_access_parts` (see
+        #: :class:`InlineFastPath`), already included in every counter
+        #: above; observability only.
+        self.inline_owned = 0
+        self.inline_cache_hits = 0
         #: Canonical location keys: one MemoryLocation per (object,
         #: field) pair, reused by every event touching that location.
         self.interner = LocationInterner()
@@ -279,6 +282,21 @@ class RaceDetector(EventSink):
             object_label,
         )
 
+    def inline_fast_path(self) -> Optional["InlineFastPath"]:
+        """The handles the compiled engine's trace stubs close over to
+        finish the dominant outcomes of :meth:`on_access_parts` inline,
+        or ``None`` unless ownership is on and the cache answers with a
+        single probe.
+
+        Without that probe the stub could finish only owned accesses,
+        which are rare on every benchmarked workload, while each shared
+        access would pay the stub's owner check and then the spine's.
+        """
+        cache = self.cache
+        if self._owners is None or cache is None or cache._write_covers_read:
+            return None
+        return InlineFastPath(self)
+
     def _detect_parts(
         self, key, object_uid, field, thread_id, kind, site_id, object_kind,
         object_label,
@@ -348,3 +366,65 @@ class RaceDetector(EventSink):
         """Live trie nodes (the paper reports 7967 for tsp), read off
         the shared allocation counters rather than walked."""
         return self.trie_stats.live_nodes
+
+
+class InlineFastPath:
+    """One run's inline fast path into a :class:`RaceDetector`.
+
+    The compiled engine's trace stub (``ProgramCompiler._record_stub``)
+    mirrors :meth:`RaceDetector.on_access_parts` — the keying, the
+    inlined owner check, and the single-probe cache hit of
+    :meth:`AccessCache.access_tracked` — and completes three outcomes
+    without the call:
+
+    * virgin claim: ``owners[key] = thread`` inline;
+    * owner re-access;
+    * shared access whose cache probe hits (probing mutates nothing).
+
+    Their counter effects are deferred to ``owned_cell``/``hit_cell``
+    and applied by :meth:`fold` when the run ends; nothing reads the
+    counters mid-run.  Everything else — the owned→shared transition,
+    a cache miss — reaches ``on_access_parts`` with no state touched, so
+    the spine recounts it itself.
+    """
+
+    __slots__ = (
+        "detector", "owners", "intern", "fields_merged", "shared",
+        "cache_threads", "cache_size", "hash_multiplier", "hash_mask",
+        "owned_cell", "hit_cell",
+    )
+
+    def __init__(self, detector: RaceDetector):
+        self.detector = detector
+        self.owners = detector._owners
+        self.intern = detector._intern
+        self.fields_merged = detector._fields_merged
+        self.shared = SHARED
+        self.cache_threads = detector.cache._threads
+        self.cache_size = detector.cache._size
+        # _DirectMappedCache._index's constants, so the inlined probe
+        # cannot drift from it.
+        self.hash_multiplier = _HASH_MULTIPLIER
+        self.hash_mask = _MASK32
+        self.owned_cell = [0]
+        self.hit_cell = [0]
+
+    def fold(self) -> int:
+        """Apply the deferred counter effects; returns the number of
+        accesses folded (the engine adds it to its emitted count).
+        Idempotent: the cells are drained, so a second fold adds 0."""
+        owned = self.owned_cell[0]
+        hits = self.hit_cell[0]
+        self.owned_cell[0] = self.hit_cell[0] = 0
+        detector = self.detector
+        stats = detector.stats
+        stats.accesses += owned + hits
+        stats.owned_filtered += owned
+        stats.cache_hits += hits
+        own_stats = detector._own_stats
+        own_stats.owned_filtered += owned
+        own_stats.shared_passed += hits
+        detector.cache.stats.hits += hits
+        detector.inline_owned += owned
+        detector.inline_cache_hits += hits
+        return owned + hits

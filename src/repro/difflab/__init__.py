@@ -52,7 +52,6 @@ from .verdicts import (
     CaseRun,
     EngineDivergence,
     ScheduleSpec,
-    TieringDivergence,
     Verdict,
     compute_verdicts,
     execute_case,
@@ -75,7 +74,6 @@ __all__ = [
     "ScheduleSpec",
     "ShrinkResult",
     "ShrinkStats",
-    "TieringDivergence",
     "Verdict",
     "VIOLATION",
     "Violation",

@@ -181,7 +181,6 @@ def verify_entry(
     shards: Sequence[int] = DEFAULT_SHARDS,
     max_steps: int = DEFAULT_MAX_STEPS,
     engine: str = "ast",
-    tiering=None,
 ) -> list:
     """Re-run one committed entry; return human-readable problems.
 
@@ -192,7 +191,7 @@ def verify_entry(
     problems: list = []
     result = run_case(
         entry.source, entry.schedule, label=entry.name, shards=shards,
-        max_steps=max_steps, engine=engine, tiering=tiering,
+        max_steps=max_steps, engine=engine,
     )
     if result.error is not None:
         return [f"{entry.name}: execution failed: {result.error}"]
@@ -270,17 +269,12 @@ def verify_corpus(
     directory: Optional[Path] = None,
     shards: Sequence[int] = DEFAULT_SHARDS,
     engine: str = "ast",
-    tiering=None,
 ) -> tuple:
-    """Verify every entry; returns ``(entries, problems)``.
-
-    With ``tiering="on"`` (and a non-ast engine) every entry's verdict
-    matrix is additionally gated against a tiered rerun — the corpus
-    half of the cross-tier parity gate."""
+    """Verify every entry; returns ``(entries, problems)``."""
     entries = load_corpus(directory)
     problems: list = []
     for entry in entries:
         problems.extend(
-            verify_entry(entry, shards=shards, engine=engine, tiering=tiering)
+            verify_entry(entry, shards=shards, engine=engine)
         )
     return entries, problems

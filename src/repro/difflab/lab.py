@@ -40,7 +40,6 @@ from .verdicts import (
     DEFAULT_SHARDS,
     EngineDivergence,
     ScheduleSpec,
-    TieringDivergence,
     compute_verdicts,
     execute_case,
 )
@@ -167,12 +166,8 @@ def run_case(
     include_static_axis: bool = True,
     max_steps: int = DEFAULT_MAX_STEPS,
     engine: str = "ast",
-    tiering: Optional[str] = None,
 ) -> CaseResult:
-    """Execute and classify one case; runtime failures become errors.
-
-    A :class:`TieringDivergence` from the tiered cross-check surfaces
-    as a case error, which fails the campaign like any violation."""
+    """Execute and classify one case; runtime failures become errors."""
     if detector_factory is None and config is not None:
         # A plain config sweep: the paper detectors must run under the
         # same semantics as the references they are compared against.
@@ -187,7 +182,6 @@ def run_case(
             include_static_axis=include_static_axis,
             max_steps=max_steps,
             engine=engine,
-            tiering=tiering,
         )
     except (
         MJError,
@@ -195,7 +189,6 @@ def run_case(
         StepLimitExceeded,
         RecursionError,
         EngineDivergence,
-        TieringDivergence,
     ) as exc:
         return CaseResult(
             label=label,
@@ -231,7 +224,6 @@ def make_predicate(
     max_steps: int = DEFAULT_MAX_STEPS,
     extra_check: Optional[Callable[[CaseResult], bool]] = None,
     engine: str = "ast",
-    tiering: Optional[str] = None,
 ):
     """Build the shrinker's *interesting* test.
 
@@ -256,7 +248,6 @@ def make_predicate(
             include_static_axis=include_static_axis,
             max_steps=max_steps,
             engine=engine,
-            tiering=tiering,
         )
         if result.error is not None:
             return False
@@ -280,7 +271,6 @@ def shrink_case(
     max_rounds: int = 40,
     extra_check: Optional[Callable[[CaseResult], bool]] = None,
     engine: str = "ast",
-    tiering: Optional[str] = None,
 ) -> tuple:
     """Minimize (source, schedule) while preserving ``target_classes``.
 
@@ -299,7 +289,6 @@ def shrink_case(
         max_steps=max_steps,
         extra_check=extra_check,
         engine=engine,
-        tiering=tiering,
     )
     stats = ShrinkStats(
         initial_schedule=schedule.describe(),
@@ -322,7 +311,7 @@ def shrink_case(
         small, small_schedule, detector_factory=detector_factory,
         config=config, shards=shards,
         include_static_axis=include_static_axis, max_steps=max_steps,
-        engine=engine, tiering=tiering,
+        engine=engine,
     )
     if final.error is not None or not (
         target_classes <= case_classes(final, violations_only)
@@ -388,7 +377,6 @@ def run_campaign(
     max_steps: int = DEFAULT_MAX_STEPS,
     progress: Optional[Callable[[str], None]] = None,
     engine: str = "ast",
-    tiering: Optional[str] = None,
     hunt_classes: Optional[frozenset] = None,
 ) -> CampaignResult:
     """Sweep fuzzed cases; classify; shrink every violating case.
@@ -437,7 +425,6 @@ def run_campaign(
                 include_static_axis=include_static_axis,
                 max_steps=max_steps,
                 engine=engine,
-                tiering=tiering,
             )
             result.cases_run += 1
             if case.error is not None:
@@ -465,7 +452,6 @@ def run_campaign(
                             include_static_axis=include_static_axis,
                             max_steps=max_steps,
                             engine=engine,
-                            tiering=tiering,
                         )
                     else:
                         small, small_spec = case.source, spec
@@ -479,7 +465,7 @@ def run_campaign(
                         small, small_spec, detector_factory=detector_factory,
                         config=config, shards=shards,
                         include_static_axis=include_static_axis,
-                        max_steps=max_steps, engine=engine, tiering=tiering,
+                        max_steps=max_steps, engine=engine,
                     )
                     items = class_items(shrunk, klass)
                     witness = None
@@ -514,7 +500,6 @@ def run_campaign(
                         include_static_axis=include_static_axis,
                         max_steps=max_steps,
                         engine=engine,
-                        tiering=tiering,
                     )
                 else:
                     small, small_spec = case.source, spec
@@ -538,7 +523,6 @@ def run_campaign(
                     include_static_axis=include_static_axis,
                     max_steps=max_steps,
                     engine=engine,
-                    tiering=tiering,
                 )
                 result.violations.append(
                     Violation(

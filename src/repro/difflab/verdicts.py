@@ -131,16 +131,6 @@ class EngineDivergence(Exception):
     """The selected engine and the AST reference engine disagreed."""
 
 
-class TieringDivergence(Exception):
-    """A tiered rerun's verdict differed from the untired detector.
-
-    Tiering's contract is *byte-identical* detection: the tiered
-    compiled engine must reproduce the untired run's race reports and
-    every pipeline counter exactly.  The lab enforces it by rerunning
-    each case with tiering engaged and comparing the full paper
-    verdict, counters included."""
-
-
 def execute_case(
     source: str,
     schedule: ScheduleSpec,
@@ -148,7 +138,6 @@ def execute_case(
     include_static_axis: bool = True,
     max_steps: int = 2_000_000,
     engine: str = "ast",
-    tiering: Optional[str] = None,
 ) -> CaseRun:
     """Run one case, recording the all-sites log plus a live detector.
 
@@ -161,20 +150,8 @@ def execute_case(
     differential reference: program output and the tuple-encoded event
     log must match exactly, otherwise :class:`EngineDivergence` is
     raised (and surfaces as a lab error).
-
-    With ``tiering="on"`` and a non-ast engine, the case additionally
-    runs once more with the detector as the sole sink and tiering
-    engaged (the recording run's multicast sink never engages tiering,
-    keeping the log byte-identical by construction); its full verdict —
-    counters included — must equal the live detector's, otherwise
-    :class:`TieringDivergence` is raised.  Skipped under an injected
-    ``detector_factory``: tiering only engages on the real pipeline.
     """
     factory = detector_factory if detector_factory is not None else RaceDetector
-    if tiering is None:
-        from ..runtime.tiering import DEFAULT_TIERING
-
-        tiering = DEFAULT_TIERING
     resolved = compile_source(source)
     log = RecordingSink()
     live = factory()
@@ -208,31 +185,6 @@ def execute_case(
                 f"reference ({len(log.log)} vs "
                 f"{len(reference_log.log)} entries)"
             )
-    if tiering == "on" and engine != "ast" and detector_factory is None:
-        tiered = RaceDetector()
-        _run(
-            compile_source(source),
-            tiered,
-            trace_sites=None,
-            policy=schedule.policy(),
-            max_steps=max_steps,
-            engine=engine,
-            tiering="on",
-        )
-        expected = _paper_verdict("paper-live", live)
-        got = _paper_verdict("paper-live", tiered)
-        if got != expected:
-            drifted = [
-                name
-                for (name, a), (_, b) in zip(got.counters, expected.counters)
-                if a != b
-            ]
-            raise TieringDivergence(
-                f"tiered rerun diverged from the untired detector: "
-                f"locations {sorted(got.locations)!r} vs "
-                f"{sorted(expected.locations)!r}, races {got.races} vs "
-                f"{expected.races}, drifted counters: {drifted or 'none'}"
-            )
     static_log: Optional[list] = None
     if include_static_axis:
         resolved_static = compile_source(source)
@@ -257,8 +209,7 @@ def execute_case(
     )
 
 
-def _run(resolved, sink, trace_sites, policy, max_steps, engine="ast",
-         tiering=None):
+def _run(resolved, sink, trace_sites, policy, max_steps, engine="ast"):
     from ..runtime import engine_runner
 
     return engine_runner(engine)(
@@ -267,7 +218,6 @@ def _run(resolved, sink, trace_sites, policy, max_steps, engine="ast",
         trace_sites=trace_sites,
         policy=policy,
         max_steps=max_steps,
-        tiering=tiering,
     )
 
 

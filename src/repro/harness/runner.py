@@ -37,7 +37,6 @@ from ..detector.pipeline import RaceDetector
 from ..instrument.planner import PlannerConfig, plan_instrumentation
 from ..lang.resolver import compile_source
 from ..runtime import DEFAULT_ENGINE, engine_class
-from ..runtime.tiering import TierCounters
 from ..runtime.scheduler import RoundRobinPolicy, SchedulingPolicy
 from ..workloads.base import WorkloadSpec
 
@@ -155,7 +154,9 @@ class TimedRaceDetector(RaceDetector):
         """Split ``wall_seconds`` (the run's wall time) into phases.
 
         ``interpret`` is everything outside the sink — program
-        execution plus event emission; ``filter`` is the sink time not
+        execution plus event emission, and on the compiled engine the
+        inline fast path's owned and cache-hit accesses; ``filter`` is
+        the sink time not
         spent in the cache probe or the detector (interning +
         ownership).
         """
@@ -193,9 +194,6 @@ class RunOutcome:
     weaker_filtered: int = 0
     trie_nodes: int = 0
     monitored_locations: int = 0
-    #: Tier-transition counters when the compiled engine ran with
-    #: ``tiering="on"`` and the tiering layer engaged; None otherwise.
-    tiering: Optional[TierCounters] = None
     detector: Optional[RaceDetector] = None
 
 
@@ -207,7 +205,6 @@ def run_workload(
     max_steps: int = 50_000_000,
     engine: str = DEFAULT_ENGINE,
     detector_class: type = RaceDetector,
-    tiering: Optional[str] = None,
 ) -> RunOutcome:
     """Compile, plan, execute, and measure one workload/config pair.
 
@@ -220,10 +217,6 @@ def run_workload(
     ``detector_class`` swaps the detector implementation (e.g.
     :class:`TimedRaceDetector` for phase attribution); it must be a
     :class:`RaceDetector` subclass with the same constructor.
-
-    ``tiering`` selects the compiled engine's instrumentation-elision
-    tier (``"off"``/``"on"``; None defers to ``REPRO_TIERING``).  The
-    AST engine validates and ignores it.
     """
     source = spec.build(scale)
     resolved = compile_source(source, filename=spec.name)
@@ -251,7 +244,6 @@ def run_workload(
         trace_sites=trace_sites,
         policy=chosen_policy,
         max_steps=max_steps,
-        tiering=tiering,
     )
     started = time.perf_counter()
     result = runner.run()
@@ -283,7 +275,6 @@ def run_workload(
         outcome.weaker_filtered = detector.stats.detector_weaker_filtered
         outcome.trie_nodes = detector.total_trie_nodes()
         outcome.monitored_locations = detector.monitored_locations
-        outcome.tiering = detector.tiering
     return outcome
 
 
@@ -326,7 +317,6 @@ def run_workload_phases(
     policy: Optional[SchedulingPolicy] = None,
     max_steps: int = 50_000_000,
     engine: str = DEFAULT_ENGINE,
-    tiering: Optional[str] = None,
 ) -> PhaseBreakdown:
     """Run one workload with phase timers attached to the detector.
 
@@ -334,10 +324,9 @@ def run_workload_phases(
     meaningless for Base).  The timers add measurement overhead, so the
     split is for attribution, not cross-run absolute comparison.
 
-    Under ``tiering="on"`` the tier-0 inline fast path runs outside the
-    timed sink, so its time lands in the ``interpret`` phase — the
-    attribution reflects that elided accesses genuinely cost only
-    interpreter time.
+    On the compiled engine the inline fast path
+    (:class:`~repro.detector.pipeline.InlineFastPath`) runs outside the
+    timed sink, so its time lands in the ``interpret`` phase.
     """
     if configuration.detector is None:
         raise ValueError(
@@ -352,7 +341,6 @@ def run_workload_phases(
         max_steps=max_steps,
         engine=engine,
         detector_class=TimedRaceDetector,
-        tiering=tiering,
     )
     phases = outcome.detector.phase_seconds(outcome.wall_seconds)
     return PhaseBreakdown(

@@ -31,12 +31,6 @@ from .binlog import (
 )
 from .compiled import CompiledInterpreter, run_compiled_program
 from .interpreter import Frame, Interpreter, RunResult, run_program
-from .tiering import (
-    DEFAULT_TIERING,
-    TIERING_MODES,
-    TierCounters,
-    validate_tiering,
-)
 
 #: Engine registry: name -> run_program-compatible callable.  Every
 #: entry point that executes MJ (CLI, harness, difflab, replay) selects
@@ -113,12 +107,9 @@ __all__ = [
     "CompiledInterpreter",
     "CountingSink",
     "DEFAULT_ENGINE",
-    "DEFAULT_TIERING",
     "DeadlockError",
     "ENGINES",
     "ENGINE_CLASSES",
-    "TIERING_MODES",
-    "TierCounters",
     "EventSink",
     "FallbackReplayPolicy",
     "Frame",
@@ -158,5 +149,4 @@ __all__ = [
     "run_compiled_program",
     "run_program",
     "validate_entries",
-    "validate_tiering",
 ]

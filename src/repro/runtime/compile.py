@@ -228,15 +228,12 @@ class ProgramCompiler:
         the compiled analogue of the instrumenter omitting the ``trace``
         pseudo-instruction.
 
-        Under tiering (:mod:`repro.runtime.tiering`) a traced site
-        compiles to one of two specialized stubs instead:
-
-        * tier 1 (static): the escape analysis proved every object the
-          site can touch thread-local — a bare counter stub;
-        * tier 0: the detector's keying, owner check, and single-probe
-          cache hit are inlined with counter effects identical to
-          ``on_access_parts``; terminal (settled) states elide, and
-          everything non-trivial falls into the unmodified spine.
+        With a :class:`~repro.detector.pipeline.RaceDetector` sink that
+        has ownership and a single-probe cache on, a traced site instead
+        compiles to the inline fast path
+        (:class:`~repro.detector.pipeline.InlineFastPath`), which
+        finishes owned accesses and shared cache hits without calling
+        the sink.
         """
         engine = self.engine
         counts = engine._counts
@@ -251,25 +248,12 @@ class ProgramCompiler:
 
             return record
 
-        tiering = engine._tiering
-        if tiering is not None and site_id in tiering.static_sites:
-            # Tier 1 (static): provably thread-local — every access
-            # here is an `owned_filtered` no-op in the untired run;
-            # folded back into the counters at run end.
-            tiering.sites_tier1_static += 1
-            static_cell = tiering.elide_static_cell
-
-            def record(ref, thread):
-                counts[0] += 1
-                static_cell[0] += 1
-
-            return record
-
         emit = engine._emit_parts
         labels = engine._ref_labels
         label_of = engine._label_of
 
-        if tiering is None:
+        fast = engine._fast_path
+        if fast is None:
 
             def record(ref, thread):
                 counts[0] += 1
@@ -291,36 +275,28 @@ class ProgramCompiler:
 
             return record
 
-        # Tier 0: the detector's dominant outcomes inlined.  Keying
-        # mirrors RaceDetector._key, the owner check mirrors the inlined
+        # The detector's dominant outcomes inlined.  Keying mirrors
+        # on_access_parts, the owner check mirrors its inlined
         # OwnershipFilter.admit, and the cache probe mirrors
         # AccessCache.access_tracked's hit path (which mutates nothing
-        # but the hit counter).  Each completed branch replicates the
-        # spine's *state* effects (the virgin claim) inline and defers
-        # its *counter* effects to one list-cell increment —
-        # TieringState.fold restores every pipeline/ownership/cache
-        # counter exactly at run end, and nothing reads them mid-run.
-        # Settled terminal states elide even the claim.  Transitions,
-        # cache misses, and exotic configurations fall through to the
-        # unmodified spine call, which re-derives the key and counts
-        # everything itself — the fast path must not touch any state
-        # before falling through.
-        tiering.sites_tier0 += 1
-        owners = tiering.owners
-        intern = tiering.intern
-        merged = tiering.fields_merged
-        shared = tiering.shared
-        inline_cache = tiering.inline_cache
-        cache_threads = tiering.cache_threads
-        cache_size = tiering.cache_size
-        hash_multiplier = tiering.hash_multiplier
-        hash_mask = tiering.hash_mask
+        # but the hit counter).  A completed branch performs the
+        # spine's *state* effect (the virgin claim) inline and defers
+        # its *counter* effects to one list-cell increment, folded back
+        # by InlineFastPath.fold at run end.  Transitions and cache
+        # misses fall through to the unmodified spine call, which
+        # re-derives the key and counts everything itself — the fast
+        # path must not touch any state before falling through.
+        owners = fast.owners
+        intern = fast.intern
+        merged = fast.fields_merged
+        shared = fast.shared
+        cache_threads = fast.cache_threads
+        cache_size = fast.cache_size
+        hash_multiplier = fast.hash_multiplier
+        hash_mask = fast.hash_mask
         is_write = kind is ast.AccessKind.WRITE
-        settled_cell = tiering.settled_cell
-        survivor_cell = tiering.survivor_cell
-        owned_cell = tiering.inline_owned_cell
-        hit_cell = tiering.inline_hit_cell
-        settled_elided = tiering.elide_settled_cell
+        owned_cell = fast.owned_cell
+        hit_cell = fast.hit_cell
 
         def record(ref, thread):
             counts[0] += 1
@@ -332,31 +308,20 @@ class ProgramCompiler:
             tid = thread.thread_id
             owner = owners.get(key)
             if owner is shared:
-                if inline_cache:
-                    caches = cache_threads.get(tid)
-                    if caches is not None:
-                        slots = (
-                            caches.write if is_write else caches.read
-                        )._slots
-                        entry = slots[
-                            (((hash(key) * hash_multiplier) & hash_mask) >> 16)
-                            % cache_size
-                        ]
-                        if (
-                            entry is not None
-                            and entry.valid
-                            and entry.key == key
-                        ):
-                            hit_cell[0] += 1
-                            return
-            elif settled_cell[0]:
-                if tid == survivor_cell[0] and (
-                    owner is None or owner == tid
-                ):
-                    # Terminal state: the survivor's virgin/self-owned
-                    # access can never transition — elide.
-                    settled_elided[0] += 1
-                    return
+                caches = cache_threads.get(tid)
+                if caches is not None:
+                    slots = (caches.write if is_write else caches.read)._slots
+                    entry = slots[
+                        (((hash(key) * hash_multiplier) & hash_mask) >> 16)
+                        % cache_size
+                    ]
+                    if (
+                        entry is not None
+                        and entry.valid
+                        and entry.key == key
+                    ):
+                        hit_cell[0] += 1
+                        return
             elif owner is None:
                 owners[key] = tid
                 owned_cell[0] += 1
@@ -369,15 +334,7 @@ class ProgramCompiler:
                 cached = labels[uid]
             except KeyError:
                 cached = label_of(ref)
-            emit(
-                uid,
-                field_name,
-                thread.thread_id,
-                kind,
-                site_id,
-                cached[0],
-                cached[1],
-            )
+            emit(uid, field_name, tid, kind, site_id, cached[0], cached[1])
 
         return record
 

@@ -29,7 +29,6 @@ from ..lang.errors import MJRuntimeError, SourceLocation
 from ..lang.resolver import ResolvedProgram
 from .compile import _UNBOUND, ProgramCompiler
 from .interpreter import _Return
-from .tiering import attach_tiering
 from .events import EventSink, ObjectKind
 from .interpreter import Interpreter, RunResult
 from .scheduler import SchedulingPolicy, ThreadState, ThreadStatus
@@ -52,7 +51,6 @@ class CompiledInterpreter(Interpreter):
         trace_sites: Optional[set[int]] = None,
         policy: Optional[SchedulingPolicy] = None,
         max_steps: int = 10_000_000,
-        tiering: Optional[str] = None,
     ):
         super().__init__(
             resolved,
@@ -60,19 +58,18 @@ class CompiledInterpreter(Interpreter):
             trace_sites=trace_sites,
             policy=policy,
             max_steps=max_steps,
-            tiering=tiering,
         )
         #: [accesses_executed, accesses_emitted] as list cells — the
         #: trace stubs increment these (cheaper than attribute stores);
         #: run() folds them back into the public counters.
         self._counts = [0, 0]
-        #: Tiering engages before compilation — the trace stubs
-        #: specialize on it (:mod:`repro.runtime.tiering`).
-        if self._tiering_mode == "on":
-            self._tiering = attach_tiering(self)
+        #: The detector's inline fast path, or None (recording,
+        #: multicast, or absent sinks; ownership or the single-probe
+        #: cache off).  Bound before compilation: the trace stubs
+        #: specialize on it.
+        inline = getattr(sink, "inline_fast_path", None)
+        self._fast_path = inline() if inline is not None else None
         self._compiled = ProgramCompiler(self).compile()
-        if self._tiering is not None:
-            self._tiering.install_main_flip(self._compiled.main_entry)
 
     # ------------------------------------------------------------------
     # Entry point.
@@ -85,11 +82,11 @@ class CompiledInterpreter(Interpreter):
         try:
             steps = self._scheduler.run()
         finally:
-            if self._tiering is not None:
-                # Fold the tier-1 elided accesses back into the detector
-                # and emitted counters: each was provably filtered, so
-                # every observable matches the untired run.
-                self._counts[1] += self._tiering.fold()
+            if self._fast_path is not None:
+                # Apply the fast path's deferred counter effects, even
+                # when the run ends in an error: every counter then
+                # matches the AST engine's.
+                self._counts[1] += self._fast_path.fold()
             self.accesses_executed = self._counts[0]
             self.accesses_emitted = self._counts[1]
         if self._sink is not None:
@@ -129,8 +126,6 @@ class CompiledInterpreter(Interpreter):
             pass
         if self._sink is not None:
             self._sink.on_thread_end(thread.thread_id)
-        if self._tiering is not None:
-            self._tiering.note_end(thread.thread_id)
 
     # ------------------------------------------------------------------
     # Label interning (slow path of the traced stubs).
@@ -174,8 +169,6 @@ class CompiledInterpreter(Interpreter):
         self._scheduler.register(child)
         if self._sink is not None:
             self._sink.on_thread_start(thread.thread_id, child_id)
-        if self._tiering is not None:
-            self._tiering.note_start(child_id, obj.class_info.name)
         yield
 
     def _child_body(self, thread: ThreadState, obj: MJObject, run_entry):
@@ -337,7 +330,6 @@ def run_compiled_program(
     trace_sites: Optional[set[int]] = None,
     policy: Optional[SchedulingPolicy] = None,
     max_steps: int = 10_000_000,
-    tiering: Optional[str] = None,
 ) -> RunResult:
     """Execute ``resolved`` once through the compiled engine."""
     engine = CompiledInterpreter(
@@ -346,6 +338,5 @@ def run_compiled_program(
         trace_sites=trace_sites,
         policy=policy,
         max_steps=max_steps,
-        tiering=tiering,
     )
     return engine.run()

@@ -29,7 +29,6 @@ from ..lang import ast
 from ..lang.errors import MJAssertionError, MJRuntimeError, SourceLocation
 from ..lang.resolver import ARRAY_FIELD, ResolvedProgram
 from .events import EventSink, ObjectKind
-from .tiering import DEFAULT_TIERING, validate_tiering
 from .scheduler import (
     RoundRobinPolicy,
     Scheduler,
@@ -99,12 +98,6 @@ class Interpreter:
         Scheduling policy; defaults to round-robin with quantum 10.
     max_steps:
         Global scheduler step budget.
-    tiering:
-        Tiering mode (``"off"``/``"on"``; ``None`` = the
-        ``REPRO_TIERING`` default).  Tiering is a compiled-engine
-        feature (:mod:`repro.runtime.tiering`); the AST engine
-        validates the mode and otherwise ignores it, so the process-wide
-        env default is inert here.
     """
 
     def __init__(
@@ -114,16 +107,9 @@ class Interpreter:
         trace_sites: Optional[set[int]] = None,
         policy: Optional[SchedulingPolicy] = None,
         max_steps: int = 10_000_000,
-        tiering: Optional[str] = None,
     ):
         self._resolved = resolved
         self._sink = sink
-        self._tiering_mode = validate_tiering(
-            DEFAULT_TIERING if tiering is None else tiering
-        )
-        #: Engaged TieringState — compiled engine only; the AST walker
-        #: always runs untired.
-        self._tiering = None
         # Pre-bound sink fast path: one call per emitted access.
         self._emit_parts = sink.on_access_parts if sink is not None else None
         self._trace_sites = trace_sites
@@ -884,7 +870,6 @@ def run_program(
     trace_sites: Optional[set[int]] = None,
     policy: Optional[SchedulingPolicy] = None,
     max_steps: int = 10_000_000,
-    tiering: Optional[str] = None,
 ) -> RunResult:
     """Execute ``resolved`` once; convenience wrapper around Interpreter."""
     interpreter = Interpreter(
@@ -893,6 +878,5 @@ def run_program(
         trace_sites=trace_sites,
         policy=policy,
         max_steps=max_steps,
-        tiering=tiering,
     )
     return interpreter.run()

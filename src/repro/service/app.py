@@ -50,7 +50,7 @@ from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..lang import MJError
-from ..runtime import DEFAULT_ENGINE, ENGINES, TIERING_MODES
+from ..runtime import DEFAULT_ENGINE, ENGINES
 from .jobs import WorkerPool
 from .protocol import (
     KIND_BINARY_LOG,
@@ -93,10 +93,6 @@ class ServeConfig:
     #: Engine worker program runs default to (per-job ``engine=`` query
     #: parameter overrides).
     engine: str = DEFAULT_ENGINE
-    #: Tiering mode for worker program runs; None defers to the
-    #: engine's ``REPRO_TIERING`` default.  Per-job ``tiering=`` query
-    #: parameter overrides.
-    tiering: Optional[str] = None
 
 
 def _validate_upload(kind: str, body: bytes) -> None:
@@ -379,19 +375,6 @@ class ServiceApp:
                 keep_alive=keep_alive,
             )
             return False
-        tiering = param("tiering") or self.config.tiering
-        if tiering is not None and tiering not in TIERING_MODES:
-            self._respond(
-                writer,
-                400,
-                {
-                    "error": f"unknown tiering mode {tiering!r} "
-                    f"(choose from: {', '.join(TIERING_MODES)})",
-                    "taxonomy": "bad-request",
-                },
-                keep_alive=keep_alive,
-            )
-            return False
         seed_raw = param("seed")
         try:
             seed = int(seed_raw) if seed_raw is not None else None
@@ -421,7 +404,6 @@ class ServiceApp:
             "kind": kind,
             "body": body,
             "engine": engine if kind == KIND_PROGRAM else None,
-            "tiering": tiering if kind == KIND_PROGRAM else None,
             "seed": seed,
             "filename": param("filename") or "<input>",
         }
@@ -478,8 +460,7 @@ async def _serve(config: ServeConfig) -> int:
     print(
         f"repro serve: listening on {config.host}:{app.port} "
         f"({config.workers} workers, queue depth {config.queue_depth}, "
-        f"timeout {config.timeout:g}s, engine {config.engine}, "
-        f"tiering {config.tiering or 'default'})",
+        f"timeout {config.timeout:g}s, engine {config.engine})",
         flush=True,
     )
     try:

@@ -111,13 +111,11 @@ def _replay_axes(replay, emit) -> list:
 
 
 def _execute_program(payload: dict, cache: CompileCache, emit) -> dict:
-    from ..detector import RaceDetector
     from ..harness import TimedRaceDetector
     from ..runtime import MulticastSink, RecordingSink, engine_runner
 
     source = payload["body"].decode("utf-8")
     engine = payload["engine"]
-    tiering = payload.get("tiering")
 
     started = time.perf_counter()
     cached = cache.lookup(source, payload.get("filename", "<input>"))
@@ -128,45 +126,14 @@ def _execute_program(payload: dict, cache: CompileCache, emit) -> dict:
         resolved=cached.resolved,
         static_races=cached.plan.static_races,
     )
-    tier_counters = None
-    if tiering == "on" and engine == "compiled":
-        # Tiering only engages with the detector as the sole sink, so
-        # the tiered path runs detection and recording as two runs: the
-        # tiered run produces the report and the execute timing (the
-        # time a tiered client pays), the recording run feeds the extra
-        # replay axes.  Reports are byte-identical either way — the
-        # tiering contract, enforced by the difflab gate and the
-        # service parity tests.
-        started = time.perf_counter()
-        result = engine_runner(engine)(
-            cached.resolved,
-            sink=detector,
-            trace_sites=cached.plan.trace_sites,
-            policy=_policy(payload.get("seed")),
-            tiering="on",
-        )
-        execute_seconds = time.perf_counter() - started
-        engine_runner(engine)(
-            cached.resolved,
-            sink=log,
-            trace_sites=cached.plan.trace_sites,
-            policy=_policy(payload.get("seed")),
-        )
-        tier_counters = (
-            detector.tiering.as_dict()
-            if detector.tiering is not None
-            else None
-        )
-    else:
-        started = time.perf_counter()
-        result = engine_runner(engine)(
-            cached.resolved,
-            sink=MulticastSink([log, detector]),
-            trace_sites=cached.plan.trace_sites,
-            policy=_policy(payload.get("seed")),
-            tiering=tiering,
-        )
-        execute_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    result = engine_runner(engine)(
+        cached.resolved,
+        sink=MulticastSink([log, detector]),
+        trace_sites=cached.plan.trace_sites,
+        policy=_policy(payload.get("seed")),
+    )
+    execute_seconds = time.perf_counter() - started
 
     paper = verdict_payload(
         "paper",
@@ -192,7 +159,6 @@ def _execute_program(payload: dict, cache: CompileCache, emit) -> dict:
     return {
         "kind": KIND_PROGRAM,
         "engine": engine,
-        "tiering": tier_counters,
         "cache": {
             "status": cached.status,
             "fingerprint": cached.fingerprint,
@@ -278,22 +244,9 @@ def _execute_log(payload: dict, emit) -> dict:
     }
 
 
-#: The tier-transition counters each worker accumulates across its
-#: lifetime for ``/stats`` aggregation.
-TIERING_TOTAL_KEYS = (
-    "inline_owned",
-    "inline_cache_hits",
-    "elided_static",
-    "elided_settled",
-    "elided_total",
-)
-
-
 def _worker_main(conn) -> None:
     """The worker process body: serve jobs until the pipe closes."""
     cache = CompileCache()
-    tiering_totals = {key: 0 for key in TIERING_TOTAL_KEYS}
-    tiering_totals["tiered_jobs"] = 0
     while True:
         try:
             message = conn.recv()
@@ -309,12 +262,6 @@ def _worker_main(conn) -> None:
         try:
             result = execute_job(payload, cache, emit)
             result["compile_cache"] = cache.counters()
-            tier = result.get("tiering")
-            if tier is not None:
-                tiering_totals["tiered_jobs"] += 1
-                for key in TIERING_TOTAL_KEYS:
-                    tiering_totals[key] += tier.get(key, 0)
-            result["tiering_totals"] = dict(tiering_totals)
             conn.send(("done", job_id, result))
         except BaseException as error:  # noqa: BLE001 — taxonomy-mapped
             conn.send(
@@ -439,8 +386,6 @@ class WorkerPool:
         }
         #: Latest compile-cache counters reported by each worker slot.
         self.worker_cache: dict[int, dict] = {}
-        #: Latest tier-transition totals reported by each worker slot.
-        self.worker_tiering: dict[int, dict] = {}
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
         self._idle: asyncio.Queue = asyncio.Queue()
         self._workers: list[_Worker] = []
@@ -539,11 +484,6 @@ class WorkerPool:
                 cache_totals[key] += counters.get(key, 0)
             plan_fp = counters.get("plan_fingerprint", plan_fp)
         lookups = cache_totals["hits"] + cache_totals["misses"]
-        tiering_totals = {key: 0 for key in TIERING_TOTAL_KEYS}
-        tiering_totals["tiered_jobs"] = 0
-        for totals in self.worker_tiering.values():
-            for key in tiering_totals:
-                tiering_totals[key] += totals.get(key, 0)
         return {
             "workers": self.worker_count,
             "queue_depth": self.queue_depth,
@@ -559,7 +499,6 @@ class WorkerPool:
                 # fingerprint describes every key in the pool.
                 "plan_fingerprint": plan_fp,
             },
-            "tiering": tiering_totals,
         }
 
     # -- internals -------------------------------------------------------
@@ -689,9 +628,6 @@ class WorkerPool:
             result = message[2]
             self.worker_cache[worker.index] = result.pop(
                 "compile_cache", {}
-            )
-            self.worker_tiering[worker.index] = result.pop(
-                "tiering_totals", {}
             )
             self.counters["done"] += 1
             record.finish(DONE, result=result)

@@ -103,7 +103,6 @@ def program_log(program: str, scale: int) -> list:
         sink=log,
         trace_sites=plan.trace_sites,
         policy=RandomPolicy(SEED),
-        tiering="off",
     )
     return log.log
 

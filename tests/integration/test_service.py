@@ -283,6 +283,17 @@ class TestProgramJobs:
             cold["result"]["report"]
         )
 
+    def test_report_byte_identical_across_engines(self, daemon):
+        reports = []
+        for engine in ("ast", "compiled"):
+            _, _, record = daemon.submit_json(
+                f"/submit?wait=1&seed=3&engine={engine}&filename=engines.mj",
+                RACY.encode(),
+                expect=200,
+            )
+            reports.append(canonical(record["result"]["report"]))
+        assert reports[0] == reports[1]
+
     def test_async_submit_then_poll(self, daemon):
         status, _, accepted = daemon.submit_json(
             "/submit", RACY.encode(), expect=202
@@ -367,73 +378,6 @@ class TestProgramJobs:
         assert cache["hits"] + cache["misses"] == pytest.approx(
             cache["hits"] + cache["misses"]
         )
-
-
-SETTLING = """
-class Main {
-  static def main() {
-    var d = new Data();
-    d.x = 0;
-    var a = new Worker(d); var b = new Worker(d);
-    start a; start b; join a; join b;
-    var f = new Data();
-    f.x = 0;
-    var i = 0;
-    while (i < 8) { f.bump(); i = i + 1; }
-    print d.x; print f.x;
-  }
-}
-class Data { field x; def bump() { this.x = this.x + 1; } }
-class Worker {
-  field d;
-  def init(d) { this.d = d; }
-  def run() { this.d.bump(); }
-}
-"""
-
-
-class TestTieredJobs:
-    def test_tiered_report_byte_identical_and_counters_surface(self, daemon):
-        body = SETTLING.encode()
-        _, _, plain = daemon.submit_json(
-            "/submit?wait=1&seed=3&engine=compiled&filename=tiered.mj",
-            body,
-            expect=200,
-        )
-        _, _, tiered = daemon.submit_json(
-            "/submit?wait=1&seed=3&engine=compiled&tiering=on"
-            "&filename=tiered.mj",
-            body,
-            expect=200,
-        )
-        assert canonical(tiered["result"]["report"]) == canonical(
-            plain["result"]["report"]
-        )
-        assert plain["result"]["tiering"] is None
-        counters = tiered["result"]["tiering"]
-        assert counters["sites_tier0"] > 0
-        assert counters["settled"] is True
-        assert counters["elided_total"] == (
-            counters["elided_static"] + counters["elided_settled"]
-        )
-        # The tiered run still feeds every replay axis.
-        assert [axis["axis"] for axis in tiered["axes"]] == [
-            "paper", "hb", "eraser",
-        ]
-
-    def test_stats_aggregate_tiering_totals(self, daemon):
-        _, _, stats = daemon.submit_json("/stats", b"")
-        totals = stats["tiering"]
-        assert totals["tiered_jobs"] >= 1
-        assert totals["elided_total"] >= 1
-        assert stats["compile_cache"]["plan_fingerprint"]
-
-    def test_unknown_tiering_mode_400(self, daemon):
-        status, _, data = daemon.request(
-            "POST", "/submit?tiering=sideways", RACY.encode()
-        )
-        assert status == 400
-        assert "sideways" in json.loads(data)["error"]
 
 
 class TestKeepAlive:

@@ -13,7 +13,7 @@ from repro.detector import (
 from repro.detector.postmortem import record_execution
 from repro.instrument import PlannerConfig, plan_instrumentation
 from repro.lang import compile_source
-from repro.runtime import RecordingSink
+from repro.runtime import RandomPolicy, RecordingSink
 from repro.workloads import ALL_WORKLOADS
 
 
@@ -129,6 +129,68 @@ class TestWholeWorkflow:
         assert outcome.shards == 4
         assert outcome.access_events > 0
         assert outcome.replicated_sync_events > 0
+
+
+#: Two workers race on d.x; after both join, main keeps accessing d
+#: (now shared) and a fresh object f through the same site.
+MAIN_AFTER_JOIN = """
+class Main {
+  static def main() {
+    var d = new Data();
+    d.x = 0;
+    var a = new Worker(d); var b = new Worker(d);
+    start a; start b; join a; join b;
+    var f = new Data();
+    f.x = 0;
+    var i = 0;
+    while (i < 8) { f.bump(); d.bump(); i = i + 1; }
+    print d.x; print f.x;
+  }
+}
+class Data { field x; def bump() { this.x = this.x + 1; } }
+class Worker {
+  field d;
+  def init(d) { this.d = d; }
+  def run() { this.d.bump(); }
+}
+"""
+
+
+class TestOwnershipTransitionParity:
+    """Ownership transitions across shard boundaries: a recorded run in
+    which locations move from owned to shared mid-log must detect
+    identically whether the log is replayed serially or sharded (the
+    shard holding a location sees its full transition history —
+    partitioning is by object uid)."""
+
+    @pytest.fixture(scope="class")
+    def transition_recording(self):
+        resolved = compile_source(MAIN_AFTER_JOIN, filename="transition.mj")
+        plan = plan_instrumentation(resolved, PlannerConfig())
+        _, log = record_execution(
+            resolved,
+            trace_sites=plan.trace_sites,
+            policy=RandomPolicy(7),
+        )
+        serial, _ = detect_from_log(log, resolved=resolved)
+        return resolved, log, serial
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_sharded_matches_serial(self, transition_recording, shards):
+        resolved, log, serial = transition_recording
+        result = detect_sharded(log, shards, resolved=resolved)
+        assert result.reports.reports == canonical_report_order(
+            serial.reports.reports
+        )
+        assert result.stats.accesses == serial.stats.accesses
+        assert result.stats.owned_filtered == serial.stats.owned_filtered
+        assert result.monitored_locations == serial.monitored_locations
+
+    def test_log_contains_a_mid_run_transition(self, transition_recording):
+        # The scenario is only meaningful if ownership actually
+        # transitions inside the recorded window.
+        _, _, serial = transition_recording
+        assert serial.ownership.stats.transitions > 0
 
 
 RACY = """

@@ -8,8 +8,9 @@ errors as the AST interpreter.  These tests enforce that contract on
 
 * every workload in the benchmark suite (Full plan, all-sites, Base);
 * seeded random schedules (including one that deadlocks);
-* the detector funnel — identical :class:`PipelineStats`, racy-object
-  sets, monitored locations, and trie shapes;
+* the detector funnel under every harness detector configuration —
+  identical :class:`PipelineStats`, cache and ownership statistics,
+  reports, monitored locations, and trie shapes;
 * a fuzzer battery, including the wait/notify/barrier vocabulary
   (``sync_vocab``) and condition-handoff-biased programs
   (``handoff_bias``);
@@ -23,6 +24,12 @@ import pytest
 
 from repro.detector import DetectorConfig, RaceDetector
 from repro.difflab import load_corpus
+from repro.harness import (
+    CONFIG_FIELDS_MERGED,
+    CONFIG_FULL,
+    CONFIG_NO_CACHE,
+    CONFIG_NO_OWNERSHIP,
+)
 from repro.instrument import PlannerConfig, plan_instrumentation
 from repro.lang.resolver import compile_source
 from repro.runtime import (
@@ -139,16 +146,32 @@ class TestScheduleParity:
         assert "error" in outcomes
 
 
-class TestDetectorFunnelParity:
-    """Identical PipelineStats funnel, reports, and trie shape."""
+#: Every detector configuration the harness tables run, plus the two
+#: extensions the compiled engine's inline fast path treats specially
+#: (the double cache probe stays on the spine; packed tries sit behind
+#: it).
+FUNNEL_CONFIGS = {
+    "Full": CONFIG_FULL.detector,
+    "NoCache": CONFIG_NO_CACHE.detector,
+    "NoOwnership": CONFIG_NO_OWNERSHIP.detector,
+    "FieldsMerged": CONFIG_FIELDS_MERGED.detector,
+    "WriteCoversReads": DetectorConfig(write_cache_covers_reads=True),
+    "PackedTries": DetectorConfig(packed_tries=True),
+}
 
+
+class TestDetectorFunnelParity:
+    """Identical funnel, ownership and cache counters, reports, and
+    trie shape — the counters the inline fast path defers and folds."""
+
+    @pytest.mark.parametrize("config", sorted(FUNNEL_CONFIGS))
     @pytest.mark.parametrize("name", ["tsp2", "mtrt2", "sor2", "hedc2"])
-    def test_funnel_identical(self, name):
+    def test_funnel_identical(self, name, config):
         resolved, plan = compiled_workload(name)
         funnels = []
         for runner in (run_ast, run_compiled):
             detector = RaceDetector(
-                config=DetectorConfig(),
+                config=FUNNEL_CONFIGS[config],
                 resolved=resolved,
                 static_races=plan.static_races,
             )
@@ -159,13 +182,13 @@ class TestDetectorFunnelParity:
                 (
                     result.steps,
                     result.accesses_emitted,
-                    detector.stats.funnel(),
-                    detector.stats.races_reported,
-                    detector.stats.owned_filtered,
-                    detector.stats.detector_weaker_filtered,
+                    detector.stats,
+                    detector.cache.stats if detector.cache else None,
+                    detector.ownership.stats if detector.ownership else None,
                     detector.monitored_locations,
                     detector.total_trie_nodes(),
                     tuple(sorted(detector.reports.racy_objects)),
+                    tuple(report.describe() for report in detector.reports.reports),
                 )
             )
         assert funnels[0] == funnels[1]
