@@ -56,6 +56,7 @@ from benchlib import ROOT, machine_metadata, runner_parser
 
 from repro.detector import detect_sharded  # noqa: E402
 from repro.runtime.binlog import BinaryLogReader, BinaryLogSink  # noqa: E402
+from repro.runtime.events import RecordingSink  # noqa: E402
 from repro.runtime.synthlog import synthesize_into  # noqa: E402
 
 #: Event counts for the committed numbers and for --quick (CI smoke).
@@ -90,6 +91,14 @@ def _report_evidence(outcome) -> dict:
     return {"races": len(reports), "report_hash": digest}
 
 
+def _resident(reader: BinaryLogReader) -> list:
+    """The whole trace as resident schema-v3 tuples, decoded through
+    the production replay spine."""
+    log = RecordingSink()
+    reader.replay_into(log)
+    return log.log
+
+
 def _worker_record(path: str, events: int, compress, shards: int) -> dict:
     sink = BinaryLogSink(path, compress=compress)
     started = time.perf_counter()
@@ -122,7 +131,7 @@ def _worker_detect_tuple(path: str, events: int, compress, shards: int) -> dict:
     # The baseline pays what the in-memory format always pays: the whole
     # trace resident as Python tuples before detection can start.
     with BinaryLogReader(path) as reader:
-        entries = list(reader.entries())
+        entries = _resident(reader)
     started = time.perf_counter()
     outcome = detect_sharded(
         entries, shards, executor="serial", validate=False
@@ -399,7 +408,7 @@ class TestDetect:
     def test_tuple_baseline_sharded(self, benchmark, smoke_log):
         benchmark.group = "binlog:detect"
         with BinaryLogReader(smoke_log) as reader:
-            entries = list(reader.entries())
+            entries = _resident(reader)
         outcome = benchmark(
             lambda: detect_sharded(
                 entries, SHARDS, executor="serial", validate=False
@@ -411,7 +420,7 @@ class TestDetect:
         # The three-way parity gate at smoke scale: mapped v1, mapped
         # v2-compressed, and the tuple baseline hash identically.
         with BinaryLogReader(smoke_log) as reader:
-            entries = list(reader.entries())
+            entries = _resident(reader)
             mapped = detect_sharded(
                 reader, SHARDS, executor="serial", validate=False
             )

@@ -165,10 +165,13 @@ def _build_corpus(tmp: Path) -> list[tuple[str, str, bytes]]:
     assert code == 0, "recording the benchmark log failed"
     corpus.append(("binary-log", "", log_path.read_bytes()))
 
-    from repro.runtime.binlog import read_binary_log
-    from repro.runtime.events import dump_log
+    from repro.runtime.binlog import open_log
+    from repro.runtime.events import RecordingSink, dump_log
 
-    tuple_payload = json.dumps(dump_log(read_binary_log(log_path)))
+    log = RecordingSink()
+    with open_log(log_path) as reader:
+        reader.replay_into(log)
+    tuple_payload = json.dumps(dump_log(log))
     corpus.append(("tuple-log", "", tuple_payload.encode()))
     return corpus
 

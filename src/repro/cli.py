@@ -125,9 +125,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        "recorded trace: races realizable in schedulable "
                        "reorderings, not just the observed interleaving "
                        "(implies --post-mortem; see docs/prediction.md)")
-    check.add_argument("--executor", choices=("serial", "thread", "process"),
+    check.add_argument("--executor", choices=("serial", "process"),
                        default="serial",
-                       help="how sharded detection runs (default: serial)")
+                       help="how sharded detection runs: one in-process "
+                       "decode demultiplexed across the shards, or a "
+                       "process pool (default: serial)")
     check.add_argument("--report-json", action="store_true",
                        help="print one canonical machine-readable JSON "
                        "report instead of the human-readable lines "
@@ -328,18 +330,18 @@ def cmd_check(args) -> int:
     detector = None
     if post_mortem:
         from .detector import detect_sharded
-        from .runtime import RecordingSink, open_log, replay_entries
-        from .runtime.binlog import as_log_entries
+        from .runtime import RecordingSink, open_log
 
         if args.from_log is not None:
             # Detect over a pre-recorded log, auto-detected by magic
             # bytes; open_log is the single validation point (binary
             # logs validate structurally, tuple logs pay one
-            # validate_entries pass).
+            # validate_entries pass).  Every pass below replays the
+            # log through its replay_into.
             log = open_log(args.from_log)
             if args.deadlocks:
                 deadlocks = DeadlockDetector()
-                replay_entries(as_log_entries(log), deadlocks)
+                log.replay_into(deadlocks)
         else:
             log = RecordingSink()
             sink = log
@@ -370,7 +372,7 @@ def cmd_check(args) -> int:
 
             predictor = predict_races(log, args.predict, validate=False)
             observed_hb = HappensBeforeDetector()
-            replay_entries(as_log_entries(log), observed_hb)
+            log.replay_into(observed_hb)
             predicted = {
                 str(location) for location in predictor.racy_locations
             }
@@ -544,54 +546,51 @@ def cmd_run(args) -> int:
 
 
 def cmd_log_stats(args) -> int:
-    from .runtime import BinaryLogReader, open_log
-    from .runtime.binlog import collect_log_stats, tuple_log_json_bytes
+    from .runtime import RecordingSink, open_log
+    from .runtime.binlog import LogStatsSink, is_binary_log
 
-    log = open_log(args.file)
-    on_disk = args.file.stat().st_size
-    if isinstance(log, BinaryLogReader):
-        if args.verify:
+    with open_log(args.file) as log:
+        binary = is_binary_log(args.file)
+        if binary and args.verify:
             log.verify()
             print("crc: ok")
-        stats = log.stats()
-        binary_bytes = on_disk
-        tuple_bytes = tuple_log_json_bytes(log.entries())
-        block_stats = log.block_stats()
-        print(f"format: binary (MJBL v{log.version}, "
-              f"{block_stats['blocks']} index blocks, "
-              f"{len(log.strings)} interned strings)")
-        print(f"block fill: mean {block_stats['mean_fill']:.2%} "
-              f"(min {block_stats['min_fill']:.2%}, "
-              f"max {block_stats['max_fill']:.2%}) of "
-              f"{block_stats['records_per_block']} records/block")
-        if block_stats["compressed_blocks"]:
-            print(f"compression: {block_stats['compressed_blocks']}/"
-                  f"{block_stats['blocks']} blocks deflated, "
-                  f"{block_stats['compression_ratio']:.2f}x record-region "
-                  f"ratio ({block_stats['raw_record_bytes']} raw -> "
-                  f"{block_stats['stored_record_bytes']} stored)")
-    else:
-        stats = collect_log_stats(log)
-        tuple_bytes = on_disk
-        # What the same stream costs as MJBL: record widths + header +
-        # string table + index, without writing anything.
-        from .runtime import RecordingSink
-        from .runtime.binlog import estimate_binary_bytes
-
-        binary_bytes = estimate_binary_bytes(log)
-        print(f"format: tuple JSON (schema v{RecordingSink.SCHEMA_VERSION})")
-    events = stats["events"]
+        stats = LogStatsSink()
+        log.replay_into(stats)
+        on_disk = args.file.stat().st_size
+        if binary:
+            binary_bytes = on_disk
+            tuple_bytes = stats.tuple_json_bytes
+            block_stats = log.block_stats()
+            print(f"format: binary (MJBL v{log.version}, "
+                  f"{block_stats['blocks']} index blocks, "
+                  f"{len(log.strings)} interned strings)")
+            print(f"block fill: mean {block_stats['mean_fill']:.2%} "
+                  f"(min {block_stats['min_fill']:.2%}, "
+                  f"max {block_stats['max_fill']:.2%}) of "
+                  f"{block_stats['records_per_block']} records/block")
+            if block_stats["compressed_blocks"]:
+                print(f"compression: {block_stats['compressed_blocks']}/"
+                      f"{block_stats['blocks']} blocks deflated, "
+                      f"{block_stats['compression_ratio']:.2f}x "
+                      f"record-region ratio "
+                      f"({block_stats['raw_record_bytes']} raw -> "
+                      f"{block_stats['stored_record_bytes']} stored)")
+        else:
+            tuple_bytes = on_disk
+            # What the same stream costs as MJBL, without writing it.
+            binary_bytes = stats.binary_bytes
+            print("format: tuple JSON "
+                  f"(schema v{RecordingSink.SCHEMA_VERSION})")
+    events = stats.events
     print(f"events: {events}")
-    for tag in ("access", "enter", "exit", "start", "end", "join", "wait",
-                "notify"):
-        count = stats["counts"].get(tag, 0)
+    for tag, count in stats.counts.items():
         if count:
             print(f"  {tag:<8} {count}")
-    print(f"  reads/writes: {stats['reads']}/{stats['writes']}")
-    print(f"distinct locations: {stats['distinct_locations']}")
-    print(f"distinct threads:   {stats['distinct_threads']}")
-    print(f"distinct locks:     {stats['distinct_locks']}")
-    print(f"distinct conditions:{stats['distinct_conditions']:>5}")
+    print(f"  reads/writes: {stats.reads}/{stats.writes}")
+    print(f"distinct locations: {len(stats.locations)}")
+    print(f"distinct threads:   {len(stats.threads)}")
+    print(f"distinct locks:     {len(stats.locks)}")
+    print(f"distinct conditions:{len(stats.conditions):>5}")
     if events:
         print(f"bytes/event: {on_disk / events:.1f} on disk")
     print(f"tuple JSON bytes:  {tuple_bytes}")

@@ -48,7 +48,6 @@ from .sharded import (
     canonical_report_order,
     detect_sharded,
     detect_sharded_post_mortem,
-    partition_log,
 )
 from .trie_packed import PackedLockTrie, PackedNode
 from .reference import RacePair, RecordedAccess, ReferenceDetector
@@ -112,7 +111,6 @@ __all__ = [
     "detect_sharded_post_mortem",
     "find_witness",
     "make_predictor",
-    "partition_log",
     "predict_races",
     "record_execution",
     "replay_witness",

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..lang.resolver import ResolvedProgram
-from ..runtime.events import RecordingSink, replay_entries, validate_entries
+from ..runtime.binlog import LogLike, log_source
+from ..runtime.events import RecordingSink
 from ..runtime.interpreter import RunResult, run_program
 from .config import DetectorConfig
 from .pipeline import RaceDetector
@@ -60,7 +61,7 @@ def record_execution(
 
 
 def detect_from_log(
-    log: RecordingSink,
+    log: LogLike,
     config: Optional[DetectorConfig] = None,
     resolved: Optional[ResolvedProgram] = None,
     static_races=None,
@@ -74,7 +75,8 @@ def detect_from_log(
     list of its tuple-encoded entries (e.g. the output of
     :func:`~repro.runtime.events.load_log`), a mapped
     :class:`~repro.runtime.binlog.BinaryLogReader`, or a path to an
-    on-disk log of either format (auto-detected by magic bytes).
+    on-disk log of either format (auto-detected by magic bytes); each
+    replays through the source's ``replay_into``.
 
     Validation happens exactly once per log: for tuple logs,
     ``validate`` (default on) checks the current tuple schema first, so
@@ -83,36 +85,16 @@ def detect_from_log(
     misdecoded; binary logs were already validated structurally when
     the reader opened, so no O(n) pre-scan runs here.
     """
-    from pathlib import Path
-
-    from ..runtime.binlog import BinaryLogReader, open_log
-
-    if isinstance(log, (str, Path)):
-        log = open_log(log)
-        validate = False  # open_log is the single validation point
-    if isinstance(log, BinaryLogReader):
-        entries = None
-    else:
-        entries = log.log if isinstance(log, RecordingSink) else log
-        if validate:
-            validate_entries(entries)
-    detector = RaceDetector(
-        config=config, resolved=resolved, static_races=static_races
-    )
-    if entries is None:
-        # Mapped binary log: the batched columnar decode pushes whole
-        # record runs straight into the detector's scalar spine.
-        log.replay_into(detector)
-    else:
-        replay_entries(entries, detector)
-    pairs: Optional[list] = None
-    if enumerate_full_race:
-        oracle = ReferenceDetector(config)
-        if entries is None:
-            log.replay_into(oracle)
-        else:
-            replay_entries(entries, oracle)
-        pairs = oracle.full_race
+    with log_source(log, validate) as source:
+        detector = RaceDetector(
+            config=config, resolved=resolved, static_races=static_races
+        )
+        source.replay_into(detector)
+        pairs: Optional[list] = None
+        if enumerate_full_race:
+            oracle = ReferenceDetector(config)
+            source.replay_into(oracle)
+            pairs = oracle.full_race
     return detector, pairs
 
 

@@ -51,18 +51,11 @@ trace (on any engine) to re-confirm it.  See ``docs/prediction.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from ..baselines.happens_before import HappensBeforeDetector, VectorClock
 from ..lang.ast import AccessKind
-from ..runtime.events import (
-    AccessEvent,
-    EventSink,
-    RecordingSink,
-    replay_entries,
-    validate_entries,
-)
+from ..runtime.events import AccessEvent, EventSink
 from .locksets import LockTracker, join_pseudo_lock
 
 #: Predictor registry for CLI/difflab flag values.
@@ -320,21 +313,11 @@ def predict_races(log, mode: str = "hybrid", validate: bool = True):
     on-disk log of either format (auto-detected by magic bytes, with
     ``open_log`` as the single validation point).
     """
-    from ..runtime.binlog import BinaryLogReader, open_log
+    from ..runtime.binlog import log_source
 
-    if isinstance(log, (str, Path)):
-        log = open_log(log)
-        validate = False
-    predictor = make_predictor(mode)
-    if isinstance(log, BinaryLogReader):
-        # Batched columnar decode straight into the predictor — same
-        # stream as entries(), without materializing schema-v3 tuples.
-        log.replay_into(predictor)
-        return predictor
-    entries = log.log if isinstance(log, RecordingSink) else log
-    if validate:
-        validate_entries(entries)
-    replay_entries(entries, predictor)
+    with log_source(log, validate) as source:
+        predictor = make_predictor(mode)
+        source.replay_into(predictor)
     return predictor
 
 

@@ -30,61 +30,40 @@ Merged counters therefore obey: ``races``, ``monitored_locations``,
 ``detector_processed`` are invariant across shard counts, while
 ``cache_hits + detector_weaker_filtered`` is invariant as a *sum*.
 
-Executors: ``"serial"`` (in-process loop; mapped logs decode once,
-multiplexed across all shard detectors), ``"thread"`` (thread pool;
-modest wins, the GIL serializes the hot path), and ``"process"``
-(process pool; real parallelism — the compact tuple-encoded log entries
-are cheap to pickle).  Process workers run without the resolved program;
-the parent post-fills site descriptors and static-partner lists so the
-reports are field-for-field identical to a serial run's.
+Every log source replays through one spine: a mapped
+:class:`~repro.runtime.binlog.BinaryLogReader` and a tuple log (a
+:class:`~repro.runtime.events.RecordingSink`, or raw entries wrapped as
+one by :func:`~repro.runtime.binlog.log_source`) both offer
+``replay_into(sink)`` and ``replay_sharded_into(sinks)``.  With one
+shard the detector takes ``replay_into`` directly.  Executors:
+
+* ``"serial"`` — ``replay_sharded_into`` decodes the log once and
+  demultiplexes it across all shard detectors.
+* ``"process"`` — a process pool running one worker function per shard
+  (real parallelism).  A mapped worker gets only the log's path plus
+  ``(shard, shards)`` and replays its own filtered view; a tuple worker
+  gets its shard's stream, split once in the parent by
+  ``replay_sharded_into``.  Workers run without the resolved program;
+  the parent post-fills site descriptors and static-partner lists so
+  the reports are field-for-field identical to a serial run's.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 from ..lang.resolver import ResolvedProgram
-from ..runtime.binlog import BinaryLogReader, open_log
-from ..runtime.events import RecordingSink, replay_entries, validate_entries
+from ..runtime.binlog import LogLike, log_source
+from ..runtime.events import RecordingSink
 from .cache import CacheStats
 from .config import DetectorConfig
 from .pipeline import PipelineStats, RaceDetector, static_partner_descriptors
 from .report import RaceReport, ReportCollector
 from .trie import TrieStats
 
-_EXECUTORS = ("serial", "thread", "process")
-
-
-def partition_log(
-    entries: Sequence[tuple], shards: int
-) -> tuple[list[list[tuple]], int, int]:
-    """Split a recorded event log into per-shard event streams.
-
-    Access events are routed by ``object_uid % shards`` (all detector
-    keys are functions of the uid, so every location's history lands in
-    exactly one shard); synchronization events are replicated to every
-    shard so each shard's lockset tracking is exact.
-
-    Returns ``(shard_entries, access_events, sync_events)``.
-    """
-    if shards < 1:
-        raise ValueError("shard count must be positive")
-    access = RecordingSink.ACCESS
-    shard_entries: list[list[tuple]] = [[] for _ in range(shards)]
-    accesses = 0
-    syncs = 0
-    for entry in entries:
-        if entry[0] == access:
-            accesses += 1
-            shard_entries[entry[1] % shards].append(entry)
-        else:
-            syncs += 1
-            for stream in shard_entries:
-                stream.append(entry)
-    return shard_entries, accesses, syncs
+_EXECUTORS = ("serial", "process")
 
 
 @dataclass
@@ -120,64 +99,24 @@ def _shard_outcome(shard_index: int, detector: RaceDetector) -> ShardOutcome:
 
 
 def _detect_shard(
-    shard_index: int, entries: list[tuple], config: Optional[DetectorConfig]
-) -> ShardOutcome:
-    """Run one shard's detector over its partition of the log.
-
-    Module-level (picklable) so it can be submitted to a process pool.
-    Runs without the resolved program — site descriptors are post-filled
-    by the parent — so only the config and the compact log entries cross
-    the process boundary.
-    """
-    detector = RaceDetector(config=config)
-    replay_entries(entries, detector)
-    return _shard_outcome(shard_index, detector)
-
-
-def _detect_shard_mapped(
     shard_index: int,
-    path,
-    shards: int,
+    log,
+    replay_args: tuple,
     config: Optional[DetectorConfig],
 ) -> ShardOutcome:
-    """Run one shard's detector over a *mapped* binary log.
+    """Run one shard's detector in a process-pool worker.
 
-    Module-level and picklable: only ``(path, shard, shards, config)``
-    cross a process boundary — each worker opens its own mmap view and
-    decodes batched, so no shard's event stream is ever materialized or
-    pickled.  The shard index confines decoding to the byte ranges this
-    shard consumes (its uid partition plus replicated sync blocks), and
-    :meth:`~repro.runtime.binlog.BinaryLogReader.replay_into` feeds the
-    detector columnar — whole record runs per ``iter_unpack`` sweep,
-    no intermediate schema-v3 tuples.
+    Module-level (picklable).  ``(log, replay_args)`` is one entry of
+    the source's ``shard_jobs``: a mapped log's path with ``(shard,
+    shards)`` — the worker opens its own mmap view and decodes only the
+    blocks that shard consumes — or a pre-split tuple stream with no
+    filter.  Runs without the resolved program; site descriptors are
+    post-filled by the parent.
     """
     detector = RaceDetector(config=config)
-    with BinaryLogReader(path) as reader:
-        reader.replay_into(detector, shard_index, shards)
+    with log_source(log, validate=False) as source:
+        source.replay_into(detector, *replay_args)
     return _shard_outcome(shard_index, detector)
-
-
-def _detect_shards_mapped_multiplexed(
-    reader: BinaryLogReader, shards: int, config: Optional[DetectorConfig]
-) -> list[ShardOutcome]:
-    """All shards in one decode pass, through the already-open reader.
-
-    The serial mapped executor's decode amplification fix: instead of N
-    passes over the file (each inflating and unpacking every
-    sync-bearing block to keep just its own uid partition),
-    :meth:`~repro.runtime.binlog.BinaryLogReader.replay_sharded_into`
-    decodes the file *once* and dispatches each access to the shard
-    owning its uid straight from the unpack loop, broadcasting every
-    sync event.  Each shard detector receives exactly the stream its
-    own filtered pass would have delivered, in the same order, so the
-    merged result is byte-identical; only the decode cost changes.
-    """
-    detectors = [RaceDetector(config=config) for _ in range(shards)]
-    reader.replay_sharded_into(detectors)
-    return [
-        _shard_outcome(index, detector)
-        for index, detector in enumerate(detectors)
-    ]
 
 
 def canonical_report_order(reports: Sequence[RaceReport]) -> list[RaceReport]:
@@ -228,7 +167,7 @@ class ShardedDetectionResult:
 
 
 def detect_sharded(
-    log,
+    log: LogLike,
     shards: int,
     config: Optional[DetectorConfig] = None,
     resolved: Optional[ResolvedProgram] = None,
@@ -239,18 +178,19 @@ def detect_sharded(
 ) -> ShardedDetectionResult:
     """Run sharded post-mortem detection over a recorded event log.
 
-    ``log`` is a :class:`~repro.runtime.events.RecordingSink`, a raw
-    list of its tuple-encoded entries, a mapped
+    ``log`` is anything :func:`~repro.runtime.binlog.log_source`
+    accepts: a :class:`~repro.runtime.events.RecordingSink`, a raw list
+    of its tuple-encoded entries, a mapped
     :class:`~repro.runtime.binlog.BinaryLogReader`, or a path to an
     on-disk log of either format (auto-detected by magic bytes).
-    ``executor`` selects how shards run: ``"serial"``, ``"thread"``, or
+    ``executor`` selects how shards run: ``"serial"`` or
     ``"process"``.  The merged result is identical (races, monitored
     locations, trie node totals) to a serial
     :func:`~repro.detector.postmortem.detect_from_log` run, for every
     shard count, executor, and log format.
 
     Validation happens exactly once per log.  Tuple logs: ``validate``
-    (default on) schema-checks before partitioning, so stale layouts
+    (default on) schema-checks before any replay, so stale layouts
     fail with a clear :class:`~repro.runtime.events.LogSchemaError`
     rather than misdecoding inside a shard worker; callers holding a
     log they already validated (or recorded in-process this run) pass
@@ -260,84 +200,31 @@ def detect_sharded(
     """
     if executor not in _EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; choose from {_EXECUTORS}")
-    if isinstance(log, (str, Path)):
-        log = open_log(log)
-        validate = False  # open_log is the single validation point
-    if isinstance(log, BinaryLogReader):
-        return _detect_sharded_mapped(
-            log, shards, config, resolved, static_races, executor, max_workers
-        )
-    entries = log.log if isinstance(log, RecordingSink) else log
-    if validate:
-        validate_entries(entries)
-    shard_entries, accesses, syncs = partition_log(entries, shards)
-
-    if executor == "serial" or shards == 1:
-        outcomes = [
-            _detect_shard(index, stream, config)
-            for index, stream in enumerate(shard_entries)
-        ]
-    else:
-        pool_cls = (
-            ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
-        )
-        workers = min(max_workers or shards, shards)
-        with pool_cls(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_detect_shard, index, stream, config)
-                for index, stream in enumerate(shard_entries)
+    if shards < 1:
+        raise ValueError("shard count must be positive")
+    with log_source(log, validate) as source:
+        if executor == "serial" or shards == 1:
+            detectors = [RaceDetector(config=config) for _ in range(shards)]
+            if shards == 1:
+                source.replay_into(detectors[0])
+            else:
+                source.replay_sharded_into(detectors)
+            outcomes = [
+                _shard_outcome(index, detector)
+                for index, detector in enumerate(detectors)
             ]
-            outcomes = [future.result() for future in futures]
-
+        else:
+            jobs = source.shard_jobs(shards)
+            workers = min(max_workers or shards, shards)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(_detect_shard, index, job, replay_args, config)
+                    for index, (job, replay_args) in enumerate(jobs)
+                ]
+                outcomes = [future.result() for future in futures]
+        accesses, syncs = source.access_count, source.sync_count
     return _merge_outcomes(
         outcomes, shards, executor, resolved, static_races, accesses, syncs
-    )
-
-
-def _detect_sharded_mapped(
-    reader: BinaryLogReader,
-    shards: int,
-    config: Optional[DetectorConfig],
-    resolved: Optional[ResolvedProgram],
-    static_races,
-    executor: str,
-    max_workers: Optional[int],
-) -> ShardedDetectionResult:
-    """Sharded detection over a mapped binary log: no partitioning pass,
-    no materialized shard streams — each shard decodes its own byte
-    ranges straight off the mmap (its own process's mmap, for the
-    process executor; only the path crosses the boundary)."""
-    path = reader.path
-    if shards == 1:
-        # Replay through the caller's open reader: re-opening the path
-        # would decode the string table and block index a second time.
-        detector = RaceDetector(config=config)
-        reader.replay_into(detector)
-        outcomes = [_shard_outcome(0, detector)]
-    elif executor == "serial":
-        # One decode pass multiplexed across all shard detectors —
-        # serial sharding pays the file's decode cost once, not once
-        # per shard.
-        outcomes = _detect_shards_mapped_multiplexed(reader, shards, config)
-    else:
-        pool_cls = (
-            ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
-        )
-        workers = min(max_workers or shards, shards)
-        with pool_cls(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_detect_shard_mapped, index, path, shards, config)
-                for index in range(shards)
-            ]
-            outcomes = [future.result() for future in futures]
-    return _merge_outcomes(
-        outcomes,
-        shards,
-        executor,
-        resolved,
-        static_races,
-        reader.access_count,
-        reader.sync_count,
     )
 
 
@@ -351,13 +238,13 @@ def _merge_outcomes(
     syncs: int,
 ) -> ShardedDetectionResult:
     """Deterministic merge of per-shard outcomes into one result —
-    shared by the tuple-partitioned and mmap-backed paths so both
-    produce byte-identical reports and counters."""
+    the same for every executor and log format, so all produce
+    byte-identical reports and counters."""
     outcomes.sort(key=lambda outcome: outcome.shard_index)
 
     # Post-fill source context: shard workers run without the resolved
     # program, so reports come back with empty descriptors regardless of
-    # executor; filling here keeps all three executors byte-identical.
+    # executor; filling here keeps both executors byte-identical.
     if resolved is not None:
         for outcome in outcomes:
             for report in outcome.reports:
@@ -418,7 +305,7 @@ def detect_sharded_post_mortem(
     max_steps: int = 10_000_000,
 ) -> tuple[ShardedDetectionResult, RecordingSink]:
     """The whole sharded workflow: record one execution, then detect
-    over the partitioned log."""
+    sharded over the recorded log."""
     from .postmortem import record_execution
 
     _, log = record_execution(

@@ -273,21 +273,23 @@ def compute_verdicts(
     verdicts["paper"] = _paper_verdict("paper", paper)
 
     # The at-rest-format axis: round-trip the tuple log through the
-    # MJBL binary format and rerun the paper detector over the decoded
-    # stream.  Entry-for-entry round-trip identity and verdict parity
-    # are both theorems; either breaking is a lab violation
-    # (``binlog-parity-break``).
+    # MJBL binary format and rerun the paper detector over the stream
+    # the production columnar decoder (``replay_into``) delivers, also
+    # recorded as tuples.  Entry-for-entry round-trip identity and
+    # verdict parity are both theorems; either breaking is a lab
+    # violation (``binlog-parity-break``).
     from ..runtime.binlog import (
-        read_binary_log,
+        BinaryLogReader,
         temporary_binary_log,
         write_binary_log,
     )
 
+    decoded = RecordingSink()
+    binlog_paper = factory()
     with temporary_binary_log() as roundtrip_path:
         write_binary_log(case.log, roundtrip_path)
-        decoded = read_binary_log(roundtrip_path)
-    binlog_paper = factory()
-    replay_entries(decoded, binlog_paper)
+        with BinaryLogReader(roundtrip_path) as reader:
+            reader.replay_into(MulticastSink([decoded, binlog_paper]))
     binlog_verdict = _paper_verdict("paper-binlog", binlog_paper)
     verdicts["paper-binlog"] = Verdict(
         detector="paper-binlog",
@@ -295,7 +297,7 @@ def compute_verdicts(
         objects=binlog_verdict.objects,
         races=binlog_verdict.races,
         counters=binlog_verdict.counters
-        + (("roundtrip_identical", decoded == list(case.log)),),
+        + (("roundtrip_identical", decoded.log == list(case.log)),),
     )
 
     if detector_factory is None:

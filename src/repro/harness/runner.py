@@ -405,7 +405,9 @@ def run_workload_post_mortem(
     records into an in-memory :class:`RecordingSink`; ``"binary"``
     streams an MJBL file (to ``log_path``, or a temporary file) and
     both detection passes run over the mapped reader — the zero-copy
-    path.  Reports are identical either way; the harness asserts it.
+    path.  ``executor`` is ``"serial"`` or ``"process"``, as for
+    :func:`~repro.detector.sharded.detect_sharded`.  Reports are
+    identical either way; the harness asserts it.
     """
     from contextlib import ExitStack
 

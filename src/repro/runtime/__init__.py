@@ -21,11 +21,10 @@ from .events import (
 from .binlog import (
     BinaryLogReader,
     BinaryLogSink,
-    as_log_entries,
-    collect_log_stats,
+    LogStatsSink,
     is_binary_log,
+    log_source,
     open_log,
-    read_binary_log,
     temporary_binary_log,
     write_binary_log,
 )

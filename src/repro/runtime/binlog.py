@@ -13,21 +13,27 @@ perform the final datarace detection phase off-line" mode:
   disk with bounded memory — no per-event Python object survives
   recording.  Field names and object labels are interned into a string
   table; records carry u32 string ids.
-* :class:`BinaryLogReader` maps the file (``mmap``) and decodes records
-  *lazily*: iterating yields ordinary schema-v3 tuples, and
-  :meth:`BinaryLogReader.shard_entries` uses the per-block shard index
-  to map only the byte ranges a shard's detector consumes —
-  untouched blocks are never faulted in, let alone deserialized.
-* :meth:`BinaryLogReader.replay_into` is the batched push-mode decoder
-  detection actually runs on: per block it scans same-tag record runs
-  and unpacks each run in one precompiled ``Struct.iter_unpack`` sweep
-  straight into pre-bound sink methods, with the per-event Python call
-  overhead hoisted out of the loop; sharded replay decodes the uid
-  column first and unpacks the rest only for owned records.
+* :class:`BinaryLogReader` maps the file (``mmap``) and is a *log
+  source*: like the tuple log
+  (:class:`~repro.runtime.events.RecordingSink`) it replays through
+  :meth:`~BinaryLogReader.replay_into` and
+  :meth:`~BinaryLogReader.replay_sharded_into`, the one spine every
+  detector, predictor and statistics pass consumes.
+  The decode is batched and push-mode: per block it scans same-tag
+  record runs and unpacks each run in one precompiled
+  ``Struct.iter_unpack`` sweep straight into pre-bound sink methods,
+  with the per-event Python call overhead hoisted out of the loop.  A
+  shard-filtered replay uses the per-block shard index to map only the
+  byte ranges that shard consumes — untouched blocks are never faulted
+  in — and decodes the uid column first, unpacking the rest only for
+  owned records.
 * Format **v2** (``compress=`` on the sink) deflates each block with
   zlib as it is flushed, keeping the deflated bytes only when smaller;
   the index stores compressed spans, so sharded readers still inflate
   only owned + sync-bearing blocks.  v1 files remain fully readable.
+* :func:`log_source` is the one place that branches on a log's shape:
+  it maps a path to :func:`open_log` and raw tuple entries to a
+  validated :class:`~repro.runtime.events.RecordingSink` view.
 * The ``tuple → binary → tuple`` round trip is lossless and is pinned
   by property tests; sharded detection over a mapped binary log merges
   to byte-identical reports vs the in-memory tuple path, for both
@@ -72,7 +78,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from ..lang.ast import AccessKind
 from .events import (
@@ -475,8 +481,9 @@ class BinaryLogReader:
 
     Opening validates the header *structurally* (magic, version,
     finalized flag, section offsets vs the actual file size) in O(1) —
-    no record scan.  Record decoding happens lazily, per iteration;
-    :meth:`shard_entries` skips whole blocks the shard cannot own.
+    no record scan.  Records are decoded only by a replay; a
+    shard-filtered :meth:`replay_into` skips whole blocks the shard
+    cannot own.
     """
 
     def __init__(self, path: Union[str, Path], verify: bool = False) -> None:
@@ -758,10 +765,9 @@ class BinaryLogReader:
             )
         return raw, 0, len(raw), block.offset
 
-    # Decode-error constructors, shared by the scalar and columnar
-    # paths so both raise identical diagnostics.  ``anchor`` is None
-    # when ``position`` is an exact file offset (raw blocks), or the
-    # enclosing compressed block's file offset otherwise.
+    # Decode-error constructors.  ``anchor`` is None when ``position``
+    # is an exact file offset (raw blocks), or the enclosing compressed
+    # block's file offset otherwise.
 
     def _unknown_tag(self, tag: int, position: int, anchor) -> LogCorruptError:
         if anchor is None:
@@ -827,102 +833,6 @@ class BinaryLogReader:
             position += size
         raise self._bad_access(position, anchor)
 
-    def _decode_span(
-        self,
-        view,
-        offset: int,
-        end: int,
-        shard: int = -1,
-        shards: int = 1,
-        anchor: Optional[int] = None,
-    ) -> Iterator[tuple]:
-        """Decode ``view[offset:end]`` into schema-v3 tuples, one record
-        per step (the scalar reference path).
-
-        With ``shard >= 0``, access records whose uid is not routed to
-        that shard are skipped after reading only their uid — the lazy
-        path sharded detection rides on.
-        """
-        strings = self.strings
-        access = RecordingSink.ACCESS
-        enter = RecordingSink.ENTER
-        exit_ = RecordingSink.EXIT
-        start = RecordingSink.START
-        end_tag = RecordingSink.END
-        join = RecordingSink.JOIN
-        wait = RecordingSink.WAIT
-        notify = RecordingSink.NOTIFY
-        sizes = _RECORD_SIZE
-        while offset < end:
-            tag = view[offset]
-            size = sizes.get(tag)
-            if size is None:
-                raise self._unknown_tag(tag, offset, anchor)
-            if offset + size > end:
-                raise self._truncated_record(tag, offset, end, anchor)
-            if tag == TAG_ACCESS:
-                (_, kind, objkind, uid, thread, site, field_id, label_id) = (
-                    _ACCESS.unpack_from(view, offset)
-                )
-                if shard < 0 or uid % shards == shard:
-                    try:
-                        yield (
-                            access,
-                            uid,
-                            strings[field_id],
-                            thread,
-                            _KIND_FROM[kind],
-                            site,
-                            _OBJKIND_FROM[objkind],
-                            strings[label_id],
-                        )
-                    except IndexError:
-                        raise self._bad_access(offset, anchor) from None
-            elif tag == TAG_ENTER or tag == TAG_EXIT:
-                (_, reentrant, thread, lock) = _MONITOR.unpack_from(view, offset)
-                yield (
-                    enter if tag == TAG_ENTER else exit_,
-                    thread,
-                    lock,
-                    bool(reentrant),
-                )
-            elif tag == TAG_START:
-                (_, parent, child) = _START.unpack_from(view, offset)
-                yield (start, parent, child)
-            elif tag == TAG_END:
-                (_, thread) = _END.unpack_from(view, offset)
-                yield (end_tag, thread)
-            elif tag == TAG_JOIN:
-                (_, joiner, joined) = _JOIN.unpack_from(view, offset)
-                yield (join, joiner, joined)
-            elif tag == TAG_WAIT:
-                (_, thread, cond) = _WAIT.unpack_from(view, offset)
-                yield (wait, thread, cond)
-            else:
-                (_, notify_all, thread, cond) = _NOTIFY.unpack_from(view, offset)
-                yield (notify, thread, cond, bool(notify_all))
-            offset += size
-
-    def entries(self) -> Iterator[tuple]:
-        """Lazily decode the whole log as schema-v3 tuples, in order."""
-        if self.version == BINLOG_VERSION:
-            # v1 record regions are one contiguous raw span; decoding
-            # straight off the map needs no index round trip.
-            return self._decode_span(
-                self._map,
-                self.records_offset,
-                self.records_offset + self.records_length,
-            )
-        return self._entries_by_block()
-
-    def _entries_by_block(self) -> Iterator[tuple]:
-        for block in self.blocks:
-            view, start, stop, anchor = self._block_view(block)
-            yield from self._decode_span(view, start, stop, anchor=anchor)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return self.entries()
-
     def __len__(self) -> int:
         return self.record_count
 
@@ -939,26 +849,18 @@ class BinaryLogReader:
             if block.has_sync or block.partitions & mask
         ]
 
-    def shard_entries(self, shard: int, shards: int) -> Iterator[tuple]:
-        """Lazily decode exactly the entries shard ``shard`` consumes:
-        its own access events plus every sync event, in log order —
-        the same stream :func:`repro.detector.sharded.partition_log`
-        would hand that shard, without materializing the others."""
-        for block in self.shard_blocks(shard, shards):
-            view, start, stop, anchor = self._block_view(block)
-            yield from self._decode_span(view, start, stop, shard, shards, anchor)
-
     # -- batched push decode ---------------------------------------------
 
     def replay_into(self, sink: EventSink, shard: int = -1, shards: int = 1) -> None:
         """Drive ``sink`` with the decoded stream, block-batched — the
         hot path post-mortem detection rides on.
 
-        Delivers exactly the events :meth:`entries` (``shard < 0``) or
-        :meth:`shard_entries` would yield, closing with
-        :meth:`~repro.runtime.events.EventSink.on_run_end`, but decodes
-        *columnar*: each block is scanned once for same-tag record
-        runs, and every run is unpacked in one precompiled
+        Delivers every event in log order (``shard < 0``), or shard
+        ``shard`` of ``shards``'s stream — its own accesses
+        (``uid % shards == shard``) plus every sync event — closing
+        with :meth:`~repro.runtime.events.EventSink.on_run_end`.  The
+        decode is *columnar*: each block is scanned once for same-tag
+        record runs, and every run is unpacked in one precompiled
         ``Struct.iter_unpack`` sweep and dispatched through pre-bound
         sink methods.  No schema-v3 tuples, no generator protocol, no
         per-record ``unpack_from`` call — the per-event Python overhead
@@ -1122,7 +1024,7 @@ class BinaryLogReader:
         events to every sink, in log order — each sink receives exactly
         the stream :meth:`replay_into` with ``(shard, shards)`` would
         deliver, at one decode pass instead of one per shard.  Serial
-        mapped sharding rides on this: without parallel workers the
+        sharding rides on this: without parallel workers the
         per-shard decode passes are pure repetition, and a single
         columnar sweep with the ``uid % shards`` dispatch inlined in the
         unpack loop feeds every shard detector at unfiltered-decode
@@ -1229,12 +1131,15 @@ class BinaryLogReader:
         for sink in sinks:
             sink.on_run_end()
 
-    # -- statistics ------------------------------------------------------
+    def shard_jobs(self, shards: int) -> list[tuple]:
+        """What each process-pool shard worker replays, as picklable
+        ``(log, replay_into arguments)`` pairs: the path plus
+        ``(shard, shards)``, so every worker maps its own view, decodes
+        only the blocks its shard consumes, and nothing is decoded or
+        pickled here."""
+        return [(self.path, (shard, shards)) for shard in range(shards)]
 
-    def stats(self) -> dict:
-        """Event counts by kind plus distinct-entity counts (one lazy
-        pass over the mapped records)."""
-        return collect_log_stats(self.entries())
+    # -- statistics ------------------------------------------------------
 
     def block_stats(self) -> dict:
         """Per-block occupancy and (v2) compression summary: block
@@ -1262,19 +1167,40 @@ class BinaryLogReader:
 # Format-agnostic helpers.
 
 
-LogLike = Union[RecordingSink, Sequence[tuple], BinaryLogReader]
+#: The two log sources: both replay through ``replay_into(sink)`` and
+#: ``replay_sharded_into(sinks)``.
+LogSource = Union[BinaryLogReader, RecordingSink]
+#: Everything :func:`log_source` accepts: a source, raw schema-v3 tuple
+#: entries, or a path to an on-disk log of either format.
+LogLike = Union[LogSource, Sequence[tuple], str, Path]
 
 
-def as_log_entries(log: LogLike) -> Iterable[tuple]:
-    """Normalize any log shape — :class:`RecordingSink`, raw tuple
-    entries, or a mapped :class:`BinaryLogReader` — to an iterable of
-    schema-v3 tuples.  The common adapter the detector, harness, and
-    difflab boundaries accept either format through."""
-    if isinstance(log, RecordingSink):
-        return log.log
+@contextmanager
+def log_source(log: LogLike, validate: bool = True) -> Iterator[LogSource]:
+    """Normalize any log shape to a log source, for the duration of a
+    ``with`` block — the one place that branches on what a log is.
+
+    A path opens through :func:`open_log` (the single validation point
+    for on-disk logs) and is closed on exit; a
+    :class:`BinaryLogReader` passes through untouched (its owner closes
+    it); raw tuple entries become a :class:`RecordingSink` view over
+    the same list.  Tuple logs are schema-checked with
+    :func:`~repro.runtime.events.validate_entries` unless ``validate``
+    is off (streams recorded in-process, or validated upstream);
+    binary logs were validated structurally when their reader opened.
+    """
+    if isinstance(log, (str, Path)):
+        with open_log(log) as source:
+            yield source
+        return
     if isinstance(log, BinaryLogReader):
-        return log.entries()
-    return log
+        yield log
+        return
+    if not isinstance(log, RecordingSink):
+        log = RecordingSink(log)
+    if validate:
+        validate_entries(log.log)
+    yield log
 
 
 @contextmanager
@@ -1313,19 +1239,11 @@ def write_binary_log(
     binary`` half of the round-trip contract).  ``compress`` selects
     the format exactly as on :class:`BinaryLogSink`: ``None`` → v1,
     a zlib level → v2."""
-    from .events import replay_entries
-
     path = Path(path)
-    with BinaryLogSink(path, records_per_block, compress=compress) as sink:
-        replay_entries(as_log_entries(log), sink)
+    with log_source(log, validate=False) as source:
+        with BinaryLogSink(path, records_per_block, compress=compress) as sink:
+            source.replay_into(sink)
     return path
-
-
-def read_binary_log(path: Union[str, Path]) -> list[tuple]:
-    """Materialize an ``MJBL`` file as schema-v3 tuples (the ``binary →
-    tuple`` half of the round-trip contract)."""
-    with BinaryLogReader(path) as reader:
-        return list(reader.entries())
 
 
 def is_binary_log(path: Union[str, Path]) -> bool:
@@ -1337,17 +1255,18 @@ def is_binary_log(path: Union[str, Path]) -> bool:
         return False
 
 
-def open_log(path: Union[str, Path]) -> LogLike:
+def open_log(path: Union[str, Path]) -> LogSource:
     """Open an on-disk event log of either format, auto-detected by
     magic bytes.
 
-    Returns a :class:`BinaryLogReader` for ``MJBL`` files, or the
-    validated tuple entries for JSON logs produced by
-    :func:`~repro.runtime.events.dump_log`.  Binary logs are validated
-    structurally in O(1); tuple logs pay the one
-    :func:`~repro.runtime.events.validate_entries` pass here — their
-    single validation point — so downstream detection must not
-    re-validate.
+    Returns a :class:`BinaryLogReader` for ``MJBL`` files, or a
+    :class:`~repro.runtime.events.RecordingSink` holding the validated
+    entries of a JSON log produced by
+    :func:`~repro.runtime.events.dump_log`; either works as a context
+    manager.  Binary logs are validated structurally in O(1); tuple
+    logs pay the one :func:`~repro.runtime.events.validate_entries`
+    pass here — their single validation point — so downstream
+    detection must not re-validate.
     """
     path = Path(path)
     if not path.exists():
@@ -1376,121 +1295,116 @@ def open_log(path: Union[str, Path]) -> LogLike:
             f"byte offset {error.pos}: {error.msg})",
             offset=error.pos,
         ) from error
-    return load_log(payload)
+    return RecordingSink(load_log(payload))
 
 
-def collect_log_stats(entries: Iterable[tuple]) -> dict:
-    """One streaming pass of summary statistics over schema-v3 tuples:
-    counts by kind and distinct locations / threads / locks / condition
-    objects.  Works on any entry source, so ``repro log-stats`` serves
-    both formats through it."""
-    counts = {
-        RecordingSink.ACCESS: 0,
-        RecordingSink.ENTER: 0,
-        RecordingSink.EXIT: 0,
-        RecordingSink.START: 0,
-        RecordingSink.END: 0,
-        RecordingSink.JOIN: 0,
-        RecordingSink.WAIT: 0,
-        RecordingSink.NOTIFY: 0,
-    }
-    reads = writes = 0
-    locations: set = set()
-    threads: set = set()
-    locks: set = set()
-    conditions: set = set()
-    access = RecordingSink.ACCESS
-    for entry in entries:
-        tag = entry[0]
-        counts[tag] += 1
-        if tag == access:
-            locations.add((entry[1], entry[2]))
-            threads.add(entry[3])
-            if entry[4] is AccessKind.WRITE:
-                writes += 1
-            else:
-                reads += 1
-        elif tag in (RecordingSink.ENTER, RecordingSink.EXIT):
-            threads.add(entry[1])
-            locks.add(entry[2])
-        elif tag == RecordingSink.START:
-            threads.add(entry[1])
-            threads.add(entry[2])
-        elif tag in (RecordingSink.END, RecordingSink.WAIT, RecordingSink.NOTIFY):
-            threads.add(entry[1])
-            if tag != RecordingSink.END:
-                conditions.add(entry[2])
-        elif tag == RecordingSink.JOIN:
-            threads.add(entry[1])
-            threads.add(entry[2])
-    total = sum(counts.values())
-    return {
-        "events": total,
-        "counts": dict(counts),
-        "reads": reads,
-        "writes": writes,
-        "distinct_locations": len(locations),
-        "distinct_threads": len(threads),
-        "distinct_locks": len(locks),
-        "distinct_conditions": len(conditions),
-    }
+class LogStatsSink(EventSink):
+    """``repro log-stats`` as one sink, fed by any source's
+    ``replay_into`` — so tuple, v1 and v2 logs are summarised by the
+    same code in one pass.
 
+    Collects counts by kind, reads/writes, distinct locations / threads
+    / locks / condition objects, and what the stream costs in each
+    at-rest format, computed streaming without writing anything: the
+    JSON tuple log (:func:`~repro.runtime.events.dump_log`'s exact
+    bytes) and ``MJBL`` v1 at the default block size (record widths
+    plus header, string table and index).
+    """
 
-def estimate_binary_bytes(
-    entries: Iterable[tuple],
-    records_per_block: int = DEFAULT_RECORDS_PER_BLOCK,
-) -> int:
-    """Size in bytes the ``MJBL`` serialization of ``entries`` would
-    occupy — record widths plus header, string table, and index —
-    computed streaming, without writing anything.  The numerator of
-    ``repro log-stats``'s size ratio for tuple-format inputs."""
-    records = 0
-    count = 0
-    strings: set[str] = set()
-    string_bytes = 0
-    access = RecordingSink.ACCESS
-    tag_of = {
-        RecordingSink.ENTER: TAG_ENTER,
-        RecordingSink.EXIT: TAG_EXIT,
-        RecordingSink.START: TAG_START,
-        RecordingSink.END: TAG_END,
-        RecordingSink.JOIN: TAG_JOIN,
-        RecordingSink.WAIT: TAG_WAIT,
-        RecordingSink.NOTIFY: TAG_NOTIFY,
-    }
-    for entry in entries:
-        count += 1
-        if entry[0] == access:
-            records += _ACCESS.size
-            for text in (entry[2], entry[7]):
-                if text not in strings:
-                    strings.add(text)
-                    string_bytes += 4 + len(text.encode("utf-8"))
+    def __init__(self) -> None:
+        self.counts = dict.fromkeys(
+            (RecordingSink.ACCESS, RecordingSink.ENTER, RecordingSink.EXIT,
+             RecordingSink.START, RecordingSink.END, RecordingSink.JOIN,
+             RecordingSink.WAIT, RecordingSink.NOTIFY),
+            0,
+        )
+        self.reads = self.writes = 0
+        self.locations: set = set()
+        self.threads: set = set()
+        self.locks: set = set()
+        self.conditions: set = set()
+        self._strings: set[str] = set()
+        self._string_bytes = 0
+        self._record_bytes = 0
+        self._json_bytes = 0
+
+    def _count(self, entry: list, record_size: int) -> None:
+        """Tally one event, given its JSON-encoded tuple-log entry."""
+        self.counts[entry[0]] += 1
+        self._json_bytes += len(json.dumps(entry))
+        self._record_bytes += record_size
+
+    def on_access_parts(
+        self, object_uid, field, thread_id, kind, site_id, object_kind, object_label
+    ) -> None:
+        self._count(
+            [RecordingSink.ACCESS, object_uid, field, thread_id, kind.value,
+             site_id, object_kind.value, object_label],
+            _ACCESS.size,
+        )
+        self.locations.add((object_uid, field))
+        self.threads.add(thread_id)
+        if kind is AccessKind.WRITE:
+            self.writes += 1
         else:
-            records += _RECORD_SIZE[tag_of[entry[0]]]
-    blocks = max(1, -(-count // records_per_block))
-    return (
-        HEADER_SIZE
-        + records
-        + 4 + string_bytes
-        + _INDEX_HEADER.size + blocks * _INDEX_ENTRY.size
-    )
+            self.reads += 1
+        for text in (field, object_label):
+            if text not in self._strings:
+                self._strings.add(text)
+                self._string_bytes += 4 + len(text.encode("utf-8"))
 
+    def on_monitor_enter(self, thread_id, lock_uid, reentrant) -> None:
+        self._count([RecordingSink.ENTER, thread_id, lock_uid, reentrant], _MONITOR.size)
+        self.threads.add(thread_id)
+        self.locks.add(lock_uid)
 
-def tuple_log_json_bytes(entries: Iterable[tuple]) -> int:
-    """Size in bytes of the JSON tuple-log serialization of ``entries``,
-    computed streaming (no materialized payload) — the denominator of
-    ``repro log-stats``'s tuple-vs-binary size ratio."""
-    # Mirrors dump_log()'s shape: {"version": N, "entries": [...]}.
-    size = len(f'{{"version": {RecordingSink.SCHEMA_VERSION}, "entries": [') + len("]}")
-    first = True
-    access = RecordingSink.ACCESS
-    for entry in entries:
-        if entry[0] == access:
-            encoded = [entry[0], entry[1], entry[2], entry[3], entry[4].value,
-                       entry[5], entry[6].value, entry[7]]
-        else:
-            encoded = list(entry)
-        size += len(json.dumps(encoded)) + (0 if first else 2)
-        first = False
-    return size
+    def on_monitor_exit(self, thread_id, lock_uid, reentrant) -> None:
+        self._count([RecordingSink.EXIT, thread_id, lock_uid, reentrant], _MONITOR.size)
+        self.threads.add(thread_id)
+        self.locks.add(lock_uid)
+
+    def on_thread_start(self, parent_id, child_id) -> None:
+        self._count([RecordingSink.START, parent_id, child_id], _START.size)
+        self.threads.update((parent_id, child_id))
+
+    def on_thread_end(self, thread_id) -> None:
+        self._count([RecordingSink.END, thread_id], _END.size)
+        self.threads.add(thread_id)
+
+    def on_thread_join(self, joiner_id, joined_id) -> None:
+        self._count([RecordingSink.JOIN, joiner_id, joined_id], _JOIN.size)
+        self.threads.update((joiner_id, joined_id))
+
+    def on_wait(self, thread_id, cond_uid) -> None:
+        self._count([RecordingSink.WAIT, thread_id, cond_uid], _WAIT.size)
+        self.threads.add(thread_id)
+        self.conditions.add(cond_uid)
+
+    def on_notify(self, thread_id, cond_uid, notify_all) -> None:
+        self._count([RecordingSink.NOTIFY, thread_id, cond_uid, notify_all], _NOTIFY.size)
+        self.threads.add(thread_id)
+        self.conditions.add(cond_uid)
+
+    @property
+    def events(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def tuple_json_bytes(self) -> int:
+        """Length of ``json.dumps(dump_log(...))`` for this stream."""
+        # {"version": N, "entries": [e1, e2, ...]}
+        frame = len(
+            f'{{"version": {RecordingSink.SCHEMA_VERSION}, "entries": []}}'
+        )
+        return frame + self._json_bytes + 2 * max(self.events - 1, 0)
+
+    @property
+    def binary_bytes(self) -> int:
+        """Size of the stream's ``MJBL`` v1 serialization."""
+        blocks = max(1, -(-self.events // DEFAULT_RECORDS_PER_BLOCK))
+        return (
+            HEADER_SIZE
+            + self._record_bytes
+            + 4 + self._string_bytes
+            + _INDEX_HEADER.size + blocks * _INDEX_ENTRY.size
+        )

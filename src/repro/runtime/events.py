@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from ..lang.ast import AccessKind
 
@@ -380,8 +380,11 @@ class RecordingSink(EventSink):
     WAIT = "wait"
     NOTIFY = "notify"
 
-    def __init__(self) -> None:
-        self.log: list[tuple] = []
+    def __init__(self, log: Optional[list] = None) -> None:
+        # ``log`` wraps already-recorded entries without copying them:
+        # the tuple-log view :func:`repro.runtime.binlog.log_source`
+        # hands the replay spine.
+        self.log: list[tuple] = [] if log is None else log
 
     def on_access(self, event: AccessEvent) -> None:
         location = event.location
@@ -439,6 +442,10 @@ class RecordingSink(EventSink):
     def access_count(self) -> int:
         return sum(1 for entry in self.log if entry[0] == self.ACCESS)
 
+    @property
+    def sync_count(self) -> int:
+        return len(self.log) - self.access_count
+
     def events(self):
         """Lossless view of the recorded accesses as :class:`AccessEvent`
         objects (locations interned, one canonical key per pair)."""
@@ -454,9 +461,64 @@ class RecordingSink(EventSink):
                     object_label=entry[7],
                 )
 
+    # -- the log-source interface (shared with BinaryLogReader) ---------
+
     def replay_into(self, sink: EventSink) -> None:
         """Re-deliver the recorded stream to ``sink`` (post-mortem mode)."""
         replay_entries(self.log, sink)
+
+    def replay_sharded_into(self, sinks) -> None:
+        """Demultiplex the recorded stream across ``sinks`` in one pass:
+        each access goes to ``sinks[object_uid % len(sinks)]`` alone,
+        every sync event to all of them, in log order — the stream
+        shard ``k`` would see under the shard-replication rule.  Closes
+        with ``on_run_end`` on every sink."""
+        shards = len(sinks)
+        on_access = [sink.on_access_parts for sink in sinks]
+        on_sync = {
+            tag: [getattr(sink, method) for sink in sinks]
+            for tag, method in _SYNC_HANDLERS.items()
+        }
+        access = self.ACCESS
+        for entry in self.log:
+            if entry[0] == access:
+                on_access[entry[1] % shards](*entry[1:])
+            else:
+                for handler in on_sync[entry[0]]:
+                    handler(*entry[1:])
+        for sink in sinks:
+            sink.on_run_end()
+
+    def shard_jobs(self, shards: int) -> list[tuple]:
+        """What each process-pool shard worker replays, as picklable
+        ``(log, replay_into arguments)`` pairs: the shard's own stream,
+        split once here, with no further filter."""
+        streams = [RecordingSink() for _ in range(shards)]
+        self.replay_sharded_into(streams)
+        return [(stream, ()) for stream in streams]
+
+    def close(self) -> None:
+        """A resident log holds no resources; present so every log
+        source closes (and works as a context manager) alike."""
+
+    def __enter__(self) -> "RecordingSink":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+#: Sync-entry tag -> the :class:`EventSink` method it replays through;
+#: each entry's columns after the tag are that method's arguments.
+_SYNC_HANDLERS = {
+    RecordingSink.ENTER: "on_monitor_enter",
+    RecordingSink.EXIT: "on_monitor_exit",
+    RecordingSink.START: "on_thread_start",
+    RecordingSink.END: "on_thread_end",
+    RecordingSink.JOIN: "on_thread_join",
+    RecordingSink.WAIT: "on_wait",
+    RecordingSink.NOTIFY: "on_notify",
+}
 
 
 #: Expected tuple arity per entry tag (tag column included).

@@ -122,15 +122,10 @@ def _validate_upload(kind: str, body: bytes) -> None:
     suffix = ".mjbl" if kind == KIND_BINARY_LOG else ".json"
     with temporary_binary_log(suffix=suffix) as spool:
         spool.write_bytes(body)
-        log = open_log(spool)
-        try:
+        with open_log(spool) as log:
             validate = getattr(log, "validate_blocks", None)
             if validate is not None:
                 validate()
-        finally:
-            close = getattr(log, "close", None)
-            if close is not None:
-                close()
 
 
 class ServiceApp:

@@ -85,10 +85,9 @@ def _policy(seed):
 
 def _replay_axes(replay, emit) -> list:
     """Replay the recorded stream through the non-paper axes, emitting
-    each verdict as it completes.  ``replay`` is a callable delivering
-    the full stream (including run-end) into the sink it is given —
-    ``BinaryLogReader.replay_into`` for mapped uploads (batched decode,
-    no tuple materialization), a ``replay_entries`` closure otherwise."""
+    each verdict as it completes.  ``replay`` is the log source's
+    ``replay_into``, delivering the full stream (including run-end)
+    into the sink it is given."""
     from ..baselines import EraserDetector, HappensBeforeDetector
 
     detectors = {
@@ -143,11 +142,7 @@ def _execute_program(payload: dict, cache: CompileCache, emit) -> dict:
     )
     emit(paper)
     started = time.perf_counter()
-    from ..runtime.events import replay_entries
-
-    axes = [paper] + _replay_axes(
-        lambda sink: replay_entries(log.log, sink), emit
-    )
+    axes = [paper] + _replay_axes(log.replay_into, emit)
     detect_seconds = time.perf_counter() - started
 
     report = detection_report(
@@ -179,20 +174,14 @@ def _execute_program(payload: dict, cache: CompileCache, emit) -> dict:
 
 def _execute_log(payload: dict, emit) -> dict:
     from ..detector import DetectorConfig, detect_sharded
-    from ..runtime.binlog import (
-        BinaryLogReader,
-        as_log_entries,
-        open_log,
-        temporary_binary_log,
-    )
+    from ..runtime.binlog import open_log, temporary_binary_log
 
     kind = payload["kind"]
     suffix = ".mjbl" if kind == KIND_BINARY_LOG else ".json"
     started = time.perf_counter()
     with temporary_binary_log(suffix=suffix) as spool:
         spool.write_bytes(payload["body"])
-        log = open_log(spool)
-        try:
+        with open_log(spool) as log:
             # The exact `repro check --from-log` code path: one shard,
             # serial, default configuration, open_log as the single
             # validation point.
@@ -209,18 +198,7 @@ def _execute_log(payload: dict, emit) -> dict:
                 len(sharded.reports.reports),
             )
             emit(paper)
-            if isinstance(log, BinaryLogReader):
-                replay = log.replay_into
-            else:
-                from ..runtime.events import replay_entries
-
-                replay = lambda sink: replay_entries(  # noqa: E731
-                    as_log_entries(log), sink
-                )
-            axes = [paper] + _replay_axes(replay, emit)
-        finally:
-            if isinstance(log, BinaryLogReader):
-                log.close()
+            axes = [paper] + _replay_axes(log.replay_into, emit)
     detect_seconds = time.perf_counter() - started
 
     report = detection_report(

@@ -493,10 +493,13 @@ class TestLogJobs:
         assert record["axes"][1:] == expected
 
     def test_tuple_log_round_trips(self, daemon, binary_log):
-        from repro.runtime.binlog import read_binary_log
-        from repro.runtime.events import dump_log
+        from repro.runtime.binlog import open_log
+        from repro.runtime.events import RecordingSink, dump_log
 
-        payload = json.dumps(dump_log(read_binary_log(binary_log)))
+        log = RecordingSink()
+        with open_log(binary_log) as reader:
+            reader.replay_into(log)
+        payload = json.dumps(dump_log(log))
         _, _, record = daemon.submit_json(
             "/submit?wait=1", payload.encode(), expect=200
         )
@@ -515,10 +518,10 @@ class TestLogJobs:
     def test_compressed_mjbl_report_matches_v1(
         self, daemon, binary_log, tmp_path
     ):
-        from repro.runtime.binlog import read_binary_log, write_binary_log
+        from repro.runtime.binlog import write_binary_log
 
         v2_path = tmp_path / "racy_v2.mjbl"
-        write_binary_log(read_binary_log(binary_log), v2_path, compress=6)
+        write_binary_log(binary_log, v2_path, compress=6)
         _, _, v1_record = daemon.submit_json(
             "/submit?wait=1", binary_log.read_bytes(), expect=200
         )

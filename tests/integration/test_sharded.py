@@ -1,5 +1,5 @@
 """Integration tests for the sharded post-mortem engine: real
-workloads, all three executors, the harness runner, and the CLI flags."""
+workloads, both executors, the harness runner, and the CLI flags."""
 
 import pytest
 
@@ -8,12 +8,12 @@ from repro.detector import (
     detect_from_log,
     detect_sharded,
     detect_sharded_post_mortem,
-    partition_log,
 )
 from repro.detector.postmortem import record_execution
 from repro.instrument import PlannerConfig, plan_instrumentation
 from repro.lang import compile_source
 from repro.runtime import RandomPolicy, RecordingSink
+from repro.runtime.binlog import BinaryLogReader, write_binary_log
 from repro.workloads import ALL_WORKLOADS
 
 
@@ -27,13 +27,30 @@ def tsp_recording():
     return resolved, log, serial
 
 
+@pytest.fixture(scope="module")
+def tsp_binaries(tsp_recording, tmp_path_factory):
+    """The tsp recording as MJBL v1 and v2 files."""
+    _, log, _ = tsp_recording
+    base = tmp_path_factory.mktemp("tsp-mjbl")
+    return {
+        "v1": write_binary_log(log, base / "v1.mjbl"),
+        "v2": write_binary_log(log, base / "v2.mjbl", compress=6),
+    }
+
+
+def _split(log, shards):
+    streams = [RecordingSink() for _ in range(shards)]
+    log.replay_sharded_into(streams)
+    return [stream.log for stream in streams]
+
+
 class TestPartitioning:
     def test_accesses_partition_and_syncs_replicate(self, tsp_recording):
         _, log, _ = tsp_recording
         shards = 4
-        streams, accesses, syncs = partition_log(log.log, shards)
+        streams = _split(log, shards)
+        accesses, syncs = log.access_count, log.sync_count
         assert len(streams) == shards
-        assert accesses == log.access_count
         assert syncs == len(log.log) - accesses
         # Each shard holds every sync event plus its slice of accesses.
         assert sum(len(s) for s in streams) == accesses + shards * syncs
@@ -45,25 +62,34 @@ class TestPartitioning:
 
     def test_routing_is_by_object_uid(self, tsp_recording):
         _, log, _ = tsp_recording
-        streams, _, _ = partition_log(log.log, 3)
-        for index, stream in enumerate(streams):
+        for index, stream in enumerate(_split(log, 3)):
             for entry in stream:
                 if entry[0] == RecordingSink.ACCESS:
                     assert entry[1] % 3 == index
 
-    def test_zero_shards_rejected(self, tsp_recording):
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("log_format", ["tuple", "v1", "v2"])
+    def test_zero_shards_rejected(
+        self, tsp_recording, tsp_binaries, log_format, executor
+    ):
         _, log, _ = tsp_recording
-        with pytest.raises(ValueError):
-            partition_log(log.log, 0)
+        if log_format == "tuple":
+            with pytest.raises(ValueError, match="shard count must be positive"):
+                detect_sharded(log, 0, executor=executor)
+            return
+        with BinaryLogReader(tsp_binaries[log_format]) as reader:
+            with pytest.raises(ValueError, match="shard count must be positive"):
+                detect_sharded(reader, 0, executor=executor)
 
-    def test_unknown_executor_rejected(self, tsp_recording):
+    @pytest.mark.parametrize("executor", ["gpu", "thread"])
+    def test_unknown_executor_rejected(self, tsp_recording, executor):
         _, log, _ = tsp_recording
-        with pytest.raises(ValueError):
-            detect_sharded(log, 2, executor="gpu")
+        with pytest.raises(ValueError, match="unknown executor"):
+            detect_sharded(log, 2, executor=executor)
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_every_executor_matches_serial_detection(
         self, tsp_recording, executor, shards
@@ -123,7 +149,7 @@ class TestWholeWorkflow:
             CONFIG_FULL,
             shards=4,
             scale=4,
-            executor="thread",
+            executor="process",
         )
         assert outcome.matches_serial
         assert outcome.shards == 4
@@ -250,3 +276,11 @@ class TestCliFlags:
         from repro.cli import main
 
         assert main(["check", racy_file, "--shards", "0"]) == 2
+
+    def test_thread_executor_is_gone(self, racy_file, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["check", racy_file, "--shards", "2", "--executor", "thread"])
+        assert info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err

@@ -14,8 +14,12 @@ two ways:
 The v2 format and the columnar decoder widen the claim: the round trip
 must hold for every ``compress`` setting (v1, v2-raw, v2-deflated) at
 every block size, and the batched :meth:`BinaryLogReader.replay_into`
-path must deliver the same stream as the scalar per-record decode —
-unfiltered and for every shard of a partition.
+path must deliver the same stream as the scalar per-record decode kept
+in ``tests/binlog_oracle.py`` — unfiltered and for every shard of a
+partition.  The replay spine's sharded half is pinned across sources:
+the tuple log's ``replay_sharded_into``, both MJBL versions', the
+per-shard filtered ``replay_into`` and the oracle's shard filter all
+hand each shard the same stream.
 """
 
 import tempfile
@@ -27,9 +31,13 @@ from repro.instrument import PlannerConfig, plan_instrumentation
 from repro.lang.ast import AccessKind
 from repro.lang.resolver import compile_source
 from repro.runtime import RandomPolicy, RecordingSink, engine_runner
-from repro.runtime.binlog import read_binary_log, write_binary_log
+from repro.runtime.binlog import BinaryLogReader, write_binary_log
 from repro.runtime.events import ObjectKind
+from repro.runtime.synthlog import synthesize_into
 from repro.workloads.fuzz import generate_program
+
+from ..binlog_oracle import entries as oracle_entries
+from ..binlog_oracle import read_binary_log, replayed, shard_entries
 
 ACCESS = RecordingSink.ACCESS
 ENTER = RecordingSink.ENTER
@@ -130,27 +138,58 @@ def test_columnar_replay_matches_scalar_decode(
     # The batched replay_into path (whole-block sweeps, run detection,
     # uid-column masking) must be observationally identical to the
     # scalar per-record decode, unfiltered and per shard.
-    from repro.runtime.binlog import BinaryLogReader
-
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.mjbl"
         _write(entries, path, records_per_block, compress)
         with BinaryLogReader(path) as reader:
-            sink = RecordingSink()
-            reader.replay_into(sink)
-            assert sink.log == list(reader.entries()) == entries
+            assert replayed(reader) == list(oracle_entries(reader)) == entries
             for shard in range(shards):
-                sink = RecordingSink()
-                reader.replay_into(sink, shard, shards)
-                assert sink.log == list(reader.shard_entries(shard, shards))
+                assert replayed(reader, shard, shards) == list(
+                    shard_entries(reader, shard, shards)
+                )
             # Demultiplexed single-pass decode: each sink must see
             # exactly its filtered stream, in the same order.
             demux = [RecordingSink() for _ in range(shards)]
             reader.replay_sharded_into(demux)
             for shard in range(shards):
                 assert demux[shard].log == list(
-                    reader.shard_entries(shard, shards)
+                    shard_entries(reader, shard, shards)
                 )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=600, max_value=3_000),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from((64, 257, 4096)),
+)
+def test_every_source_shards_identically(seed, events, shards, records_per_block):
+    # One synthlog trace, every route to a shard's stream: the tuple
+    # adapter's and both MJBL versions' replay_sharded_into, each MJBL
+    # version's filtered replay_into(sink, k, n), and the scalar
+    # oracle's shard filter.
+    log = RecordingSink()
+    synthesize_into(log, events, threads=4, objects=96, seed=seed)
+    tuple_demux = [RecordingSink() for _ in range(shards)]
+    log.replay_sharded_into(tuple_demux)
+    expected = [sink.log for sink in tuple_demux]
+    assert sum(len(stream) for stream in expected) == (
+        log.access_count + shards * log.sync_count
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for compress in (None, 6):
+            path = Path(tmp) / f"log-{compress}.mjbl"
+            write_binary_log(log, path, records_per_block, compress=compress)
+            with BinaryLogReader(path) as reader:
+                demux = [RecordingSink() for _ in range(shards)]
+                reader.replay_sharded_into(demux)
+                assert [sink.log for sink in demux] == expected
+                for shard in range(shards):
+                    assert replayed(reader, shard, shards) == expected[shard]
+                    assert list(
+                        shard_entries(reader, shard, shards)
+                    ) == expected[shard]
 
 
 @settings(max_examples=15, deadline=None)

@@ -25,7 +25,6 @@ from repro.baselines import HappensBeforeDetector
 from repro.detector import (
     DetectorConfig,
     ReferenceDetector,
-    partition_log,
     predict_races,
 )
 from repro.lang import compile_source
@@ -39,6 +38,8 @@ from repro.runtime import (
 from repro.runtime.binlog import BinaryLogReader, write_binary_log
 from repro.runtime.events import AccessEvent, MemoryLocation, ObjectKind, dump_log
 from repro.workloads.fuzz import generate_program
+
+from ..binlog_oracle import replayed, shard_entries
 
 N_THREADS = 3
 N_LOCATIONS = 3
@@ -190,8 +191,8 @@ class TestBinlogRoundTrip:
     ):
         """The MJBL round-trip contract extended to prediction: the
         same reports through every log shape, and the lazy sharded
-        binary reader decodes exactly the per-shard stream
-        partition_log builds from the tuples."""
+        binary reader decodes exactly the per-shard stream the tuple
+        log's replay_sharded_into builds."""
         events = materialize_exclusive(raw)
         sink = RecordingSink()
         feed(sink, events)
@@ -215,10 +216,13 @@ class TestBinlogRoundTrip:
         with BinaryLogReader(bin_path) as reader:
             assert key(predict_races(reader, mode)) == baseline
             for shards in (1, 2, 3):
-                tuple_shards, _, _ = partition_log(list(sink.log), shards)
+                streams = [RecordingSink() for _ in range(shards)]
+                sink.replay_sharded_into(streams)
+                tuple_shards = [stream.log for stream in streams]
                 for shard in range(shards):
-                    lazy = list(reader.shard_entries(shard, shards))
+                    lazy = replayed(reader, shard, shards)
                     assert lazy == tuple_shards[shard]
+                    assert lazy == list(shard_entries(reader, shard, shards))
                     assert key(predict_races(lazy, mode)) == key(
                         predict_races(tuple_shards[shard], mode)
                     )

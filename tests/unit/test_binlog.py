@@ -24,18 +24,17 @@ from repro.runtime.binlog import (
     BinaryLogReader,
     BinaryLogSink,
     LogCorruptError,
+    LogStatsSink,
     _shard_partition_mask,
-    as_log_entries,
-    collect_log_stats,
-    estimate_binary_bytes,
     is_binary_log,
+    log_source,
     open_log,
-    read_binary_log,
     write_binary_log,
 )
 from repro.runtime.events import LogSchemaError, dump_log
 from repro.runtime.synthlog import synthesize_into
 
+from ..binlog_oracle import read_binary_log, replayed
 from ..conftest import run_source
 
 SOURCE = """
@@ -91,9 +90,9 @@ class TestRoundTrip:
     def test_tuple_binary_tuple_is_identity(self, recorded, binary_path):
         assert read_binary_log(binary_path) == list(recorded.log)
 
-    def test_reader_iterates_lazily_in_order(self, recorded, binary_path):
+    def test_reader_replays_in_order(self, recorded, binary_path):
         with BinaryLogReader(binary_path) as reader:
-            assert list(reader) == list(recorded.log)
+            assert replayed(reader) == list(recorded.log)
             assert len(reader) == len(recorded.log)
 
     def test_counts_match_header(self, recorded, binary_path):
@@ -115,10 +114,9 @@ class TestRoundTrip:
             assert len(table) == len(expected)  # interned: no duplicates
 
     def test_estimate_matches_actual_file_size(self, recorded, binary_path):
-        assert (
-            estimate_binary_bytes(recorded.log)
-            == binary_path.stat().st_size
-        )
+        stats = LogStatsSink()
+        recorded.replay_into(stats)
+        assert stats.binary_bytes == binary_path.stat().st_size
 
     def test_sink_is_idempotent_on_double_close(self, recorded, tmp_path):
         path = tmp_path / "twice.mjbl"
@@ -183,7 +181,7 @@ class TestValidation:
         with pytest.raises(
             LogSchemaError, match=rf"tag 99 at byte offset {HEADER_SIZE}"
         ):
-            list(reader.entries())
+            replayed(reader)
         reader.close()
 
     def test_crc_verify_catches_silent_corruption(self, binary_path):
@@ -218,7 +216,7 @@ class TestValidation:
         path.write_bytes(data)
         with BinaryLogReader(path) as reader:
             with pytest.raises(LogSchemaError, match="out-of-range string"):
-                list(reader.entries())
+                replayed(reader)
 
 
 class TestShardIndex:
@@ -237,14 +235,14 @@ class TestShardIndex:
             assert sum(b.records for b in reader.blocks) == reader.record_count
             assert sum(b.accesses for b in reader.blocks) == reader.access_count
 
-    def test_shard_entries_partition_losslessly(self, multiblock):
+    def test_shard_replay_partitions_losslessly(self, multiblock):
         with BinaryLogReader(multiblock) as reader:
-            full = list(reader.entries())
+            full = replayed(reader)
             for shards in (1, 2, 4, 8):
                 seen_access = []
                 sync_streams = []
                 for shard in range(shards):
-                    entries = list(reader.shard_entries(shard, shards))
+                    entries = replayed(reader, shard, shards)
                     accesses = [
                         e for e in entries if e[0] == RecordingSink.ACCESS
                     ]
@@ -298,11 +296,11 @@ class TestShardIndex:
             sync_blocks = total - len(access_only)
             assert mapped == 8 * sync_blocks + len(access_only)
             # And the mapped shard view still reconstructs everything.
-            full = list(reader.entries())
+            full = replayed(reader)
             recovered = []
             for k in range(8):
                 recovered.extend(
-                    e for e in reader.shard_entries(k, 8)
+                    e for e in replayed(reader, k, 8)
                     if e[0] == RecordingSink.ACCESS
                 )
             assert len(recovered) == reader.access_count == 128 * 16
@@ -341,17 +339,17 @@ class TestShardIndex:
 class TestOpenLog:
     def test_detects_binary_by_magic(self, binary_path, recorded):
         assert is_binary_log(binary_path)
-        log = open_log(binary_path)
-        assert isinstance(log, BinaryLogReader)
-        assert list(as_log_entries(log)) == list(recorded.log)
-        log.close()
+        with open_log(binary_path) as log:
+            assert isinstance(log, BinaryLogReader)
+            assert replayed(log) == list(recorded.log)
 
     def test_detects_json_tuple_log(self, recorded, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(dump_log(recorded)))
         assert not is_binary_log(path)
-        entries = open_log(path)
-        assert entries == list(recorded.log)
+        with open_log(path) as log:
+            assert isinstance(log, RecordingSink)
+            assert log.log == list(recorded.log)
 
     def test_rejects_neither_format(self, tmp_path):
         path = tmp_path / "noise.bin"
@@ -361,6 +359,52 @@ class TestOpenLog:
 
     def test_missing_file_is_not_binary(self, tmp_path):
         assert not is_binary_log(tmp_path / "absent.mjbl")
+
+
+class TestLogSource:
+    """``log_source`` is the one normaliser every replay goes through."""
+
+    def test_path_opens_and_closes(self, binary_path, recorded):
+        with log_source(binary_path) as source:
+            assert isinstance(source, BinaryLogReader)
+            assert replayed(source) == list(recorded.log)
+        assert source._map is None
+
+    def test_open_reader_passes_through_unclosed(self, binary_path):
+        with BinaryLogReader(binary_path) as reader:
+            with log_source(reader) as source:
+                assert source is reader
+            assert reader._map is not None
+
+    def test_raw_entries_become_a_recording_view(self, recorded):
+        entries = list(recorded.log)
+        with log_source(entries) as source:
+            assert isinstance(source, RecordingSink)
+            assert source.log is entries
+        with log_source(recorded) as source:
+            assert source is recorded
+
+    def test_tuple_entries_validated_unless_disabled(self):
+        stale = [("access", 1, "f", 1)]
+        with pytest.raises(LogSchemaError, match="columns"):
+            with log_source(stale):
+                pass
+        with log_source(stale, validate=False) as source:
+            assert source.log is stale
+
+    def test_sources_share_the_sharded_interface(self, binary_path, recorded):
+        with BinaryLogReader(binary_path) as reader:
+            for shards in (1, 2, 3):
+                from_tuples = [RecordingSink() for _ in range(shards)]
+                from_binary = [RecordingSink() for _ in range(shards)]
+                recorded.replay_sharded_into(from_tuples)
+                reader.replay_sharded_into(from_binary)
+                assert [s.log for s in from_tuples] == [
+                    s.log for s in from_binary
+                ]
+            assert (reader.access_count, reader.sync_count) == (
+                recorded.access_count, recorded.sync_count
+            )
 
 
 class TestCompressedV2:
@@ -387,9 +431,10 @@ class TestCompressedV2:
                 assert reader.version == BINLOG_VERSION_COMPRESSED
 
     def test_all_three_decode_identically(self, trio):
-        streams = {
-            name: read_binary_log(path) for name, path in trio.items()
-        }
+        streams = {}
+        for name, path in trio.items():
+            with BinaryLogReader(path) as reader:
+                streams[name] = replayed(reader)
         assert streams["v1"] == streams["v2raw"] == streams["v2z"]
         assert len(streams["v1"]) == 20_000
 
@@ -410,13 +455,13 @@ class TestCompressedV2:
                 if block.compressed:
                     assert block.raw_length > block.length
 
-    def test_shard_entries_and_replay_match_v1(self, trio):
+    def test_shard_replay_matches_v1(self, trio):
         with BinaryLogReader(trio["v1"]) as v1, BinaryLogReader(
             trio["v2z"]
         ) as v2:
             for shard, shards in ((0, 4), (3, 4), (1, 3)):
-                assert list(v1.shard_entries(shard, shards)) == list(
-                    v2.shard_entries(shard, shards)
+                assert replayed(v1, shard, shards) == replayed(
+                    v2, shard, shards
                 )
 
     def test_crc_verify_covers_stored_bytes(self, trio):
@@ -438,9 +483,8 @@ class TestCompressedV2:
     def test_block_stats_report_ratio_and_fill(self, trio):
         with BinaryLogReader(trio["v2z"]) as reader:
             stats = reader.block_stats()
-        assert stats["blocks"] == len(read_binary_log(trio["v2z"])) // 512 + (
-            1 if 20_000 % 512 else 0
-        )
+            assert reader.record_count == 20_000
+        assert stats["blocks"] == 20_000 // 512 + (1 if 20_000 % 512 else 0)
         assert stats["records_per_block"] == 512
         assert 0 < stats["min_fill"] <= stats["mean_fill"] <= stats["max_fill"] <= 1
         assert stats["compressed_blocks"] > 0
@@ -476,7 +520,7 @@ class TestV2Corruption:
         v2_path.write_bytes(data)
         with BinaryLogReader(v2_path) as reader:
             with pytest.raises(LogCorruptError, match="fails to inflate") as info:
-                list(reader.entries())
+                replayed(reader)
             assert info.value.offset == offset
             assert str(offset) in str(info.value)
 
@@ -490,7 +534,7 @@ class TestV2Corruption:
         v2_path.write_bytes(data)
         with BinaryLogReader(v2_path) as reader:
             with pytest.raises(LogCorruptError, match="fails to inflate") as info:
-                list(reader.entries())
+                replayed(reader)
             assert info.value.offset == offset
 
     def test_raw_length_mismatch_names_block_offset(self, v2_path):
@@ -515,7 +559,7 @@ class TestV2Corruption:
             with pytest.raises(
                 LogCorruptError, match="index entry promises 7"
             ) as info:
-                list(reader.entries())
+                replayed(reader)
             assert info.value.offset == block_offset
 
     def test_record_corruption_inside_block_names_anchor(self, v2_path):
@@ -554,7 +598,7 @@ class TestV2Corruption:
                 match=rf"unknown record tag 99 .*compressed block at byte "
                 rf"offset {block.offset}",
             ):
-                list(reader.entries())
+                replayed(reader)
 
     def test_v1_entry_with_compressed_flag_is_corrupt(self, tmp_path):
         path = tmp_path / "v1.mjbl"
@@ -586,20 +630,49 @@ class TestV2Corruption:
         path.write_bytes(data)
         with BinaryLogReader(path) as reader:
             assert reader.version == BINLOG_VERSION_COMPRESSED
-            assert list(reader.entries()) == expected
+            assert replayed(reader) == expected
+
+
+def _log_stats(source) -> LogStatsSink:
+    stats = LogStatsSink()
+    source.replay_into(stats)
+    return stats
+
+
+def _summary(stats: LogStatsSink) -> tuple:
+    return (
+        stats.counts, stats.reads, stats.writes, stats.locations,
+        stats.threads, stats.locks, stats.conditions,
+        stats.tuple_json_bytes, stats.binary_bytes,
+    )
 
 
 class TestLogStats:
     def test_counts_by_kind_and_entities(self, recorded, binary_path):
-        from_tuples = collect_log_stats(recorded.log)
+        from_tuples = _log_stats(recorded)
         with BinaryLogReader(binary_path) as reader:
-            from_binary = reader.stats()
-        assert from_binary == from_tuples
-        assert from_tuples["events"] == len(recorded.log)
-        assert from_tuples["counts"][RecordingSink.WAIT] >= 1
-        assert from_tuples["counts"][RecordingSink.NOTIFY] >= 1
-        assert from_tuples["reads"] + from_tuples["writes"] == recorded.access_count
-        assert from_tuples["distinct_threads"] >= 3
+            from_binary = _log_stats(reader)
+        assert _summary(from_binary) == _summary(from_tuples)
+        assert from_tuples.events == len(recorded.log)
+        assert from_tuples.counts[RecordingSink.WAIT] >= 1
+        assert from_tuples.counts[RecordingSink.NOTIFY] >= 1
+        assert from_tuples.reads + from_tuples.writes == recorded.access_count
+        assert len(from_tuples.threads) >= 3
+
+    def test_v2_stats_match_v1(self, recorded, tmp_path):
+        v1 = write_binary_log(recorded, tmp_path / "v1.mjbl")
+        v2 = write_binary_log(
+            recorded, tmp_path / "v2.mjbl", records_per_block=16, compress=6
+        )
+        with BinaryLogReader(v1) as one, BinaryLogReader(v2) as two:
+            assert _summary(_log_stats(one)) == _summary(_log_stats(two))
+
+    def test_tuple_json_bytes_match_dump_log(self, recorded):
+        expected = len(json.dumps(dump_log(recorded)))
+        assert _log_stats(recorded).tuple_json_bytes == expected
+        assert _log_stats(RecordingSink()).tuple_json_bytes == len(
+            json.dumps(dump_log([]))
+        )
 
     def test_default_block_size_is_sane(self):
         assert DEFAULT_RECORDS_PER_BLOCK >= 1024

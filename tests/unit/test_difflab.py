@@ -400,3 +400,67 @@ class Worker0 {
         assert lock_order_ascending(good)
         assert not lock_order_ascending(bad)
         assert lock_order_ascending(self.SOURCE)
+
+
+RACY_PAIR = """
+class Main {
+  static def main() {
+    var d = new Data();
+    d.x = 0;
+    var a = new Worker(d); var b = new Worker(d);
+    start a; start b; join a; join b;
+    print d.x;
+  }
+}
+class Data { field x; }
+class Worker {
+  field d;
+  def init(d) { this.d = d; }
+  def run() { this.d.x = this.d.x + 1; }
+}
+"""
+
+
+class TestBinlogAxis:
+    """The ``paper-binlog`` axis decodes through the production
+    columnar ``BinaryLogReader.replay_into``, so a decoder bug there is
+    a lab violation."""
+
+    def _binlog_breaks(self, case):
+        from repro.difflab.verdicts import compute_verdicts
+
+        verdicts = compute_verdicts(case, shards=(2,))
+        return [
+            d for d in classify_case(verdicts, shards=(2,))
+            if d.klass == "binlog-parity-break"
+        ]
+
+    def test_dropped_access_in_replay_into_is_a_parity_break(
+        self, monkeypatch
+    ):
+        from repro.difflab.verdicts import execute_case
+        from repro.runtime import MulticastSink
+        from repro.runtime.binlog import BinaryLogReader
+
+        case = execute_case(RACY_PAIR, ScheduleSpec())
+        assert self._binlog_breaks(case) == []
+
+        class DropFirstAccess(MulticastSink):
+            dropped = False
+
+            def on_access_parts(self, *parts):
+                if not self.dropped:
+                    self.dropped = True
+                    return
+                super().on_access_parts(*parts)
+
+        replay_into = BinaryLogReader.replay_into
+
+        def lossy_replay_into(self, sink, shard=-1, shards=1):
+            replay_into(self, DropFirstAccess([sink]), shard, shards)
+
+        monkeypatch.setattr(BinaryLogReader, "replay_into", lossy_replay_into)
+        (broken,) = self._binlog_breaks(case)
+        assert broken.is_violation
+        assert "roundtrip_identical" in broken.detail
+        assert "accesses" in broken.detail

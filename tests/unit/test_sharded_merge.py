@@ -8,7 +8,7 @@ counter bookkeeping under sync-event replication.
 
 import pytest
 
-from repro.detector import detect_from_log, detect_sharded, partition_log
+from repro.detector import detect_from_log, detect_sharded
 from repro.runtime import RecordingSink
 
 from ..conftest import run_source
@@ -114,14 +114,14 @@ class TestEmptyLog:
             assert len(result.outcomes) == shards
 
     def test_partition_empty(self):
-        streams, accesses, syncs = partition_log([], 3)
-        assert streams == [[], [], []]
-        assert accesses == 0 and syncs == 0
+        streams = [RecordingSink() for _ in range(3)]
+        empty = RecordingSink()
+        empty.replay_sharded_into(streams)
+        assert [stream.log for stream in streams] == [[], [], []]
+        assert empty.access_count == 0 and empty.sync_count == 0
 
     def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError):
-            partition_log([], 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shard count must be positive"):
             detect_sharded([], 0)
 
 
@@ -186,13 +186,14 @@ class TestSyncReplication:
         log = record(SYNC_HEAVY)
         syncs = len(log.log) - log.access_count
         assert syncs > 0
-        streams, accesses, replicated = partition_log(log.log, 4)
-        assert replicated == syncs
-        assert accesses == log.access_count
+        streams = [RecordingSink() for _ in range(4)]
+        log.replay_sharded_into(streams)
+        assert sum(stream.access_count for stream in streams) == log.access_count
+        result = detect_sharded(log, 4)
+        assert result.replicated_sync_events == syncs
+        assert result.partitioned_accesses == log.access_count
         for stream in streams:
-            non_access = [e for e in stream
-                          if e[0] != RecordingSink.ACCESS]
-            assert len(non_access) == syncs
+            assert stream.sync_count == syncs
 
     def test_replicated_syncs_do_not_inflate_access_counters(self):
         log = record(SYNC_HEAVY)

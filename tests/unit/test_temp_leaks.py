@@ -115,12 +115,12 @@ class Main {
 class Data { field x; }
 """
         case = execute_case(source, ScheduleSpec())
-        import repro.runtime.binlog as binlog
+        from repro.runtime.binlog import BinaryLogReader
 
-        def exploding_read(path):
+        def exploding_replay(self, sink, shard=-1, shards=1):
             raise RuntimeError("decode blew up mid-roundtrip")
 
-        monkeypatch.setattr(binlog, "read_binary_log", exploding_read)
+        monkeypatch.setattr(BinaryLogReader, "replay_into", exploding_replay)
         with pytest.raises(RuntimeError, match="mid-roundtrip"):
             compute_verdicts(case, shards=(2,))
         assert list(private_tmp.iterdir()) == []
