@@ -27,6 +27,17 @@ and the inline fast path engages, must end with identical reports and
 pipeline, ownership and cache counters.  A speedup over a divergent
 execution would be meaningless.
 
+A third section isolates the layer both engines share: the scheduler
+run loop.  ``scheduler_rows`` time ``Scheduler.run`` alone, in µs per
+step, over thread bodies that only ``yield`` (3 and 5 threads, under
+``RandomPolicy(2002)`` and round-robin), for the rebuild-every-step
+oracle loop kept in ``tests/scheduler_oracle.py`` and the production
+loop that keeps its runnable list between steps.  ``scheduler_workload_rows``
+put that layer in context: whole Base runs of the compiled engine under
+``RandomPolicy(2002)`` with each loop swapped in, as µs per step.  Every
+row is gated on both loops making the identical decision sequence
+(pick order, per-thread and total steps, program output).
+
 Running ``PYTHONPATH=src python benchmarks/bench_compile.py`` writes
 ``BENCH_compile.json`` at the repo root with both configurations at the
 bench scales; ``--quick`` uses smoke scales and skips the JSON (CI).
@@ -36,20 +47,29 @@ The pytest-benchmark tests below cover the same arms at smoke scale.
 from __future__ import annotations
 
 import json
+import sys
 import time
 
-from benchlib import machine_metadata, run_benchmark_main, runner_parser
+from benchlib import ROOT, machine_metadata, run_benchmark_main, runner_parser
 
 from repro.detector import RaceDetector, canonical_report_order  # noqa: E402
 from repro.instrument import PlannerConfig, plan_instrumentation  # noqa: E402
 from repro.lang import compile_source  # noqa: E402
 from repro.runtime import (  # noqa: E402
     MulticastSink,
+    RandomPolicy,
     RecordingSink,
+    RoundRobinPolicy,
+    Scheduler,
+    ThreadState,
     dump_log,
     engine_class,
 )
 from repro.workloads import ALL_WORKLOADS  # noqa: E402
+
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from tests.scheduler_oracle import OracleScheduler, use_oracle  # noqa: E402
 
 #: Bench scales for the committed before/after numbers.
 BENCH_SCALES = {"tsp2": 16, "mtrt2": 16, "sor2": 24}
@@ -179,6 +199,117 @@ def bench_workload(name: str, scale: int, repeats: int) -> list:
     return rows
 
 
+# ----------------------------------------------------------------------
+# The scheduler run loop: the oracle loop vs the incremental one.
+
+SCHEDULER_LOOPS = (("oracle", OracleScheduler), ("incremental", Scheduler))
+SCHEDULER_POLICIES = {
+    "random(2002)": lambda: RandomPolicy(2002),
+    "round-robin(10)": lambda: RoundRobinPolicy(10),
+}
+SCHEDULER_THREADS = (3, 5)
+#: Steps per loop run (each thread yields steps // threads times).
+SCHEDULER_STEPS = 300_000
+QUICK_SCHEDULER_STEPS = 30_000
+#: Whole-run context for the loop layer: compiled engine, Base plan.
+SCHEDULER_WORKLOADS = {"sor2": 48, "tsp2": 28}
+QUICK_SCHEDULER_WORKLOADS = {"sor2": 8, "tsp2": 6}
+
+
+def _run_loop(scheduler_cls, make_policy, threads: int, steps: int, picks=None):
+    """One ``run()`` of ``scheduler_cls`` over yield-only bodies;
+    returns (seconds, total steps).  With ``picks`` each body logs its
+    thread id per step (the untimed decision-sequence run)."""
+
+    def body(thread_id, count):
+        if picks is None:
+            for _ in range(count):
+                yield
+        else:
+            for _ in range(count):
+                picks.append(thread_id)
+                yield
+
+    scheduler = scheduler_cls(make_policy())
+    for thread_id in range(threads):
+        scheduler.register(
+            ThreadState(thread_id, f"T{thread_id}", body(thread_id, steps // threads))
+        )
+    started = time.perf_counter()
+    total = scheduler.run()
+    return time.perf_counter() - started, total
+
+
+def bench_scheduler_loop(threads: int, policy: str, steps: int, repeats: int) -> dict:
+    """One row: µs per step of each loop, gated on identical picks."""
+    make_policy = SCHEDULER_POLICIES[policy]
+    decisions = {}
+    for name, cls in SCHEDULER_LOOPS:
+        picks = []
+        _, total = _run_loop(cls, make_policy, threads, steps, picks)
+        decisions[name] = (total, picks)
+    assert decisions["oracle"] == decisions["incremental"], (
+        f"scheduler loops diverged: {threads} threads, {policy}"
+    )
+    total = decisions["oracle"][0]
+    row = {"threads": threads, "policy": policy, "steps": total}
+    for name, cls in SCHEDULER_LOOPS:
+        seconds = min(
+            _run_loop(cls, make_policy, threads, steps)[0] for _ in range(repeats)
+        )
+        row[f"{name}_us_per_step"] = round(seconds / total * 1e6, 3)
+    row["speedup"] = round(
+        row["oracle_us_per_step"] / row["incremental_us_per_step"], 3
+    )
+    return row
+
+
+def _observe_run(resolved, oracle: bool):
+    """A compiled Base run under ``RandomPolicy(2002)``: (seconds, the
+    decision fingerprint)."""
+    runner = engine_class("compiled")(
+        resolved, trace_sites=set(), policy=RandomPolicy(2002)
+    )
+    if oracle:
+        use_oracle(runner)
+    started = time.perf_counter()
+    result = runner.run()
+    seconds = time.perf_counter() - started
+    fingerprint = (
+        result.steps,
+        tuple(result.output),
+        tuple(t.steps for t in runner._threads),
+    )
+    return seconds, fingerprint
+
+
+def bench_scheduler_workload(name: str, scale: int, repeats: int) -> dict:
+    """Whole Base runs with each loop swapped in, as µs per step."""
+    spec = ALL_WORKLOADS[name]
+    resolved = compile_source(spec.build(scale), filename=name)
+    _, oracle_fp = _observe_run(resolved, oracle=True)
+    _, incremental_fp = _observe_run(resolved, oracle=False)
+    assert oracle_fp == incremental_fp, f"{name}: scheduler loops diverged"
+    steps = oracle_fp[0]
+    row = {
+        "workload": name,
+        "scale": scale,
+        "configuration": "Base",
+        "engine": "compiled",
+        "policy": "random(2002)",
+        "steps": steps,
+    }
+    for loop, oracle in (("oracle", True), ("incremental", False)):
+        seconds = min(
+            _observe_run(resolved, oracle)[0] for _ in range(repeats)
+        )
+        row[f"{loop}_us_per_step"] = round(seconds / steps * 1e6, 3)
+    row["speedup"] = round(
+        row["oracle_us_per_step"] / row["incremental_us_per_step"], 3
+    )
+    return row
+
+
 def generate(quick: bool = False, repeats: int = 3) -> dict:
     scales = QUICK_SCALES if quick else BENCH_SCALES
     rows = []
@@ -193,6 +324,31 @@ def generate(quick: bool = False, repeats: int = 3) -> dict:
                 flush=True,
             )
             rows.append(row)
+    steps = QUICK_SCHEDULER_STEPS if quick else SCHEDULER_STEPS
+    scheduler_rows = []
+    for threads in SCHEDULER_THREADS:
+        for policy in SCHEDULER_POLICIES:
+            row = bench_scheduler_loop(threads, policy, steps, repeats)
+            print(
+                f"[bench] scheduler loop {threads} threads {policy:<16} "
+                f"oracle={row['oracle_us_per_step']}us "
+                f"incremental={row['incremental_us_per_step']}us "
+                f"speedup={row['speedup']}x",
+                flush=True,
+            )
+            scheduler_rows.append(row)
+    workloads = QUICK_SCHEDULER_WORKLOADS if quick else SCHEDULER_WORKLOADS
+    scheduler_workload_rows = []
+    for name, scale in workloads.items():
+        row = bench_scheduler_workload(name, scale, repeats)
+        print(
+            f"[bench] scheduler in {name}@{scale} Base "
+            f"oracle={row['oracle_us_per_step']}us "
+            f"incremental={row['incremental_us_per_step']}us "
+            f"speedup={row['speedup']}x",
+            flush=True,
+        )
+        scheduler_workload_rows.append(row)
     return {
         "benchmark": "closure-compiled engine vs AST interpreter",
         "baseline": (
@@ -213,6 +369,14 @@ def generate(quick: bool = False, repeats: int = 3) -> dict:
         "repeats": repeats,
         "machine": machine_metadata(),
         "rows": rows,
+        "scheduler_loop": (
+            "Scheduler.run alone over yield-only bodies (scheduler_rows) "
+            "and whole compiled Base runs (scheduler_workload_rows), "
+            "rebuild-every-step oracle loop vs the incremental loop; "
+            "identical decision sequences asserted before timing"
+        ),
+        "scheduler_rows": scheduler_rows,
+        "scheduler_workload_rows": scheduler_workload_rows,
     }
 
 
@@ -279,6 +443,32 @@ class TestFullConfiguration:
         detector = benchmark(run)
         assert detector.stats.accesses > 0
         assert detector.inline_cache_hits > 0
+
+
+class TestSchedulerLoop:
+    def test_identical_decisions_before_timing(self):
+        for threads in SCHEDULER_THREADS:
+            for policy in SCHEDULER_POLICIES:
+                row = bench_scheduler_loop(threads, policy, 3_000, 1)
+                assert row["steps"] == 3_000 + threads
+
+    def test_incremental_loop(self, benchmark):
+        benchmark.group = "compile:scheduler"
+        benchmark(
+            lambda: _run_loop(
+                Scheduler, SCHEDULER_POLICIES["random(2002)"], 3,
+                QUICK_SCHEDULER_STEPS,
+            )
+        )
+
+    def test_oracle_loop(self, benchmark):
+        benchmark.group = "compile:scheduler"
+        benchmark(
+            lambda: _run_loop(
+                OracleScheduler, SCHEDULER_POLICIES["random(2002)"], 3,
+                QUICK_SCHEDULER_STEPS,
+            )
+        )
 
 
 # ----------------------------------------------------------------------

@@ -626,6 +626,7 @@ class BinaryLogReader:
                         f"offset {offset}",
                         offset=offset,
                     )
+                entry = offset
                 (length,) = struct.unpack_from("<I", view, offset)
                 offset += 4
                 if offset + length > end:
@@ -634,7 +635,15 @@ class BinaryLogReader:
                         f"offset {offset}",
                         offset=offset,
                     )
-                table.append(view[offset : offset + length].decode("utf-8"))
+                try:
+                    table.append(view[offset : offset + length].decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise LogCorruptError(
+                        f"{self.path}: string table entry at byte offset "
+                        f"{entry} is not valid UTF-8 (bad byte at offset "
+                        f"{offset + exc.start})",
+                        offset=entry,
+                    ) from None
                 offset += length
             self._strings = table
         return self._strings
@@ -717,14 +726,16 @@ class BinaryLogReader:
             )
 
     def validate_blocks(self) -> None:
-        """Inflate-check every compressed block, without decoding records.
+        """Decode the string table and inflate-check every compressed
+        block, without decoding records.
 
-        The service's submit trust boundary calls this so damage inside
-        a deflated block is a request-time 422 naming the block's byte
-        offset, not a failed job discovered by polling.  v1 files and
-        raw blocks cost nothing; each inflated copy is dropped as soon
-        as its length checks out.
+        The service's submit trust boundary calls this so damage in the
+        string table or inside a deflated block is a request-time 422
+        naming its byte offset, not a failed job discovered by polling.
+        The table is small and decoded once; raw blocks cost nothing;
+        each inflated copy is dropped as soon as its length checks out.
         """
+        self.strings
         for block in self.blocks:
             if block.compressed:
                 self._block_view(block)

@@ -550,7 +550,7 @@ class Interpreter:
     def _wake(self, thread_id: int) -> None:
         self._woken.add(thread_id)
         state = self._threads[thread_id]
-        state.status = ThreadStatus.RUNNABLE
+        self._scheduler.wake(state)
         state.waiting_on = None
 
     def _exec_barrier(self, stmt: ast.Barrier, frame: Frame, thread: ThreadState):

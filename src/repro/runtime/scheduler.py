@@ -135,7 +135,8 @@ class Scheduler:
 
     * a ``BLOCKED`` thread becomes runnable when its monitor is free or
       already owned by it;
-    * a ``JOINING`` thread becomes runnable when its target finished.
+    * a ``JOINING`` thread becomes runnable when its target finished;
+    * a ``WAITING`` thread becomes runnable only through :meth:`wake`.
 
     ``max_steps`` bounds total execution to catch accidental infinite
     loops in workloads.
@@ -146,110 +147,125 @@ class Scheduler:
         self.max_steps = max_steps
         self.threads: list[ThreadState] = []
         self.total_steps = 0
+        #: Set when a thread changed status behind the run loop's back
+        #: (a registration or a wakeup); the loop then rebuilds its
+        #: runnable list before the next pick.
+        self._stale = True
 
     def register(self, thread: ThreadState) -> None:
         self.threads.append(thread)
+        self._stale = True
 
-    def _refresh_statuses(self) -> None:
-        for thread in self.threads:
-            if thread.status is ThreadStatus.BLOCKED:
-                monitor = thread.blocked_on
-                if monitor is not None and monitor.can_acquire(thread.thread_id):
-                    thread.status = ThreadStatus.RUNNABLE
-                    thread.blocked_on = None
-            elif thread.status is ThreadStatus.JOINING:
-                target = thread.joining_on
-                if target is not None and target.status is ThreadStatus.FINISHED:
-                    thread.status = ThreadStatus.RUNNABLE
-                    thread.joining_on = None
+    def wake(self, thread: ThreadState) -> None:
+        """Make a ``WAITING`` thread runnable (notify, barrier trip).
+
+        The only sanctioned way to set another thread ``RUNNABLE``: a
+        status written directly would leave the run loop's runnable
+        list stale.
+        """
+        thread.status = ThreadStatus.RUNNABLE
+        self._stale = True
 
     def run(self) -> int:
         """Run until every thread finishes; returns total steps executed.
 
-        This loop runs once per scheduler step, so it is written for
-        constant-factor speed: status refresh and runnable collection
-        are one fused pass, the round-robin in-quantum case bypasses
-        ``policy.choose`` (threads register with ``thread_id`` equal to
-        their list index, so the current thread is a direct lookup — the
-        id is still verified before trusting it), and the generator
-        resume is inlined.  Every choice is bit-identical to the naive
-        refresh/filter/choose sequence this replaces.
+        This loop runs once per scheduler step, so it keeps the runnable
+        list — the ``RUNNABLE`` threads in registration order — between
+        steps instead of rebuilding it each time.  The list is rebuilt
+        (status refresh and collection fused into one pass) only when it
+        may be stale:
+
+        * after :meth:`register` adds a thread;
+        * after a step leaves the stepped thread not ``RUNNABLE``
+          (blocked, joining, waiting or finished);
+        * after :meth:`wake` makes a waiting thread runnable;
+        * on every step while any thread is ``BLOCKED``, because a
+          monitor release is not signalled to the scheduler.
+
+        A ``JOINING`` thread needs no per-step poll: its target can only
+        finish here, on a step that already marks the list stale.
+
+        Picks: under :class:`RandomPolicy` the loop draws
+        ``runnable[randbelow(n)]`` with the policy's own generator —
+        exactly what ``Random.choice`` does, so the seeded stream is
+        unchanged; under :class:`RoundRobinPolicy` the in-quantum case
+        is a direct lookup (threads register with ``thread_id`` equal
+        to their list index; the id is still verified before trusting
+        it).  Every other policy gets ``policy.choose(runnable)``, and
+        must treat that list as read-only.  Every choice is
+        bit-identical to rebuilding the list on every step.
         """
         threads = self.threads
         policy = self.policy
         round_robin = policy if type(policy) is RoundRobinPolicy else None
+        randbelow = (
+            policy._rng._randbelow if type(policy) is RandomPolicy else None
+        )
         RUNNABLE = ThreadStatus.RUNNABLE
         BLOCKED = ThreadStatus.BLOCKED
         JOINING = ThreadStatus.JOINING
         FINISHED = ThreadStatus.FINISHED
         max_steps = self.max_steps
         total = self.total_steps
+        # Rebuild the runnable list before the next pick: set when the
+        # stepped thread left RUNNABLE or some thread is still BLOCKED.
+        poll = True
         try:
             while True:
-                runnable = []
-                append = runnable.append
-                for thread in threads:
-                    status = thread.status
-                    if status is RUNNABLE:
-                        append(thread)
-                    elif status is BLOCKED:
-                        monitor = thread.blocked_on
-                        if monitor is not None and monitor.can_acquire(
-                            thread.thread_id
-                        ):
-                            thread.status = RUNNABLE
-                            thread.blocked_on = None
+                if poll or self._stale:
+                    self._stale = False
+                    poll = False
+                    runnable = []
+                    append = runnable.append
+                    for thread in threads:
+                        status = thread.status
+                        if status is RUNNABLE:
                             append(thread)
-                    elif status is JOINING:
-                        target = thread.joining_on
-                        if target is not None and target.status is FINISHED:
-                            thread.status = RUNNABLE
-                            thread.joining_on = None
-                            append(thread)
-                if not runnable:
-                    live = [
-                        t for t in threads if t.status is not FINISHED
-                    ]
-                    if not live:
+                        elif status is BLOCKED:
+                            monitor = thread.blocked_on
+                            if monitor is not None and monitor.can_acquire(
+                                thread.thread_id
+                            ):
+                                thread.status = RUNNABLE
+                                thread.blocked_on = None
+                                append(thread)
+                            else:
+                                poll = True
+                        elif status is JOINING:
+                            target = thread.joining_on
+                            if target is not None and target.status is FINISHED:
+                                thread.status = RUNNABLE
+                                thread.joining_on = None
+                                append(thread)
+                    count = len(runnable)
+                    if not count:
+                        self._raise_if_deadlocked()
                         return total
-                    held = ", ".join(
-                        f"{t.name} ({t.status.value})" for t in live
-                    )
-                    waiting = [
-                        t for t in live if t.status is ThreadStatus.WAITING
-                    ]
-                    if waiting:
-                        lost = "; ".join(
-                            f"{t.name} waits on {t.waiting_on or '?'}"
-                            for t in waiting
-                        )
-                        raise DeadlockError(
-                            "deadlock: all live threads waiting: "
-                            f"{held} — lost wakeup: {lost} and no live thread "
-                            "can notify"
-                        )
-                    raise DeadlockError(
-                        f"deadlock: all live threads waiting: {held}"
-                    )
-                thread = None
-                if round_robin is not None and round_robin._remaining > 0:
-                    current_id = round_robin._current_id
-                    if current_id is not None and current_id < len(threads):
-                        current = threads[current_id]
-                        if (
-                            current.thread_id == current_id
-                            and current.status is RUNNABLE
-                        ):
-                            round_robin._remaining -= 1
-                            thread = current
-                if thread is None:
-                    thread = policy.choose(runnable)
+                if randbelow is not None:
+                    thread = runnable[randbelow(count)]
+                else:
+                    thread = None
+                    if round_robin is not None and round_robin._remaining > 0:
+                        current_id = round_robin._current_id
+                        if current_id is not None and current_id < len(threads):
+                            current = threads[current_id]
+                            if (
+                                current.thread_id == current_id
+                                and current.status is RUNNABLE
+                            ):
+                                round_robin._remaining -= 1
+                                thread = current
+                    if thread is None:
+                        thread = policy.choose(runnable)
                 try:
                     thread.body.send(None)
                     thread.steps += 1
+                    if thread.status is not RUNNABLE:
+                        poll = True
                 except StopIteration:
                     thread.status = FINISHED
                     thread.steps += 1
+                    poll = True
                 total += 1
                 if total > max_steps:
                     raise StepLimitExceeded(
@@ -258,11 +274,21 @@ class Scheduler:
         finally:
             self.total_steps = total
 
-    def _step(self, thread: ThreadState) -> None:
-        """Advance ``thread`` by one preemption interval."""
-        try:
-            thread.body.send(None)
-            thread.steps += 1
-        except StopIteration:
-            thread.status = ThreadStatus.FINISHED
-            thread.steps += 1
+    def _raise_if_deadlocked(self) -> None:
+        """Called when nothing is runnable: raise :class:`DeadlockError`
+        unless every thread has finished."""
+        live = [t for t in self.threads if t.status is not ThreadStatus.FINISHED]
+        if not live:
+            return
+        held = ", ".join(f"{t.name} ({t.status.value})" for t in live)
+        waiting = [t for t in live if t.status is ThreadStatus.WAITING]
+        if waiting:
+            lost = "; ".join(
+                f"{t.name} waits on {t.waiting_on or '?'}" for t in waiting
+            )
+            raise DeadlockError(
+                "deadlock: all live threads waiting: "
+                f"{held} — lost wakeup: {lost} and no live thread "
+                "can notify"
+            )
+        raise DeadlockError(f"deadlock: all live threads waiting: {held}")

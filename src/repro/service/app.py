@@ -100,10 +100,11 @@ def _validate_upload(kind: str, body: bytes) -> None:
 
     Log uploads are validated here, in the parent, so a damaged log is
     a *request* error (422 with a byte offset) at submit time, not a
-    failed job discovered by polling.  v1 binary logs validate
-    structurally in O(1); v2 logs additionally inflate-check their
-    compressed blocks (one zlib pass, no record decoding) so a garbled
-    deflated span is caught here with its block offset.  Tuple logs pay
+    failed job discovered by polling.  Binary logs validate
+    structurally in O(1) and decode their string table; v2 logs
+    additionally inflate-check their compressed blocks (one zlib pass,
+    no record decoding) so a garbled deflated span is caught here with
+    its block offset.  Tuple logs pay
     their one parse+validate pass (they are the compatibility path —
     the daemon's bulk format is MJBL).  Program bodies only need to be
     text here; compile errors are real work and stay in the workers.

@@ -20,6 +20,19 @@ def run_source(source: str, seed=None, sink=None, trace_sites=None, max_steps=2_
     )
 
 
+def garble_string_table(path) -> int:
+    """Overwrite the first byte of an MJBL log's first interned string
+    with 0xFF (never valid UTF-8); returns that entry's byte offset."""
+    from repro.runtime.binlog import BinaryLogReader
+
+    with BinaryLogReader(path) as reader:
+        entry = reader.strings_offset + 4  # past the table's count
+    data = bytearray(path.read_bytes())
+    data[entry + 4] = 0xFF  # past the entry's length
+    path.write_bytes(bytes(data))
+    return entry
+
+
 def detect(source: str, seed=None, detector_config=None, planner_config=None):
     """Full pipeline: compile, plan, run with a detector; returns it."""
     resolved = compile_source(source)

@@ -22,6 +22,8 @@ from repro.cli import main
 from repro.runtime.binlog import write_binary_log
 from repro.runtime.events import RecordingSink, dump_log
 
+from ..conftest import garble_string_table
+
 PROGRAM = """
 class Main {
   static def main() {
@@ -84,6 +86,21 @@ class TestLogErrorExitCodes:
         code = self._invoke(command, damaged)
         assert code == 3
         assert "corrupt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("compress", [None, 6])
+    def test_invalid_utf8_string_table_exits_3_with_offset(
+        self, command, binary_log, tmp_path, capsys, compress
+    ):
+        _, sink = binary_log
+        path = tmp_path / "badutf8.mjbl"
+        write_binary_log(sink, path, compress=compress)
+        entry = garble_string_table(path)
+        code = self._invoke(command, path)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "corrupt" in captured.err
+        assert f"byte offset {entry}" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_garbage_json_exits_3(self, command, tmp_path, capsys):
         path = tmp_path / "garbage.json"

@@ -515,6 +515,23 @@ class TestLogJobs:
         assert payload["taxonomy"] == "corrupt"
         assert payload["offset"] == 40
 
+    @pytest.mark.parametrize("compress", [None, 6])
+    def test_invalid_utf8_string_table_is_422_with_offset(
+        self, daemon, binary_log, tmp_path, compress
+    ):
+        from repro.runtime.binlog import write_binary_log
+
+        from ..conftest import garble_string_table
+
+        path = tmp_path / "badutf8.mjbl"
+        write_binary_log(binary_log, path, compress=compress)
+        entry = garble_string_table(path)
+        status, _, body = daemon.request("POST", "/submit", path.read_bytes())
+        payload = json.loads(body)
+        assert status == 422
+        assert payload["taxonomy"] == "corrupt"
+        assert payload["offset"] == entry
+
     def test_compressed_mjbl_report_matches_v1(
         self, daemon, binary_log, tmp_path
     ):

@@ -35,7 +35,7 @@ from repro.runtime.events import LogSchemaError, dump_log
 from repro.runtime.synthlog import synthesize_into
 
 from ..binlog_oracle import read_binary_log, replayed
-from ..conftest import run_source
+from ..conftest import garble_string_table, run_source
 
 SOURCE = """
 class Main {
@@ -217,6 +217,26 @@ class TestValidation:
         with BinaryLogReader(path) as reader:
             with pytest.raises(LogSchemaError, match="out-of-range string"):
                 replayed(reader)
+
+
+    @pytest.mark.parametrize("compress", [None, 6])
+    def test_invalid_utf8_string_is_corruption_with_offset(
+        self, recorded, tmp_path, compress
+    ):
+        """A flipped string-table byte used to escape as a bare
+        UnicodeDecodeError; it is corruption at the entry's offset, for
+        v1 and v2 logs alike."""
+        path = tmp_path / "badutf8.mjbl"
+        write_binary_log(recorded, path, compress=compress)
+        entry = garble_string_table(path)
+        with open_log(path) as reader:
+            assert reader.version == (
+                BINLOG_VERSION if compress is None else BINLOG_VERSION_COMPRESSED
+            )
+            with pytest.raises(LogCorruptError, match="not valid UTF-8") as info:
+                reader.replay_into(RecordingSink())
+        assert info.value.offset == entry
+        assert f"byte offset {entry}" in str(info.value)
 
 
 class TestShardIndex:
