@@ -38,6 +38,17 @@ put that layer in context: whole Base runs of the compiled engine under
 row is gated on both loops making the identical decision sequence
 (pick order, per-thread and total steps, program output).
 
+A fourth section counts what the compiled engine's flat per-activation
+code (one :func:`repro.runtime.compile.run_code` frame per method call,
+jumps for ``if``/``while``/peeled loops) removes: ``frames_rows`` run
+the compiled Base rung of tsp2@28 and sor2@48 (planned, so loops are
+peeled) under ``RandomPolicy(2002)`` and record steps, µs per step, the
+mean number of generator frames on the stepped thread's resume chain
+after each step, and the ``_Return`` exceptions raised per run.  Frames
+and raises come from a separate untimed run, so the probe does not
+perturb the timed one; every row is gated on the AST engine making the
+same steps, output and per-thread steps.
+
 Running ``PYTHONPATH=src python benchmarks/bench_compile.py`` writes
 ``BENCH_compile.json`` at the repo root with both configurations at the
 bench scales; ``--quick`` uses smoke scales and skips the JSON (CI).
@@ -46,6 +57,7 @@ The pytest-benchmark tests below cover the same arms at smoke scale.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import time
@@ -65,6 +77,7 @@ from repro.runtime import (  # noqa: E402
     dump_log,
     engine_class,
 )
+from repro.runtime import interpreter  # noqa: E402
 from repro.workloads import ALL_WORKLOADS  # noqa: E402
 
 if str(ROOT) not in sys.path:
@@ -264,14 +277,24 @@ def bench_scheduler_loop(threads: int, policy: str, steps: int, repeats: int) ->
     return row
 
 
-def _observe_run(resolved, oracle: bool):
-    """A compiled Base run under ``RandomPolicy(2002)``: (seconds, the
-    decision fingerprint)."""
-    runner = engine_class("compiled")(
+def _observe_run(
+    resolved, oracle: bool = False, engine: str = "compiled", probe=None
+):
+    """A Base run under ``RandomPolicy(2002)``: (seconds, the decision
+    fingerprint).  ``probe`` wraps each thread body as it registers."""
+    runner = engine_class(engine)(
         resolved, trace_sites=set(), policy=RandomPolicy(2002)
     )
     if oracle:
         use_oracle(runner)
+    if probe is not None:
+        register = runner._scheduler.register
+
+        def register_probed(thread):
+            thread.body = probe(thread.body)
+            register(thread)
+
+        runner._scheduler.register = register_probed
     started = time.perf_counter()
     result = runner.run()
     seconds = time.perf_counter() - started
@@ -308,6 +331,81 @@ def bench_scheduler_workload(name: str, scale: int, repeats: int) -> dict:
         row["oracle_us_per_step"] / row["incremental_us_per_step"], 3
     )
     return row
+
+
+# ----------------------------------------------------------------------
+# Flat per-activation code: resume-chain depth and _Return raises.
+
+FRAMES_WORKLOADS = {"tsp2": 28, "sor2": 48}
+QUICK_FRAMES_WORKLOADS = {"tsp2": 6, "sor2": 8}
+
+
+class ChainProbe:
+    """Stands in for a thread body: forwards each scheduler step, then
+    adds the frames on the thread's resume chain — the body and every
+    generator below it through ``gi_yieldfrom`` — to ``tally``."""
+
+    def __init__(self, body, tally: list):
+        self.body = body
+        self.tally = tally
+
+    def send(self, value):
+        result = self.body.send(value)
+        frames = 0
+        generator = self.body
+        while generator is not None:
+            frames += 1
+            generator = generator.gi_yieldfrom
+        self.tally[0] += frames
+        self.tally[1] += 1
+        return result
+
+
+@contextlib.contextmanager
+def counting_return_raises():
+    """Count every ``_Return`` constructed (each one is raised)."""
+    raised = [0]
+    original = interpreter._Return.__init__
+
+    def counting_init(self, value):
+        raised[0] += 1
+        original(self, value)
+
+    interpreter._Return.__init__ = counting_init
+    try:
+        yield raised
+    finally:
+        interpreter._Return.__init__ = original
+
+
+def bench_frames(name: str, scale: int, repeats: int) -> dict:
+    """One compiled Base row: µs per step from clean timed runs; frames
+    per step and ``_Return`` raises from one probed, untimed run."""
+    resolved, _ = _compile(name, scale)
+    _, ast_fp = _observe_run(resolved, engine="ast")
+    tally = [0, 0]
+    with counting_return_raises() as raised:
+        _, probed_fp = _observe_run(
+            resolved, probe=lambda body: ChainProbe(body, tally)
+        )
+    assert probed_fp == ast_fp, f"{name}: the engines diverged"
+    seconds = None
+    for _ in range(repeats):
+        elapsed, fingerprint = _observe_run(resolved)
+        assert fingerprint == ast_fp, f"{name}: the timed run diverged"
+        seconds = elapsed if seconds is None else min(seconds, elapsed)
+    steps = ast_fp[0]
+    return {
+        "workload": name,
+        "scale": scale,
+        "configuration": "Base",
+        "engine": "compiled",
+        "policy": "random(2002)",
+        "steps": steps,
+        "us_per_step": round(seconds / steps * 1e6, 3),
+        "frames_per_step": round(tally[0] / tally[1], 2),
+        "return_raises": raised[0],
+    }
 
 
 def generate(quick: bool = False, repeats: int = 3) -> dict:
@@ -349,6 +447,18 @@ def generate(quick: bool = False, repeats: int = 3) -> dict:
             flush=True,
         )
         scheduler_workload_rows.append(row)
+    workloads = QUICK_FRAMES_WORKLOADS if quick else FRAMES_WORKLOADS
+    frames_rows = []
+    for name, scale in workloads.items():
+        row = bench_frames(name, scale, repeats)
+        print(
+            f"[bench] frames in {name}@{scale} Base "
+            f"{row['us_per_step']}us/step "
+            f"frames/step={row['frames_per_step']} "
+            f"_Return raises={row['return_raises']}",
+            flush=True,
+        )
+        frames_rows.append(row)
     return {
         "benchmark": "closure-compiled engine vs AST interpreter",
         "baseline": (
@@ -377,6 +487,15 @@ def generate(quick: bool = False, repeats: int = 3) -> dict:
         ),
         "scheduler_rows": scheduler_rows,
         "scheduler_workload_rows": scheduler_workload_rows,
+        "frames": (
+            "compiled Base runs of the planned (loop-peeled) programs: "
+            "us per step from clean timed runs; mean generator frames "
+            "on the stepped thread's resume chain after each step and "
+            "_Return raises per run from a separate probed run; steps, "
+            "output and per-thread steps asserted equal to the AST "
+            "engine's"
+        ),
+        "frames_rows": frames_rows,
     }
 
 
@@ -469,6 +588,38 @@ class TestSchedulerLoop:
                 QUICK_SCHEDULER_STEPS,
             )
         )
+
+
+class TestFrames:
+    def test_flat_code_rows(self):
+        rows = [
+            bench_frames(name, scale, 1)
+            for name, scale in QUICK_FRAMES_WORKLOADS.items()
+        ]
+        for row in rows:
+            # No return in these programs sits inside a sync body.
+            assert row["return_raises"] == 0
+            assert 1 <= row["frames_per_step"] <= 10
+            assert row["steps"] > 0 and row["us_per_step"] > 0
+
+    def test_probe_counts_the_resume_chain(self):
+        def outer():
+            yield
+            yield from inner()
+
+        def inner():
+            yield
+
+        tally = [0, 0]
+        probe = ChainProbe(outer(), tally)
+        probe.send(None)
+        probe.send(None)
+        assert tally == [1 + 2, 2]
+
+    def test_compiled_base_run(self, benchmark):
+        resolved, _ = _compile("sor2", QUICK_FRAMES_WORKLOADS["sor2"])
+        benchmark.group = "compile:frames"
+        benchmark(lambda: _observe_run(resolved))
 
 
 # ----------------------------------------------------------------------

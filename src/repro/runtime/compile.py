@@ -40,15 +40,18 @@ Beyond per-node closures, three *fusions* flatten the generator stack
 the scheduler must traverse on every step (the AST engine's dominant
 hidden cost — each live ``yield from`` level taxes every resume):
 
-1. statement lists are executed by an inline loop in the enclosing
-   closure (method body, ``if`` arm, ``while`` body, ``sync`` body)
-   instead of a dedicated block generator;
-2. calls inline the callee prologue — arity check, frame allocation,
-   ``return`` unwinding — into the call-site closure, so one call costs
-   one generator frame, not interpreter's invoke/block/statement stack;
+1. each method activation is *flat code*: its statements, with every
+   ``if``, ``while`` and nested block lowered to branches and jumps,
+   form one instruction tuple run by the module-level generator
+   :func:`run_code` — one frame per activation however deeply the
+   control flow nests, and ``return`` is a plain generator return;
+2. calls inline the callee prologue — arity check, frame allocation —
+   into the call-site closure, which delegates straight to ``run_code``
+   on the callee's code, so one call costs two generator frames, not
+   the interpreter's invoke/block/statement stack;
 3. value-producing generator closures accept a compile-time
-   *destination* (an assignment's frame slot, or ``return``), so
-   ``x = a[i] + this.f`` runs in a single generator frame end to end.
+   *destination* (an assignment's frame slot), so ``x = a[i] +
+   this.f`` runs in a single generator frame end to end.
 """
 
 from __future__ import annotations
@@ -64,51 +67,131 @@ from .values import MJArray, MJClassObject, MJObject, Reference, mj_repr
 #: not-yet-bound locals raise the same error the AST interpreter does.
 _UNBOUND = object()
 
-#: Destination markers for gen-expression templates (fusion 3).  A
+#: Destination marker for gen-expression templates (fusion 3): a
 #: non-negative int destination means "store into that frame slot";
-#: ``_DEST_VALUE`` means "return the value to the consuming closure";
-#: ``_DEST_RETURN`` means "raise _Return(value)" (a return statement).
+#: ``_DEST_VALUE`` means "return the value to the consuming closure".
 _DEST_VALUE = None
-_DEST_RETURN = -1
+
+#: Returned by a ``sync`` body's code when control falls off its end,
+#: as opposed to a ``return`` statement inside the body.
+_FELL_THROUGH = object()
+
+# Flat-code opcodes.  An instruction is ``(op, arg, target, location)``;
+# :func:`run_code` spells the opcodes as literals (cheaper than global
+# loads on the per-instruction path).
+_GEN = 0  # yield from arg(frame, thread)
+_PURE = 1  # arg(frame)
+_BR = 2  # branch on the pure condition arg(frame): False jumps to target
+_BR_OPS = 3  # branch on the condition whose op stream is arg (_linearize)
+_BACK = 4  # loop back-edge: yield (a preemption point), jump to target
+_JUMP = 5  # jump to target
+_RET = 6  # return arg(frame)
+_RET_GEN = 7  # return (yield from arg(frame, thread))
+_END = 8  # return the constant arg
+
+
+def run_code(code, frame, thread):
+    """Run one activation's flat code: the single generator frame of a
+    method call, a thread body, or a ``sync`` body.
+
+    A ``return`` inside a ``sync`` body cannot end this frame directly
+    (the monitor must be released first): the sync closure raises
+    :class:`_Return` once its ``finally`` has run, and the enclosing
+    activation's runner catches it here.
+    """
+    pc = 0
+    try:
+        while True:
+            op, arg, target, location = code[pc]
+            if op == 0:
+                yield from arg(frame, thread)
+                pc += 1
+            elif op == 1:
+                arg(frame)
+                pc += 1
+            elif op == 2:
+                cond = arg(frame)
+                if cond is True:
+                    pc += 1
+                elif cond is False:
+                    pc = target
+                else:
+                    _condition_error(cond, location)
+            elif op == 4:
+                yield  # Loop back-edge preemption point.
+                pc = target
+            elif op == 3:
+                stack = []
+                append = stack.append
+                for item in arg:
+                    tag = item[0]
+                    if tag == 0:
+                        append(item[1](frame))
+                    elif tag == 4:
+                        right = stack.pop()
+                        append(item[1](stack.pop(), right))
+                    elif tag == 1:
+                        obj = item[1](frame)
+                        yield  # Preemption point before the read.
+                        if type(obj) is MJObject and item[2] in obj.fields:
+                            item[3](obj, thread)
+                            append(obj.fields[item[2]])
+                        else:
+                            append(item[4](obj, thread))
+                    elif tag == 2:
+                        array = item[1](frame)
+                        index = item[2](frame)
+                        yield
+                        if (
+                            type(array) is MJArray
+                            and type(index) is int
+                            and 0 <= index < len(array.elements)
+                        ):
+                            item[3](array, thread)
+                            append(array.elements[index])
+                        else:
+                            append(item[4](array, index))
+                    else:
+                        append((yield from item[1](frame, thread)))
+                cond = stack[0]
+                if cond is True:
+                    pc += 1
+                elif cond is False:
+                    pc = target
+                else:
+                    _condition_error(cond, location)
+            elif op == 5:
+                pc = target
+            elif op == 6:
+                return arg(frame)
+            elif op == 7:
+                return (yield from arg(frame, thread))
+            else:
+                return arg
+    except _Return as signal:
+        return signal.value
+
+
+def _condition_error(cond, location):
+    """Raise the AST interpreter's error for a non-boolean condition."""
+    raise MJRuntimeError(
+        f"condition must be a boolean, got {mj_repr(cond)}", location
+    )
 
 
 class MethodEntry:
     """Everything a call site needs to enter a compiled method."""
 
-    __slots__ = ("nparams", "nslots", "body_cell", "qname", "location")
+    __slots__ = ("nparams", "nslots", "code", "qname", "location")
 
-    def __init__(self, nparams, nslots, body_cell, qname, location):
+    def __init__(self, nparams, nslots, qname, location):
         self.nparams = nparams
         self.nslots = nslots
-        #: One-element list filled with the body's statement items once
-        #: the body is compiled (two-phase, for mutual recursion).
-        self.body_cell = body_cell
+        #: The body's flat code for :func:`run_code`, filled in once the
+        #: body is compiled (two-phase, for mutual recursion).
+        self.code = ()
         self.qname = qname
         self.location = location
-
-
-def invoke_entry(entry: MethodEntry, this, args, thread):
-    """Generic (cold-path) invocation of a compiled method: used for
-    ``main`` and thread ``run`` bodies; hot call sites inline this."""
-    nparams = entry.nparams
-    if len(args) != nparams:
-        raise MJRuntimeError(
-            f"{entry.qname} expects {nparams} argument(s), got {len(args)}",
-            entry.location,
-        )
-    frame = [_UNBOUND] * entry.nslots
-    frame[0] = this
-    if nparams:
-        frame[1 : nparams + 1] = args
-    try:
-        for is_gen, fn in entry.body_cell[0]:
-            if is_gen:
-                yield from fn(frame, thread)
-            else:
-                fn(frame)
-    except _Return as signal:
-        return signal.value
-    return None
 
 
 class CompiledProgram:
@@ -117,7 +200,8 @@ class CompiledProgram:
     __slots__ = ("main_entry", "vtables")
 
     def __init__(self, main_entry, vtables):
-        #: Compiled ``Main.main`` — drive with :func:`invoke_entry`.
+        #: Compiled ``Main.main`` — the compiled engine runs it as the
+        #: main thread's body.
         self.main_entry = main_entry
         #: class name -> {method name -> MethodEntry} for instance
         #: dispatch; statics are deliberately absent (calling one
@@ -149,6 +233,29 @@ def _collect_slots(method: ast.MethodDecl) -> dict:
 
 def _noop(frame):
     return None
+
+
+def _pure_fns(instructions):
+    """The closures of a run of pure statement instructions, or
+    ``None`` if any instruction is not one."""
+    for instruction in instructions:
+        if instruction[0] != _PURE:
+            return None
+    return tuple(instruction[1] for instruction in instructions)
+
+
+def _pure_runner(fns: tuple):
+    """One plain closure running ``fns`` in order."""
+    if not fns:
+        return _noop
+    if len(fns) == 1:
+        return fns[0]
+
+    def run_pure(frame):
+        for fn in fns:
+            fn(frame)
+
+    return run_pure
 
 
 class ProgramCompiler:
@@ -196,24 +303,22 @@ class ProgramCompiler:
 
     def _drain(self) -> None:
         while self._pending:
-            method, slots, body_cell = self._pending.pop()
-            body_cell[0] = self._stmt_items(method.body.body, slots)
+            method, slots, entry = self._pending.pop()
+            entry.code = self._code(method.body.body, slots, None)
 
     def _entry(self, method: ast.MethodDecl) -> MethodEntry:
         key = id(method)
         entry = self._entries.get(key)
         if entry is None:
             slots = _collect_slots(method)
-            body_cell = [()]
             entry = MethodEntry(
                 nparams=len(method.params),
                 nslots=len(slots) + 1,
-                body_cell=body_cell,
                 qname=method.qualified_name,
                 location=method.location,
             )
             self._entries[key] = entry
-            self._pending.append((method, slots, body_cell))
+            self._pending.append((method, slots, entry))
         return entry
 
     # ------------------------------------------------------------------
@@ -339,49 +444,111 @@ class ProgramCompiler:
         return record
 
     # ------------------------------------------------------------------
-    # Statement lists (fusion 1: no block generators).
+    # Flat code (fusion 1: one runner frame per activation).
 
-    def _stmt_items(self, stmts: list, ctx) -> tuple:
-        """Compile a statement list to a tuple of (is_gen, fn) items;
-        enclosing closures run the items with an inline loop."""
-        return tuple(self._compile_stmt(stmt, ctx) for stmt in stmts)
+    def _code(self, stmts: list, ctx, end) -> tuple:
+        """A statement list as finished flat code for :func:`run_code`,
+        closed by an instruction returning ``end``."""
+        code: list = []
+        self._emit_block(stmts, ctx, code)
+        code.append((_END, end, None, None))
+        return tuple(code)
 
-    @staticmethod
-    def _pure_runner(items: tuple):
-        """If every item is pure, one plain closure runs them all;
-        otherwise ``None``."""
-        if any(is_gen for is_gen, _ in items):
-            return None
-        fns = tuple(fn for _, fn in items)
-        if not fns:
-            return _noop
-        if len(fns) == 1:
-            return fns[0]
-
-        def run_pure(frame):
-            for fn in fns:
-                fn(frame)
-
-        return run_pure
-
-    def _compile_stmts(self, stmts: list, ctx):
-        """A statement list as a single (is_gen, fn) closure — used
-        where a block appears in statement position."""
-        items = self._stmt_items(stmts, ctx)
-        pure = self._pure_runner(items)
-        if pure is not None:
-            return False, pure
-        if len(items) == 1:
-            return items[0]
-
-        def run_mixed(frame, thread):
-            for is_gen, fn in items:
-                if is_gen:
-                    yield from fn(frame, thread)
+    def _emit_block(self, stmts: list, ctx, code: list) -> None:
+        """Append a statement list's instructions to ``code``; branch
+        targets are absolute indices into ``code``."""
+        for stmt in stmts:
+            node_type = type(stmt)
+            if node_type is ast.If:
+                self._emit_if(stmt, ctx, code)
+            elif node_type is ast.While:
+                self._emit_while(stmt, ctx, code)
+            elif node_type is ast.Block:
+                self._emit_block(stmt.body, ctx, code)
+            elif node_type is ast.Return:
+                if stmt.value is None:
+                    code.append((_END, None, None, None))
                 else:
-                    fn(frame)
+                    is_gen, fn = self._compile_expr(stmt.value, ctx)
+                    code.append((_RET_GEN if is_gen else _RET, fn, None, None))
+            else:
+                is_gen, fn = self._compile_stmt(stmt, ctx)
+                code.append((_GEN if is_gen else _PURE, fn, None, None))
 
-        return True, run_mixed
+    def _condition(self, cond: ast.Expr, ctx):
+        """``(_BR, fn)`` for a pure condition; ``(_BR_OPS, ops)`` for a
+        generator one, which the runner evaluates inline via its
+        postfix op stream (see _linearize) — no condition frame."""
+        is_gen, fn = self._compile_expr(cond, ctx)
+        if not is_gen:
+            return _BR, fn
+        ops: list = []
+        self._linearize(cond, ctx, ops)
+        return _BR_OPS, tuple(ops)
+
+    def _emit_if(self, stmt: ast.If, ctx, code: list) -> None:
+        op, cond = self._condition(stmt.cond, ctx)
+        cond_location = stmt.cond.location
+        start = len(code)
+        code.append(None)  # The branch, patched below.
+        self._emit_block(stmt.then_block.body, ctx, code)
+        middle = len(code)
+        else_fns = ()
+        if stmt.else_block is not None:
+            code.append(None)  # The jump over the else arm.
+            self._emit_block(stmt.else_block.body, ctx, code)
+            else_fns = _pure_fns(code[middle + 1 :])
+        then_fns = _pure_fns(code[start + 1 : middle])
+        if op == _BR and then_fns is not None and else_fns is not None:
+            # Pure condition and arms: one plain closure, no jumps.
+            del code[start:]
+            then_pure = _pure_runner(then_fns)
+            else_pure = _pure_runner(else_fns)
+
+            def if_pure(frame):
+                cond_value = cond(frame)
+                if cond_value is True:
+                    then_pure(frame)
+                elif cond_value is False:
+                    else_pure(frame)
+                else:
+                    _condition_error(cond_value, cond_location)
+
+            code.append((_PURE, if_pure, None, None))
+            return
+        target = len(code)
+        if stmt.else_block is not None:
+            code[middle] = (_JUMP, None, target, None)
+            target = middle + 1
+        code[start] = (op, cond, target, cond_location)
+
+    def _emit_while(self, stmt: ast.While, ctx, code: list) -> None:
+        op, cond = self._condition(stmt.cond, ctx)
+        cond_location = stmt.cond.location
+        top = len(code)
+        code.append(None)  # The loop-exit branch, patched below.
+        self._emit_block(stmt.body.body, ctx, code)
+        body_fns = _pure_fns(code[top + 1 :])
+        if op == _BR and body_fns is not None:
+            # Pure condition and body: a leaf generator whose only yield
+            # is the back-edge.
+            del code[top:]
+            body_pure = _pure_runner(body_fns)
+
+            def while_pc_pb(frame, thread):
+                while True:
+                    cond_value = cond(frame)
+                    if cond_value is not True:
+                        if cond_value is False:
+                            break
+                        _condition_error(cond_value, cond_location)
+                    body_pure(frame)
+                    yield  # Loop back-edge preemption point.
+
+            code.append((_GEN, while_pc_pb, None, None))
+            return
+        code.append((_BACK, None, top, None))
+        code[top] = (op, cond, len(code), cond_location)
 
     # ------------------------------------------------------------------
     # Statements.
@@ -400,10 +567,6 @@ class ProgramCompiler:
                 frame[slot] = value_fn(frame)
 
             return False, assign
-        if node_type is ast.If:
-            return self._compile_if(stmt, ctx)
-        if node_type is ast.While:
-            return self._compile_while(stmt, ctx)
         if node_type is ast.FieldWrite:
             return self._compile_field_write(stmt, ctx)
         if node_type is ast.ArrayWrite:
@@ -412,7 +575,7 @@ class ProgramCompiler:
             return self._compile_static_write(stmt, ctx)
         if node_type is ast.ExprStmt:
             # Expression closures share the statement calling convention
-            # (block runners discard values), so reuse them directly.
+            # (run_code discards values), so reuse them directly.
             return self._compile_expr(stmt.expr, ctx)
         if node_type is ast.Sync:
             return self._compile_sync(stmt, ctx)
@@ -432,8 +595,6 @@ class ProgramCompiler:
             return self._compile_notify(stmt, ctx)
         if node_type is ast.Barrier:
             return self._compile_barrier(stmt, ctx)
-        if node_type is ast.Return:
-            return self._compile_return(stmt, ctx)
         if node_type is ast.Print:
             value_gen, value_fn = self._compile_expr(stmt.value, ctx)
             out_append = self.engine.output.append
@@ -457,10 +618,7 @@ class ProgramCompiler:
                 def assert_gen(frame, thread):
                     cond = yield from cond_fn(frame, thread)
                     if type(cond) is not bool:
-                        raise MJRuntimeError(
-                            f"condition must be a boolean, got {mj_repr(cond)}",
-                            cond_location,
-                        )
+                        _condition_error(cond, cond_location)
                     if not cond:
                         raise MJAssertionError("assertion failed", location)
 
@@ -469,16 +627,11 @@ class ProgramCompiler:
             def assert_pure(frame):
                 cond = cond_fn(frame)
                 if type(cond) is not bool:
-                    raise MJRuntimeError(
-                        f"condition must be a boolean, got {mj_repr(cond)}",
-                        cond_location,
-                    )
+                    _condition_error(cond, cond_location)
                 if not cond:
                     raise MJAssertionError("assertion failed", location)
 
             return False, assert_pure
-        if node_type is ast.Block:
-            return self._compile_stmts(stmt.body, ctx)
         location = stmt.location
         name = node_type.__name__
 
@@ -486,237 +639,6 @@ class ProgramCompiler:
             raise MJRuntimeError(f"unhandled statement {name}", location)
 
         return False, unhandled
-
-    def _compile_return(self, stmt: ast.Return, ctx):
-        if stmt.value is None:
-
-            def return_null(frame):
-                raise _Return(None)
-
-            return False, return_null
-        value_gen, value_fn = self._compile_expr(
-            stmt.value, ctx, dest=_DEST_RETURN
-        )
-        if value_gen:
-            # The template raises _Return itself (fusion 3).
-            return True, value_fn
-
-        def return_pure(frame):
-            raise _Return(value_fn(frame))
-
-        return False, return_pure
-
-    def _compile_if(self, stmt: ast.If, ctx):
-        cond_gen, cond_fn = self._compile_expr(stmt.cond, ctx)
-        cond_location = stmt.cond.location
-        then_items = self._stmt_items(stmt.then_block.body, ctx)
-        then_pure = self._pure_runner(then_items)
-        if stmt.else_block is not None:
-            else_items = self._stmt_items(stmt.else_block.body, ctx)
-            else_pure = self._pure_runner(else_items)
-        else:
-            else_items = ()
-            else_pure = _noop
-        if not cond_gen and then_pure is not None and else_pure is not None:
-
-            def if_pure(frame):
-                cond = cond_fn(frame)
-                if cond is True:
-                    then_pure(frame)
-                elif cond is False:
-                    else_pure(frame)
-                else:
-                    raise MJRuntimeError(
-                        f"condition must be a boolean, got {mj_repr(cond)}",
-                        cond_location,
-                    )
-
-            return False, if_pure
-
-        if cond_gen:
-            # Evaluate the condition inline (no dedicated generator
-            # frame) via its postfix op stream — see _linearize.
-            cond_ops: list = []
-            self._linearize(stmt.cond, ctx, cond_ops)
-            cond_ops = tuple(cond_ops)
-        else:
-            cond_ops = ()
-
-        def if_gen(frame, thread):
-            if not cond_gen:
-                cond = cond_fn(frame)
-            else:
-                stack = []
-                append = stack.append
-                for op in cond_ops:
-                    tag = op[0]
-                    if tag == 0:
-                        append(op[1](frame))
-                    elif tag == 4:
-                        right = stack.pop()
-                        append(op[1](stack.pop(), right))
-                    elif tag == 1:
-                        obj = op[1](frame)
-                        yield  # Preemption point before the read.
-                        if type(obj) is MJObject and op[2] in obj.fields:
-                            op[3](obj, thread)
-                            append(obj.fields[op[2]])
-                        else:
-                            append(op[4](obj, thread))
-                    elif tag == 2:
-                        array = op[1](frame)
-                        index = op[2](frame)
-                        yield
-                        if (
-                            type(array) is MJArray
-                            and type(index) is int
-                            and 0 <= index < len(array.elements)
-                        ):
-                            op[3](array, thread)
-                            append(array.elements[index])
-                        else:
-                            append(op[4](array, index))
-                    else:
-                        append((yield from op[1](frame, thread)))
-                cond = stack[0]
-            if cond is True:
-                for is_gen, fn in then_items:
-                    if is_gen:
-                        yield from fn(frame, thread)
-                    else:
-                        fn(frame)
-            elif cond is False:
-                for is_gen, fn in else_items:
-                    if is_gen:
-                        yield from fn(frame, thread)
-                    else:
-                        fn(frame)
-            else:
-                raise MJRuntimeError(
-                    f"condition must be a boolean, got {mj_repr(cond)}",
-                    cond_location,
-                )
-
-        return True, if_gen
-
-    def _compile_while(self, stmt: ast.While, ctx):
-        cond_gen, cond_fn = self._compile_expr(stmt.cond, ctx)
-        cond_location = stmt.cond.location
-        body_items = self._stmt_items(stmt.body.body, ctx)
-        body_pure = self._pure_runner(body_items)
-        # The back-edge yield makes every loop a generator; the common
-        # shapes (pure condition, single-statement body) get dedicated
-        # closures with minimal per-iteration work.
-        if not cond_gen and body_pure is not None:
-
-            def while_pc_pb(frame, thread):
-                while True:
-                    cond = cond_fn(frame)
-                    if cond is not True:
-                        if cond is False:
-                            break
-                        raise MJRuntimeError(
-                            f"condition must be a boolean, got {mj_repr(cond)}",
-                            cond_location,
-                        )
-                    body_pure(frame)
-                    yield  # Loop back-edge preemption point.
-
-            return True, while_pc_pb
-        if not cond_gen and len(body_items) == 1:
-            only_fn = body_items[0][1]
-
-            def while_pc_g1(frame, thread):
-                while True:
-                    cond = cond_fn(frame)
-                    if cond is not True:
-                        if cond is False:
-                            break
-                        raise MJRuntimeError(
-                            f"condition must be a boolean, got {mj_repr(cond)}",
-                            cond_location,
-                        )
-                    yield from only_fn(frame, thread)
-                    yield
-
-            return True, while_pc_g1
-        if not cond_gen:
-
-            def while_pc(frame, thread):
-                while True:
-                    cond = cond_fn(frame)
-                    if cond is not True:
-                        if cond is False:
-                            break
-                        raise MJRuntimeError(
-                            f"condition must be a boolean, got {mj_repr(cond)}",
-                            cond_location,
-                        )
-                    for is_gen, fn in body_items:
-                        if is_gen:
-                            yield from fn(frame, thread)
-                        else:
-                            fn(frame)
-                    yield
-
-            return True, while_pc
-
-        # Generator condition: evaluate it inline via its postfix op
-        # stream, one frame for the whole loop (see _linearize).
-        cond_ops: list = []
-        self._linearize(stmt.cond, ctx, cond_ops)
-        cond_ops = tuple(cond_ops)
-
-        def while_gc(frame, thread):
-            while True:
-                stack = []
-                append = stack.append
-                for op in cond_ops:
-                    tag = op[0]
-                    if tag == 0:
-                        append(op[1](frame))
-                    elif tag == 4:
-                        right = stack.pop()
-                        append(op[1](stack.pop(), right))
-                    elif tag == 1:
-                        obj = op[1](frame)
-                        yield  # Preemption point before the read.
-                        if type(obj) is MJObject and op[2] in obj.fields:
-                            op[3](obj, thread)
-                            append(obj.fields[op[2]])
-                        else:
-                            append(op[4](obj, thread))
-                    elif tag == 2:
-                        array = op[1](frame)
-                        index = op[2](frame)
-                        yield
-                        if (
-                            type(array) is MJArray
-                            and type(index) is int
-                            and 0 <= index < len(array.elements)
-                        ):
-                            op[3](array, thread)
-                            append(array.elements[index])
-                        else:
-                            append(op[4](array, index))
-                    else:
-                        append((yield from op[1](frame, thread)))
-                cond = stack[0]
-                if cond is not True:
-                    if cond is False:
-                        break
-                    raise MJRuntimeError(
-                        f"condition must be a boolean, got {mj_repr(cond)}",
-                        cond_location,
-                    )
-                for is_gen, fn in body_items:
-                    if is_gen:
-                        yield from fn(frame, thread)
-                    else:
-                        fn(frame)
-                yield
-
-        return True, while_gc
 
     # ------------------------------------------------------------------
     # Memory writes.
@@ -912,7 +834,7 @@ class ProgramCompiler:
 
     def _compile_sync(self, stmt: ast.Sync, ctx):
         lock_gen, lock_fn = self._compile_expr(stmt.lock, ctx)
-        body_items = self._stmt_items(stmt.body.body, ctx)
+        body = self._code(stmt.body.body, ctx, _FELL_THROUGH)
         engine = self.engine
         sink = engine._sink
         on_enter = sink.on_monitor_enter if sink is not None else None
@@ -942,11 +864,7 @@ class ProgramCompiler:
             stack = lock_stacks.setdefault(thread_id, [])
             stack.append(lock.uid)
             try:
-                for is_gen, fn in body_items:
-                    if is_gen:
-                        yield from fn(frame, thread)
-                    else:
-                        fn(frame)
+                value = yield from run_code(body, frame, thread)
             finally:
                 stack.pop()
                 # A thread torn down mid-wait already released the
@@ -955,6 +873,10 @@ class ProgramCompiler:
                     released = monitor.release(thread_id)
                     if on_exit is not None:
                         on_exit(thread_id, lock.uid, reentrant=not released)
+            if value is not _FELL_THROUGH:
+                # A return inside the body: with the monitor released,
+                # unwind to the enclosing activation's runner.
+                raise _Return(value)
 
         return True, sync
 
@@ -1019,16 +941,16 @@ class ProgramCompiler:
     #
     # ``dest`` (fusion 3) tells a gen-expression template what to do
     # with its value: _DEST_VALUE returns it to the consuming closure,
-    # a slot index stores it into the frame, _DEST_RETURN raises
-    # _Return.  Pure closures always return the value — their consumer
-    # handles the destination, since no frame is saved by fusing.
+    # a slot index stores it into the frame.  Pure closures always
+    # return the value — their consumer handles the destination, since
+    # no frame is saved by fusing.
 
     def _compile_expr(self, expr: ast.Expr, ctx, dest=_DEST_VALUE):
         node_type = type(expr)
         if dest is not _DEST_VALUE:
             # Route to the dest-aware templates; any other generator
-            # shape gets an explicit store/return wrapper so the
-            # destination is never silently dropped.
+            # shape gets an explicit store wrapper so the destination
+            # is never silently dropped.
             if node_type is ast.Binary and expr.op not in ("&&", "||"):
                 return self._compile_binary(expr, ctx, dest)
             if node_type is ast.FieldRead:
@@ -1044,12 +966,6 @@ class ProgramCompiler:
             is_gen, fn = self._compile_expr(expr, ctx)
             if not is_gen:
                 return is_gen, fn
-            if dest == _DEST_RETURN:
-
-                def return_wrap(frame, thread):
-                    raise _Return((yield from fn(frame, thread)))
-
-                return True, return_wrap
 
             def store_wrap(frame, thread):
                 frame[dest] = yield from fn(frame, thread)
@@ -1253,8 +1169,6 @@ class ProgramCompiler:
             value = combine(left, right)
             if dest is _DEST_VALUE:
                 return value
-            if dest == _DEST_RETURN:
-                raise _Return(value)
             frame[dest] = value
 
         return True, binary_gen
@@ -1355,8 +1269,6 @@ class ProgramCompiler:
                 acc = comb(acc, value)
             if dest is _DEST_VALUE:
                 return acc
-            if dest == _DEST_RETURN:
-                raise _Return(acc)
             frame[dest] = acc
 
         return spine
@@ -1403,8 +1315,6 @@ class ProgramCompiler:
             value = stack[0]
             if dest is _DEST_VALUE:
                 return value
-            if dest == _DEST_RETURN:
-                raise _Return(value)
             frame[dest] = value
 
         return tree
@@ -1499,8 +1409,6 @@ class ProgramCompiler:
             value = combine(left, right)
             if dest is _DEST_VALUE:
                 return value
-            if dest == _DEST_RETURN:
-                raise _Return(value)
             frame[dest] = value
 
         return fused
@@ -1516,19 +1424,13 @@ class ProgramCompiler:
             def shortcircuit_pure(frame):
                 left = left_fn(frame)
                 if type(left) is not bool:
-                    raise MJRuntimeError(
-                        f"condition must be a boolean, got {mj_repr(left)}",
-                        left_location,
-                    )
+                    _condition_error(left, left_location)
                 if left is not is_and:
                     # and: left False -> False; or: left True -> True.
                     return left
                 right = right_fn(frame)
                 if type(right) is not bool:
-                    raise MJRuntimeError(
-                        f"condition must be a boolean, got {mj_repr(right)}",
-                        right_location,
-                    )
+                    _condition_error(right, right_location)
                 return right
 
             return False, shortcircuit_pure
@@ -1539,10 +1441,7 @@ class ProgramCompiler:
             else:
                 left = left_fn(frame)
             if type(left) is not bool:
-                raise MJRuntimeError(
-                    f"condition must be a boolean, got {mj_repr(left)}",
-                    left_location,
-                )
+                _condition_error(left, left_location)
             if left is not is_and:
                 return left
             if right_gen:
@@ -1550,10 +1449,7 @@ class ProgramCompiler:
             else:
                 right = right_fn(frame)
             if type(right) is not bool:
-                raise MJRuntimeError(
-                    f"condition must be a boolean, got {mj_repr(right)}",
-                    right_location,
-                )
+                _condition_error(right, right_location)
             return right
 
         return True, shortcircuit_gen
@@ -1624,8 +1520,6 @@ class ProgramCompiler:
                     value = slow(obj, thread)
                 if dest is _DEST_VALUE:
                     return value
-                if dest == _DEST_RETURN:
-                    raise _Return(value)
                 frame[dest] = value
 
             return True, read_pure_obj
@@ -1644,8 +1538,6 @@ class ProgramCompiler:
                 value = slow(obj, thread)
             if dest is _DEST_VALUE:
                 return value
-            if dest == _DEST_RETURN:
-                raise _Return(value)
             frame[dest] = value
 
         return True, read_gen_obj
@@ -1694,8 +1586,6 @@ class ProgramCompiler:
                         value = elements[index]
                         if dest is _DEST_VALUE:
                             return value
-                        if dest == _DEST_RETURN:
-                            raise _Return(value)
                         frame[dest] = value
                         return
                 value = fail(array, index)
@@ -1719,8 +1609,6 @@ class ProgramCompiler:
                     value = elements[index]
                     if dest is _DEST_VALUE:
                         return value
-                    if dest == _DEST_RETURN:
-                        raise _Return(value)
                     frame[dest] = value
                     return
             value = fail(array, index)
@@ -1755,8 +1643,6 @@ class ProgramCompiler:
             value = owner_obj.statics[field_name]
             if dest is _DEST_VALUE:
                 return value
-            if dest == _DEST_RETURN:
-                raise _Return(value)
             frame[dest] = value
 
         return True, sread
@@ -1813,7 +1699,6 @@ class ProgramCompiler:
             arg_ops = tuple(ops_list)
         nparams = entry.nparams
         nslots = entry.nslots
-        body_cell = entry.body_cell
         if len(expr.args) != nparams:
             qname, entry_location = entry.qname, entry.location
             nargs = len(expr.args)
@@ -1873,18 +1758,9 @@ class ProgramCompiler:
                     else:
                         append((yield from op[1](frame, thread)))
                 nframe[1 : nparams + 1] = values
-            try:
-                for is_gen, fn in body_cell[0]:
-                    if is_gen:
-                        yield from fn(nframe, thread)
-                    else:
-                        fn(nframe)
-            except _Return:
-                pass
+            yield from run_code(entry.code, nframe, thread)
             if dest is _DEST_VALUE:
                 return obj
-            if dest == _DEST_RETURN:
-                raise _Return(obj)
             frame[dest] = obj
 
         return True, new_fused
@@ -1979,7 +1855,6 @@ class ProgramCompiler:
 
                     return True, call_static_arity
                 nslots = entry.nslots
-                body_cell = entry.body_cell
 
                 def call_static(frame, thread):
                     if fold_pre is not None:
@@ -2028,23 +1903,13 @@ class ProgramCompiler:
                                 append((yield from op[1](frame, thread)))
                         nframe[1 : nparams + 1] = values
                     nframe[0] = None
-                    value = None
-                    try:
-                        for is_gen, fn in body_cell[0]:
-                            if is_gen:
-                                yield from fn(nframe, thread)
-                            else:
-                                fn(nframe)
-                    except _Return as signal:
-                        value = signal.value
+                    value = yield from run_code(entry.code, nframe, thread)
                     if fold_pre is not None:
                         value = fold_combine(fold_left, value)
                     elif fold_post is not None:
                         value = fold_combine(value, fold_post(frame))
                     if dest is _DEST_VALUE:
                         return value
-                    if dest == _DEST_RETURN:
-                        raise _Return(value)
                     frame[dest] = value
 
                 return True, call_static
@@ -2161,23 +2026,13 @@ class ProgramCompiler:
                     nframe[0] = receiver
                     if nparams:
                         nframe[1 : nparams + 1] = args
-                    value = None
-                    try:
-                        for is_gen, fn in entry.body_cell[0]:
-                            if is_gen:
-                                yield from fn(nframe, thread)
-                            else:
-                                fn(nframe)
-                    except _Return as signal:
-                        value = signal.value
+                    value = yield from run_code(entry.code, nframe, thread)
                     if fold_pre is not None:
                         value = fold_combine(fold_left, value)
                     elif fold_post is not None:
                         value = fold_combine(value, fold_post(frame))
                     if dest is _DEST_VALUE:
                         return value
-                    if dest == _DEST_RETURN:
-                        raise _Return(value)
                     frame[dest] = value
                     return
             dispatch_error(receiver)

@@ -27,8 +27,7 @@ from typing import Optional
 
 from ..lang.errors import MJRuntimeError, SourceLocation
 from ..lang.resolver import ResolvedProgram
-from .compile import _UNBOUND, ProgramCompiler
-from .interpreter import _Return
+from .compile import _UNBOUND, ProgramCompiler, run_code
 from .events import EventSink, ObjectKind
 from .interpreter import Interpreter, RunResult
 from .scheduler import SchedulingPolicy, ThreadState, ThreadStatus
@@ -103,12 +102,11 @@ class CompiledInterpreter(Interpreter):
         return self._thread_body(self._compiled.main_entry, None, thread)
 
     def _thread_body(self, entry, this, thread: ThreadState):
-        """Drive a zero-argument compiled method (main / run) as one
-        generator frame over its statement items: every scheduler step
-        of the thread traverses this frame, so delegation wrappers here
-        are the most expensive frames in the program.  ``main``/``run``
-        declaring parameters raises exactly like the AST engine's
-        ``_invoke``."""
+        """Drive a zero-argument compiled method (main / run) through
+        :func:`run_code`: every scheduler step of the thread traverses
+        this frame, so it holds no more than the frame set-up and the
+        end-of-thread event.  ``main``/``run`` declaring parameters
+        raises exactly like the AST engine's ``_invoke``."""
         if entry.nparams != 0:
             raise MJRuntimeError(
                 f"{entry.qname} expects {entry.nparams} argument(s), got 0",
@@ -116,14 +114,7 @@ class CompiledInterpreter(Interpreter):
             )
         frame = [_UNBOUND] * entry.nslots
         frame[0] = this
-        try:
-            for is_gen, fn in entry.body_cell[0]:
-                if is_gen:
-                    yield from fn(frame, thread)
-                else:
-                    fn(frame)
-        except _Return:
-            pass
+        yield from run_code(entry.code, frame, thread)
         if self._sink is not None:
             self._sink.on_thread_end(thread.thread_id)
 

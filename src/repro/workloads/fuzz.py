@@ -40,8 +40,20 @@ token, its ownership travels exclusively along condition edges —
 the first-access-handoff shape that makes the deferral-miss classes
 (and the §7.2 ownership-timing territory) reachable by fuzzing.
 
-All new random draws are gated behind ``sync_vocab`` so programs
-generated without it are byte-identical to those of older revisions.
+``calls_vocab=True`` gives every worker class helper methods ``h0``,
+``h1``, ... ``hK(s, acc)`` whose bodies mix the plain statements with
+early ``return`` statements guarded by ``if``, placed inside loops,
+branches and sync blocks, and end in a ``return``.  Call results feed
+local assignments, the call-fold shape ``acc = acc + this.hK(s,
+acc)``, expression statements and returned values (``return
+this.hJ(s, acc)``).  Termination holds because a helper calls only
+lower-numbered helpers; deadlock freedom because a call never sits
+inside a sync block of its caller, so every helper starts with no
+monitor held.
+
+All new random draws are gated behind ``sync_vocab`` and
+``calls_vocab`` so programs generated without them are byte-identical
+to those of older revisions.
 
 The generator is used by ``tests/property/test_fuzz.py`` to check, on
 hundreds of programs: interpreter robustness, loop-peeling semantics
@@ -67,6 +79,7 @@ class ProgramFuzzer:
         max_depth: int = 2,
         sync_vocab: bool = False,
         handoff_bias: bool = False,
+        calls_vocab: bool = False,
     ):
         self._rng = random.Random(seed)
         self.n_workers = min(max(n_workers, 1), 4)
@@ -79,6 +92,11 @@ class ProgramFuzzer:
         self._temp = 0
         self._handshakes: list = []
         self._n_barriers = 0
+        self.calls_vocab = bool(calls_vocab)
+        #: Helper methods of the worker being generated, and the index
+        #: of the helper whose body is being generated (None in run()).
+        self._n_helpers = 0
+        self._helper = None
 
     # ------------------------------------------------------------------
 
@@ -198,18 +216,58 @@ class ProgramFuzzer:
             f"    this.lock{i} = l{i};" for i in range(self.n_locks)
         )
         self._temp = 0
+        helpers = self._helpers(fields) if self.calls_vocab else ""
         body = self._worker_body(index, fields)
         return (
             f"class Worker{index} {{\n"
             f"  field s;\n{lock_fields}\n"
             f"  def init(shared, {lock_params}) {{\n"
             f"    this.s = shared;\n{lock_inits}\n  }}\n"
+            f"{helpers}"
             f"  def run() {{\n"
             f"    var s = this.s;\n"
             f"    var acc = 0;\n"
             f"{body}"
             f"  }}\n}}"
         )
+
+    def _helpers(self, fields) -> str:
+        """The helper methods ``h0..hK`` of one worker class; helper
+        ``K`` may call only ``h0..h(K-1)``."""
+        self._n_helpers = self._rng.randint(1, 3)
+        parts = []
+        for helper in range(self._n_helpers):
+            self._helper = helper
+            body = self._block(fields, depth=1, min_lock=0, indent="    ")
+            parts.append(
+                f"  def h{helper}(s, acc) {{\n{body}"
+                f"    return {self._return_value(fields)};\n  }}\n"
+            )
+        self._helper = None
+        return "".join(parts)
+
+    def _callee(self):
+        """A helper the current method may call, or None."""
+        limit = self._n_helpers if self._helper is None else self._helper
+        if limit == 0:
+            return None
+        return f"this.h{self._rng.randrange(limit)}(s, acc)"
+
+    def _return_value(self, fields) -> str:
+        shape = self._rng.randrange(3)
+        if shape == 1:
+            return f"acc + s.{self._rng.choice(fields)}"
+        callee = self._callee() if shape == 2 else None
+        return callee if callee is not None else "acc"
+
+    def _call(self, indent: str) -> str:
+        callee = self._callee()
+        shape = self._rng.randrange(3)
+        if shape == 0:
+            return f"{indent}var {self._fresh('c')} = {callee};\n"
+        if shape == 1:
+            return f"{indent}acc = acc + {callee};\n"
+        return f"{indent}{callee};\n"
 
     def _worker_body(self, index: int, fields) -> str:
         """The run() body: handshake publishes first, then fuzzed
@@ -271,6 +329,15 @@ class ProgramFuzzer:
         choices = ["read", "write", "rmw", "local", "pad"]
         if depth < self.max_depth:
             choices += ["sync", "loop", "branch"]
+        if self.calls_vocab:
+            # A call never sits under a monitor (see the module
+            # docstring); inside a helper, only at its top level, so
+            # one helper call costs a bounded number of nested calls.
+            helper = self._helper
+            if min_lock == 0 and (helper is None or (depth == 1 and helper > 0)):
+                choices.append("call")
+            if helper is not None:
+                choices.append("early")
         kind = self._rng.choice(choices)
         field = self._rng.choice(fields)
 
@@ -313,6 +380,14 @@ class ProgramFuzzer:
             return (
                 f"{indent}if (acc % 2 == 0) {{\n{then_block}{indent}}} "
                 f"else {{\n{else_block}{indent}}}\n"
+            )
+        if kind == "call":
+            return self._call(indent)
+        if kind == "early":
+            value = self._return_value(fields)
+            return (
+                f"{indent}if (acc % 3 == {self._rng.randint(0, 2)}) {{\n"
+                f"{indent}  return {value};\n{indent}}}\n"
             )
         # Fallback (e.g. sync with no locks left in the order).
         return f"{indent}acc = acc + 1;\n"

@@ -12,8 +12,9 @@ errors as the AST interpreter.  These tests enforce that contract on
   identical :class:`PipelineStats`, cache and ownership statistics,
   reports, monitored locations, and trie shapes;
 * a fuzzer battery, including the wait/notify/barrier vocabulary
-  (``sync_vocab``) and condition-handoff-biased programs
-  (``handoff_bias``);
+  (``sync_vocab``), condition-handoff-biased programs
+  (``handoff_bias``) and helper calls with early returns
+  (``calls_vocab``);
 * every committed reproducer in ``tests/corpus/``, replayed under its
   recorded schedule.
 """
@@ -208,6 +209,19 @@ class TestFuzzerParity:
     @pytest.mark.parametrize("seed", range(4))
     def test_handoff_bias(self, seed):
         self._check(ProgramFuzzer(seed, handoff_bias=True))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_calls_vocabulary(self, seed):
+        # Helper methods with early returns inside loops, branches and
+        # sync blocks, their results feeding assignments, call-folds and
+        # returns — plain, then loop-peeled under the Full plan.
+        def fuzzer():
+            return ProgramFuzzer(seed, calls_vocab=True, sync_vocab=seed % 2 == 1)
+
+        self._check(fuzzer())
+        resolved = compile_source(fuzzer().generate(), filename="fuzz")
+        plan = plan_instrumentation(resolved, PlannerConfig())
+        assert_parity(resolved, plan.trace_sites, lambda: RandomPolicy(seed=seed))
 
     @staticmethod
     def _check(fuzzer):

@@ -15,6 +15,8 @@ deadlock-free by construction) are pushed through the entire stack:
 * schedule record/replay reproduces the event stream bit-for-bit.
 """
 
+import hashlib
+
 from hypothesis import given, settings, strategies as st
 
 from repro.detector import RaceDetector, ReferenceDetector
@@ -151,6 +153,79 @@ def test_default_vocabulary_emits_no_condition_sync():
         assert "notify" not in source
         assert "barrier " not in source
         assert "class Token" not in source
+
+
+def test_opt_in_vocabularies_leave_older_programs_unchanged():
+    # Digests of seeds 0..39 as generated before calls_vocab existed:
+    # its draws are gated, so no existing (seed -> program) mapping
+    # moves.
+    expected = {
+        (): "848af492407e7f2b6b8775e32081b863a5a602c97b6826865395ea9df1ba7a0a",
+        ("sync_vocab",): (
+            "19e76f836d587fc188346965a47c5ceeb3bb4f2cc8bb1af7f38a4ba782af36c9"
+        ),
+        ("handoff_bias",): (
+            "f364f07ac2ca2d099566857e402c6effff19ce65c8d098a6cad4444881829c03"
+        ),
+    }
+    for flags, digest in expected.items():
+        kwargs = {flag: True for flag in flags}
+        if flags:
+            kwargs["n_workers"] = 3
+        sha = hashlib.sha256()
+        for seed in range(40):
+            sha.update(generate_program(seed, **kwargs).encode())
+        assert sha.hexdigest() == digest, flags
+
+
+def test_calls_vocab_reaches_every_call_and_return_shape():
+    sources = [generate_program(seed, calls_vocab=True) for seed in range(30)]
+    text = "\n".join(sources)
+    for shape in (" = this.h", "acc = acc + this.h", "return this.h", "    this.h"):
+        assert shape in text, shape
+    # Early returns sit inside loops, branches and sync blocks.
+    for opener in ("while (", "} else {", "sync ("):
+        assert any(
+            _early_return_inside(source, opener) for source in sources
+        ), opener
+
+
+def _early_return_inside(source: str, opener: str) -> bool:
+    """Whether some guarded ``return`` is nested in a block that
+    ``opener`` starts (judged by indentation)."""
+    lines = source.splitlines()
+    for index, line in enumerate(lines):
+        if opener not in line:
+            continue
+        depth = len(line) - len(line.lstrip())
+        for inner in lines[index + 1 :]:
+            inner_depth = len(inner) - len(inner.lstrip())
+            if inner_depth <= depth:
+                break
+            if inner.strip().startswith("return "):
+                return True
+    return False
+
+
+@settings(max_examples=30, deadline=None)
+@given(program_seeds, schedule_seeds)
+def test_calls_vocab_programs_terminate_deterministically(
+    program_seed, schedule_seed
+):
+    # Helpers call only lower-numbered helpers (no recursion) and never
+    # under a held monitor (the global lock order still holds).
+    source = generate_program(
+        program_seed, n_workers=3, sync_vocab=True, calls_vocab=True
+    )
+    outputs = []
+    for _ in range(2):
+        result = run_program(
+            compile_source(source),
+            policy=RandomPolicy(schedule_seed),
+            max_steps=3_000_000,
+        )
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1]
 
 
 def test_sync_vocab_reaches_condition_statements():
