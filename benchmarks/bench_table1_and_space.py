@@ -39,29 +39,3 @@ def test_space_accounting_tsp2(benchmark):
     benchmark.extra_info["trie_nodes"] = detector.total_trie_nodes()
     benchmark.extra_info["monitored_locations"] = detector.monitored_locations
     assert detector.total_trie_nodes() >= detector.monitored_locations
-
-
-def test_space_packed_tries_tsp2(benchmark):
-    """The Section 8.2 packing scheme: one lockset-major trie."""
-    from repro.detector import DetectorConfig
-    from repro.instrument import PlannerConfig
-    from repro.harness import Configuration
-
-    packed_config = Configuration(
-        name="packed",
-        planner=PlannerConfig(),
-        detector=DetectorConfig(packed_tries=True),
-    )
-    runner = prepare(BENCHMARKS["tsp2"], packed_config)
-    benchmark.group = "space"
-    _, detector = benchmark(runner)
-    packed_nodes = detector.total_trie_nodes()
-    benchmark.extra_info["trie_nodes"] = packed_nodes
-    benchmark.extra_info["monitored_locations"] = detector.monitored_locations
-
-    plain_runner = prepare(BENCHMARKS["tsp2"], CONFIG_FULL)
-    _, plain = plain_runner()
-    benchmark.extra_info["per_location_nodes"] = plain.total_trie_nodes()
-    # Packing shares lockset structure across locations: far fewer nodes.
-    assert packed_nodes < plain.total_trie_nodes()
-    assert detector.reports.racy_objects == plain.reports.racy_objects

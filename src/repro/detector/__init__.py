@@ -49,7 +49,6 @@ from .sharded import (
     detect_sharded,
     detect_sharded_post_mortem,
 )
-from .trie_packed import PackedLockTrie, PackedNode
 from .reference import RacePair, RecordedAccess, ReferenceDetector
 from .report import RaceReport, ReportCollector
 from .trie import LockTrie, PriorAccess, TrieNode, TrieStats
@@ -85,8 +84,6 @@ __all__ = [
     "Witness",
     "OwnershipFilter",
     "OwnershipStats",
-    "PackedLockTrie",
-    "PackedNode",
     "PipelineStats",
     "PostMortemResult",
     "PriorAccess",

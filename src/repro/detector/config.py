@@ -32,12 +32,6 @@ class DetectorConfig:
     join_pseudolocks: bool = True
     read_read_races: bool = False
     write_cache_covers_reads: bool = False
-    #: Use the packed (lockset-major) trie the paper teases in
-    #: Section 8.2: one shared trie whose nodes carry per-location
-    #: entries, instead of one trie per location.  Behaviourally
-    #: identical; node counts scale with distinct locksets rather than
-    #: with locations.
-    packed_tries: bool = False
 
     def but(self, **changes) -> "DetectorConfig":
         """A copy with the given fields replaced."""

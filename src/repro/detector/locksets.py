@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..runtime.events import LogCorruptError
+
 _EMPTY_LOCKSET: frozenset = frozenset()
 
 
@@ -82,10 +84,11 @@ class LockTracker:
         stack = self._stacks.get(thread_id)
         if not stack or stack[-1] != lock_uid:
             # Java enforces block-structured locking, and the MJ runtime
-            # only has `sync` blocks, so releases are always LIFO.
-            raise AssertionError(
-                f"non-LIFO monitorexit of {lock_uid} by thread {thread_id}: "
-                f"stack {stack}"
+            # only has `sync` blocks, so only a damaged log can release
+            # out of LIFO order.
+            raise LogCorruptError(
+                f"unbalanced monitor exit: thread {thread_id} releases "
+                f"lock {lock_uid} while holding {stack or []}"
             )
         stack.pop()
         self._invalidate(thread_id)

@@ -33,7 +33,6 @@ from .locksets import LockTracker, join_pseudo_lock
 from .ownership import SHARED, OwnershipFilter
 from .report import RaceReport, ReportCollector
 from .trie import FILTERED, LockTrie, TrieStats
-from .trie_packed import PackedLockTrie
 
 
 @dataclass
@@ -121,9 +120,6 @@ class RaceDetector(EventSink):
         )
         self.trie_stats = TrieStats()
         self._tries: dict = {}
-        self._packed: PackedLockTrie | None = (
-            PackedLockTrie(self.trie_stats) if self.config.packed_tries else None
-        )
         self.reports = ReportCollector()
         self.stats = PipelineStats()
         #: Accesses the compiled engine's inline fast path completed
@@ -302,18 +298,13 @@ class RaceDetector(EventSink):
         object_label,
     ) -> None:
         lockset, path = self._lockset_path(thread_id)
-        if self._packed is not None:
-            prior = self._packed.observe(
-                key, lockset, path, thread_id, kind, self._read_read_races
-            )
-        else:
-            trie = self._tries.get(key)
-            if trie is None:
-                trie = self.trie_class(self.trie_stats)
-                self._tries[key] = trie
-            prior = trie.observe(
-                lockset, path, thread_id, kind, self._read_read_races
-            )
+        trie = self._tries.get(key)
+        if trie is None:
+            trie = self.trie_class(self.trie_stats)
+            self._tries[key] = trie
+        prior = trie.observe(
+            lockset, path, thread_id, kind, self._read_read_races
+        )
         # The weakness check drops the vast majority of accesses here.
         if prior is FILTERED:
             self.stats.detector_weaker_filtered += 1
@@ -358,8 +349,6 @@ class RaceDetector(EventSink):
     @property
     def monitored_locations(self) -> int:
         """Locations with trie history (the paper reports 6562 for tsp)."""
-        if self._packed is not None:
-            return self._packed.location_count
         return len(self._tries)
 
     def total_trie_nodes(self) -> int:

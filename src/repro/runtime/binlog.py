@@ -675,9 +675,21 @@ class BinaryLogReader:
                     offset=offset,
                 )
             v1 = self.version == BINLOG_VERSION
+            low = self.records_offset
+            high = low + self.records_length
             blocks = []
             for _ in range(block_count):
                 span = BlockSpan(*_INDEX_ENTRY_V2.unpack_from(view, offset))
+                if not low <= span.offset <= span.offset + span.length <= high:
+                    # Decoding would index past the record region (or
+                    # the file) and fail as a bare IndexError.
+                    raise LogCorruptError(
+                        f"{self.path}: index entry at byte offset {offset} "
+                        f"spans bytes {span.offset}..."
+                        f"{span.offset + span.length}, outside the record "
+                        f"region {low}...{high} — log corrupted",
+                        offset=offset,
+                    )
                 if v1 and span.compressed:
                     # A v1 header over v2-style index entries: either a
                     # relabeled file or a corrupted index.  Refusing

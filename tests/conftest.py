@@ -33,6 +33,24 @@ def garble_string_table(path) -> int:
     return entry
 
 
+def unbalanced_exit_log(events: int = 1_000):
+    """A small synthetic tuple log in which the first outermost monitor
+    exit releases a lock its thread does not hold: the lock uid has its
+    low bit flipped, as by one damaged bit on disk."""
+    from repro.runtime.events import RecordingSink
+    from repro.runtime.synthlog import synthesize_into
+
+    sink = RecordingSink()
+    synthesize_into(sink, events)
+    position, (tag, thread, lock, reentrant) = next(
+        (i, entry)
+        for i, entry in enumerate(sink.log)
+        if entry[0] == RecordingSink.EXIT and not entry[3]
+    )
+    sink.log[position] = (tag, thread, lock ^ 1, reentrant)
+    return sink
+
+
 def detect(source: str, seed=None, detector_config=None, planner_config=None):
     """Full pipeline: compile, plan, run with a detector; returns it."""
     resolved = compile_source(source)

@@ -22,7 +22,7 @@ from repro.cli import main
 from repro.runtime.binlog import write_binary_log
 from repro.runtime.events import RecordingSink, dump_log
 
-from ..conftest import garble_string_table
+from ..conftest import garble_string_table, unbalanced_exit_log
 
 PROGRAM = """
 class Main {
@@ -178,6 +178,45 @@ class TestV2LogErrorExitCodes:
         assert code == 4
         assert "schema" in captured.err
         assert "re-record" in captured.err
+
+
+class TestUnbalancedMonitorExit:
+    """A log whose monitor exit releases a lock the thread does not
+    hold is damaged bytes: exit 3 with the thread, lock and held stack
+    named, never a traceback."""
+
+    @pytest.mark.parametrize("post_mortem", [False, True])
+    @pytest.mark.parametrize("fmt", ["mjbl", "json"])
+    def test_unbalanced_exit_exits_3(self, fmt, post_mortem, tmp_path, capsys):
+        log = unbalanced_exit_log()
+        path = tmp_path / f"unbalanced.{fmt}"
+        if fmt == "mjbl":
+            write_binary_log(log, path)
+        else:
+            path.write_text(json.dumps(dump_log(log)))
+        argv = ["check", "--from-log", str(path)]
+        code = main(argv + ["--post-mortem"] if post_mortem else argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "corrupt" in err
+        assert "unbalanced monitor exit" in err
+        assert "while holding [" in err
+        assert "Traceback" not in err
+
+    def test_index_entry_past_eof_exits_3(self, binary_log, capsys):
+        from repro.runtime.binlog import _INDEX_HEADER, BinaryLogReader
+
+        path, _ = binary_log
+        with BinaryLogReader(path) as reader:
+            entry = reader.index_offset + _INDEX_HEADER.size
+        data = bytearray(path.read_bytes())
+        data[entry : entry + 8] = (10**6).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        code = main(["check", "--from-log", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"byte offset {entry}" in err
+        assert "Traceback" not in err
 
 
 class TestReportJson:

@@ -192,8 +192,11 @@ class TestCounters:
 
     @pytest.mark.parametrize(
         "config",
-        [DetectorConfig(packed_tries=True), DetectorConfig(fields_merged=True)],
-        ids=["packed-tries", "fields-merged"],
+        [
+            DetectorConfig(read_read_races=True),
+            DetectorConfig(fields_merged=True),
+        ],
+        ids=["read-read-races", "fields-merged"],
     )
     def test_engaging_configs_match_the_ast_engine(self, config):
         compiled = _run(MAIN_AFTER_JOIN, "compiled", config=config)

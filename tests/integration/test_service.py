@@ -587,6 +587,25 @@ class TestLogJobs:
         assert status == 400
         assert json.loads(data)["taxonomy"] == "schema-mismatch"
 
+    @pytest.mark.parametrize("fmt", ["mjbl", "json"])
+    def test_unbalanced_monitor_exit_is_422(self, daemon, tmp_path, fmt):
+        from repro.runtime.binlog import write_binary_log
+        from repro.runtime.events import dump_log
+
+        from ..conftest import unbalanced_exit_log
+
+        log = unbalanced_exit_log()
+        if fmt == "mjbl":
+            path = tmp_path / "unbalanced.mjbl"
+            write_binary_log(log, path)
+            body = path.read_bytes()
+        else:
+            body = json.dumps(dump_log(log)).encode()
+        status, _, record = daemon.submit_json("/submit?wait=1", body)
+        assert status == 422
+        assert record["error"]["taxonomy"] == "corrupt"
+        assert "unbalanced monitor exit" in record["error"]["error"]
+
     def test_damaged_json_log_is_422(self, daemon):
         status, _, data = daemon.request(
             "POST", "/submit", b'{"version": 3, "entries": [['

@@ -147,17 +147,17 @@ class TestScheduleParity:
         assert "error" in outcomes
 
 
-#: Every detector configuration the harness tables run, plus the two
-#: extensions the compiled engine's inline fast path treats specially
-#: (the double cache probe stays on the spine; packed tries sit behind
-#: it).
+#: Every detector configuration the harness tables run, plus the
+#: extension the compiled engine's inline fast path treats specially
+#: (the double cache probe stays on the spine) and a non-default trie
+#: query (read-read races) behind an engaged fast path.
 FUNNEL_CONFIGS = {
     "Full": CONFIG_FULL.detector,
     "NoCache": CONFIG_NO_CACHE.detector,
     "NoOwnership": CONFIG_NO_OWNERSHIP.detector,
     "FieldsMerged": CONFIG_FIELDS_MERGED.detector,
     "WriteCoversReads": DetectorConfig(write_cache_covers_reads=True),
-    "PackedTries": DetectorConfig(packed_tries=True),
+    "ReadReadRaces": DetectorConfig(read_read_races=True),
 }
 
 

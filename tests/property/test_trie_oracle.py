@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.detector import LockTrie, THREAD_BOTTOM, TrieStats
 from repro.detector.trie import FILTERED
-from repro.detector.trie_packed import PackedLockTrie
 from repro.difflab.inject import NoMeetLockTrie, ReadBlindLockTrie
 from repro.detector.weaker import (
     access_leq,
@@ -184,14 +183,11 @@ class TestLiveNodeCounter:
         # Per-location tries share one counter, as in the detector.
         stats = TrieStats()
         tries = {}
-        packed = PackedLockTrie()
         for key, lockset, thread, kind in history:
             path = tuple(sorted(lockset))
             if key not in tries:
                 tries[key] = LockTrie(stats)
             tries[key].observe(lockset, path, thread, kind)
-            packed.observe(key, lockset, path, thread, kind)
             assert stats.live_nodes == sum(
                 trie.node_count() for trie in tries.values()
             )
-            assert packed.stats.live_nodes == packed.node_count()

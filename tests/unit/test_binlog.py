@@ -184,6 +184,31 @@ class TestValidation:
             replayed(reader)
         reader.close()
 
+    @pytest.mark.parametrize(
+        "field_offset, value",
+        [(0, 10**6), (0, 0), (8, 10**6)],
+        ids=["offset-past-eof", "offset-before-records", "length-past-eof"],
+    )
+    def test_index_span_outside_record_region_is_corrupt(
+        self, binary_path, field_offset, value
+    ):
+        # Block 0's index entry: an 8-byte offset, then a 4-byte length.
+        from repro.runtime.binlog import _INDEX_HEADER
+
+        with BinaryLogReader(binary_path) as reader:
+            entry_offset = reader.index_offset + _INDEX_HEADER.size
+        data = bytearray(binary_path.read_bytes())
+        fmt = "<Q" if field_offset == 0 else "<I"
+        struct.pack_into(fmt, data, entry_offset + field_offset, value)
+        binary_path.write_bytes(data)
+        with BinaryLogReader(binary_path) as reader:
+            with pytest.raises(
+                LogCorruptError, match="outside the record region"
+            ) as info:
+                reader.replay_into(RecordingSink())
+            assert info.value.offset == entry_offset
+            assert f"byte offset {entry_offset}" in str(info.value)
+
     def test_crc_verify_catches_silent_corruption(self, binary_path):
         # A payload flip that keeps every tag valid: undetectable
         # structurally, caught by the explicit O(n) CRC pass.

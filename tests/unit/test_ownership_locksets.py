@@ -8,6 +8,7 @@ from repro.detector import (
     OwnershipFilter,
     join_pseudo_lock,
 )
+from repro.runtime.events import LogCorruptError
 
 
 class TestOwnershipFilter:
@@ -84,8 +85,10 @@ class TestLockTracker:
         tracker = LockTracker()
         tracker.enter(1, 10)
         tracker.enter(1, 20)
-        with pytest.raises(AssertionError):
+        with pytest.raises(LogCorruptError, match="thread 1 releases lock 10"):
             tracker.exit(1, 10)
+        with pytest.raises(LogCorruptError, match="holding \\[\\]"):
+            tracker.exit(2, 10)
 
     def test_threads_independent(self):
         tracker = LockTracker()
