@@ -25,11 +25,9 @@ demonstrate (Sections 8.3 and 9):
   so that the single-common-lock difference can be isolated; pass
   ``join_pseudolocks=False`` for the historically faithful variant.
 
-Accesses arrive as scalars through :meth:`EraserDetector.on_access_parts`,
-the one access routine; ``on_access`` is an adapter that unpacks an
-:class:`AccessEvent` into it.  Per-location state is keyed by the plain
-``(object_uid, field)`` tuple, and a :class:`MemoryLocation` is built
-only when a race is reported.  A Virgin location is one with no entry
+Accesses arrive as scalars through :meth:`EraserDetector.on_access_parts`.
+Per-location state is keyed by the plain ``(object_uid, field)`` tuple,
+and a :class:`MemoryLocation` is built only when a race is reported.  A Virgin location is one with no entry
 yet: its first access creates the entry in the Exclusive state.
 """
 
@@ -41,7 +39,7 @@ from typing import Optional
 
 from ..detector.locksets import LockTracker, join_pseudo_lock
 from ..lang.ast import AccessKind
-from ..runtime.events import AccessEvent, EventSink, MemoryLocation
+from ..runtime.events import EventSink, MemoryLocation
 from .condsync import SyncClocks
 
 
@@ -119,18 +117,6 @@ class EraserDetector(EventSink):
         self._sync.on_notify(thread_id, cond_uid)
 
     # -- the state machine --------------------------------------------------
-
-    def on_access(self, event: AccessEvent) -> None:
-        location = event.location
-        self.on_access_parts(
-            location.object_uid,
-            location.field,
-            event.thread_id,
-            event.kind,
-            event.site_id,
-            event.object_kind,
-            event.object_label,
-        )
 
     def on_access_parts(
         self, object_uid, field, thread_id, kind, site_id, object_kind, object_label

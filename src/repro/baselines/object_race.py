@@ -26,7 +26,7 @@ from typing import Optional
 from ..detector.locksets import LockTracker
 from ..detector.ownership import SHARED, OwnershipFilter
 from ..lang.ast import AccessKind
-from ..runtime.events import AccessEvent, EventSink
+from ..runtime.events import EventSink
 from .condsync import SyncClocks
 
 
@@ -69,40 +69,45 @@ class ObjectRaceDetector(EventSink):
     def on_notify(self, thread_id: int, cond_uid: int, notify_all: bool) -> None:
         self._sync.on_notify(thread_id, cond_uid)
 
-    def on_access(self, event: AccessEvent) -> None:
-        uid = event.location.object_uid
-        owner = self.ownership.owner_of(uid)
+    def on_access_parts(
+        self, object_uid, field, thread_id, kind, site_id, object_kind, object_label
+    ) -> None:
+        owner = self.ownership.owner_of(object_uid)
         if (
             owner is not None
             and owner is not SHARED
-            and owner != event.thread_id
-            and self._sync.ordered(self._owner_epoch.get(uid), event.thread_id)
+            and owner != thread_id
+            and self._sync.ordered(self._owner_epoch.get(object_uid), thread_id)
         ):
             # Condition-sync handoff: the object stays owned (by the new
             # thread) instead of transitioning to shared — the deferral
             # the paper's per-pair check does not share.
-            self.ownership.reown(uid, event.thread_id)
-            self._owner_epoch[uid] = self._sync.epoch(event.thread_id)
+            self.ownership.reown(object_uid, thread_id)
+            self._owner_epoch[object_uid] = self._sync.epoch(thread_id)
             return
-        admit, _ = self.ownership.admit(uid, event.thread_id)
+        admit, _ = self.ownership.admit(object_uid, thread_id)
         if not admit:
-            self._owner_epoch[uid] = self._sync.epoch(event.thread_id)
+            self._owner_epoch[object_uid] = self._sync.epoch(thread_id)
             return
-        held = self.locks.lockset(event.thread_id)
-        previous = self._candidates.get(uid)
+        held = self.locks.lockset(thread_id)
+        previous = self._candidates.get(object_uid)
         candidates = held if previous is None else (previous & held)
-        self._candidates[uid] = candidates
-        if event.kind is AccessKind.WRITE:
-            self._written.add(uid)
-        if not candidates and uid in self._written and uid not in self._reported:
-            self._reported.add(uid)
-            self.racy_objects.add(event.object_label)
+        self._candidates[object_uid] = candidates
+        if kind is AccessKind.WRITE:
+            self._written.add(object_uid)
+        if (
+            not candidates
+            and object_uid in self._written
+            and object_uid not in self._reported
+        ):
+            self._reported.add(object_uid)
+            self.racy_objects.add(object_label)
             self.reports.append(
                 ObjectRaceReport(
-                    object_uid=uid,
-                    object_label=event.object_label,
-                    thread_id=event.thread_id,
-                    site_id=event.site_id,
+                    object_uid=object_uid,
+                    object_label=object_label,
+                    thread_id=thread_id,
+                    site_id=site_id,
                 )
             )
 

@@ -154,21 +154,6 @@ class RaceDetector(EventSink):
             self.locks.acquire_pseudo(0, join_pseudo_lock(0))
 
     # ------------------------------------------------------------------
-    # Location keying.
-
-    def _key(self, event: AccessEvent):
-        if self._fields_merged:
-            # Praun/Gross-style coarsening within our detector: all
-            # fields of one object map to one location (Table 3's
-            # "FieldsMerged" column).  Static fields of a class remain
-            # distinguished per the paper's parenthetical — class
-            # objects are exempted from merging.
-            if event.object_kind is ObjectKind.CLASS:
-                return event.location
-            return event.location.object_uid
-        return event.location
-
-    # ------------------------------------------------------------------
     # Synchronization events.
 
     def on_monitor_enter(self, thread_id: int, lock_uid: int, reentrant: bool) -> None:
@@ -204,21 +189,6 @@ class RaceDetector(EventSink):
     # ------------------------------------------------------------------
     # Access events.
 
-    def on_access(self, event: AccessEvent) -> None:
-        """Event-object entry point (compat path; recorded logs and
-        manually constructed events).  Delegates to the scalar fast
-        path, which re-interns the location."""
-        location = event.location
-        self.on_access_parts(
-            location.object_uid,
-            location.field,
-            event.thread_id,
-            event.kind,
-            event.site_id,
-            event.object_kind,
-            event.object_label,
-        )
-
     def on_access_parts(
         self,
         object_uid: int,
@@ -237,6 +207,8 @@ class RaceDetector(EventSink):
         """
         stats = self.stats
         stats.accesses += 1
+        # FieldsMerged (Table 3) keys an object's fields by its uid alone;
+        # class objects keep per-field static locations.
         if self._fields_merged and object_kind is not ObjectKind.CLASS:
             key = object_uid
         else:

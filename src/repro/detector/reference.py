@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..lang.ast import AccessKind
-from ..runtime.events import AccessEvent, EventSink, ObjectKind
+from ..runtime.events import EventSink, MemoryLocation, ObjectKind
 from .config import DetectorConfig
 from .locksets import LockTracker, join_pseudo_lock
 from .ownership import OwnershipFilter
@@ -88,32 +88,37 @@ class ReferenceDetector(EventSink):
 
     # -- accesses --------------------------------------------------------
 
-    def _key(self, event: AccessEvent):
-        if self.config.fields_merged:
-            if event.object_kind is ObjectKind.CLASS:
-                return event.location
-            return event.location.object_uid
-        return event.location
-
-    def on_access(self, event: AccessEvent) -> None:
-        key = self._key(event)
+    def on_access_parts(
+        self, object_uid, field, thread_id, kind, site_id, object_kind, object_label
+    ) -> None:
+        # FieldsMerged keys an object's fields by its uid alone; class
+        # objects keep per-field static locations.
+        if self.config.fields_merged and object_kind is not ObjectKind.CLASS:
+            key = object_uid
+        else:
+            key = (object_uid, field)
         if self.ownership is not None:
-            admit, _ = self.ownership.admit(key, event.thread_id)
+            admit, _ = self.ownership.admit(key, thread_id)
             if not admit:
                 return
         current = RecordedAccess(
-            thread_id=event.thread_id,
-            lockset=self.locks.lockset(event.thread_id),
-            kind=event.kind,
-            site_id=event.site_id,
-            object_label=event.object_label,
+            thread_id=thread_id,
+            lockset=self.locks.lockset(thread_id),
+            kind=kind,
+            site_id=site_id,
+            object_label=object_label,
         )
         history = self._history.setdefault(key, [])
+        location = None
         for earlier in history:
             if self._is_race(earlier, current):
-                self.pairs.append(RacePair(key=key, earlier=earlier, later=current))
-                self.racy_locations.add(key)
-                self.racy_objects.add(current.object_label)
+                if location is None:
+                    location = key if type(key) is int else MemoryLocation(*key)
+                self.pairs.append(
+                    RacePair(key=location, earlier=earlier, later=current)
+                )
+                self.racy_locations.add(location)
+                self.racy_objects.add(object_label)
         history.append(current)
 
     def _is_race(self, e_i: RecordedAccess, e_j: RecordedAccess) -> bool:

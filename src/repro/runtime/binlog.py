@@ -341,18 +341,6 @@ class BinaryLogSink(EventSink):
         )
         self._bump(True, object_uid)
 
-    def on_access(self, event) -> None:
-        location = event.location
-        self.on_access_parts(
-            location.object_uid,
-            location.field,
-            event.thread_id,
-            event.kind,
-            event.site_id,
-            event.object_kind,
-            event.object_label,
-        )
-
     def on_monitor_enter(self, thread_id, lock_uid, reentrant) -> None:
         self._buffer += _MONITOR.pack(TAG_ENTER, 1 if reentrant else 0, thread_id, lock_uid)
         self._bump(False)

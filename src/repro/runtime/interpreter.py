@@ -8,7 +8,7 @@ Instrumentation is site-selective: the interpreter takes a set of
 *traced* site ids (``None`` = every access site, the paper's default
 when static analysis is skipped; the empty set = the "Base"
 configuration of Table 2).  An access at an untraced site executes
-normally but emits no :class:`AccessEvent` — exactly the effect of the
+normally but emits no access event — exactly the effect of the
 paper's instrumenter omitting the ``trace`` pseudo-instruction
 (Section 6.1).
 

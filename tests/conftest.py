@@ -8,6 +8,7 @@ from repro.detector import DetectorConfig, RaceDetector
 from repro.instrument import PlannerConfig, plan_instrumentation
 from repro.lang import compile_source
 from repro.runtime import RandomPolicy, RoundRobinPolicy, run_program
+from repro.runtime.events import ObjectKind
 
 
 def run_source(source: str, seed=None, sink=None, trace_sites=None, max_steps=2_000_000):
@@ -18,6 +19,24 @@ def run_source(source: str, seed=None, sink=None, trace_sites=None, max_steps=2_
         resolved, sink=sink, trace_sites=trace_sites, policy=policy,
         max_steps=max_steps,
     )
+
+
+#: Tuple-log ``entries`` that are valid JSON but not a list of tagged
+#: lists with typed columns: a scalar entry, and sync columns of the
+#: wrong JSON type.  Each must be a schema mismatch (CLI exit 4, HTTP
+#: 400), never a ``TypeError``.
+MALFORMED_ENTRIES = [
+    [5],
+    [["start", 0, [1]]],
+    [["join", 0, {"a": 1}]],
+    [["end", [1]]],
+]
+
+
+def access(uid, field, thread, kind, site=0) -> tuple:
+    """One hand-built instance-field access as the seven arguments of
+    ``EventSink.on_access_parts``, labelled ``Obj#<uid>``."""
+    return (uid, field, thread, kind, site, ObjectKind.INSTANCE, f"Obj#{uid}")
 
 
 def garble_string_table(path) -> int:

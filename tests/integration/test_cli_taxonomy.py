@@ -22,7 +22,7 @@ from repro.cli import main
 from repro.runtime.binlog import write_binary_log
 from repro.runtime.events import RecordingSink, dump_log
 
-from ..conftest import garble_string_table, unbalanced_exit_log
+from ..conftest import MALFORMED_ENTRIES, garble_string_table, unbalanced_exit_log
 
 PROGRAM = """
 class Main {
@@ -122,6 +122,18 @@ class TestLogErrorExitCodes:
         assert code == 4
         assert "schema" in captured.err
         assert "999" in captured.err
+
+    @pytest.mark.parametrize("entries", MALFORMED_ENTRIES)
+    def test_malformed_json_structure_exits_4(
+        self, command, tmp_path, capsys, entries
+    ):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"version": 3, "entries": entries}))
+        code = self._invoke(command, path)
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "schema" in captured.err
+        assert "Traceback" not in captured.err
 
 
 @pytest.fixture

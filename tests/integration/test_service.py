@@ -38,6 +38,8 @@ import pytest
 import repro
 from repro.cli import main
 
+from ..conftest import MALFORMED_ENTRIES
+
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
 RACY = """
@@ -584,6 +586,13 @@ class TestLogJobs:
     def test_schema_skew_is_400(self, daemon):
         skewed = json.dumps({"version": 999, "entries": []})
         status, _, data = daemon.request("POST", "/submit", skewed.encode())
+        assert status == 400
+        assert json.loads(data)["taxonomy"] == "schema-mismatch"
+
+    @pytest.mark.parametrize("entries", MALFORMED_ENTRIES)
+    def test_malformed_json_structure_is_400(self, daemon, entries):
+        body = json.dumps({"version": 3, "entries": entries})
+        status, _, data = daemon.request("POST", "/submit", body.encode())
         assert status == 400
         assert json.loads(data)["taxonomy"] == "schema-mismatch"
 

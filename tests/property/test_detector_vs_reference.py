@@ -25,7 +25,8 @@ from repro.detector import (
     StoredAccess,
 )
 from repro.lang.ast import AccessKind
-from repro.runtime.events import AccessEvent, MemoryLocation, ObjectKind
+
+from ..conftest import access
 
 N_THREADS = 3
 N_LOCATIONS = 3
@@ -116,16 +117,7 @@ def feed(sink, events):
     for event in events:
         if event[0] == "access":
             _, thread, loc, kind = event
-            sink.on_access(
-                AccessEvent(
-                    location=MemoryLocation(loc, "f"),
-                    thread_id=thread,
-                    kind=kind,
-                    site_id=0,
-                    object_kind=ObjectKind.INSTANCE,
-                    object_label=f"Obj#{loc}",
-                )
-            )
+            sink.on_access_parts(*access(loc, "f", thread, kind))
         elif event[0] == "enter":
             sink.on_monitor_enter(event[1], event[2], reentrant=False)
         else:

@@ -36,10 +36,11 @@ from repro.runtime import (
     replay_entries,
 )
 from repro.runtime.binlog import BinaryLogReader, write_binary_log
-from repro.runtime.events import AccessEvent, MemoryLocation, ObjectKind, dump_log
+from repro.runtime.events import dump_log
 from repro.workloads.fuzz import generate_program
 
 from ..binlog_oracle import replayed, shard_entries
+from ..conftest import access
 
 N_THREADS = 3
 N_LOCATIONS = 3
@@ -101,16 +102,7 @@ def feed(sink, events):
     for event in events:
         if event[0] == "access":
             _, thread, loc, kind = event
-            sink.on_access(
-                AccessEvent(
-                    location=MemoryLocation(loc, "f"),
-                    thread_id=thread,
-                    kind=kind,
-                    site_id=0,
-                    object_kind=ObjectKind.INSTANCE,
-                    object_label=f"Obj#{loc}",
-                )
-            )
+            sink.on_access_parts(*access(loc, "f", thread, kind))
         elif event[0] == "enter":
             sink.on_monitor_enter(event[1], event[2], reentrant=False)
         else:

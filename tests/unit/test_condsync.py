@@ -27,23 +27,11 @@ from repro.runtime import (
     replay_run,
     run_program,
 )
-from repro.runtime.events import AccessEvent, MemoryLocation, ObjectKind
 
-from ..conftest import run_source
+from ..conftest import access, run_source
 
 READ = AccessKind.READ
 WRITE = AccessKind.WRITE
-
-
-def access(uid, field, thread, kind):
-    return AccessEvent(
-        location=MemoryLocation(uid, field),
-        thread_id=thread,
-        kind=kind,
-        site_id=0,
-        object_kind=ObjectKind.INSTANCE,
-        object_label=f"Obj#{uid}",
-    )
 
 
 # Main waits on the flag the child sets: under round-robin, main runs
@@ -502,75 +490,75 @@ class TestEraserDeferral:
         # (through a condition edge): Eraser defers — stays Exclusive,
         # no report even though the accesses share no lock.
         det = EraserDetector()
-        det.on_access(access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
         det.on_monitor_enter(1, 9, reentrant=False)
         det.on_notify(1, 9, notify_all=True)
         det.on_monitor_exit(1, 9, reentrant=False)
         det.on_monitor_enter(2, 9, reentrant=False)
         det.on_wait(2, 9)
         det.on_monitor_exit(2, 9, reentrant=False)
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         assert not det.reports
 
     def test_unordered_transfer_still_reported(self):
         det = EraserDetector()
-        det.on_access(access(1, "x", 1, WRITE))
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         assert det.object_count == 1
 
     def test_handoff_chain_transfers_ownership(self):
         # After the handoff the *new* thread owns the location: a third
         # unordered thread then demotes it and reports.
         det = EraserDetector()
-        det.on_access(access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
         det.on_monitor_enter(1, 9, reentrant=False)
         det.on_notify(1, 9, notify_all=True)
         det.on_monitor_exit(1, 9, reentrant=False)
         det.on_monitor_enter(2, 9, reentrant=False)
         det.on_wait(2, 9)
         det.on_monitor_exit(2, 9, reentrant=False)
-        det.on_access(access(1, "x", 2, WRITE))
-        det.on_access(access(1, "x", 3, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 3, WRITE))
         assert det.object_count == 1
 
 
 class TestObjectRaceDeferral:
     def test_handoff_keeps_object_owned(self):
         det = ObjectRaceDetector()
-        det.on_access(access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
         det.on_monitor_enter(1, 9, reentrant=False)
         det.on_notify(1, 9, notify_all=True)
         det.on_monitor_exit(1, 9, reentrant=False)
         det.on_monitor_enter(2, 9, reentrant=False)
         det.on_wait(2, 9)
         det.on_monitor_exit(2, 9, reentrant=False)
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         assert not det.reports
 
     def test_unordered_transfer_reported(self):
         det = ObjectRaceDetector()
-        det.on_access(access(1, "x", 1, WRITE))
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         assert det.object_count == 1
 
 
 class TestHappensBeforeConditionEdges:
     def test_condition_edge_orders_handoff(self):
         det = HappensBeforeDetector()
-        det.on_access(access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
         det.on_monitor_enter(1, 9, reentrant=False)
         det.on_notify(1, 9, notify_all=False)
         det.on_monitor_exit(1, 9, reentrant=False)
         det.on_monitor_enter(2, 9, reentrant=False)
         det.on_wait(2, 9)
         det.on_monitor_exit(2, 9, reentrant=False)
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         assert not det.reports
 
     def test_without_edge_reports(self):
         det = HappensBeforeDetector()
-        det.on_access(access(1, "x", 1, WRITE))
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         assert len(det.reports) == 1
 
     def test_notifier_tail_unordered_with_waiter(self):
@@ -583,8 +571,8 @@ class TestHappensBeforeConditionEdges:
         det.on_monitor_enter(2, 9, reentrant=False)
         det.on_wait(2, 9)
         det.on_monitor_exit(2, 9, reentrant=False)
-        det.on_access(access(1, "x", 1, WRITE))
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         assert len(det.reports) == 1
 
     def test_join_of_unseen_thread_fabricates_no_epoch(self):
@@ -594,16 +582,16 @@ class TestHappensBeforeConditionEdges:
         # partition) would appear ordered before the joiner's, hiding
         # the race asserted here.
         det = HappensBeforeDetector()
-        det.on_access(access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
         det.on_thread_join(1, 2)
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         assert len(det.reports) == 1
 
     def test_join_of_seen_thread_still_orders(self):
         det = HappensBeforeDetector()
         det.on_thread_start(1, 2)
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         det.on_thread_end(2)
         det.on_thread_join(1, 2)
-        det.on_access(access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
         assert not det.reports

@@ -14,13 +14,14 @@ from repro.lang.ast import AccessKind
 from repro.runtime import RecordingSink
 from repro.runtime.events import (
     LogSchemaError,
+    LogSchemaMismatchError,
     ObjectKind,
     dump_log,
     load_log,
     validate_entries,
 )
 
-from ..conftest import run_source
+from ..conftest import MALFORMED_ENTRIES, run_source
 
 SMALL = """\
 class Main {
@@ -92,6 +93,30 @@ class TestValidateEntries:
                     "write", 1, ObjectKind.INSTANCE, "Shared#1")
         with pytest.raises(LogSchemaError, match="mistyped"):
             validate_entries([bad_kind])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            (RecordingSink.START, 0, [1]),
+            (RecordingSink.JOIN, 0, {"a": 1}),
+            (RecordingSink.END, [1]),
+            (RecordingSink.ENTER, 0, 1.5, False),
+            (RecordingSink.EXIT, 0, None, False),
+            (RecordingSink.ENTER, 0, 7, "no"),
+            (RecordingSink.WAIT, "0", 7),
+            (RecordingSink.NOTIFY, 0, 7, 1),
+        ],
+    )
+    def test_mistyped_sync_columns_rejected(self, entry):
+        # Ids are ints and reentrant / notify_all are bools, so a
+        # damaged sync column cannot reach the lock tracker or a
+        # pseudo-lock computation as a list, dict or float.
+        with pytest.raises(LogSchemaError, match="mistyped"):
+            validate_entries([entry])
+
+    def test_unhashable_tag_rejected(self):
+        with pytest.raises(LogSchemaError, match="unknown tag"):
+            validate_entries([([1], 2)])
 
     def test_error_names_offending_index(self, recorded):
         entries = list(recorded.log) + [("bogus",)]
@@ -166,6 +191,15 @@ class TestDumpLoadRoundtrip:
             load_log({"version": RecordingSink.SCHEMA_VERSION})
         with pytest.raises(LogSchemaError):
             load_log("not a payload")
+
+    @pytest.mark.parametrize(
+        "entries", MALFORMED_ENTRIES + [[{"tag": "end"}], 5, None, [[[1], 2]]]
+    )
+    def test_load_rejects_malformed_json_structure(self, entries):
+        # Every JSON shape that is not a list of tagged lists with typed
+        # columns is a schema mismatch, never a TypeError.
+        with pytest.raises(LogSchemaMismatchError):
+            load_log({"version": RecordingSink.SCHEMA_VERSION, "entries": entries})
 
     def test_load_rejects_unknown_enum_value(self, recorded):
         payload = dump_log(recorded)

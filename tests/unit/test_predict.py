@@ -19,26 +19,12 @@ from repro.detector import (
     predict_races,
 )
 from repro.lang.ast import AccessKind
-from repro.runtime.events import (
-    AccessEvent,
-    LogSchemaError,
-    MemoryLocation,
-    ObjectKind,
-)
+from repro.runtime.events import LogSchemaError
+
+from ..conftest import access
 
 READ = AccessKind.READ
 WRITE = AccessKind.WRITE
-
-
-def access(uid, field, thread, kind):
-    return AccessEvent(
-        location=MemoryLocation(uid, field),
-        thread_id=thread,
-        kind=kind,
-        site_id=0,
-        object_kind=ObjectKind.INSTANCE,
-        object_label=f"Obj#{uid}",
-    )
 
 
 def spawn(det, *children):
@@ -51,8 +37,8 @@ class TestSHBEdges:
     def test_sibling_writes_unordered(self):
         det = SHBPredictor()
         spawn(det, 1, 2)
-        det.on_access(access(1, "x", 1, WRITE))
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         (report,) = det.reports
         assert report.kind == "write-write"
         assert report.prior_thread == 1
@@ -61,18 +47,18 @@ class TestSHBEdges:
 
     def test_start_edge_orders(self):
         det = SHBPredictor()
-        det.on_access(access(1, "x", 0, WRITE))
+        det.on_access_parts(*access(1, "x", 0, WRITE))
         spawn(det, 1)
-        det.on_access(access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
         assert not det.reports
 
     def test_join_edge_orders(self):
         det = SHBPredictor()
         spawn(det, 1)
-        det.on_access(access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
         det.on_thread_end(1)
         det.on_thread_join(0, 1)
-        det.on_access(access(1, "x", 0, WRITE))
+        det.on_access_parts(*access(1, "x", 0, WRITE))
         assert not det.reports
 
     def test_lock_release_acquire_edge_dropped(self):
@@ -85,7 +71,7 @@ class TestSHBEdges:
             spawn(det, 1, 2)
             for thread in (1, 2):
                 det.on_monitor_enter(thread, 5, reentrant=False)
-                det.on_access(access(1, "x", thread, WRITE))
+                det.on_access_parts(*access(1, "x", thread, WRITE))
                 det.on_monitor_exit(thread, 5, reentrant=False)
         assert not hb.reports  # HB: ordered via release→acquire.
         (report,) = shb.reports
@@ -97,22 +83,22 @@ class TestSHBEdges:
         on the payload field written before the critical section."""
         det = SHBPredictor()
         spawn(det, 1, 2)
-        det.on_access(access(1, "y", 1, WRITE))  # Payload, unlocked.
+        det.on_access_parts(*access(1, "y", 1, WRITE))  # Payload, unlocked.
         det.on_monitor_enter(1, 5, reentrant=False)
-        det.on_access(access(1, "x", 1, WRITE))  # Publish under L.
+        det.on_access_parts(*access(1, "x", 1, WRITE))  # Publish under L.
         det.on_monitor_exit(1, 5, reentrant=False)
         det.on_monitor_enter(2, 5, reentrant=False)
-        det.on_access(access(1, "x", 2, READ))  # Consume under L.
+        det.on_access_parts(*access(1, "x", 2, READ))  # Consume under L.
         det.on_monitor_exit(2, 5, reentrant=False)
-        det.on_access(access(1, "y", 2, READ))  # Payload read: ordered.
+        det.on_access_parts(*access(1, "y", 2, READ))  # Payload read: ordered.
         assert not det.reports
 
     def test_unlocked_write_not_coupled(self):
         det = SHBPredictor()
         spawn(det, 1, 2)
-        det.on_access(access(1, "x", 1, WRITE))  # No real lock held.
+        det.on_access_parts(*access(1, "x", 1, WRITE))  # No real lock held.
         det.on_monitor_enter(2, 5, reentrant=False)
-        det.on_access(access(1, "x", 2, READ))
+        det.on_access_parts(*access(1, "x", 2, READ))
         det.on_monitor_exit(2, 5, reentrant=False)
         (report,) = det.reports
         assert report.kind == "write-read"
@@ -124,44 +110,44 @@ class TestSHBEdges:
         thread k share S_k without any mutual exclusion)."""
         det = SHBPredictor()
         spawn(det, 1, 2)
-        det.on_access(access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
         det.on_thread_end(1)
         det.on_thread_join(2, 1)  # Thread 2 now holds S_1 …
-        det.on_access(access(1, "x", 2, READ))  # … but writer held S_1 too.
+        det.on_access_parts(*access(1, "x", 2, READ))  # … but writer held S_1 too.
         # The join *edge* orders this pair, so no report — but assert
         # the mechanism: a fresh sibling pair sharing only pseudo-locks
         # still races.
         assert not det.reports
-        det.on_access(access(2, "z", 0, WRITE))
+        det.on_access_parts(*access(2, "z", 0, WRITE))
         spawn(det, 3)
         det.on_thread_end(3)
         det.on_thread_join(0, 3)
-        det.on_access(access(2, "z", 0, WRITE))
+        det.on_access_parts(*access(2, "z", 0, WRITE))
         assert not det.reports
 
     def test_notify_wait_edge(self):
         det = SHBPredictor()
         spawn(det, 1, 2)
-        det.on_access(access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
         det.on_notify(1, 7, notify_all=False)
         det.on_wait(2, 7)
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         assert not det.reports
 
     def test_wait_without_notify_no_edge(self):
         det = SHBPredictor()
         spawn(det, 1, 2)
-        det.on_access(access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
         det.on_wait(2, 7)  # Nothing notified cond 7 yet.
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         assert len(det.reports) == 1
 
     def test_read_histories_kept_per_thread(self):
         det = SHBPredictor()
         spawn(det, 1, 2, 3)
-        det.on_access(access(1, "x", 1, READ))
-        det.on_access(access(1, "x", 2, READ))
-        det.on_access(access(1, "x", 3, WRITE))
+        det.on_access_parts(*access(1, "x", 1, READ))
+        det.on_access_parts(*access(1, "x", 2, READ))
+        det.on_access_parts(*access(1, "x", 3, WRITE))
         assert len(det.reports) == 2
         assert {r.kind for r in det.reports} == {"read-write"}
         assert {r.prior_thread for r in det.reports} == {1, 2}
@@ -169,9 +155,9 @@ class TestSHBEdges:
     def test_write_resets_read_history(self):
         det = SHBPredictor()
         spawn(det, 1, 2)
-        det.on_access(access(1, "x", 1, READ))
-        det.on_access(access(1, "x", 1, WRITE))
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 1, READ))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         # One write-write report; the read was absorbed by the same
         # thread's write, not double-reported.
         assert [r.kind for r in det.reports] == ["write-write"]
@@ -179,8 +165,8 @@ class TestSHBEdges:
     def test_report_describe(self):
         det = SHBPredictor()
         spawn(det, 1, 2)
-        det.on_access(access(1, "x", 1, WRITE))
-        det.on_access(access(1, "x", 2, WRITE))
+        det.on_access_parts(*access(1, "x", 1, WRITE))
+        det.on_access_parts(*access(1, "x", 2, WRITE))
         text = det.reports[0].describe()
         assert "predicted write-write race" in text
         assert "#1.x" in text
@@ -202,8 +188,8 @@ class TestSHBSupersetOfHB:
     def test_plain_race(self):
         def script(det):
             spawn(det, 1, 2)
-            det.on_access(access(1, "x", 1, WRITE))
-            det.on_access(access(1, "x", 2, READ))
+            det.on_access_parts(*access(1, "x", 1, WRITE))
+            det.on_access_parts(*access(1, "x", 2, READ))
 
         shb_locs, hb_locs = self.drive(script)
         assert shb_locs == hb_locs == {"#1.x"}
@@ -212,10 +198,10 @@ class TestSHBSupersetOfHB:
         def script(det):
             spawn(det, 1, 2)
             det.on_monitor_enter(1, 5, reentrant=False)
-            det.on_access(access(1, "x", 1, WRITE))
+            det.on_access_parts(*access(1, "x", 1, WRITE))
             det.on_monitor_exit(1, 5, reentrant=False)
             det.on_monitor_enter(2, 5, reentrant=False)
-            det.on_access(access(1, "x", 2, WRITE))
+            det.on_access_parts(*access(1, "x", 2, WRITE))
             det.on_monitor_exit(2, 5, reentrant=False)
 
         shb_locs, hb_locs = self.drive(script)
@@ -224,10 +210,10 @@ class TestSHBSupersetOfHB:
     def test_condition_ordered_agrees(self):
         def script(det):
             spawn(det, 1, 2)
-            det.on_access(access(1, "x", 1, WRITE))
+            det.on_access_parts(*access(1, "x", 1, WRITE))
             det.on_notify(1, 9, notify_all=True)
             det.on_wait(2, 9)
-            det.on_access(access(1, "x", 2, WRITE))
+            det.on_access_parts(*access(1, "x", 2, WRITE))
 
         shb_locs, hb_locs = self.drive(script)
         assert shb_locs == hb_locs == set()
@@ -244,7 +230,7 @@ class TestHybridConjunct:
             spawn(det, 1, 2)
             for thread in (1, 2):
                 det.on_monitor_enter(thread, 5, reentrant=False)
-                det.on_access(access(1, "x", thread, WRITE))
+                det.on_access_parts(*access(1, "x", thread, WRITE))
                 det.on_monitor_exit(thread, 5, reentrant=False)
         assert len(shb.reports) == 1
         assert not hyb.reports
@@ -253,18 +239,18 @@ class TestHybridConjunct:
         hyb = HybridPredictor()
         spawn(hyb, 1, 2)
         hyb.on_monitor_enter(1, 5, reentrant=False)
-        hyb.on_access(access(1, "x", 1, WRITE))
+        hyb.on_access_parts(*access(1, "x", 1, WRITE))
         hyb.on_monitor_exit(1, 5, reentrant=False)
         hyb.on_monitor_enter(2, 6, reentrant=False)
-        hyb.on_access(access(1, "x", 2, WRITE))
+        hyb.on_access_parts(*access(1, "x", 2, WRITE))
         hyb.on_monitor_exit(2, 6, reentrant=False)
         assert len(hyb.reports) == 1
 
     def test_sibling_pseudo_locks_disjoint(self):
         hyb = HybridPredictor()
         spawn(hyb, 1, 2)
-        hyb.on_access(access(1, "x", 1, WRITE))
-        hyb.on_access(access(1, "x", 2, WRITE))
+        hyb.on_access_parts(*access(1, "x", 1, WRITE))
+        hyb.on_access_parts(*access(1, "x", 2, WRITE))
         assert len(hyb.reports) == 1
 
     def test_conjunct_checks_lockset_at_each_endpoint(self):
@@ -272,22 +258,22 @@ class TestHybridConjunct:
         hyb = HybridPredictor()
         spawn(hyb, 1, 2)
         hyb.on_monitor_enter(1, 5, reentrant=False)
-        hyb.on_access(access(1, "x", 1, WRITE))
+        hyb.on_access_parts(*access(1, "x", 1, WRITE))
         hyb.on_monitor_exit(1, 5, reentrant=False)
-        hyb.on_access(access(1, "x", 2, WRITE))
+        hyb.on_access_parts(*access(1, "x", 2, WRITE))
         assert len(hyb.reports) == 1
 
     def test_hybrid_subset_of_shb(self):
         def script(det):
             spawn(det, 1, 2, 3)
             det.on_monitor_enter(1, 5, reentrant=False)
-            det.on_access(access(1, "x", 1, WRITE))
+            det.on_access_parts(*access(1, "x", 1, WRITE))
             det.on_monitor_exit(1, 5, reentrant=False)
             det.on_monitor_enter(2, 5, reentrant=False)
-            det.on_access(access(1, "x", 2, WRITE))
+            det.on_access_parts(*access(1, "x", 2, WRITE))
             det.on_monitor_exit(2, 5, reentrant=False)
-            det.on_access(access(1, "y", 3, WRITE))
-            det.on_access(access(1, "y", 1, READ))
+            det.on_access_parts(*access(1, "y", 3, WRITE))
+            det.on_access_parts(*access(1, "y", 1, READ))
 
         shb, hyb = SHBPredictor(), HybridPredictor()
         for det in (shb, hyb):
@@ -388,8 +374,8 @@ class Main {
 
         path = tmp_path / "crashed.mjbl"
         crashed = BinaryLogSink(path)
-        for event in (access(1, "x", 1, WRITE), access(1, "x", 2, WRITE)):
-            crashed.on_access(event)
+        crashed.on_access_parts(*access(1, "x", 1, WRITE))
+        crashed.on_access_parts(*access(1, "x", 2, WRITE))
         crashed._file.flush()  # crash: close() never runs, no finalize
         crashed._file = None
         with pytest.raises(LogSchemaError, match="byte offset 12"):
