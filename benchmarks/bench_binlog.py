@@ -19,19 +19,26 @@ program):
 * **detect-tuple** — the baseline: materialize the same N events as
   schema-v3 tuples in memory, then run the identical sharded detection
   over the list.
+* **sharding crossover** — the mapped v1 file detected as one shard,
+  then with the ``process`` executor at 2 and 4 shards (one worker
+  process per shard, each replaying its own filtered view).  A process
+  arm's peak RSS adds the largest worker's (``RUSAGE_CHILDREN``) once
+  per shard to the parent's: an upper bound on the concurrent
+  footprint, since forked workers share pages with the parent.
 
 Every arm runs in a fresh subprocess so ``resource.getrusage``'s
 ``ru_maxrss`` is a clean per-arm peak-RSS reading; the parent asserts
-all three detection arms report byte-identical races (same SHA-256
-over the ordered race keys) before accepting any timing.  The
+all detection arms report byte-identical races (same SHA-256 over the
+ordered race keys) before accepting any timing.  The
 committed claim: at 10M events the mapped path's peak RSS stays
 bounded (detector state + touched file pages) while the tuple
 baseline's grows with the trace — the record-then-analyze mode of the
 paper's offline detection at trace sizes the in-memory log cannot hold.
 
 Running ``PYTHONPATH=src python benchmarks/bench_binlog.py`` writes
-``BENCH_binlog.json`` at the repo root with 1M and 10M rows;
-``--tier100m`` adds the 100M-event nightly row (v2-compressed record
+``BENCH_binlog.json`` at the repo root with 1M and 10M rows, carrying
+forward the file's previous 100M row; ``--tier100m`` measures the
+100M-event nightly row afresh (v2-compressed record
 under a writer peak-RSS ceiling, mapped detection, parity checked by
 re-detecting at a different shard count — the tuple baseline cannot
 hold 100M events).  ``--quick`` measures 100k events and skips the
@@ -65,6 +72,8 @@ QUICK_EVENTS = (100_000,)
 TIER_100M_EVENTS = 100_000_000
 
 SHARDS = 4
+#: Shard counts of the process-executor crossover arms.
+PROCESS_SHARDS = (2, 4)
 
 #: Deflate level for the v2 arms (the CLI's ``--compress`` default).
 COMPRESS_LEVEL = 6
@@ -144,10 +153,25 @@ def _worker_detect_tuple(path: str, events: int, compress, shards: int) -> dict:
     }
 
 
+def _worker_detect_process(path: str, events: int, compress, shards: int) -> dict:
+    started = time.perf_counter()
+    outcome = detect_sharded(path, shards, executor="process", validate=False)
+    elapsed = time.perf_counter() - started
+    # The pool has shut down, so every worker is reaped and counted.
+    worker_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return {
+        "seconds": elapsed,
+        "peak_rss_kb": _peak_rss_kb() + shards * worker_kb,
+        "worker_peak_rss_kb": worker_kb,
+        **_report_evidence(outcome),
+    }
+
+
 _WORKERS = {
     "record": _worker_record,
     "detect-binary": _worker_detect_binary,
     "detect-tuple": _worker_detect_tuple,
+    "detect-process": _worker_detect_process,
 }
 
 
@@ -226,7 +250,16 @@ def bench_events(events: int, repeats: int) -> dict:
             "detect-tuple": _detect_arm(
                 "detect-tuple", "detect-tuple", path, events, repeats
             ),
+            "one-shard": _detect_arm(
+                "detect-binary", "detect-binary", path, events, repeats,
+                shards=1,
+            ),
         }
+        for shards in PROCESS_SHARDS:
+            arms[f"process-{shards}"] = _detect_arm(
+                "detect-process", "detect-process", path, events, repeats,
+                shards=shards,
+            )
     binary = arms["detect-binary"]
     binary_v2 = arms["detect-binary-v2"]
     tuples = arms["detect-tuple"]
@@ -235,7 +268,15 @@ def bench_events(events: int, repeats: int) -> dict:
         f"{events}: detection arms disagree on races "
         f"({ {name: arm['report_hash'][:12] for name, arm in arms.items()} })"
     )
-    assert binary["races"] == binary_v2["races"] == tuples["races"]
+    assert len({arm["races"] for arm in arms.values()}) == 1
+    crossover = {}
+    for shards in PROCESS_SHARDS:
+        arm = arms[f"process-{shards}"]
+        crossover.update({
+            f"process_{shards}_detect_seconds": round(arm["seconds"], 3),
+            f"process_{shards}_peak_rss_kb": arm["peak_rss_kb"],
+            f"process_{shards}_worker_peak_rss_kb": arm["worker_peak_rss_kb"],
+        })
     return {
         "events": events,
         "shards": SHARDS,
@@ -261,6 +302,9 @@ def bench_events(events: int, repeats: int) -> dict:
         "tuple_detect_seconds": round(tuples["seconds"], 3),
         "tuple_peak_rss_kb": tuples["peak_rss_kb"],
         "rss_ratio": round(tuples["peak_rss_kb"] / binary["peak_rss_kb"], 3),
+        "one_shard_detect_seconds": round(arms["one-shard"]["seconds"], 3),
+        "one_shard_peak_rss_kb": arms["one-shard"]["peak_rss_kb"],
+        **crossover,
     }
 
 
@@ -340,11 +384,29 @@ def generate(quick: bool = False, repeats: int = 3, tier100m: bool = False) -> d
             "thread-local access mix, bounded racy slice, all eight "
             "schema-v3 event kinds"
         ),
+        "notes": (
+            "The 1M/10M rows' shards/executor fields describe the three "
+            "serial 4-shard arms; one_shard_* and process_{2,4}_* are "
+            "the sharding crossover.  Process peak RSS adds the largest "
+            "worker's (RUSAGE_CHILDREN) once per shard to the parent's. "
+            "The 100M row is measured only with --tier100m (nightly); "
+            "a run without it carries the output file's previous 100M "
+            "row forward unchanged."
+        ),
         "quick": quick,
         "repeats": repeats,
         "machine": machine_metadata(),
         "rows": rows,
     }
+
+
+def _previous_100m_rows(output: str) -> list:
+    """The 100M row of an existing payload at ``output``, if any."""
+    try:
+        rows = json.loads(Path(output).read_text())["rows"]
+    except (OSError, ValueError, KeyError):
+        return []
+    return [row for row in rows if row.get("tier") == "100m"]
 
 
 # ----------------------------------------------------------------------
@@ -470,6 +532,8 @@ def main(argv=None) -> int:
     payload = generate(
         quick=options.quick, repeats=options.repeats, tier100m=options.tier100m
     )
+    if not options.quick and not options.tier100m:
+        payload["rows"] += _previous_100m_rows(options.output)
     text = json.dumps(payload, indent=2)
     if options.quick:
         print(text)

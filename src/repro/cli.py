@@ -127,9 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        "(implies --post-mortem; see docs/prediction.md)")
     check.add_argument("--executor", choices=("serial", "process"),
                        default="serial",
-                       help="how sharded detection runs: one in-process "
-                       "decode demultiplexed across the shards, or a "
-                       "process pool (default: serial)")
+                       help="how sharded detection runs: the shards one "
+                       "after another in-process, or in a process pool, "
+                       "one worker per shard (default: serial)")
     check.add_argument("--report-json", action="store_true",
                        help="print one canonical machine-readable JSON "
                        "report instead of the human-readable lines "

@@ -34,18 +34,22 @@ Every log source replays through one spine: a mapped
 :class:`~repro.runtime.binlog.BinaryLogReader` and a tuple log (a
 :class:`~repro.runtime.events.RecordingSink`, or raw entries wrapped as
 one by :func:`~repro.runtime.binlog.log_source`) both offer
-``replay_into(sink)`` and ``replay_sharded_into(sinks)``.  With one
-shard the detector takes ``replay_into`` directly.  Executors:
+``replay_into(sink, shard=-1, shards=1)``, which delivers shard
+``shard`` of ``shards``'s stream — its own accesses plus every sync
+event.  Every shard runs through one worker, :func:`_detect_shard`:
+one detector, one filtered ``replay_into`` (unfiltered with one
+shard).  Executors:
 
-* ``"serial"`` — ``replay_sharded_into`` decodes the log once and
-  demultiplexes it across all shard detectors.
-* ``"process"`` — a process pool running one worker function per shard
-  (real parallelism).  A mapped worker gets only the log's path plus
-  ``(shard, shards)`` and replays its own filtered view; a tuple worker
-  gets its shard's stream, split once in the parent by
-  ``replay_sharded_into``.  Workers run without the resolved program;
-  the parent post-fills site descriptors and static-partner lists so
-  the reports are field-for-field identical to a serial run's.
+* ``"serial"`` — the worker runs in-process, one shard after another,
+  on the source that is already open, so only one shard detector is
+  alive at a time.
+* ``"process"`` — a process pool runs the same worker, one task per
+  shard (real parallelism).  A worker gets a handle it can unpickle —
+  the mapped log's path, or the tuple log itself — plus ``(shard,
+  shards)``, and replays its own filtered view.  Workers run without
+  the resolved program; the parent post-fills site descriptors and
+  static-partner lists so the reports are field-for-field identical
+  to a serial run's.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..lang.resolver import ResolvedProgram
-from ..runtime.binlog import LogLike, log_source
+from ..runtime.binlog import BinaryLogReader, LogLike, log_source
 from ..runtime.events import RecordingSink
 from .cache import CacheStats
 from .config import DetectorConfig
@@ -101,21 +105,26 @@ def _shard_outcome(shard_index: int, detector: RaceDetector) -> ShardOutcome:
 def _detect_shard(
     shard_index: int,
     log,
-    replay_args: tuple,
+    shards: int,
     config: Optional[DetectorConfig],
 ) -> ShardOutcome:
-    """Run one shard's detector in a process-pool worker.
+    """Run shard ``shard_index`` of ``shards``: the one worker both
+    executors use.
 
-    Module-level (picklable).  ``(log, replay_args)`` is one entry of
-    the source's ``shard_jobs``: a mapped log's path with ``(shard,
-    shards)`` — the worker opens its own mmap view and decodes only the
-    blocks that shard consumes — or a pre-split tuple stream with no
-    filter.  Runs without the resolved program; site descriptors are
-    post-filled by the parent.
+    Module-level (picklable).  ``log`` is an open log source (serial)
+    or a handle a process-pool worker can unpickle: a mapped log's
+    path — the worker opens its own mmap view and decodes only the
+    blocks that shard consumes — or a tuple log, filtered as it
+    replays.  With one shard the replay takes no filter.  Runs without
+    the resolved program; site descriptors are post-filled by the
+    parent.
     """
     detector = RaceDetector(config=config)
     with log_source(log, validate=False) as source:
-        source.replay_into(detector, *replay_args)
+        if shards == 1:
+            source.replay_into(detector)
+        else:
+            source.replay_into(detector, shard_index, shards)
     return _shard_outcome(shard_index, detector)
 
 
@@ -173,7 +182,6 @@ def detect_sharded(
     resolved: Optional[ResolvedProgram] = None,
     static_races=None,
     executor: str = "serial",
-    max_workers: Optional[int] = None,
     validate: bool = True,
 ) -> ShardedDetectionResult:
     """Run sharded post-mortem detection over a recorded event log.
@@ -204,22 +212,18 @@ def detect_sharded(
         raise ValueError("shard count must be positive")
     with log_source(log, validate) as source:
         if executor == "serial" or shards == 1:
-            detectors = [RaceDetector(config=config) for _ in range(shards)]
-            if shards == 1:
-                source.replay_into(detectors[0])
-            else:
-                source.replay_sharded_into(detectors)
             outcomes = [
-                _shard_outcome(index, detector)
-                for index, detector in enumerate(detectors)
+                _detect_shard(index, source, shards, config)
+                for index in range(shards)
             ]
         else:
-            jobs = source.shard_jobs(shards)
-            workers = min(max_workers or shards, shards)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # What a worker can unpickle: the mapped log's path, or the
+            # resident tuple log itself.  One worker process per shard.
+            handle = source.path if isinstance(source, BinaryLogReader) else source
+            with ProcessPoolExecutor(shards) as pool:
                 futures = [
-                    pool.submit(_detect_shard, index, job, replay_args, config)
-                    for index, (job, replay_args) in enumerate(jobs)
+                    pool.submit(_detect_shard, index, handle, shards, config)
+                    for index in range(shards)
                 ]
                 outcomes = [future.result() for future in futures]
         accesses, syncs = source.access_count, source.sync_count
@@ -301,7 +305,6 @@ def detect_sharded_post_mortem(
     trace_sites: Optional[set] = None,
     policy=None,
     executor: str = "serial",
-    max_workers: Optional[int] = None,
     max_steps: int = 10_000_000,
 ) -> tuple[ShardedDetectionResult, RecordingSink]:
     """The whole sharded workflow: record one execution, then detect
@@ -317,6 +320,5 @@ def detect_sharded_post_mortem(
         config=config,
         resolved=resolved,
         executor=executor,
-        max_workers=max_workers,
     )
     return result, log

@@ -16,9 +16,9 @@ perform the final datarace detection phase off-line" mode:
 * :class:`BinaryLogReader` maps the file (``mmap``) and is a *log
   source*: like the tuple log
   (:class:`~repro.runtime.events.RecordingSink`) it replays through
-  :meth:`~BinaryLogReader.replay_into` and
-  :meth:`~BinaryLogReader.replay_sharded_into`, the one spine every
-  detector, predictor and statistics pass consumes.
+  :meth:`~BinaryLogReader.replay_into` — the whole stream, or one
+  shard's — the one spine every detector, predictor, statistics pass
+  and shard worker consumes.
   The decode is batched and push-mode: per block it scans same-tag
   record runs and unpacks each run in one precompiled
   ``Struct.iter_unpack`` sweep straight into pre-bound sink methods,
@@ -1029,127 +1029,6 @@ class BinaryLogReader:
                     position += size
         sink.on_run_end()
 
-    def replay_sharded_into(self, sinks) -> None:
-        """Decode the log once and demultiplex it across ``sinks``:
-        access events go to ``sinks[uid % len(sinks)]`` alone, sync
-        events to every sink, in log order — each sink receives exactly
-        the stream :meth:`replay_into` with ``(shard, shards)`` would
-        deliver, at one decode pass instead of one per shard.  Serial
-        sharding rides on this: without parallel workers the
-        per-shard decode passes are pure repetition, and a single
-        columnar sweep with the ``uid % shards`` dispatch inlined in the
-        unpack loop feeds every shard detector at unfiltered-decode
-        cost.  Closes with ``on_run_end`` on every sink.
-        """
-        shards = len(sinks)
-        strings = self.strings
-        kinds = _KIND_FROM
-        objkinds = _OBJKIND_FROM
-        sizes = _RECORD_SIZE
-        on_access = [sink.on_access_parts for sink in sinks]
-        on_enter = [sink.on_monitor_enter for sink in sinks]
-        on_exit = [sink.on_monitor_exit for sink in sinks]
-        on_start = [sink.on_thread_start for sink in sinks]
-        on_end = [sink.on_thread_end for sink in sinks]
-        on_join = [sink.on_thread_join for sink in sinks]
-        on_wait = [sink.on_wait for sink in sinks]
-        on_notify = [sink.on_notify for sink in sinks]
-        unpack_access = _ACCESS.iter_unpack
-        monitor_one = _MONITOR.unpack_from
-        start_one = _START.unpack_from
-        end_one = _END.unpack_from
-        join_one = _JOIN.unpack_from
-        wait_one = _WAIT.unpack_from
-        notify_one = _NOTIFY.unpack_from
-        access_size = _ACCESS.size
-        monitor_size = _MONITOR.size
-        for block in self.blocks:
-            buffer, position, stop, anchor = self._block_view(block)
-            view = memoryview(buffer)
-            # Same single-sweep tag-column validation as replay_into.
-            whole = (
-                block.syncs == 0
-                and (stop - position) % access_size == 0
-                and bytes(view[position:stop:access_size]).count(TAG_ACCESS)
-                == (stop - position) // access_size
-            )
-            while position < stop:
-                tag = view[position]
-                if tag == TAG_ACCESS:
-                    if whole:
-                        run_end = stop
-                    else:
-                        run_end = position + access_size
-                        while run_end < stop and view[run_end] == TAG_ACCESS:
-                            run_end += access_size
-                        if run_end > stop:
-                            raise self._truncated_record(
-                                tag, run_end - access_size, stop, anchor
-                            )
-                    segment = view[position:run_end]
-                    try:
-                        for (_, kind, objkind, uid, thread, site,
-                             field_id, label_id) in unpack_access(segment):
-                            on_access[uid % shards](
-                                uid, strings[field_id], thread,
-                                kinds[kind], site, objkinds[objkind],
-                                strings[label_id],
-                            )
-                    except IndexError:
-                        self._locate_bad_access(view, position, run_end, anchor)
-                    position = run_end
-                elif tag == TAG_ENTER:
-                    if position + monitor_size > stop:
-                        raise self._truncated_record(tag, position, stop, anchor)
-                    _, reentrant, thread, lock = monitor_one(view, position)
-                    for handler in on_enter:
-                        handler(thread, lock, reentrant != 0)
-                    position += monitor_size
-                elif tag == TAG_EXIT:
-                    if position + monitor_size > stop:
-                        raise self._truncated_record(tag, position, stop, anchor)
-                    _, reentrant, thread, lock = monitor_one(view, position)
-                    for handler in on_exit:
-                        handler(thread, lock, reentrant != 0)
-                    position += monitor_size
-                else:
-                    size = sizes.get(tag)
-                    if size is None:
-                        raise self._unknown_tag(tag, position, anchor)
-                    if position + size > stop:
-                        raise self._truncated_record(tag, position, stop, anchor)
-                    if tag == TAG_START:
-                        _, parent, child = start_one(view, position)
-                        for handler in on_start:
-                            handler(parent, child)
-                    elif tag == TAG_END:
-                        (_, thread) = end_one(view, position)
-                        for handler in on_end:
-                            handler(thread)
-                    elif tag == TAG_JOIN:
-                        _, joiner, joined = join_one(view, position)
-                        for handler in on_join:
-                            handler(joiner, joined)
-                    elif tag == TAG_WAIT:
-                        _, thread, cond = wait_one(view, position)
-                        for handler in on_wait:
-                            handler(thread, cond)
-                    else:
-                        _, notify_all, thread, cond = notify_one(view, position)
-                        for handler in on_notify:
-                            handler(thread, cond, notify_all != 0)
-                    position += size
-        for sink in sinks:
-            sink.on_run_end()
-
-    def shard_jobs(self, shards: int) -> list[tuple]:
-        """What each process-pool shard worker replays, as picklable
-        ``(log, replay_into arguments)`` pairs: the path plus
-        ``(shard, shards)``, so every worker maps its own view, decodes
-        only the blocks its shard consumes, and nothing is decoded or
-        pickled here."""
-        return [(self.path, (shard, shards)) for shard in range(shards)]
-
     # -- statistics ------------------------------------------------------
 
     def block_stats(self) -> dict:
@@ -1178,8 +1057,8 @@ class BinaryLogReader:
 # Format-agnostic helpers.
 
 
-#: The two log sources: both replay through ``replay_into(sink)`` and
-#: ``replay_sharded_into(sinks)``.
+#: The two log sources: both replay through
+#: ``replay_into(sink, shard=-1, shards=1)``.
 LogSource = Union[BinaryLogReader, RecordingSink]
 #: Everything :func:`log_source` accepts: a source, raw schema-v3 tuple
 #: entries, or a path to an on-disk log of either format.

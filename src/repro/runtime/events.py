@@ -406,39 +406,11 @@ class RecordingSink(EventSink):
 
     # -- the log-source interface (shared with BinaryLogReader) ---------
 
-    def replay_into(self, sink: EventSink) -> None:
-        """Re-deliver the recorded stream to ``sink`` (post-mortem mode)."""
-        replay_entries(self.log, sink)
-
-    def replay_sharded_into(self, sinks) -> None:
-        """Demultiplex the recorded stream across ``sinks`` in one pass:
-        each access goes to ``sinks[object_uid % len(sinks)]`` alone,
-        every sync event to all of them, in log order — the stream
-        shard ``k`` would see under the shard-replication rule.  Closes
-        with ``on_run_end`` on every sink."""
-        shards = len(sinks)
-        on_access = [sink.on_access_parts for sink in sinks]
-        on_sync = {
-            tag: [getattr(sink, method) for sink in sinks]
-            for tag, method in _SYNC_HANDLERS.items()
-        }
-        access = self.ACCESS
-        for entry in self.log:
-            if entry[0] == access:
-                on_access[entry[1] % shards](*entry[1:])
-            else:
-                for handler in on_sync[entry[0]]:
-                    handler(*entry[1:])
-        for sink in sinks:
-            sink.on_run_end()
-
-    def shard_jobs(self, shards: int) -> list[tuple]:
-        """What each process-pool shard worker replays, as picklable
-        ``(log, replay_into arguments)`` pairs: the shard's own stream,
-        split once here, with no further filter."""
-        streams = [RecordingSink() for _ in range(shards)]
-        self.replay_sharded_into(streams)
-        return [(stream, ()) for stream in streams]
+    def replay_into(self, sink: EventSink, shard: int = -1, shards: int = 1) -> None:
+        """Re-deliver the recorded stream to ``sink`` (post-mortem mode):
+        all of it (``shard < 0``), or shard ``shard`` of ``shards``'s
+        stream — see :func:`replay_entries`."""
+        replay_entries(self.log, sink, shard, shards)
 
     def close(self) -> None:
         """A resident log holds no resources; present so every log
@@ -449,19 +421,6 @@ class RecordingSink(EventSink):
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-#: Sync-entry tag -> the :class:`EventSink` method it replays through;
-#: each entry's columns after the tag are that method's arguments.
-_SYNC_HANDLERS = {
-    RecordingSink.ENTER: "on_monitor_enter",
-    RecordingSink.EXIT: "on_monitor_exit",
-    RecordingSink.START: "on_thread_start",
-    RecordingSink.END: "on_thread_end",
-    RecordingSink.JOIN: "on_thread_join",
-    RecordingSink.WAIT: "on_wait",
-    RecordingSink.NOTIFY: "on_notify",
-}
 
 
 #: Column types per entry tag, after the tag column: ids are ``int``,
@@ -580,14 +539,25 @@ def load_log(payload: dict) -> list[tuple]:
     return entries
 
 
-def replay_entries(entries, sink: EventSink) -> None:
+def replay_entries(entries, sink: EventSink, shard: int = -1, shards: int = 1) -> None:
     """Deliver a sequence of tuple-encoded log entries to ``sink``,
     closing with :meth:`EventSink.on_run_end`.
 
-    Accepts the compact entries produced by :class:`RecordingSink`;
-    sharded post-mortem detection uses this to drive each shard's
-    detector over its partition of the log.
+    Accepts the compact entries produced by :class:`RecordingSink`.
+    Delivers every entry (``shard < 0``), or shard ``shard`` of
+    ``shards``'s stream — its own accesses (``object_uid % shards ==
+    shard``) plus every sync event, in log order — the stream a shard
+    worker of :mod:`repro.detector.sharded` detects over.
     """
+    if shard >= 0:
+        if shard >= shards:
+            raise ValueError(f"shard {shard} out of range for {shards} shards")
+        if shards > 1:
+            entries = (
+                entry
+                for entry in entries
+                if entry[0] != RecordingSink.ACCESS or entry[1] % shards == shard
+            )
     access = RecordingSink.ACCESS
     enter = RecordingSink.ENTER
     exit_ = RecordingSink.EXIT

@@ -1,13 +1,13 @@
 """The scalar MJBL decoder: the test-side oracle for the columnar one.
 
 Production code decodes ``MJBL`` only through the batched
-:meth:`~repro.runtime.binlog.BinaryLogReader.replay_into` /
-:meth:`~repro.runtime.binlog.BinaryLogReader.replay_sharded_into`
-spine.  This module keeps the straightforward one-record-per-step
-decode, written against the same on-disk layouts, so property and unit
-tests can check that the columnar decoder delivers exactly the stream a
-naive reader would — unfiltered and per shard — and raises the same
-anchored diagnostics on damaged bytes.
+:meth:`~repro.runtime.binlog.BinaryLogReader.replay_into` spine —
+unfiltered, or one shard's stream.  This module keeps the
+straightforward one-record-per-step decode, written against the same
+on-disk layouts, so property and unit tests can check that the
+columnar decoder delivers exactly the stream a naive reader would —
+unfiltered and per shard — and raises the same anchored diagnostics on
+damaged bytes.
 """
 
 from __future__ import annotations

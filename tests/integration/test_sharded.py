@@ -16,6 +16,8 @@ from repro.runtime import RandomPolicy, RecordingSink
 from repro.runtime.binlog import BinaryLogReader, write_binary_log
 from repro.workloads import ALL_WORKLOADS
 
+from ..binlog_oracle import replayed
+
 
 @pytest.fixture(scope="module")
 def tsp_recording():
@@ -39,9 +41,7 @@ def tsp_binaries(tsp_recording, tmp_path_factory):
 
 
 def _split(log, shards):
-    streams = [RecordingSink() for _ in range(shards)]
-    log.replay_sharded_into(streams)
-    return [stream.log for stream in streams]
+    return [replayed(log, shard, shards) for shard in range(shards)]
 
 
 class TestPartitioning:
@@ -88,16 +88,38 @@ class TestPartitioning:
             detect_sharded(log, 2, executor=executor)
 
 
+def _outcome_fields(result):
+    """Everything a sharded run reports, merged and per shard."""
+    return (
+        result.reports.reports,
+        result.stats,
+        result.cache_stats,
+        result.trie_stats,
+        result.monitored_locations,
+        result.trie_nodes,
+        result.interned_locksets,
+        [outcome.access_events for outcome in result.outcomes],
+    )
+
+
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("log_format", ["tuple", "v1", "v2"])
     def test_every_executor_matches_serial_detection(
-        self, tsp_recording, executor, shards
+        self, tsp_recording, tsp_binaries, log_format, shards
     ):
         resolved, log, serial = tsp_recording
-        result = detect_sharded(
-            log, shards, resolved=resolved, executor=executor
+        source = log if log_format == "tuple" else tsp_binaries[log_format]
+        results = {
+            executor: detect_sharded(
+                source, shards, resolved=resolved, executor=executor
+            )
+            for executor in ("serial", "process")
+        }
+        assert _outcome_fields(results["process"]) == _outcome_fields(
+            results["serial"]
         )
+        result = results["serial"]
         assert result.reports.reports == canonical_report_order(
             serial.reports.reports
         )

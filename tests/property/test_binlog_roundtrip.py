@@ -17,9 +17,9 @@ every block size, and the batched :meth:`BinaryLogReader.replay_into`
 path must deliver the same stream as the scalar per-record decode kept
 in ``tests/binlog_oracle.py`` — unfiltered and for every shard of a
 partition.  The replay spine's sharded half is pinned across sources:
-the tuple log's ``replay_sharded_into``, both MJBL versions', the
-per-shard filtered ``replay_into`` and the oracle's shard filter all
-hand each shard the same stream.
+the tuple log's and both MJBL versions' per-shard filtered
+``replay_into`` and the oracle's shard filter all hand each shard the
+same stream.
 """
 
 import tempfile
@@ -147,14 +147,6 @@ def test_columnar_replay_matches_scalar_decode(
                 assert replayed(reader, shard, shards) == list(
                     shard_entries(reader, shard, shards)
                 )
-            # Demultiplexed single-pass decode: each sink must see
-            # exactly its filtered stream, in the same order.
-            demux = [RecordingSink() for _ in range(shards)]
-            reader.replay_sharded_into(demux)
-            for shard in range(shards):
-                assert demux[shard].log == list(
-                    shard_entries(reader, shard, shards)
-                )
 
 
 @settings(max_examples=12, deadline=None)
@@ -166,14 +158,11 @@ def test_columnar_replay_matches_scalar_decode(
 )
 def test_every_source_shards_identically(seed, events, shards, records_per_block):
     # One synthlog trace, every route to a shard's stream: the tuple
-    # adapter's and both MJBL versions' replay_sharded_into, each MJBL
-    # version's filtered replay_into(sink, k, n), and the scalar
-    # oracle's shard filter.
+    # log's and each MJBL version's filtered replay_into(sink, k, n),
+    # and the scalar oracle's shard filter.
     log = RecordingSink()
     synthesize_into(log, events, threads=4, objects=96, seed=seed)
-    tuple_demux = [RecordingSink() for _ in range(shards)]
-    log.replay_sharded_into(tuple_demux)
-    expected = [sink.log for sink in tuple_demux]
+    expected = [replayed(log, shard, shards) for shard in range(shards)]
     assert sum(len(stream) for stream in expected) == (
         log.access_count + shards * log.sync_count
     )
@@ -182,9 +171,6 @@ def test_every_source_shards_identically(seed, events, shards, records_per_block
             path = Path(tmp) / f"log-{compress}.mjbl"
             write_binary_log(log, path, records_per_block, compress=compress)
             with BinaryLogReader(path) as reader:
-                demux = [RecordingSink() for _ in range(shards)]
-                reader.replay_sharded_into(demux)
-                assert [sink.log for sink in demux] == expected
                 for shard in range(shards):
                     assert replayed(reader, shard, shards) == expected[shard]
                     assert list(

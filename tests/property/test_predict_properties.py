@@ -184,7 +184,7 @@ class TestBinlogRoundTrip:
         """The MJBL round-trip contract extended to prediction: the
         same reports through every log shape, and the lazy sharded
         binary reader decodes exactly the per-shard stream the tuple
-        log's replay_sharded_into builds."""
+        log's filtered replay_into delivers."""
         events = materialize_exclusive(raw)
         sink = RecordingSink()
         feed(sink, events)
@@ -208,9 +208,9 @@ class TestBinlogRoundTrip:
         with BinaryLogReader(bin_path) as reader:
             assert key(predict_races(reader, mode)) == baseline
             for shards in (1, 2, 3):
-                streams = [RecordingSink() for _ in range(shards)]
-                sink.replay_sharded_into(streams)
-                tuple_shards = [stream.log for stream in streams]
+                tuple_shards = [
+                    replayed(sink, shard, shards) for shard in range(shards)
+                ]
                 for shard in range(shards):
                     lazy = replayed(reader, shard, shards)
                     assert lazy == tuple_shards[shard]

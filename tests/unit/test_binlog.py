@@ -440,13 +440,13 @@ class TestLogSource:
     def test_sources_share_the_sharded_interface(self, binary_path, recorded):
         with BinaryLogReader(binary_path) as reader:
             for shards in (1, 2, 3):
-                from_tuples = [RecordingSink() for _ in range(shards)]
-                from_binary = [RecordingSink() for _ in range(shards)]
-                recorded.replay_sharded_into(from_tuples)
-                reader.replay_sharded_into(from_binary)
-                assert [s.log for s in from_tuples] == [
-                    s.log for s in from_binary
-                ]
+                for shard in range(shards):
+                    assert replayed(recorded, shard, shards) == replayed(
+                        reader, shard, shards
+                    )
+            for source in (recorded, reader):
+                with pytest.raises(ValueError, match="out of range"):
+                    replayed(source, 3, 3)
             assert (reader.access_count, reader.sync_count) == (
                 recorded.access_count, recorded.sync_count
             )

@@ -11,6 +11,7 @@ import pytest
 from repro.detector import detect_from_log, detect_sharded
 from repro.runtime import RecordingSink
 
+from ..binlog_oracle import replayed
 from ..conftest import run_source
 
 TINY = """\
@@ -114,10 +115,8 @@ class TestEmptyLog:
             assert len(result.outcomes) == shards
 
     def test_partition_empty(self):
-        streams = [RecordingSink() for _ in range(3)]
         empty = RecordingSink()
-        empty.replay_sharded_into(streams)
-        assert [stream.log for stream in streams] == [[], [], []]
+        assert [replayed(empty, shard, 3) for shard in range(3)] == [[], [], []]
         assert empty.access_count == 0 and empty.sync_count == 0
 
     def test_zero_shards_rejected(self):
@@ -186,8 +185,7 @@ class TestSyncReplication:
         log = record(SYNC_HEAVY)
         syncs = len(log.log) - log.access_count
         assert syncs > 0
-        streams = [RecordingSink() for _ in range(4)]
-        log.replay_sharded_into(streams)
+        streams = [RecordingSink(replayed(log, shard, 4)) for shard in range(4)]
         assert sum(stream.access_count for stream in streams) == log.access_count
         result = detect_sharded(log, 4)
         assert result.replicated_sync_events == syncs
