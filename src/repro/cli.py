@@ -10,8 +10,8 @@ Commands
     the paper's configuration axes; ``--seed N`` picks a random
     interleaving; ``--deadlocks`` also runs the lock-order analysis;
     ``--stats`` prints the event funnel and cache statistics;
-    ``--phase-times`` splits wall time into interpret / filter /
-    cache / lockset-trie phases.
+    ``--phase-times`` prints the wall time of each stage the path ran
+    (load / run / detect / axes), on every check path.
 
 ``run FILE.mj``
     Execute a program uninstrumented and print its output.
@@ -108,9 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--stats", action="store_true",
                        help="print the event funnel and cache stats")
     check.add_argument("--phase-times", action="store_true",
-                       help="print a per-phase wall-clock breakdown "
-                       "(interpret / filter / cache / lockset-trie); "
-                       "on-the-fly detection only")
+                       help="print the wall time of each stage this "
+                       "check ran: load (compile and plan, or open the "
+                       "log), run (the engine; live detection happens "
+                       "inside it), detect (post-mortem detection) and "
+                       "axes (further replays of the log); each stage "
+                       "is timed as a whole, never per event")
     check.add_argument("--post-mortem", action="store_true",
                        help="record the event stream, then detect offline")
     check.add_argument("--from-log", type=Path, default=None, metavar="PATH",
@@ -286,6 +289,15 @@ def cmd_check(args) -> int:
         print("error: check needs an MJ program, a --from-log PATH, "
               "or both", file=sys.stderr)
         return 2
+    stages = {}  # --phase-times: seconds per stage this path ran
+    last = time.perf_counter()
+
+    def lap(stage):
+        nonlocal last
+        now = time.perf_counter()
+        stages[stage] = stages.get(stage, 0.0) + now - last
+        last = now
+
     resolved = _compile(args.file) if args.file is not None else None
     planner = PlannerConfig(
         static_analysis=not args.no_static,
@@ -310,10 +322,6 @@ def cmd_check(args) -> int:
     if shards < 1:
         print("error: --shards must be positive", file=sys.stderr)
         return 2
-    if args.phase_times and post_mortem:
-        print("error: --phase-times needs on-the-fly detection "
-              "(drop --post-mortem/--shards/--from-log)", file=sys.stderr)
-        return 2
     if args.report_json and (args.deadlocks or args.predict or
                              args.phase_times):
         print("error: --report-json covers the race report only "
@@ -328,6 +336,7 @@ def cmd_check(args) -> int:
     predicted = set()
     observed = set()
     detector = None
+    lap("load")
     if post_mortem:
         from .detector import detect_sharded
         from .runtime import RecordingSink, open_log
@@ -339,9 +348,11 @@ def cmd_check(args) -> int:
             # validate_entries pass).  Every pass below replays the
             # log through its replay_into.
             log = open_log(args.from_log)
+            lap("load")
             if args.deadlocks:
                 deadlocks = DeadlockDetector()
                 log.replay_into(deadlocks)
+                lap("axes")
         else:
             log = RecordingSink()
             sink = log
@@ -354,6 +365,7 @@ def cmd_check(args) -> int:
                 trace_sites=plan.trace_sites,
                 policy=_policy(args.seed),
             )
+            lap("run")
         sharded = detect_sharded(
             log,
             shards,
@@ -363,6 +375,7 @@ def cmd_check(args) -> int:
             executor=args.executor,
             validate=False,  # recorded in-process or validated by open_log
         )
+        lap("detect")
         reports = sharded.reports.reports
         funnel = sharded.stats
         cache_stats = sharded.cache_stats
@@ -379,13 +392,9 @@ def cmd_check(args) -> int:
             observed = {
                 str(location) for location in observed_hb.racy_locations
             }
+            lap("axes")
     else:
-        detector_class = RaceDetector
-        if args.phase_times:
-            from .harness import TimedRaceDetector
-
-            detector_class = TimedRaceDetector
-        detector = detector_class(
+        detector = RaceDetector(
             config=detector_config,
             resolved=resolved,
             static_races=plan.static_races,
@@ -394,14 +403,13 @@ def cmd_check(args) -> int:
         if args.deadlocks:
             deadlocks = DeadlockDetector()
             sink = MulticastSink([detector, deadlocks])
-        started = time.perf_counter()
         result = engine_runner(args.engine)(
             resolved,
             sink=sink,
             trace_sites=plan.trace_sites,
             policy=_policy(args.seed),
         )
-        wall_seconds = time.perf_counter() - started
+        lap("run")
         reports = detector.reports.reports
         funnel = detector.stats
         cache_stats = detector.cache.stats if detector.cache else None
@@ -463,7 +471,8 @@ def cmd_check(args) -> int:
         if cache_stats is not None:
             print(f"cache hit rate: {cache_stats.hit_rate:.1%}")
         if detector is not None and args.engine == "compiled":
-            print(f"inline fast path: {_inline_line(detector)}")
+            print(f"inline fast path: owned={detector.inline_owned} "
+                  f"cache-hits={detector.inline_cache_hits}")
         if sharded is not None:
             print(f"post-mortem: {sharded.shard_summary()}")
             print(f"  accesses partitioned: {sharded.partitioned_accesses}; "
@@ -471,25 +480,16 @@ def cmd_check(args) -> int:
                   f"{sharded.monitored_locations}; "
                   f"trie nodes (merged): {sharded.trie_nodes}")
     if args.phase_times:
-        phases = detector.phase_seconds(wall_seconds)
-        denom = wall_seconds or 1e-12
-        print(f"phase times (wall {wall_seconds:.3f}s, {args.engine} engine):")
-        for name, seconds in phases.items():
-            label = name.replace("lockset_trie", "lockset/trie")
-            print(f"  {label:<12} {seconds:.3f}s "
-                  f"({100.0 * seconds / denom:.0f}%)")
-        if args.engine == "compiled":
-            print(f"  inline fast path: {_inline_line(detector)} "
-                  "(its time is attributed to interpret)")
+        from .service.protocol import STAGES
+
+        wall_seconds = sum(stages.values())
+        print(f"phase times (wall {wall_seconds:.3f}s):")
+        for stage in STAGES:
+            if stage in stages:
+                seconds = stages[stage]
+                print(f"  {stage:<7} {seconds:.3f}s "
+                      f"({100.0 * seconds / (wall_seconds or 1e-12):.0f}%)")
     return 1 if reports or predicted else 0
-
-
-def _inline_line(detector) -> str:
-    """The compiled engine's inline fast-path completions, one line."""
-    return (
-        f"owned={detector.inline_owned} "
-        f"cache-hits={detector.inline_cache_hits}"
-    )
 
 
 def cmd_run(args) -> int:

@@ -94,83 +94,6 @@ TABLE2_CONFIGS = [
 TABLE3_CONFIGS = [CONFIG_FULL, CONFIG_FIELDS_MERGED, CONFIG_NO_OWNERSHIP]
 
 
-class TimedRaceDetector(RaceDetector):
-    """A :class:`RaceDetector` that attributes wall-clock to phases.
-
-    The paper's overhead story has distinct layers: interpreting the
-    program, filtering events (location interning + the ownership
-    model), probing the per-thread access caches, and the lockset/trie
-    detector proper.  This subclass times the sink hot path and its two
-    inner stages, so a harness run can split its wall time into
-    ``interpret`` / ``filter`` / ``cache`` / ``lockset_trie``.
-
-    The timer calls themselves add overhead to the measured run, so
-    breakdowns are for *attribution* (which layer dominates), not for
-    comparing absolute totals against untimed runs.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        #: Total time inside the access-event sink (all phases below).
-        self.sink_seconds = 0.0
-        #: Time inside the per-thread access-cache probe.
-        self.cache_seconds = 0.0
-        #: Time inside the lockset/trie detector (weaker-than check,
-        #: race lookup, insert/prune, reporting).
-        self.detect_seconds = 0.0
-        inner = self._cache_access
-        if inner is not None:
-
-            def timed_cache(thread_id, key, kind, locks, _inner=inner):
-                started = time.perf_counter()
-                try:
-                    return _inner(thread_id, key, kind, locks)
-                finally:
-                    self.cache_seconds += time.perf_counter() - started
-
-            self._cache_access = timed_cache
-
-    def on_access_parts(
-        self, object_uid, field, thread_id, kind, site_id, object_kind,
-        object_label,
-    ) -> None:
-        started = time.perf_counter()
-        try:
-            super().on_access_parts(
-                object_uid, field, thread_id, kind, site_id, object_kind,
-                object_label,
-            )
-        finally:
-            self.sink_seconds += time.perf_counter() - started
-
-    def _detect_parts(self, *args) -> None:
-        started = time.perf_counter()
-        try:
-            super()._detect_parts(*args)
-        finally:
-            self.detect_seconds += time.perf_counter() - started
-
-    def phase_seconds(self, wall_seconds: float) -> dict:
-        """Split ``wall_seconds`` (the run's wall time) into phases.
-
-        ``interpret`` is everything outside the sink — program
-        execution plus event emission, and on the compiled engine the
-        inline fast path's owned and cache-hit accesses; ``filter`` is
-        the sink time not
-        spent in the cache probe or the detector (interning +
-        ownership).
-        """
-        filter_seconds = max(
-            self.sink_seconds - self.cache_seconds - self.detect_seconds, 0.0
-        )
-        return {
-            "interpret": max(wall_seconds - self.sink_seconds, 0.0),
-            "filter": filter_seconds,
-            "cache": self.cache_seconds,
-            "lockset_trie": self.detect_seconds,
-        }
-
-
 @dataclass
 class RunOutcome:
     """Everything measured in one execution."""
@@ -204,7 +127,6 @@ def run_workload(
     policy: Optional[SchedulingPolicy] = None,
     max_steps: int = 50_000_000,
     engine: str = DEFAULT_ENGINE,
-    detector_class: type = RaceDetector,
 ) -> RunOutcome:
     """Compile, plan, execute, and measure one workload/config pair.
 
@@ -213,10 +135,6 @@ def run_workload(
     compile time.  Engine construction is likewise outside: for the
     compiled engine it includes closure compilation, which is compile
     time by the same argument.
-
-    ``detector_class`` swaps the detector implementation (e.g.
-    :class:`TimedRaceDetector` for phase attribution); it must be a
-    :class:`RaceDetector` subclass with the same constructor.
     """
     source = spec.build(scale)
     resolved = compile_source(source, filename=spec.name)
@@ -231,7 +149,7 @@ def run_workload(
         sites_instrumented = len(trace_sites)
         static_races = plan.static_races
     if configuration.detector is not None:
-        detector = detector_class(
+        detector = RaceDetector(
             config=configuration.detector,
             resolved=resolved,
             static_races=static_races,
@@ -276,84 +194,6 @@ def run_workload(
         outcome.trie_nodes = detector.total_trie_nodes()
         outcome.monitored_locations = detector.monitored_locations
     return outcome
-
-
-@dataclass
-class PhaseBreakdown:
-    """Wall-clock attribution for one on-the-fly detection run."""
-
-    workload: str
-    configuration: str
-    engine: str
-    wall_seconds: float
-    #: Program execution + event emission (everything outside the sink).
-    interpret_seconds: float
-    #: Location interning + ownership filtering inside the sink.
-    filter_seconds: float
-    #: Per-thread access-cache probes.
-    cache_seconds: float
-    #: Lockset/trie detection (weaker-than, race lookup, insert/prune).
-    lockset_trie_seconds: float
-    outcome: RunOutcome
-
-    def rows(self) -> list:
-        """``(phase, seconds, percent)`` rows, detection phases last."""
-        wall = self.wall_seconds or 1e-12
-        return [
-            (name, seconds, 100.0 * seconds / wall)
-            for name, seconds in (
-                ("interpret", self.interpret_seconds),
-                ("filter", self.filter_seconds),
-                ("cache", self.cache_seconds),
-                ("lockset/trie", self.lockset_trie_seconds),
-            )
-        ]
-
-
-def run_workload_phases(
-    spec: WorkloadSpec,
-    configuration: Configuration = CONFIG_FULL,
-    scale: Optional[int] = None,
-    policy: Optional[SchedulingPolicy] = None,
-    max_steps: int = 50_000_000,
-    engine: str = DEFAULT_ENGINE,
-) -> PhaseBreakdown:
-    """Run one workload with phase timers attached to the detector.
-
-    Requires a configuration with a detector (the breakdown is
-    meaningless for Base).  The timers add measurement overhead, so the
-    split is for attribution, not cross-run absolute comparison.
-
-    On the compiled engine the inline fast path
-    (:class:`~repro.detector.pipeline.InlineFastPath`) runs outside the
-    timed sink, so its time lands in the ``interpret`` phase.
-    """
-    if configuration.detector is None:
-        raise ValueError(
-            f"configuration {configuration.name!r} has no detector; "
-            "phase breakdown needs an on-the-fly detection run"
-        )
-    outcome = run_workload(
-        spec,
-        configuration,
-        scale=scale,
-        policy=policy,
-        max_steps=max_steps,
-        engine=engine,
-        detector_class=TimedRaceDetector,
-    )
-    phases = outcome.detector.phase_seconds(outcome.wall_seconds)
-    return PhaseBreakdown(
-        workload=spec.name,
-        configuration=configuration.name,
-        engine=engine,
-        wall_seconds=outcome.wall_seconds,
-        interpret_seconds=phases["interpret"],
-        filter_seconds=phases["filter"],
-        cache_seconds=phases["cache"],
-        lockset_trie_seconds=phases["lockset_trie"],
-        outcome=outcome,
-    )
 
 
 @dataclass

@@ -16,10 +16,16 @@ and respawns a fresh worker so pool capacity is restored.  A worker
 that dies for any other reason mid-job fails that job and is respawned
 the same way.
 
-Worker-side execution mirrors the CLI exactly — same engine runners,
-same detector configuration, same report payload — which is what makes
-the service's reports byte-identical to ``repro check --report-json``
-for the same inputs.
+Worker-side execution mirrors ``repro check --post-mortem``: a
+program job runs its engine into a lone
+:class:`~repro.runtime.events.RecordingSink`, and from there it takes
+the one detection path an upload takes — the same
+:func:`~repro.detector.sharded.detect_sharded` call ``check
+--from-log`` makes, then the extra axes replayed over the same log.
+Same engine runners, same detector configuration, same report payload:
+that is what makes the service's reports byte-identical to ``repro
+check --report-json`` for the same inputs.  Every job times the same
+four :data:`~repro.service.protocol.STAGES`, never individual events.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .protocol import (
     KIND_BINARY_LOG,
     KIND_PROGRAM,
     KIND_TUPLE_LOG,
+    STAGES,
     detection_report,
     error_payload,
     http_status_for,
@@ -110,47 +117,26 @@ def _replay_axes(replay, emit) -> list:
 
 
 def _execute_program(payload: dict, cache: CompileCache, emit) -> dict:
-    from ..harness import TimedRaceDetector
-    from ..runtime import MulticastSink, RecordingSink, engine_runner
+    from ..runtime import RecordingSink, engine_runner
 
     source = payload["body"].decode("utf-8")
     engine = payload["engine"]
+    timing = dict.fromkeys(STAGES, 0.0)
 
     started = time.perf_counter()
     cached = cache.lookup(source, payload.get("filename", "<input>"))
-    compile_seconds = time.perf_counter() - started
+    timing["load"] = time.perf_counter() - started
 
     log = RecordingSink()
-    detector = TimedRaceDetector(
-        resolved=cached.resolved,
-        static_races=cached.plan.static_races,
-    )
     started = time.perf_counter()
     result = engine_runner(engine)(
         cached.resolved,
-        sink=MulticastSink([log, detector]),
+        sink=log,
         trace_sites=cached.plan.trace_sites,
         policy=_policy(payload.get("seed")),
     )
-    execute_seconds = time.perf_counter() - started
+    timing["run"] = time.perf_counter() - started
 
-    paper = verdict_payload(
-        "paper",
-        (str(key) for key in detector.reports.racy_locations),
-        detector.reports.racy_objects,
-        len(detector.reports.reports),
-    )
-    emit(paper)
-    started = time.perf_counter()
-    axes = [paper] + _replay_axes(log.replay_into, emit)
-    detect_seconds = time.perf_counter() - started
-
-    report = detection_report(
-        detector.reports.reports,
-        detector.stats,
-        detector.cache.stats if detector.cache else None,
-        output=result.output,
-    )
     return {
         "kind": KIND_PROGRAM,
         "engine": engine,
@@ -158,66 +144,77 @@ def _execute_program(payload: dict, cache: CompileCache, emit) -> dict:
             "status": cached.status,
             "fingerprint": cached.fingerprint,
         },
-        "timing": {
-            "compile_seconds": compile_seconds,
-            "execute_seconds": execute_seconds,
-            "detect_seconds": detect_seconds,
-            # The same attribution split as ``repro check
-            # --phase-times`` / run_workload_phases: interpret vs
-            # filter vs cache vs lockset/trie inside the recorded run.
-            "phases": detector.phase_seconds(execute_seconds),
-        },
-        "report": report,
-        "axes": axes,
+        **_detect(
+            log,
+            timing,
+            emit,
+            output=result.output,
+            resolved=cached.resolved,
+            static_races=cached.plan.static_races,
+        ),
     }
 
 
 def _execute_log(payload: dict, emit) -> dict:
-    from ..detector import DetectorConfig, detect_sharded
     from ..runtime.binlog import open_log, temporary_binary_log
 
     kind = payload["kind"]
     suffix = ".mjbl" if kind == KIND_BINARY_LOG else ".json"
+    timing = dict.fromkeys(STAGES, 0.0)
     started = time.perf_counter()
     with temporary_binary_log(suffix=suffix) as spool:
         spool.write_bytes(payload["body"])
+        # open_log is the single validation point.
         with open_log(spool) as log:
-            # The exact `repro check --from-log` code path: one shard,
-            # serial, default configuration, open_log as the single
-            # validation point.
-            sharded = detect_sharded(
-                log,
-                1,
-                config=DetectorConfig(),
-                validate=False,
-            )
-            paper = verdict_payload(
-                "paper",
-                (str(key) for key in sharded.reports.racy_locations),
-                sharded.reports.racy_objects,
-                len(sharded.reports.reports),
-            )
-            emit(paper)
-            axes = [paper] + _replay_axes(log.replay_into, emit)
-    detect_seconds = time.perf_counter() - started
-
-    report = detection_report(
-        sharded.reports.reports,
-        sharded.stats,
-        sharded.cache_stats,
-        output=(),
-    )
+            timing["load"] = time.perf_counter() - started
+            detected = _detect(log, timing, emit)
     return {
         "kind": kind,
         "engine": None,
         "cache": {"status": UNCACHED, "fingerprint": None},
-        "timing": {
-            "compile_seconds": 0.0,
-            "execute_seconds": 0.0,
-            "detect_seconds": detect_seconds,
-            "phases": None,
-        },
-        "report": report,
+        **detected,
+    }
+
+
+def _detect(
+    log, timing: dict, emit, output=(), resolved=None, static_races=None
+) -> dict:
+    """The one detection path every job takes, after its log exists:
+    the exact ``repro check --post-mortem`` / ``--from-log`` code path
+    (one shard, serial, default configuration, no re-validation), then
+    the hb and eraser axes replayed over the same log.  Fills
+    ``timing``'s ``detect`` and ``axes`` stages and returns the
+    result's ``timing``, ``report`` and ``axes``."""
+    from ..detector import DetectorConfig, detect_sharded
+
+    started = time.perf_counter()
+    sharded = detect_sharded(
+        log,
+        1,
+        config=DetectorConfig(),
+        resolved=resolved,
+        static_races=static_races,
+        validate=False,
+    )
+    timing["detect"] = time.perf_counter() - started
+    paper = verdict_payload(
+        "paper",
+        sharded.reports.racy_locations,
+        sharded.reports.racy_objects,
+        len(sharded.reports.reports),
+    )
+    emit(paper)
+    started = time.perf_counter()
+    axes = [paper] + _replay_axes(log.replay_into, emit)
+    timing["axes"] = time.perf_counter() - started
+    return {
+        "timing": timing,
+        "report": detection_report(
+            sharded.reports.reports,
+            sharded.stats,
+            sharded.cache_stats,
+            output=output,
+        ),
         "axes": axes,
     }
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from ..detector.sharded import canonical_report_order
 from ..lang import MJError
 from ..runtime.binlog import MAGIC
 from ..runtime.events import (
@@ -36,6 +37,15 @@ EXIT_RACY = 1
 EXIT_ERROR = 2
 EXIT_CORRUPT = 3
 EXIT_SCHEMA_MISMATCH = 4
+
+
+#: The stages every job's ``timing`` and ``repro check --phase-times``
+#: report, in seconds: ``load`` (compile and plan, or the compile-cache
+#: lookup; for a log, the spool write plus ``open_log``), ``run`` (the
+#: engine run), ``detect`` (sharded detection, merge included) and
+#: ``axes`` (every further replay of the log).  Each is timed as a
+#: whole, never per event.
+STAGES = ("load", "run", "detect", "axes")
 
 
 def canonical_json(payload) -> str:
@@ -125,13 +135,20 @@ def detection_report(
     """The ``report`` object: the single schema the CLI prints and the
     daemon embeds in job results.
 
+    Races come in :func:`~repro.detector.sharded.canonical_report_order`
+    (stably sorted by location key), the order sharded detection
+    merges into, so an on-the-fly run, a post-mortem run at any shard
+    count and a service job all print the same bytes.
+
     ``reports`` is a sequence of race reports, ``stats`` the detector's
     :class:`~repro.detector.pipeline.PipelineStats`, ``cache_stats``
     the access-cache statistics (None when the cache is disabled or the
     run was sharded without cache counters), ``output`` the program's
     print lines (empty for log-only analysis).
     """
-    races = [_race_payload(report) for report in reports]
+    races = [
+        _race_payload(report) for report in canonical_report_order(reports)
+    ]
     return {
         "schema": REPORT_SCHEMA_VERSION,
         "verdict": "racy" if races else "clean",

@@ -45,6 +45,24 @@ class W {
 """
 
 
+def phase_rows(out) -> list:
+    """The stage names ``--phase-times`` printed, in order; each row
+    carries non-negative seconds."""
+    lines = out.splitlines()
+    start = next(
+        index for index, line in enumerate(lines)
+        if line.startswith("phase times (wall ")
+    )
+    stages = []
+    for line in lines[start + 1:]:
+        if not line.startswith("  "):
+            break
+        stage, seconds, _ = line.split()
+        assert float(seconds.rstrip("s")) >= 0.0
+        stages.append(stage)
+    return stages
+
+
 @pytest.fixture
 def racy_file(tmp_path):
     path = tmp_path / "racy.mj"
@@ -142,16 +160,42 @@ class TestCheck:
         )
         out = capsys.readouterr().out
         assert code == 1
-        assert "phase times (wall" in out
-        assert f"{engine} engine" in out
-        for phase in ("interpret", "filter", "cache", "lockset/trie"):
-            assert phase in out
+        assert "DATARACE" in out
+        assert phase_rows(out) == ["load", "run"]
 
-    def test_phase_times_rejects_post_mortem(self, racy_file, capsys):
-        code = main(["check", str(racy_file), "--phase-times", "--shards", "2"])
-        err = capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags, stages",
+        [
+            (["--post-mortem"], ["load", "run", "detect"]),
+            (["--shards", "2"], ["load", "run", "detect"]),
+            (["--from-log", "v1"], ["load", "detect"]),
+            (["--from-log", "tuple"], ["load", "detect"]),
+            (["--predict", "shb"], ["load", "run", "detect", "axes"]),
+        ],
+        ids=["post-mortem", "shards-2", "from-log-v1", "from-log-tuple",
+             "predict-shb"],
+    )
+    def test_phase_times_on_every_check_path(
+        self, racy_file, tmp_path, flags, stages, capsys
+    ):
+        target = [str(racy_file)]
+        if flags[0] == "--from-log":
+            log = tmp_path / ("racy.mjbl" if flags[1] == "v1" else "racy.json")
+            record = "--record-binary" if flags[1] == "v1" else "--record"
+            assert main(["run", str(racy_file), record, str(log)]) == 0
+            target, flags = [], ["--from-log", str(log)]
+        capsys.readouterr()
+        code = main(["check", *target, *flags, "--phase-times"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert phase_rows(out) == stages
+
+    def test_phase_times_rejects_report_json(self, racy_file, capsys):
+        code = main(
+            ["check", str(racy_file), "--phase-times", "--report-json"]
+        )
         assert code == 2
-        assert "on-the-fly" in err
+        assert "--report-json" in capsys.readouterr().err
 
 
 class TestRunAndExplain:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.detector import DetectorConfig, RaceDetector
 from repro.detector.pipeline import InlineFastPath
-from repro.harness import CONFIG_FULL, TimedRaceDetector, run_workload
+from repro.harness import CONFIG_FULL, run_workload
 from repro.instrument import PlannerConfig, plan_instrumentation
 from repro.lang import compile_source
 from repro.runtime import RandomPolicy, engine_runner
@@ -144,26 +144,11 @@ class TestReportParity:
         assert compiled.cache_hits == ast.cache_hits
         assert compiled.weaker_filtered == ast.weaker_filtered
         assert compiled.trie_nodes == ast.trie_nodes
-        assert ast.detector.inline_cache_hits == 0
-        assert compiled.detector.inline_cache_hits > 0
-
-    def test_timed_detector_outcome_identical_across_engines(self):
-        spec = ALL_WORKLOADS["tsp2"]
-        ast, compiled = (
-            run_workload(
-                spec,
-                CONFIG_FULL,
-                scale=4,
-                policy=RandomPolicy(5),
-                engine=engine,
-                detector_class=TimedRaceDetector,
-            )
-            for engine in ("ast", "compiled")
-        )
         assert compiled.detector.stats == ast.detector.stats
         assert compiled.detector.cache.stats == ast.detector.cache.stats
-        assert compiled.racy_objects == ast.racy_objects
+        assert ast.detector.inline_cache_hits == 0
         assert compiled.detector.inline_owned > 0
+        assert compiled.detector.inline_cache_hits > 0
 
 
 class TestCounters:

@@ -36,17 +36,6 @@ class TestBuildReport:
         assert "%" in report_text
         assert "s (" in report_text
 
-    def test_phase_breakdown_section(self, report_text):
-        assert "## Per-phase timing breakdown" in report_text
-        assert "Lockset/trie" in report_text
-        # One row per (benchmark, engine) pair.
-        phase_lines = [
-            line for line in report_text.splitlines()
-            if line.startswith("|") and ("| ast |" in line
-                                         or "| compiled |" in line)
-        ]
-        assert len(phase_lines) == 6
-
 
 class TestWriteReport:
     def test_writes_file(self, tmp_path):

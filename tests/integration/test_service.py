@@ -623,6 +623,52 @@ class TestLogJobs:
         assert json.loads(data)["taxonomy"] == "corrupt"
 
 
+class TestStageTiming:
+    """Every job kind times the same four stages, each as a whole."""
+
+    STAGES = {"load", "run", "detect", "axes"}
+
+    def result(self, daemon, body, query="") -> dict:
+        _, _, record = daemon.submit_json(
+            f"/submit?wait=1{query}", body, expect=200
+        )
+        timing = record["result"]["timing"]
+        assert set(timing) == self.STAGES
+        assert all(
+            isinstance(seconds, float) and seconds >= 0.0
+            for seconds in timing.values()
+        )
+        return record["result"]
+
+    def test_program_miss_then_hit(self, daemon):
+        body = (RACY + "// stage timing\n").encode()
+        for status in ("miss", "hit"):
+            result = self.result(daemon, body, "&seed=3")
+            assert result["cache"]["status"] == status
+            assert result["timing"]["run"] > 0.0
+
+    @pytest.mark.parametrize("fmt", ["v1", "v2", "tuple"])
+    def test_uploads_have_no_run_stage(self, daemon, tmp_path, fmt):
+        from repro.runtime.binlog import open_log, write_binary_log
+        from repro.runtime.events import RecordingSink, dump_log
+        from repro.runtime.synthlog import synthesize_file
+
+        path = tmp_path / "synth.mjbl"
+        synthesize_file(path, 2_000, seed=7)
+        if fmt == "v2":
+            write_binary_log(path, tmp_path / "v2.mjbl", compress=6)
+            path = tmp_path / "v2.mjbl"
+        body = path.read_bytes()
+        if fmt == "tuple":
+            log = RecordingSink()
+            with open_log(path) as reader:
+                reader.replay_into(log)
+            body = json.dumps(dump_log(log)).encode()
+        timing = self.result(daemon, body)["timing"]
+        assert timing["run"] == 0.0
+        assert timing["detect"] > 0.0
+
+
 class TestBackpressure:
     def test_queue_full_answers_429_with_retry_after(self):
         daemon = Daemon(

@@ -8,7 +8,6 @@ import pytest
 from repro.cli import main
 from repro.detector import DetectorConfig, OwnershipFilter, RaceDetector
 from repro.difflab.inject import ReadBlindDetector
-from repro.harness import TimedRaceDetector
 from repro.lang import compile_source
 from repro.runtime import (
     DeadlockError,
@@ -86,9 +85,8 @@ def _counters(detector, result=None):
 
 
 class TestEngagement:
-    @pytest.mark.parametrize("detector_class", [RaceDetector, TimedRaceDetector])
-    def test_detector_sinks_engage(self, detector_class):
-        assert _engine(detector_class())._fast_path is not None
+    def test_detector_sinks_engage(self):
+        assert _engine(RaceDetector())._fast_path is not None
 
     @pytest.mark.parametrize(
         "make_sink",
@@ -206,13 +204,6 @@ class TestCli:
         ]
         assert len(lines) == 1
         assert "cache-hits=" in lines[0]
-
-    def test_phase_times_attribute_inline_time_to_interpret(
-        self, program, capsys
-    ):
-        main(["check", program, "--engine", "compiled", "--seed", "4",
-              "--phase-times"])
-        assert "attributed to interpret" in capsys.readouterr().out
 
     def test_ast_engine_prints_no_inline_line(self, program, capsys):
         main(["check", program, "--engine", "ast", "--seed", "4", "--stats"])
