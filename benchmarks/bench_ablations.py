@@ -4,9 +4,6 @@
   post-join statistics idiom reports nothing; without it the detector
   behaves like past work and reports spurious races.  Measures the
   bookkeeping cost and asserts the precision difference.
-* **write-covers-read cache** (reproduction extension): a read lookup
-  falling back to the write cache is sound (WRITE ⊑ READ); measures
-  whether the extra probe pays for the extra hits.
 * **FieldsMerged keying**: object-granularity merging trades precision
   for fewer tries; measures the cost/space effect on mtrt2.
 """
@@ -50,25 +47,6 @@ class TestJoinPseudoLocks:
         benchmark.group = "ablation:join-pseudolocks-cost"
         _, detector = benchmark(runner)
         benchmark.extra_info["racy_objects"] = detector.reports.object_count
-
-
-class TestWriteCoversRead:
-    @pytest.mark.parametrize("extension", [False, True])
-    def test_cache_extension(self, benchmark, extension):
-        spec = BENCHMARKS["tsp2"]
-        runner = prepare(
-            spec, config_with(write_cache_covers_reads=extension)
-        )
-        benchmark.group = "ablation:write-covers-read"
-        _, detector = benchmark(runner)
-        benchmark.extra_info["cache_hits"] = detector.cache.stats.hits
-        benchmark.extra_info["racy_objects"] = detector.reports.object_count
-        # The extension is sound: the reported objects are identical.
-        baseline_runner = prepare(spec, CONFIG_FULL)
-        _, baseline = baseline_runner()
-        assert (
-            detector.reports.racy_objects == baseline.reports.racy_objects
-        )
 
 
 class TestFieldsMergedCost:

@@ -13,7 +13,7 @@ Two families of benchmarks:
 
 import pytest
 
-from repro.detector import AccessCache, LockTrie
+from repro.detector import AccessCache, LockTracker, LockTrie
 from repro.harness import CONFIG_FULL, CONFIG_NO_CACHE
 from repro.lang.ast import AccessKind
 from repro.workloads import BENCHMARKS
@@ -24,11 +24,12 @@ from conftest import prepare
 class TestFastPathMicro:
     def test_cache_hit_cost(self, benchmark):
         cache = AccessCache()
-        cache.insert(1, ("m", "f"), AccessKind.READ, anchor_lock=None)
+        locks = LockTracker()
+        cache.access_tracked(1, ("m", "f"), AccessKind.READ, locks)
         benchmark.group = "cache:fast-path"
 
         def hit():
-            return cache.lookup(1, ("m", "f"), AccessKind.READ)
+            return cache.access_tracked(1, ("m", "f"), AccessKind.READ, locks)
 
         assert benchmark(hit)
 
@@ -57,12 +58,12 @@ class TestFastPathMicro:
     def test_cache_miss_and_insert_cost(self, benchmark):
         benchmark.group = "cache:fast-path"
         cache = AccessCache()
+        locks = LockTracker()
         keys = [("m", i) for i in range(512)]
 
         def miss_insert():
             for key in keys:
-                if not cache.lookup(2, key, AccessKind.WRITE):
-                    cache.insert(2, key, AccessKind.WRITE, anchor_lock=None)
+                cache.access_tracked(2, key, AccessKind.WRITE, locks)
 
         benchmark(miss_insert)
 

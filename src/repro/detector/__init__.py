@@ -25,12 +25,6 @@ from .config import (
 from .locksets import LockTracker, join_pseudo_lock
 from .ownership import SHARED, OwnershipFilter, OwnershipStats
 from .pipeline import PipelineStats, RaceDetector
-from .postmortem import (
-    PostMortemResult,
-    detect_from_log,
-    detect_post_mortem,
-    record_execution,
-)
 from .predict import (
     PREDICTORS,
     HybridPredictor,
@@ -47,7 +41,6 @@ from .sharded import (
     ShardOutcome,
     canonical_report_order,
     detect_sharded,
-    detect_sharded_post_mortem,
 )
 from .reference import RacePair, RecordedAccess, ReferenceDetector
 from .report import RaceReport, ReportCollector
@@ -85,7 +78,6 @@ __all__ = [
     "OwnershipFilter",
     "OwnershipStats",
     "PipelineStats",
-    "PostMortemResult",
     "PriorAccess",
     "RaceDetector",
     "RacePair",
@@ -102,14 +94,10 @@ __all__ = [
     "TrieNode",
     "TrieStats",
     "canonical_report_order",
-    "detect_from_log",
-    "detect_post_mortem",
     "detect_sharded",
-    "detect_sharded_post_mortem",
     "find_witness",
     "make_predictor",
     "predict_races",
-    "record_execution",
     "replay_witness",
     "access_leq",
     "access_meet",

@@ -108,36 +108,6 @@ class _DirectMappedCache:
         product = (hash(key) * _HASH_MULTIPLIER) & _MASK32
         return (product >> 16) % self._size
 
-    def probe(self, key) -> bool:
-        """Membership test without touching the hit/miss statistics."""
-        entry = self._slots[self._index(key)]
-        return entry is not None and entry.valid and entry.key == key
-
-    def lookup(self, key) -> bool:
-        entry = self._slots[self._index(key)]
-        if entry is not None and entry.valid and entry.key == key:
-            self._stats.hits += 1
-            return True
-        self._stats.misses += 1
-        return False
-
-    def access(self, key, anchor_lock: Optional[int]) -> bool:
-        """Fused lookup+insert: one index computation for the whole
-        hot-path transaction.  Returns True on a hit (event suppressed);
-        on a miss records the access and returns False.  Exactly one
-        hit or one miss is counted per call."""
-        index = self._index(key)
-        entry = self._slots[index]
-        if entry is not None and entry.valid and entry.key == key:
-            self._stats.hits += 1
-            return True
-        self._stats.misses += 1
-        self._insert_at(index, key, anchor_lock)
-        return False
-
-    def insert(self, key, anchor_lock: Optional[int]) -> None:
-        self._insert_at(self._index(key), key, anchor_lock)
-
     def _insert_at(self, index: int, key, anchor_lock: Optional[int]) -> None:
         old = self._slots[index]
         if old is not None and old.valid:
@@ -200,100 +170,38 @@ class ThreadCaches:
         self.read = _DirectMappedCache(size, stats)
         self.write = _DirectMappedCache(size, stats)
 
-    def cache_for(self, kind: AccessKind) -> _DirectMappedCache:
-        return self.write if kind is AccessKind.WRITE else self.read
-
 
 class AccessCache:
     """All threads' caches plus the eviction triggers.
 
-    ``size`` defaults to the paper's 256 entries per cache.
-    ``write_covers_read`` is a reproduction extension (off by default,
-    matching the paper): when on, a read lookup that misses the read
-    cache also consults the write cache — sound because a previous
-    *write* with the same ``(m, t)`` and subset lockset is weaker than
-    a read (``WRITE ⊑ READ`` in the access order).
+    ``size`` defaults to the paper's 256 entries per cache.  Reads
+    consult only the read cache and writes only the write cache, as in
+    the paper.
     """
 
-    def __init__(self, size: int = 256, write_covers_read: bool = False):
+    def __init__(self, size: int = 256):
         if size < 1:
             raise ValueError("cache size must be positive")
         self._size = size
-        self._write_covers_read = write_covers_read
         self._threads: dict[int, ThreadCaches] = {}
         self.stats = CacheStats()
 
-    def _caches(self, thread_id: int) -> ThreadCaches:
-        caches = self._threads.get(thread_id)
-        if caches is None:
-            caches = ThreadCaches(self._size, self.stats)
-            self._threads[thread_id] = caches
-        return caches
-
-    def lookup(self, thread_id: int, key, kind: AccessKind) -> bool:
-        """True on a hit — a weaker access is already recorded.
-
-        Counts exactly one hit or one miss per call: a read that
-        consults both the read and (under ``write_covers_read``) the
-        write cache is still one logical lookup.
-        """
-        caches = self._caches(thread_id)
-        if self._write_covers_read and kind is AccessKind.READ:
-            # Extension: the write cache holds writes by this thread with
-            # subset locksets; a write is weaker than this read.
-            if caches.read.probe(key) or caches.write.probe(key):
-                self.stats.hits += 1
-                return True
-            self.stats.misses += 1
-            return False
-        return caches.cache_for(kind).lookup(key)
-
-    def access(
-        self, thread_id: int, key, kind: AccessKind, anchor_lock: Optional[int]
-    ) -> bool:
-        """Fused lookup+insert, the hot-path entry point.
-
-        Returns True on a hit (the event is suppressed); on a miss the
-        access is recorded under ``anchor_lock`` and False is returned.
-        """
-        caches = self._threads.get(thread_id)
-        if caches is None:
-            caches = ThreadCaches(self._size, self.stats)
-            self._threads[thread_id] = caches
-        if kind is AccessKind.WRITE:
-            return caches.write.access(key, anchor_lock)
-        if self._write_covers_read:
-            if caches.read.probe(key) or caches.write.probe(key):
-                self.stats.hits += 1
-                return True
-            self.stats.misses += 1
-            caches.read.insert(key, anchor_lock)
-            return False
-        return caches.read.access(key, anchor_lock)
-
     def access_tracked(self, thread_id: int, key, kind: AccessKind, locks) -> bool:
-        """Fused lookup+insert with *lazy* anchoring.
+        """Fused lookup+insert, the one entry point.
 
-        Identical to :meth:`access`, except the anchor lock is obtained
-        from ``locks`` (a :class:`~repro.detector.locksets.LockTracker`)
-        only on a miss — hits, the overwhelmingly common case, never
-        query the lock stack at all.
+        Returns True on a hit (a weaker access is already recorded, so
+        the event is suppressed).  On a miss the access is recorded and
+        False is returned; the entry is anchored to the thread's most
+        recently acquired real lock, which ``locks`` (a
+        :class:`~repro.detector.locksets.LockTracker`) is asked for only
+        then — hits, the overwhelmingly common case, never query the
+        lock stack.  Exactly one hit or one miss is counted per call.
         """
         caches = self._threads.get(thread_id)
         if caches is None:
             caches = ThreadCaches(self._size, self.stats)
             self._threads[thread_id] = caches
-        if kind is AccessKind.WRITE:
-            cache = caches.write
-        elif self._write_covers_read:
-            if caches.read.probe(key) or caches.write.probe(key):
-                self.stats.hits += 1
-                return True
-            self.stats.misses += 1
-            caches.read.insert(key, locks.last_real_lock(thread_id))
-            return False
-        else:
-            cache = caches.read
+        cache = caches.write if kind is AccessKind.WRITE else caches.read
         index = cache._index(key)
         entry = cache._slots[index]
         if entry is not None and entry.valid and entry.key == key:
@@ -302,16 +210,6 @@ class AccessCache:
         self.stats.misses += 1
         cache._insert_at(index, key, locks.last_real_lock(thread_id))
         return False
-
-    def insert(
-        self, thread_id: int, key, kind: AccessKind, anchor_lock: Optional[int]
-    ) -> None:
-        """Record the access after a miss.
-
-        ``anchor_lock`` is the thread's most recently acquired real lock
-        (or ``None``); the entry is evicted when that lock is released.
-        """
-        self._caches(thread_id).cache_for(kind).insert(key, anchor_lock)
 
     def on_lock_release(self, thread_id: int, lock_uid: int) -> None:
         """Outermost monitorexit: evict entries anchored to the lock."""

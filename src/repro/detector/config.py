@@ -8,9 +8,7 @@ The flags correspond to the paper's experimental configurations:
 * ``join_pseudolocks``     → the ``S_j`` modeling of Section 2.3 (on by
   default; turning it off shows the spurious post-join reports the
   paper contrasts with Eraser in Section 8.3);
-* ``read_read_races``      → footnote 2's memory-model variant;
-* ``write_cache_covers_reads`` → reproduction extension (see
-  :mod:`repro.detector.cache`).
+* ``read_read_races``      → footnote 2's memory-model variant.
 
 The *static* configurations of Table 2 (``NoStatic``, ``NoDominators``,
 ``NoPeeling``) live in :class:`repro.instrument.planner.PlannerConfig`,
@@ -31,7 +29,6 @@ class DetectorConfig:
     fields_merged: bool = False
     join_pseudolocks: bool = True
     read_read_races: bool = False
-    write_cache_covers_reads: bool = False
 
     def but(self, **changes) -> "DetectorConfig":
         """A copy with the given fields replaced."""

@@ -111,10 +111,7 @@ class RaceDetector(EventSink):
         self.locks = LockTracker()
         self.ownership = OwnershipFilter() if self.config.ownership else None
         self.cache = (
-            AccessCache(
-                size=self.config.cache_size,
-                write_covers_read=self.config.write_cache_covers_reads,
-            )
+            AccessCache(size=self.config.cache_size)
             if self.config.cache
             else None
         )
@@ -253,15 +250,13 @@ class RaceDetector(EventSink):
     def inline_fast_path(self) -> Optional["InlineFastPath"]:
         """The handles the compiled engine's trace stubs close over to
         finish the dominant outcomes of :meth:`on_access_parts` inline,
-        or ``None`` unless ownership is on and the cache answers with a
-        single probe.
+        or ``None`` unless both ownership and the cache are on.
 
-        Without that probe the stub could finish only owned accesses,
+        Without the cache the stub could finish only owned accesses,
         which are rare on every benchmarked workload, while each shared
         access would pay the stub's owner check and then the spine's.
         """
-        cache = self.cache
-        if self._owners is None or cache is None or cache._write_covers_read:
+        if self._owners is None or self.cache is None:
             return None
         return InlineFastPath(self)
 

@@ -36,7 +36,7 @@ Two predictors share one engine:
   enumerates.
 
 Both consume schema-v3 event logs through the same trust boundary as
-:func:`~repro.detector.postmortem.detect_from_log`: a
+:func:`~repro.detector.sharded.detect_sharded`: a
 :class:`~repro.runtime.events.RecordingSink`, a raw tuple list, a
 mapped :class:`~repro.runtime.binlog.BinaryLogReader`, or an on-disk
 path of either format (validated once by ``open_log``).
@@ -302,7 +302,7 @@ def predict_races(log, mode: str = "hybrid", validate: bool = True):
     """Run one predictor over a recorded log; returns the predictor.
 
     ``log`` accepts the same shapes as
-    :func:`~repro.detector.postmortem.detect_from_log`: a
+    :func:`~repro.detector.sharded.detect_sharded`: a
     :class:`~repro.runtime.events.RecordingSink`, a raw list of
     tuple-encoded entries, a mapped
     :class:`~repro.runtime.binlog.BinaryLogReader`, or a path to an

@@ -1,4 +1,13 @@
-"""Sharded parallel post-mortem detection.
+"""Post-mortem datarace detection, serial or sharded (Section 1).
+
+    "our approach could be easily modified to perform post-mortem
+    datarace detection by creating a log of access events during
+    program execution and performing the final datarace detection
+    phase off-line."
+
+:func:`detect_sharded` is the one function that detects over a
+recorded log; with one shard it is exactly one
+:class:`~repro.detector.pipeline.RaceDetector` and one ``replay_into``.
 
 The paper's detector state is *per memory location* — each location has
 its own lockset trie, ownership record, and cache slots — so a recorded
@@ -42,7 +51,8 @@ shard).  Executors:
 
 * ``"serial"`` — the worker runs in-process, one shard after another,
   on the source that is already open, so only one shard detector is
-  alive at a time.
+  alive at a time.  One shard always runs this way, whatever executor
+  was asked for, and its result says so.
 * ``"process"`` — a process pool runs the same worker, one task per
   shard (real parallelism).  A worker gets a handle it can unpickle —
   the mapped log's path, or the tuple log itself — plus ``(shard,
@@ -60,7 +70,6 @@ from typing import Optional, Sequence
 
 from ..lang.resolver import ResolvedProgram
 from ..runtime.binlog import BinaryLogReader, LogLike, log_source
-from ..runtime.events import RecordingSink
 from .cache import CacheStats
 from .config import DetectorConfig
 from .pipeline import PipelineStats, RaceDetector, static_partner_descriptors
@@ -144,6 +153,7 @@ class ShardedDetectionResult:
     """The merged output of a sharded post-mortem run."""
 
     shards: int
+    #: The executor that actually ran: ``"serial"`` for one shard.
     executor: str
     outcomes: list[ShardOutcome]
     #: Merged reports, in :func:`canonical_report_order`.
@@ -192,10 +202,10 @@ def detect_sharded(
     :class:`~repro.runtime.binlog.BinaryLogReader`, or a path to an
     on-disk log of either format (auto-detected by magic bytes).
     ``executor`` selects how shards run: ``"serial"`` or
-    ``"process"``.  The merged result is identical (races, monitored
-    locations, trie node totals) to a serial
-    :func:`~repro.detector.postmortem.detect_from_log` run, for every
-    shard count, executor, and log format.
+    ``"process"``; one shard always runs in-process, and the result
+    records ``"serial"``.  The merged result is identical (races,
+    monitored locations, trie node totals) to the one-shard run, for
+    every shard count, executor, and log format.
 
     Validation happens exactly once per log.  Tuple logs: ``validate``
     (default on) schema-checks before any replay, so stale layouts
@@ -210,8 +220,10 @@ def detect_sharded(
         raise ValueError(f"unknown executor {executor!r}; choose from {_EXECUTORS}")
     if shards < 1:
         raise ValueError("shard count must be positive")
+    if shards == 1:
+        executor = "serial"
     with log_source(log, validate) as source:
-        if executor == "serial" or shards == 1:
+        if executor == "serial":
             outcomes = [
                 _detect_shard(index, source, shards, config)
                 for index in range(shards)
@@ -297,28 +309,3 @@ def _merge_outcomes(
         replicated_sync_events=syncs,
     )
 
-
-def detect_sharded_post_mortem(
-    resolved: ResolvedProgram,
-    shards: int,
-    config: Optional[DetectorConfig] = None,
-    trace_sites: Optional[set] = None,
-    policy=None,
-    executor: str = "serial",
-    max_steps: int = 10_000_000,
-) -> tuple[ShardedDetectionResult, RecordingSink]:
-    """The whole sharded workflow: record one execution, then detect
-    sharded over the recorded log."""
-    from .postmortem import record_execution
-
-    _, log = record_execution(
-        resolved, trace_sites=trace_sites, policy=policy, max_steps=max_steps
-    )
-    result = detect_sharded(
-        log,
-        shards,
-        config=config,
-        resolved=resolved,
-        executor=executor,
-    )
-    return result, log

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from ..detector.config import DetectorConfig
@@ -198,16 +197,10 @@ def run_workload(
 
 @dataclass
 class PostMortemOutcome:
-    """One recorded execution analyzed serially and sharded."""
+    """One recorded execution analyzed with one shard and sharded."""
 
     workload: str
     configuration: str
-    #: Wall-clock of the recording run (interpretation + logging).
-    record_seconds: float
-    #: Wall-clock of the serial offline detection pass.
-    serial_seconds: float
-    #: Wall-clock of the sharded offline detection pass.
-    sharded_seconds: float
     shards: int
     executor: str
     access_events: int
@@ -215,15 +208,10 @@ class PostMortemOutcome:
     races_reported: int
     monitored_locations: int
     trie_nodes: int
-    #: True when the sharded run reproduced the serial run exactly
+    #: True when the sharded run reproduced the one-shard run exactly
     #: (same reports, monitored locations, and trie node totals).
     matches_serial: bool
     sharded: "object" = None
-    #: ``"tuple"`` (in-memory entries) or ``"binary"`` (MJBL file,
-    #: mmap-backed detection).
-    log_format: str = "tuple"
-    #: On-disk size of the binary log, when one was recorded.
-    log_bytes: int = 0
 
 
 def run_workload_post_mortem(
@@ -235,35 +223,18 @@ def run_workload_post_mortem(
     policy: Optional[SchedulingPolicy] = None,
     max_steps: int = 50_000_000,
     engine: str = DEFAULT_ENGINE,
-    log_format: str = "tuple",
-    log_path=None,
 ) -> PostMortemOutcome:
-    """Record one execution, then detect offline both serially and
-    sharded, checking that the two agree.
+    """Record one execution, then detect offline with one shard and
+    with ``shards``, checking that the two agree.
 
-    ``log_format`` selects the at-rest representation: ``"tuple"``
-    records into an in-memory :class:`RecordingSink`; ``"binary"``
-    streams an MJBL file (to ``log_path``, or a temporary file) and
-    both detection passes run over the mapped reader — the zero-copy
-    path.  ``executor`` is ``"serial"`` or ``"process"``, as for
-    :func:`~repro.detector.sharded.detect_sharded`.  Reports are
-    identical either way; the harness asserts it.
+    ``executor`` is ``"serial"`` or ``"process"``, as for
+    :func:`~repro.detector.sharded.detect_sharded`.
     """
-    from contextlib import ExitStack
-
-    from ..detector.postmortem import detect_from_log
-    from ..detector.sharded import canonical_report_order, detect_sharded
-    from ..runtime.binlog import (
-        BinaryLogReader,
-        BinaryLogSink,
-        temporary_binary_log,
-    )
+    from ..detector.sharded import detect_sharded
     from ..runtime.events import RecordingSink
 
     if configuration.detector is None:
         raise ValueError("post-mortem detection needs a detector config")
-    if log_format not in ("tuple", "binary"):
-        raise ValueError(f"unknown log format {log_format!r}")
     source = spec.build(scale)
     resolved = compile_source(source, filename=spec.name)
     trace_sites: Optional[set] = set()
@@ -273,82 +244,41 @@ def run_workload_post_mortem(
         trace_sites = plan.trace_sites
         static_races = plan.static_races
 
-    # Every resource from here on registers with the stack the moment
-    # it exists, so a failure anywhere — engine construction, the
-    # recording run, opening the reader, detection — still closes the
-    # sink and removes the temp file (the old shape only guarded the
-    # detection block, leaking both on a mid-record failure).
-    with ExitStack() as stack:
-        binary_path = None
-        if log_format == "binary":
-            if log_path is not None:
-                binary_path = Path(log_path)
-            else:
-                binary_path = stack.enter_context(temporary_binary_log())
-            log = BinaryLogSink(binary_path)
-            stack.callback(log.close)
-        else:
-            log = RecordingSink()
-        chosen_policy = (
-            policy if policy is not None else RoundRobinPolicy(quantum=10)
-        )
-        recorder = engine_class(engine)(
-            resolved,
-            sink=log,
-            trace_sites=trace_sites,
-            policy=chosen_policy,
-            max_steps=max_steps,
-        )
-        started = time.perf_counter()
-        recorder.run()
-        if log_format == "binary":
-            log.close()
-        record_seconds = time.perf_counter() - started
-        log_bytes = (
-            binary_path.stat().st_size if binary_path is not None else 0
-        )
-
-        if log_format == "binary":
-            detectable = BinaryLogReader(binary_path)
-            stack.callback(detectable.close)
-        else:
-            detectable = log
-
-        started = time.perf_counter()
-        serial, _ = detect_from_log(
-            detectable,
-            config=configuration.detector,
-            resolved=resolved,
-            static_races=static_races,
-        )
-        serial_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        sharded = detect_sharded(
-            detectable,
-            shards,
-            config=configuration.detector,
-            resolved=resolved,
-            static_races=static_races,
-            executor=executor,
-            validate=False,  # detect_from_log above already validated
-        )
-        sharded_seconds = time.perf_counter() - started
+    log = RecordingSink()
+    engine_class(engine)(
+        resolved,
+        sink=log,
+        trace_sites=trace_sites,
+        policy=policy if policy is not None else RoundRobinPolicy(quantum=10),
+        max_steps=max_steps,
+    ).run()
+    one = detect_sharded(
+        log,
+        1,
+        config=configuration.detector,
+        resolved=resolved,
+        static_races=static_races,
+    )
+    sharded = detect_sharded(
+        log,
+        shards,
+        config=configuration.detector,
+        resolved=resolved,
+        static_races=static_races,
+        executor=executor,
+        validate=False,  # the one-shard pass above already validated
+    )
 
     matches = (
-        sharded.reports.reports
-        == canonical_report_order(serial.reports.reports)
-        and sharded.monitored_locations == serial.monitored_locations
-        and sharded.trie_nodes == serial.total_trie_nodes()
+        sharded.reports.reports == one.reports.reports
+        and sharded.monitored_locations == one.monitored_locations
+        and sharded.trie_nodes == one.trie_nodes
     )
     return PostMortemOutcome(
         workload=spec.name,
         configuration=configuration.name,
-        record_seconds=record_seconds,
-        serial_seconds=serial_seconds,
-        sharded_seconds=sharded_seconds,
         shards=shards,
-        executor=executor,
+        executor=sharded.executor,
         access_events=sharded.partitioned_accesses,
         replicated_sync_events=sharded.replicated_sync_events,
         races_reported=sharded.races,
@@ -356,8 +286,6 @@ def run_workload_post_mortem(
         trie_nodes=sharded.trie_nodes,
         matches_serial=matches,
         sharded=sharded,
-        log_format=log_format,
-        log_bytes=log_bytes,
     )
 
 

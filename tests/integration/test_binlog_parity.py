@@ -5,7 +5,7 @@ mapped MJBL file must be byte-identical to those produced over the
 in-memory tuple log — for every workload, every committed corpus
 reproducer, serial and sharded, and through every user-facing entry
 point (``repro run --record-binary``, ``repro check --from-log``,
-``repro log-stats``, and the harness's binary post-mortem mode).
+and ``repro log-stats``).
 """
 
 import json
@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.detector import canonical_report_order, detect_from_log, detect_sharded
+from repro.detector import detect_sharded
 from repro.difflab import load_corpus
 from repro.instrument import PlannerConfig, plan_instrumentation
 from repro.lang.resolver import compile_source
@@ -48,8 +48,8 @@ def _report_lines(reports):
 
 
 def _assert_binary_parity(resolved, log, tmp_path):
-    serial, _ = detect_from_log(log, resolved=resolved)
-    serial_lines = _report_lines(canonical_report_order(serial.reports.reports))
+    serial = detect_sharded(log, 1, resolved=resolved)
+    serial_lines = _report_lines(serial.reports.reports)
     path = tmp_path / "trace.mjbl"
     write_binary_log(log, path)
     v2_path = tmp_path / "trace_v2.mjbl"
@@ -92,28 +92,6 @@ class TestCorpusParity:
     def test_reproducer_binary_reports_identical(self, entry, tmp_path):
         resolved, log = _record(entry.source, policy=entry.schedule.policy())
         _assert_binary_parity(resolved, log, tmp_path)
-
-
-class TestHarnessBinaryMode:
-    def test_binary_post_mortem_matches_tuple(self, tmp_path):
-        from repro.harness.runner import CONFIG_FULL, run_workload_post_mortem
-
-        spec = ALL_WORKLOADS["tsp2"]
-        config = CONFIG_FULL
-        tuple_outcome = run_workload_post_mortem(
-            spec, config, shards=2, scale=1, log_format="tuple"
-        )
-        path = tmp_path / "tsp2.mjbl"
-        binary_outcome = run_workload_post_mortem(
-            spec, config, shards=2, scale=1, log_format="binary", log_path=path
-        )
-        assert binary_outcome.log_format == "binary"
-        assert binary_outcome.matches_serial
-        assert binary_outcome.races_reported == tuple_outcome.races_reported
-        assert binary_outcome.access_events == tuple_outcome.access_events
-        assert binary_outcome.trie_nodes == tuple_outcome.trie_nodes
-        assert path.exists()
-        assert binary_outcome.log_bytes == path.stat().st_size
 
 
 RACY = """

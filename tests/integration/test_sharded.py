@@ -3,30 +3,40 @@ workloads, both executors, the harness runner, and the CLI flags."""
 
 import pytest
 
-from repro.detector import (
-    canonical_report_order,
-    detect_from_log,
-    detect_sharded,
-    detect_sharded_post_mortem,
-)
-from repro.detector.postmortem import record_execution
+from repro.detector import RaceDetector, detect_sharded
 from repro.instrument import PlannerConfig, plan_instrumentation
 from repro.lang import compile_source
-from repro.runtime import RandomPolicy, RecordingSink
+from repro.runtime import MulticastSink, RandomPolicy, RecordingSink, run_program
 from repro.runtime.binlog import BinaryLogReader, write_binary_log
 from repro.workloads import ALL_WORKLOADS
 
 from ..binlog_oracle import replayed
+from ..property.test_sharded_parity import assert_matches_live
+
+
+def _record(resolved, policy=None):
+    """Run once into a log and a live detector; return the log and its
+    one-shard detection, checked against the live detector."""
+    plan = plan_instrumentation(resolved, PlannerConfig())
+    live = RaceDetector(resolved=resolved)
+    log = RecordingSink()
+    run_program(
+        resolved,
+        sink=MulticastSink([log, live]),
+        trace_sites=plan.trace_sites,
+        policy=policy,
+    )
+    one = detect_sharded(log, 1, resolved=resolved)
+    assert_matches_live(one, live)
+    return log, one, live
 
 
 @pytest.fixture(scope="module")
 def tsp_recording():
     spec = ALL_WORKLOADS["tsp2"]
     resolved = compile_source(spec.build(4), filename="tsp2")
-    plan = plan_instrumentation(resolved, PlannerConfig())
-    _, log = record_execution(resolved, trace_sites=plan.trace_sites)
-    serial, _ = detect_from_log(log, resolved=resolved)
-    return resolved, log, serial
+    log, one, _ = _record(resolved)
+    return resolved, log, one
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +118,7 @@ class TestExecutorEquivalence:
     def test_every_executor_matches_serial_detection(
         self, tsp_recording, tsp_binaries, log_format, shards
     ):
-        resolved, log, serial = tsp_recording
+        resolved, log, one = tsp_recording
         source = log if log_format == "tuple" else tsp_binaries[log_format]
         results = {
             executor: detect_sharded(
@@ -120,24 +130,28 @@ class TestExecutorEquivalence:
             results["serial"]
         )
         result = results["serial"]
-        assert result.reports.reports == canonical_report_order(
-            serial.reports.reports
-        )
-        assert result.monitored_locations == serial.monitored_locations
-        assert result.trie_nodes == serial.total_trie_nodes()
-        assert result.stats.accesses == serial.stats.accesses
-        assert result.races == serial.stats.races_reported
+        assert result.reports.reports == one.reports.reports
+        assert result.monitored_locations == one.monitored_locations
+        assert result.trie_nodes == one.trie_nodes
+        assert result.stats.accesses == one.stats.accesses
+        assert result.races == one.stats.races_reported
+
+    def test_one_shard_records_the_serial_executor(self, tsp_recording):
+        # One shard runs in-process whatever executor is asked for, and
+        # the result must say so.
+        resolved, log, _ = tsp_recording
+        result = detect_sharded(log, 1, resolved=resolved, executor="process")
+        assert result.executor == "serial"
+        assert "1 shards (serial)" in result.shard_summary()
+        assert detect_sharded(log, 2, executor="process").executor == "process"
 
     def test_reports_carry_site_descriptors(self, tsp_recording):
-        resolved, log, serial = tsp_recording
+        resolved, log, one = tsp_recording
         result = detect_sharded(
             log, 4, resolved=resolved, executor="process"
         )
         assert result.races > 0
-        for report, expected in zip(
-            result.reports.reports,
-            canonical_report_order(serial.reports.reports),
-        ):
+        for report, expected in zip(result.reports.reports, one.reports.reports):
             assert report.site_descriptor == expected.site_descriptor
             assert report.site_descriptor  # Post-filled, not empty.
 
@@ -150,18 +164,13 @@ class TestExecutorEquivalence:
 
 
 class TestWholeWorkflow:
-    def test_detect_sharded_post_mortem_runs_end_to_end(self):
+    def test_record_then_detect_sharded_runs_end_to_end(self):
         spec = ALL_WORKLOADS["mtrt2"]
         resolved = compile_source(spec.build(3), filename="mtrt2")
-        plan = plan_instrumentation(resolved, PlannerConfig())
-        result, log = detect_sharded_post_mortem(
-            resolved, shards=4, trace_sites=plan.trace_sites
-        )
+        log, one, _ = _record(resolved)
+        result = detect_sharded(log, 4, resolved=resolved)
         assert result.partitioned_accesses == log.access_count
-        serial, _ = detect_from_log(log, resolved=resolved)
-        assert result.reports.reports == canonical_report_order(
-            serial.reports.reports
-        )
+        assert result.reports.reports == one.reports.reports
 
     def test_harness_post_mortem_runner(self):
         from repro.harness import CONFIG_FULL, run_workload_post_mortem
@@ -214,31 +223,23 @@ class TestOwnershipTransitionParity:
     @pytest.fixture(scope="class")
     def transition_recording(self):
         resolved = compile_source(MAIN_AFTER_JOIN, filename="transition.mj")
-        plan = plan_instrumentation(resolved, PlannerConfig())
-        _, log = record_execution(
-            resolved,
-            trace_sites=plan.trace_sites,
-            policy=RandomPolicy(7),
-        )
-        serial, _ = detect_from_log(log, resolved=resolved)
-        return resolved, log, serial
+        log, one, live = _record(resolved, policy=RandomPolicy(7))
+        return resolved, log, one, live
 
     @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_sharded_matches_serial(self, transition_recording, shards):
-        resolved, log, serial = transition_recording
+        resolved, log, one, _ = transition_recording
         result = detect_sharded(log, shards, resolved=resolved)
-        assert result.reports.reports == canonical_report_order(
-            serial.reports.reports
-        )
-        assert result.stats.accesses == serial.stats.accesses
-        assert result.stats.owned_filtered == serial.stats.owned_filtered
-        assert result.monitored_locations == serial.monitored_locations
+        assert result.reports.reports == one.reports.reports
+        assert result.stats.accesses == one.stats.accesses
+        assert result.stats.owned_filtered == one.stats.owned_filtered
+        assert result.monitored_locations == one.monitored_locations
 
     def test_log_contains_a_mid_run_transition(self, transition_recording):
         # The scenario is only meaningful if ownership actually
         # transitions inside the recorded window.
-        _, _, serial = transition_recording
-        assert serial.ownership.stats.transitions > 0
+        _, _, _, live = transition_recording
+        assert live.ownership.stats.transitions > 0
 
 
 RACY = """
@@ -293,6 +294,16 @@ class TestCliFlags:
         ]
         assert sorted(live) == sorted(offline)
         assert live
+
+    def test_one_shard_process_executor_prints_serial(self, racy_file, capsys):
+        from repro.cli import main
+
+        code = main(
+            ["check", racy_file, "--post-mortem", "--executor", "process",
+             "--stats"]
+        )
+        assert code == 1
+        assert "post-mortem: 1 shards (serial)" in capsys.readouterr().out
 
     def test_invalid_shard_count(self, racy_file, capsys):
         from repro.cli import main

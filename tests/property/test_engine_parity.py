@@ -147,17 +147,19 @@ class TestScheduleParity:
         assert "error" in outcomes
 
 
-#: Every detector configuration the harness tables run, plus the
-#: extension the compiled engine's inline fast path treats specially
-#: (the double cache probe stays on the spine) and a non-default trie
-#: query (read-read races) behind an engaged fast path.
+#: Every detector configuration the harness tables run, plus three
+#: non-default settings behind an engaged fast path: a different trie
+#: query (read-read races), no join pseudo-locks (a different lockset
+#: on every post-join access), and a small cache (the stub's inline
+#: slot computation over a non-default size, with frequent conflicts).
 FUNNEL_CONFIGS = {
     "Full": CONFIG_FULL.detector,
     "NoCache": CONFIG_NO_CACHE.detector,
     "NoOwnership": CONFIG_NO_OWNERSHIP.detector,
     "FieldsMerged": CONFIG_FIELDS_MERGED.detector,
-    "WriteCoversReads": DetectorConfig(write_cache_covers_reads=True),
     "ReadReadRaces": DetectorConfig(read_read_races=True),
+    "NoJoinPseudolocks": DetectorConfig(join_pseudolocks=False),
+    "SmallCache": DetectorConfig(cache_size=7),
 }
 
 

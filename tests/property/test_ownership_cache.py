@@ -41,8 +41,11 @@ class TransitionProbe(RaceDetector):
         if owner is not None and owner is not SHARED and owner != thread_id:
             self.transitions_checked += 1
             for caches in self.cache._threads.values():  # noqa: SLF001
-                assert not caches.read.probe(key)
-                assert not caches.write.probe(key)
+                for cache in (caches.read, caches.write):
+                    assert not any(
+                        entry is not None and entry.valid and entry.key == key
+                        for entry in cache._slots  # noqa: SLF001
+                    )
         super().on_access_parts(
             object_uid, field, thread_id, kind, site_id, object_kind,
             object_label,
@@ -53,7 +56,6 @@ probe_configs = st.builds(
     DetectorConfig,
     cache_size=st.sampled_from([1, 2, 256]),
     fields_merged=st.booleans(),
-    write_cache_covers_reads=st.booleans(),
     join_pseudolocks=st.booleans(),
 )
 

@@ -1,141 +1,179 @@
-"""Unit tests for the per-thread access caches (Section 4)."""
+"""Unit tests for the per-thread access caches (Section 4).
 
-from repro.detector import AccessCache
+Every test drives :meth:`AccessCache.access_tracked`, the one entry
+point, with a real :class:`LockTracker`, the way :class:`RaceDetector`
+does: a miss anchors its entry to the thread's most recently acquired
+real lock, and an outermost monitorexit releases the lock in the
+tracker and then evicts the lock's entries.
+"""
+
+import pytest
+
+from repro.detector import AccessCache, CacheStats, LockTracker
+from repro.detector.cache import _HASH_MULTIPLIER, _MASK32
 from repro.lang.ast import AccessKind
 
 READ = AccessKind.READ
 WRITE = AccessKind.WRITE
 
 
+class TrackedCache:
+    """An access cache plus the lock tracker that anchors its entries."""
+
+    def __init__(self, size: int = 256):
+        self.cache = AccessCache(size)
+        self.locks = LockTracker()
+        self.stats = self.cache.stats
+
+    def access(self, thread_id, key, kind=READ) -> bool:
+        return self.cache.access_tracked(thread_id, key, kind, self.locks)
+
+    def enter(self, thread_id, lock_uid) -> None:
+        self.locks.enter(thread_id, lock_uid)
+
+    def exit(self, thread_id, lock_uid) -> None:
+        self.locks.exit(thread_id, lock_uid)
+        self.cache.on_lock_release(thread_id, lock_uid)
+
+    def listed_entries(self, thread_id=1, kind=READ) -> tuple[int, int]:
+        caches = self.cache._threads[thread_id]
+        return (caches.write if kind is WRITE else caches.read).listed_entries
+
+
 class TestBasicLookup:
     def test_miss_on_empty_cache(self):
-        cache = AccessCache()
-        assert not cache.lookup(1, "m", READ)
+        cache = TrackedCache()
+        assert not cache.access(1, "m")
         assert cache.stats.misses == 1
 
     def test_hit_after_insert(self):
-        cache = AccessCache()
-        cache.insert(1, "m", READ, anchor_lock=None)
-        assert cache.lookup(1, "m", READ)
+        cache = TrackedCache()
+        cache.access(1, "m")
+        assert cache.access(1, "m")
         assert cache.stats.hits == 1
 
     def test_read_and_write_caches_are_separate(self):
-        cache = AccessCache()
-        cache.insert(1, "m", READ, anchor_lock=None)
-        assert not cache.lookup(1, "m", WRITE)
+        cache = TrackedCache()
+        cache.access(1, "m", READ)
+        assert not cache.access(1, "m", WRITE)
 
     def test_write_does_not_satisfy_read_by_default(self):
         # Faithful to the paper: reads consult only the read cache.
-        cache = AccessCache()
-        cache.insert(1, "m", WRITE, anchor_lock=None)
-        assert not cache.lookup(1, "m", READ)
-
-    def test_write_covers_read_extension(self):
-        cache = AccessCache(write_covers_read=True)
-        cache.insert(1, "m", WRITE, anchor_lock=None)
-        assert cache.lookup(1, "m", READ)
+        cache = TrackedCache()
+        cache.access(1, "m", WRITE)
+        assert not cache.access(1, "m", READ)
 
     def test_threads_have_independent_caches(self):
-        cache = AccessCache()
-        cache.insert(1, "m", READ, anchor_lock=None)
-        assert not cache.lookup(2, "m", READ)
+        cache = TrackedCache()
+        cache.access(1, "m")
+        assert not cache.access(2, "m")
 
     def test_different_locations_do_not_collide_logically(self):
-        cache = AccessCache()
-        cache.insert(1, "a", READ, anchor_lock=None)
-        assert not cache.lookup(1, "b", READ)
+        cache = TrackedCache()
+        cache.access(1, "a")
+        assert not cache.access(1, "b")
 
 
 class TestConflictEviction:
     def test_direct_mapped_conflict_evicts_old_entry(self):
         # Size-1 cache: every distinct key maps to the same slot.
-        cache = AccessCache(size=1)
-        cache.insert(1, "a", READ, anchor_lock=None)
-        cache.insert(1, "b", READ, anchor_lock=None)
-        assert not cache.lookup(1, "a", READ)
-        assert cache.lookup(1, "b", READ)
+        cache = TrackedCache(size=1)
+        cache.access(1, "a")
+        cache.access(1, "b")
         assert cache.stats.conflict_evictions == 1
+        assert cache.access(1, "b")
+        assert not cache.access(1, "a")
 
     def test_invalid_size_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             AccessCache(size=0)
 
 
 class TestLockEviction:
     def test_release_evicts_anchored_entries(self):
-        cache = AccessCache()
-        cache.insert(1, "m", READ, anchor_lock=77)
-        cache.on_lock_release(1, 77)
-        assert not cache.lookup(1, "m", READ)
+        cache = TrackedCache()
+        cache.enter(1, 77)
+        cache.access(1, "m")
+        cache.exit(1, 77)
         assert cache.stats.lock_evictions == 1
+        assert not cache.access(1, "m")
+
+    def test_anchor_is_the_innermost_lock(self):
+        cache = TrackedCache()
+        cache.enter(1, 5)
+        cache.enter(1, 6)
+        cache.access(1, "m")
+        cache.exit(1, 6)
+        assert not cache.access(1, "m")
 
     def test_release_of_other_lock_keeps_entry(self):
-        cache = AccessCache()
-        cache.insert(1, "m", READ, anchor_lock=77)
-        cache.on_lock_release(1, 78)
-        assert cache.lookup(1, "m", READ)
+        cache = TrackedCache()
+        cache.enter(1, 77)
+        cache.access(1, "m")
+        cache.enter(1, 78)
+        cache.exit(1, 78)
+        assert cache.access(1, "m")
 
     def test_unanchored_entry_survives_all_releases(self):
-        cache = AccessCache()
-        cache.insert(1, "m", READ, anchor_lock=None)
-        cache.on_lock_release(1, 77)
-        assert cache.lookup(1, "m", READ)
+        cache = TrackedCache()
+        cache.access(1, "m")
+        cache.enter(1, 77)
+        cache.exit(1, 77)
+        assert cache.access(1, "m")
 
     def test_release_only_affects_that_thread(self):
-        cache = AccessCache()
-        cache.insert(1, "m", READ, anchor_lock=77)
-        cache.insert(2, "m", READ, anchor_lock=77)
-        cache.on_lock_release(1, 77)
-        assert cache.lookup(2, "m", READ)
+        cache = TrackedCache()
+        cache.enter(1, 77)
+        cache.enter(2, 77)
+        cache.access(1, "m")
+        cache.access(2, "m")
+        cache.exit(1, 77)
+        assert cache.access(2, "m")
 
     def test_release_evicts_both_read_and_write_entries(self):
-        cache = AccessCache()
-        cache.insert(1, "m", READ, anchor_lock=5)
-        cache.insert(1, "m", WRITE, anchor_lock=5)
-        cache.on_lock_release(1, 5)
-        assert not cache.lookup(1, "m", READ)
-        assert not cache.lookup(1, "m", WRITE)
+        cache = TrackedCache()
+        cache.enter(1, 5)
+        cache.access(1, "m", READ)
+        cache.access(1, "m", WRITE)
+        cache.exit(1, 5)
+        assert not cache.access(1, "m", READ)
+        assert not cache.access(1, "m", WRITE)
 
     def test_conflict_evicted_entry_not_double_freed_by_release(self):
-        cache = AccessCache(size=1)
-        cache.insert(1, "a", READ, anchor_lock=3)
-        cache.insert(1, "b", READ, anchor_lock=3)  # Conflict-evicts "a".
-        cache.on_lock_release(1, 3)  # Must evict only "b".
+        cache = TrackedCache(size=1)
+        cache.enter(1, 3)
+        cache.access(1, "a")
+        cache.access(1, "b")  # Conflict-evicts "a".
+        cache.exit(1, 3)  # Must evict only "b".
         assert cache.stats.lock_evictions == 1
+
+    def test_hit_never_queries_the_lock_stack(self):
+        # Anchoring is lazy: only a miss asks for the anchor lock.
+        class CountingTracker(LockTracker):
+            queries = 0
+
+            def last_real_lock(self, thread_id):
+                CountingTracker.queries += 1
+                return super().last_real_lock(thread_id)
+
+        cache = AccessCache()
+        locks = CountingTracker()
+        assert not cache.access_tracked(1, "m", READ, locks)
+        assert cache.access_tracked(1, "m", READ, locks)
+        assert CountingTracker.queries == 1
 
 
 class TestStats:
     def test_hit_rate(self):
-        cache = AccessCache()
-        cache.insert(1, "m", READ, anchor_lock=None)
-        cache.lookup(1, "m", READ)
-        cache.lookup(1, "n", READ)
+        cache = TrackedCache()
+        cache.access(1, "m")
+        cache.access(1, "m")
         assert cache.stats.hit_rate == 0.5
 
     def test_hit_rate_empty(self):
         assert AccessCache().stats.hit_rate == 0.0
 
-    def test_write_covers_read_counts_one_lookup(self):
-        # Regression: a covered read used to count a read-cache miss
-        # *and* a write-cache hit, inflating lookups by one.
-        cache = AccessCache(write_covers_read=True)
-        cache.insert(1, "m", WRITE, anchor_lock=None)
-        assert cache.lookup(1, "m", READ)
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 0
-        assert cache.stats.lookups == 1
-
-    def test_write_covers_read_miss_counts_once(self):
-        cache = AccessCache(write_covers_read=True)
-        assert not cache.lookup(1, "m", READ)
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 1
-
     def test_merge_accumulates_all_counters(self):
-        from repro.detector import CacheStats
-
         a = CacheStats(hits=1, misses=2, conflict_evictions=3,
                        lock_evictions=4, list_compactions=6)
         b = CacheStats(hits=10, misses=20, conflict_evictions=30,
@@ -147,62 +185,55 @@ class TestStats:
 
 class TestFusedAccess:
     def test_access_counts_one_hit_or_miss(self):
-        cache = AccessCache()
-        assert not cache.access(1, "m", READ, anchor_lock=None)
+        cache = TrackedCache()
+        assert not cache.access(1, "m")
         assert (cache.stats.hits, cache.stats.misses) == (0, 1)
-        assert cache.access(1, "m", READ, anchor_lock=None)
+        assert cache.access(1, "m")
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
     def test_access_miss_records_the_access(self):
-        cache = AccessCache()
-        cache.access(1, "m", WRITE, anchor_lock=7)
-        assert cache.lookup(1, "m", WRITE)
-        cache.on_lock_release(1, 7)
-        assert not cache.lookup(1, "m", WRITE)
+        cache = TrackedCache()
+        cache.enter(1, 7)
+        cache.access(1, "m", WRITE)
+        assert cache.access(1, "m", WRITE)
+        cache.exit(1, 7)
+        assert not cache.access(1, "m", WRITE)
 
-    def test_access_write_covers_read_single_count(self):
-        cache = AccessCache(write_covers_read=True)
-        cache.insert(1, "m", WRITE, anchor_lock=None)
-        assert cache.access(1, "m", READ, anchor_lock=None)
-        assert cache.stats.lookups == 1
-
-    def test_access_matches_lookup_insert_sequence(self):
-        fused = AccessCache(size=8)
-        split = AccessCache(size=8)
-        keys = ["a", "b", "a", "c", "a", "b", "d", "a"]
+    def test_access_matches_direct_mapped_model(self):
+        # The slot is the upper bits of a 32-bit multiplicative hash of
+        # the location key (Section 4.3); a hit is exactly "this slot of
+        # this thread's cache for this access kind holds this key".
+        size = 8
+        cache = TrackedCache(size=size)
+        model = {}
+        keys = ["a", "b", "a", "c", "a", "b", "d", "a", ("o", 1), ("o", 1)]
         for step, key in enumerate(keys):
             kind = WRITE if step % 3 == 0 else READ
-            hit_fused = fused.access(1, key, kind, anchor_lock=None)
-            hit_split = split.lookup(1, key, kind)
-            if not hit_split:
-                split.insert(1, key, kind, anchor_lock=None)
-            assert hit_fused == hit_split
-        assert fused.stats == split.stats
+            slot = (((hash(key) * _HASH_MULTIPLIER) & _MASK32) >> 16) % size
+            expected = model.get((kind, slot)) == key
+            model[(kind, slot)] = key
+            assert cache.access(1, key, kind) == expected
+        assert cache.stats.lookups == len(keys)
 
 
 class TestEvictionListCompaction:
     def test_conflict_evictions_mark_dead_entries(self):
-        from repro.detector.cache import CacheStats, _DirectMappedCache
-
-        cache = _DirectMappedCache(1, CacheStats())
-        cache.insert("a", anchor_lock=5)
-        cache.insert("b", anchor_lock=5)  # Conflict-evicts "a".
-        total, dead = cache.listed_entries
-        assert total == 2
-        assert dead == 1
+        cache = TrackedCache(size=1)
+        cache.enter(1, 5)
+        cache.access(1, "a")
+        cache.access(1, "b")  # Conflict-evicts "a".
+        assert cache.listed_entries() == (2, 1)
 
     def test_compaction_drops_dead_entries(self):
-        # Size-1 cache under one never-released lock: every insert
+        # Size-1 cache under one never-released lock: every miss
         # conflict-evicts its predecessor, so without compaction the
         # lock's eviction list would grow with every access.
-        from repro.detector.cache import CacheStats, _DirectMappedCache
-
-        stats = CacheStats()
-        cache = _DirectMappedCache(1, stats)
+        cache = TrackedCache(size=1)
+        cache.enter(1, 5)
         for step in range(1000):
-            cache.insert(f"k{step}", anchor_lock=5)
-        assert stats.list_compactions > 0
-        total, dead = cache.listed_entries
+            cache.access(1, f"k{step}")
+        assert cache.stats.list_compactions > 0
+        total, dead = cache.listed_entries()
         # The live set is exactly one entry; dead weight stays bounded
         # by the compaction trigger: after any insert, either the list
         # is at most half dead or it is below the compaction minimum.
@@ -210,24 +241,22 @@ class TestEvictionListCompaction:
         assert dead * 2 <= total or total < 16
 
     def test_compaction_preserves_lock_eviction(self):
-        from repro.detector.cache import CacheStats, _DirectMappedCache
-
-        stats = CacheStats()
-        cache = _DirectMappedCache(1, stats)
+        cache = TrackedCache(size=1)
+        cache.enter(1, 5)
         for step in range(100):
-            cache.insert(f"k{step}", anchor_lock=5)
-        assert stats.list_compactions > 0
-        cache.evict_lock(5)
-        assert not cache.probe("k99")
-        assert cache.listed_entries == (0, 0)
+            cache.access(1, f"k{step}")
+        assert cache.stats.list_compactions > 0
+        cache.exit(1, 5)
+        assert cache.listed_entries() == (0, 0)
+        assert not cache.access(1, "k99")
 
     def test_compaction_spans_multiple_locks(self):
-        from repro.detector.cache import CacheStats, _DirectMappedCache
-
-        stats = CacheStats()
-        cache = _DirectMappedCache(1, stats)
-        for step in range(200):
-            cache.insert(f"k{step}", anchor_lock=step % 3)
+        cache = TrackedCache(size=1)
         for lock in range(3):
-            cache.evict_lock(lock)
-        assert cache.listed_entries == (0, 0)
+            cache.enter(1, lock)
+            for step in range(70):
+                cache.access(1, f"k{lock}-{step}")
+        assert cache.stats.list_compactions > 0
+        for lock in reversed(range(3)):
+            cache.exit(1, lock)
+        assert cache.listed_entries() == (0, 0)

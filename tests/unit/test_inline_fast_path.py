@@ -96,15 +96,30 @@ class TestEngagement:
             lambda: None,
             lambda: RaceDetector(DetectorConfig(ownership=False)),
             lambda: RaceDetector(DetectorConfig(cache=False)),
-            lambda: RaceDetector(DetectorConfig(write_cache_covers_reads=True)),
         ],
-        ids=[
-            "recording", "multicast", "no-sink", "ownership-off", "cache-off",
-            "write-covers-reads",
-        ],
+        ids=["recording", "multicast", "no-sink", "ownership-off", "cache-off"],
     )
     def test_other_sinks_do_not_engage(self, make_sink):
         assert _engine(make_sink())._fast_path is None
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            DetectorConfig(fields_merged=True),
+            DetectorConfig(read_read_races=True),
+            DetectorConfig(join_pseudolocks=False),
+            DetectorConfig(cache_size=7),
+        ],
+        ids=["fields-merged", "read-read-races", "no-join-pseudolocks", "small-cache"],
+    )
+    def test_every_config_with_ownership_and_cache_engages(self, config):
+        # Only ownership and the cache gate the fast path; no other
+        # detector setting keeps the stubs on the spine.
+        detector = RaceDetector(config)
+        engine = _engine(detector)
+        assert engine._fast_path is not None
+        engine.run()
+        assert detector.inline_cache_hits > 0
 
     def test_the_fast_path_fires(self):
         detector = RaceDetector()

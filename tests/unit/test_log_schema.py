@@ -9,7 +9,7 @@ post-mortem loaders refuse corrupt logs instead of misdecoding them.
 
 import pytest
 
-from repro.detector import detect_from_log, detect_sharded
+from repro.detector import detect_sharded
 from repro.lang.ast import AccessKind
 from repro.runtime import RecordingSink
 from repro.runtime.events import (
@@ -138,8 +138,8 @@ class TestDumpLoadRoundtrip:
         assert load_log(payload) == recorded.log
 
     def test_roundtrip_detects_same_races(self, recorded):
-        serial, _ = detect_from_log(recorded)
-        restored, _ = detect_from_log(load_log(dump_log(recorded)))
+        serial = detect_sharded(recorded, 1)
+        restored = detect_sharded(load_log(dump_log(recorded)), 1)
         assert [str(r.key) for r in restored.reports.reports] == [
             str(r.key) for r in serial.reports.reports
         ]
@@ -212,13 +212,6 @@ class TestDumpLoadRoundtrip:
 
 
 class TestLoadersValidate:
-    def test_detect_from_log_refuses_corrupt_log(self, recorded):
-        entries = list(recorded.log) + [("bogus", 1)]
-        sink = RecordingSink()
-        sink.log = entries
-        with pytest.raises(LogSchemaError):
-            detect_from_log(sink)
-
     def test_detect_sharded_refuses_corrupt_log(self, recorded):
         entries = list(recorded.log) + [("bogus", 1)]
         with pytest.raises(LogSchemaError):
@@ -227,5 +220,5 @@ class TestLoadersValidate:
     def test_validation_can_be_disabled(self, recorded):
         # Trusted in-process logs may skip the scan (the difflab replays
         # the same recording many times).
-        serial, _ = detect_from_log(recorded, validate=False)
+        serial = detect_sharded(recorded, 1, validate=False)
         assert serial.stats.accesses == recorded.access_count

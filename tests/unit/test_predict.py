@@ -323,10 +323,11 @@ class Main {
 
     @pytest.fixture(scope="class")
     def sink(self):
-        from repro.detector import record_execution
         from repro.lang.resolver import compile_source
+        from repro.runtime import RecordingSink, run_program
 
-        _result, sink = record_execution(compile_source(self.SOURCE))
+        sink = RecordingSink()
+        run_program(compile_source(self.SOURCE), sink=sink)
         return sink
 
     def reports(self, predictor):

@@ -8,7 +8,7 @@ counter bookkeeping under sync-event replication.
 
 import pytest
 
-from repro.detector import detect_from_log, detect_sharded
+from repro.detector import detect_sharded
 from repro.runtime import RecordingSink
 
 from ..binlog_oracle import replayed
@@ -127,11 +127,11 @@ class TestEmptyLog:
 class TestSingleShard:
     def test_single_shard_equals_serial(self):
         log = record(SYNC_HEAVY)
-        serial, _ = detect_from_log(log)
+        serial = detect_sharded(log, 1)
         sharded = detect_sharded(log, 1)
         assert sharded.races == len(serial.reports.reports)
         assert sharded.monitored_locations == serial.monitored_locations
-        assert sharded.trie_nodes == serial.total_trie_nodes()
+        assert sharded.trie_nodes == serial.trie_nodes
         assert [str(r.key) for r in sharded.reports.reports] == [
             str(r.key) for r in serial.reports.reports
         ]
@@ -146,7 +146,7 @@ class TestShardsExceedObjects:
         uids = {entry[1] for entry in log.log
                 if entry[0] == RecordingSink.ACCESS}
         shards = len(uids) + 13
-        serial, _ = detect_from_log(log)
+        serial = detect_sharded(log, 1)
         sharded = detect_sharded(log, shards)
         # Most shards are empty of accesses, yet the merge is exact.
         populated = [o for o in sharded.outcomes if o.access_events]
@@ -157,7 +157,7 @@ class TestShardsExceedObjects:
             serial.stats.detector_processed,
             serial.stats.cache_hits + serial.stats.detector_weaker_filtered,
             serial.monitored_locations,
-            serial.total_trie_nodes(),
+            serial.trie_nodes,
         )
         assert [str(r.key) for r in sharded.reports.reports] == [
             str(r.key) for r in serial.reports.reports
@@ -167,14 +167,14 @@ class TestShardsExceedObjects:
 class TestSyncReplication:
     def test_counters_invariant_across_shard_counts(self):
         log = record(SYNC_HEAVY)
-        serial, _ = detect_from_log(log)
+        serial = detect_sharded(log, 1)
         expected = (
             serial.stats.accesses,
             serial.stats.owned_filtered,
             serial.stats.detector_processed,
             serial.stats.cache_hits + serial.stats.detector_weaker_filtered,
             serial.monitored_locations,
-            serial.total_trie_nodes(),
+            serial.trie_nodes,
             tuple(str(r.key) for r in serial.reports.reports),
         )
         for shards in (1, 2, 3, 8):

@@ -8,7 +8,7 @@ volume bounded by the per-trace racy budget rather than the trace size.
 
 import pytest
 
-from repro.detector import detect_from_log
+from repro.detector import detect_sharded
 from repro.runtime import RecordingSink
 from repro.runtime.events import validate_entries
 from repro.runtime.synthlog import synthesize_into
@@ -60,8 +60,8 @@ class TestSynthlog:
     def test_race_volume_tracks_budget_not_scale(self):
         small, _ = _synth(20_000, racy_total=64)
         large, _ = _synth(80_000, racy_total=64)
-        small_races = len(detect_from_log(small)[0].reports.reports)
-        large_races = len(detect_from_log(large)[0].reports.reports)
+        small_races = detect_sharded(small, 1).races
+        large_races = detect_sharded(large, 1).races
         assert 0 < small_races <= 64
         assert 0 < large_races <= 64
 

@@ -1,19 +1,16 @@
 """Regression tests: temp event-log files must never outlive failures.
 
-Three call sites spool event logs through throwaway ``.mjbl`` files —
-the harness's binary post-mortem mode, difflab's binlog round-trip
-axis, and the service's upload validation/spooling.  All of them now
+Event logs spooled through throwaway ``.mjbl`` files — difflab's
+binlog round-trip axis and the service's upload validation/spooling —
 route through :func:`repro.runtime.binlog.temporary_binary_log`; these
-tests pin the cleanup contract, including the historical leak where
-``run_workload_post_mortem`` dropped the temp file *and* left the
-``BinaryLogSink`` open when the recording run raised mid-execution.
+tests pin its cleanup contract.
 """
 
 import tempfile
 
 import pytest
 
-from repro.runtime.binlog import BinaryLogSink, temporary_binary_log
+from repro.runtime.binlog import temporary_binary_log
 
 
 @pytest.fixture
@@ -48,49 +45,6 @@ class TestTemporaryBinaryLog:
             assert path.parent == tmp_path
             assert path.suffix == ".json"
         assert list(tmp_path.iterdir()) == []
-
-
-class TestHarnessPostMortemCleanup:
-    def _run_with_step_budget_failure(self, monkeypatch, tmp_path):
-        """Force ``recorder.run()`` to raise mid-record in binary mode,
-        spying on sink closes; returns the list of closed sinks."""
-        import repro.runtime.binlog as binlog
-        from repro.harness.runner import CONFIG_FULL, run_workload_post_mortem
-        from repro.runtime.scheduler import StepLimitExceeded
-        from repro.workloads import ALL_WORKLOADS
-
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        closed = []
-        real_sink = BinaryLogSink
-
-        class SpySink(real_sink):
-            def close(self):
-                closed.append(self)
-                super().close()
-
-        monkeypatch.setattr(binlog, "BinaryLogSink", SpySink)
-        with pytest.raises(StepLimitExceeded):
-            run_workload_post_mortem(
-                ALL_WORKLOADS["tsp2"],
-                CONFIG_FULL,
-                shards=2,
-                scale=1,
-                log_format="binary",
-                max_steps=3,
-            )
-        return closed
-
-    def test_mid_record_failure_leaves_no_temp_file(
-        self, monkeypatch, tmp_path
-    ):
-        self._run_with_step_budget_failure(monkeypatch, tmp_path)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_mid_record_failure_closes_the_sink(
-        self, monkeypatch, tmp_path
-    ):
-        closed = self._run_with_step_budget_failure(monkeypatch, tmp_path)
-        assert closed, "BinaryLogSink.close() never ran after the failure"
 
 
 class TestDifflabRoundTripCleanup:
