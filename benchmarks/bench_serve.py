@@ -3,8 +3,8 @@ concurrent load.
 
 A real daemon subprocess (the exact ``repro serve`` entry point) is
 hammered by a pool of client threads submitting a mixed corpus —
-several distinct MJ programs across both engines plus recorded MJBL
-binary logs and tuple-JSON logs — every submission ``wait=1`` so a
+several distinct MJ programs across both engines plus a recorded MJBL
+binary log — every submission ``wait=1`` so a
 completed HTTP response means a completed detection job.  Each row
 scales the worker pool (1 / 2 / 4 processes) against the same client
 pressure, so the committed numbers show how detection throughput
@@ -155,7 +155,7 @@ def _build_corpus(tmp: Path) -> list[tuple[str, str, bytes]]:
             f"engine={engine}&seed=1&filename={path}",
             source.encode(),
         ))
-    # One recorded binary log and its tuple-JSON re-encoding.
+    # One recorded binary log.
     program = tmp / "logged.mj"
     program.write_text(PROGRAM_TEMPLATE.format(seed=9))
     log_path = tmp / "logged.mjbl"
@@ -164,15 +164,6 @@ def _build_corpus(tmp: Path) -> list[tuple[str, str, bytes]]:
     ])
     assert code == 0, "recording the benchmark log failed"
     corpus.append(("binary-log", "", log_path.read_bytes()))
-
-    from repro.runtime.binlog import open_log
-    from repro.runtime.events import RecordingSink, dump_log
-
-    log = RecordingSink()
-    with open_log(log_path) as reader:
-        reader.replay_into(log)
-    tuple_payload = json.dumps(dump_log(log))
-    corpus.append(("tuple-log", "", tuple_payload.encode()))
     return corpus
 
 
@@ -320,8 +311,8 @@ def generate(quick: bool = False, repeats: int = 1) -> dict:
         ),
         "mix": (
             f"{PROGRAM_VARIANTS} distinct programs (ast + compiled "
-            f"engines, seeded random schedule) + 1 MJBL binary log + "
-            f"1 tuple-JSON log, submitted wait=1 round-robin"
+            f"engines, seeded random schedule) + 1 MJBL binary log, "
+            f"submitted wait=1 round-robin"
         ),
         "parity_gate": (
             "before timing, every distinct input's service report is "

@@ -15,14 +15,14 @@ Commands
 
 ``run FILE.mj``
     Execute a program uninstrumented and print its output.
-    ``--record PATH`` / ``--record-binary PATH`` additionally log the
-    full event stream to disk (JSON tuple log / ``MJBL`` binary log)
-    for later ``check --from-log`` analysis.
+    ``--record-binary PATH`` additionally logs the full event stream
+    to disk as an ``MJBL`` binary log (``--compress`` deflates it) for
+    later ``check --from-log`` analysis.
 
 ``log-stats PATH``
-    Summarize a recorded event log of either format: event counts by
-    kind, distinct locations/threads/locks, string-table size,
-    bytes/event, and the tuple-vs-binary size ratio.
+    Summarize a recorded ``MJBL`` log (``--verify`` also CRC-checks
+    it): format version, index block fill, compression, event counts
+    by kind, distinct locations/threads/locks, and bytes/event.
 
 ``explain FILE.mj``
     Print what the static phases decided: the static datarace set,
@@ -33,8 +33,8 @@ Commands
     control cost).
 
 ``serve``
-    The race-detection HTTP daemon: POST MJ programs or recorded event
-    logs (tuple JSON / MJBL, classified by magic bytes) and get the
+    The race-detection HTTP daemon: POST MJ programs or recorded MJBL
+    event logs (classified by magic bytes) and get the
     same machine-readable race report ``check --report-json`` prints.
     ``--workers`` bounds the detection process pool, ``--queue-depth``
     the pending queue (full → 429 + Retry-After), ``--timeout`` the
@@ -118,8 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="record the event stream, then detect offline")
     check.add_argument("--from-log", type=Path, default=None, metavar="PATH",
                        help="skip execution and detect over a recorded "
-                       "log (tuple JSON or MJBL binary, auto-detected "
-                       "by magic bytes; implies --post-mortem)")
+                       "MJBL log (implies --post-mortem)")
     check.add_argument("--shards", type=int, default=None, metavar="N",
                        help="sharded post-mortem detection over N "
                        "partitions (implies --post-mortem)")
@@ -139,14 +138,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        "(byte-identical to the report object a "
                        "`repro serve` job returns for the same input)")
 
-    run = sub.add_parser("run", help="execute a program (no detection)")
+    run = sub.add_parser("run", help="execute a program (no detection)",
+                         allow_abbrev=False)
     run.add_argument("file", type=Path)
     run.add_argument("--engine", choices=sorted(ENGINES),
                      default=DEFAULT_ENGINE,
                      help="execution engine (default: %(default)s)")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--record", type=Path, default=None, metavar="PATH",
-                     help="record the event stream to a JSON tuple log")
     run.add_argument("--record-binary", type=Path, default=None,
                      metavar="PATH",
                      help="record the event stream to an MJBL binary log "
@@ -158,13 +156,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      "given bare; requires --record-binary)")
 
     log_stats = sub.add_parser(
-        "log-stats", help="summarize a recorded event log (either format)"
+        "log-stats", help="summarize a recorded MJBL event log"
     )
-    log_stats.add_argument("file", type=Path,
-                           help="tuple JSON or MJBL binary log")
+    log_stats.add_argument("file", type=Path, help="MJBL binary log")
     log_stats.add_argument("--verify", action="store_true",
-                           help="also CRC-check a binary log's record "
-                           "region (O(n))")
+                           help="also CRC-check the log's record region "
+                           "(O(n))")
 
     synthlog = sub.add_parser(
         "synthlog",
@@ -342,11 +339,9 @@ def cmd_check(args) -> int:
         from .runtime import RecordingSink, open_log
 
         if args.from_log is not None:
-            # Detect over a pre-recorded log, auto-detected by magic
-            # bytes; open_log is the single validation point (binary
-            # logs validate structurally, tuple logs pay one
-            # validate_entries pass).  Every pass below replays the
-            # log through its replay_into.
+            # Detect over a pre-recorded MJBL log; open_log is the
+            # single validation point (structural, O(1)).  Every pass
+            # below replays the log through its replay_into.
             log = open_log(args.from_log)
             lap("load")
             if args.deadlocks:
@@ -500,87 +495,54 @@ def cmd_run(args) -> int:
         print("error: --compress level must be 0-9", file=sys.stderr)
         return 2
     resolved = _compile(args.file)
-    sinks = []
-    binary_sink = None
-    tuple_sink = None
+    sink = None
     if args.record_binary is not None:
         from .runtime import BinaryLogSink
 
-        binary_sink = BinaryLogSink(args.record_binary, compress=args.compress)
-        sinks.append(binary_sink)
-    if args.record is not None:
-        from .runtime import RecordingSink
-
-        tuple_sink = RecordingSink()
-        sinks.append(tuple_sink)
-    sink = None
-    if len(sinks) == 1:
-        sink = sinks[0]
-    elif sinks:
-        sink = MulticastSink(sinks)
+        sink = BinaryLogSink(args.record_binary, compress=args.compress)
     result = engine_runner(args.engine)(
         resolved, sink=sink, policy=_policy(args.seed)
     )
     for line in result.output:
         print(line)
-    if binary_sink is not None:
-        binary_sink.close()  # idempotent; the engine's run-end already closed
+    if sink is not None:
+        sink.close()  # idempotent; the engine's run-end already closed
         flavor = (
             "binary"
             if args.compress is None
             else f"binary v2, deflate level {args.compress}"
         )
-        print(f"[recorded] {binary_sink.record_count} events -> "
+        print(f"[recorded] {sink.record_count} events -> "
               f"{args.record_binary} ({args.record_binary.stat().st_size} "
               f"bytes, {flavor})", file=sys.stderr)
-    if tuple_sink is not None:
-        import json
-
-        from .runtime import dump_log
-
-        args.record.write_text(json.dumps(dump_log(tuple_sink)) + "\n")
-        print(f"[recorded] {len(tuple_sink.log)} events -> {args.record} "
-              f"({args.record.stat().st_size} bytes, tuple JSON)",
-              file=sys.stderr)
     return 0
 
 
 def cmd_log_stats(args) -> int:
-    from .runtime import RecordingSink, open_log
-    from .runtime.binlog import LogStatsSink, is_binary_log
+    from .runtime import open_log
+    from .runtime.binlog import LogStatsSink
 
     with open_log(args.file) as log:
-        binary = is_binary_log(args.file)
-        if binary and args.verify:
+        if args.verify:
             log.verify()
             print("crc: ok")
         stats = LogStatsSink()
         log.replay_into(stats)
-        on_disk = args.file.stat().st_size
-        if binary:
-            binary_bytes = on_disk
-            tuple_bytes = stats.tuple_json_bytes
-            block_stats = log.block_stats()
-            print(f"format: binary (MJBL v{log.version}, "
-                  f"{block_stats['blocks']} index blocks, "
-                  f"{len(log.strings)} interned strings)")
-            print(f"block fill: mean {block_stats['mean_fill']:.2%} "
-                  f"(min {block_stats['min_fill']:.2%}, "
-                  f"max {block_stats['max_fill']:.2%}) of "
-                  f"{block_stats['records_per_block']} records/block")
-            if block_stats["compressed_blocks"]:
-                print(f"compression: {block_stats['compressed_blocks']}/"
-                      f"{block_stats['blocks']} blocks deflated, "
-                      f"{block_stats['compression_ratio']:.2f}x "
-                      f"record-region ratio "
-                      f"({block_stats['raw_record_bytes']} raw -> "
-                      f"{block_stats['stored_record_bytes']} stored)")
-        else:
-            tuple_bytes = on_disk
-            # What the same stream costs as MJBL, without writing it.
-            binary_bytes = stats.binary_bytes
-            print("format: tuple JSON "
-                  f"(schema v{RecordingSink.SCHEMA_VERSION})")
+        block_stats = log.block_stats()
+        print(f"format: binary (MJBL v{log.version}, "
+              f"{block_stats['blocks']} index blocks, "
+              f"{len(log.strings)} interned strings)")
+        print(f"block fill: mean {block_stats['mean_fill']:.2%} "
+              f"(min {block_stats['min_fill']:.2%}, "
+              f"max {block_stats['max_fill']:.2%}) of "
+              f"{block_stats['records_per_block']} records/block")
+        if block_stats["compressed_blocks"]:
+            print(f"compression: {block_stats['compressed_blocks']}/"
+                  f"{block_stats['blocks']} blocks deflated, "
+                  f"{block_stats['compression_ratio']:.2f}x "
+                  f"record-region ratio "
+                  f"({block_stats['raw_record_bytes']} raw -> "
+                  f"{block_stats['stored_record_bytes']} stored)")
     events = stats.events
     print(f"events: {events}")
     for tag, count in stats.counts.items():
@@ -592,11 +554,7 @@ def cmd_log_stats(args) -> int:
     print(f"distinct locks:     {len(stats.locks)}")
     print(f"distinct conditions:{len(stats.conditions):>5}")
     if events:
-        print(f"bytes/event: {on_disk / events:.1f} on disk")
-    print(f"tuple JSON bytes:  {tuple_bytes}")
-    print(f"binary MJBL bytes: {binary_bytes}")
-    if binary_bytes:
-        print(f"tuple/binary size ratio: {tuple_bytes / binary_bytes:.2f}x")
+        print(f"bytes/event: {args.file.stat().st_size / events:.1f} on disk")
     return 0
 
 

@@ -39,7 +39,7 @@ Both consume schema-v3 event logs through the same trust boundary as
 :func:`~repro.detector.sharded.detect_sharded`: a
 :class:`~repro.runtime.events.RecordingSink`, a raw tuple list, a
 mapped :class:`~repro.runtime.binlog.BinaryLogReader`, or an on-disk
-path of either format (validated once by ``open_log``).
+``MJBL`` path (validated once by ``open_log``).
 
 ``predicted-not-observed`` reports are backed by execution, not
 assertion: :func:`find_witness` searches schedulable reorderings for a
@@ -306,8 +306,8 @@ def predict_races(log, mode: str = "hybrid", validate: bool = True):
     :class:`~repro.runtime.events.RecordingSink`, a raw list of
     tuple-encoded entries, a mapped
     :class:`~repro.runtime.binlog.BinaryLogReader`, or a path to an
-    on-disk log of either format (auto-detected by magic bytes, with
-    ``open_log`` as the single validation point).
+    on-disk ``MJBL`` log (``open_log`` is the single validation
+    point).
     """
     from ..runtime.binlog import log_source
 

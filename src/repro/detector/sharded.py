@@ -200,15 +200,15 @@ def detect_sharded(
     accepts: a :class:`~repro.runtime.events.RecordingSink`, a raw list
     of its tuple-encoded entries, a mapped
     :class:`~repro.runtime.binlog.BinaryLogReader`, or a path to an
-    on-disk log of either format (auto-detected by magic bytes).
+    on-disk ``MJBL`` log.
     ``executor`` selects how shards run: ``"serial"`` or
     ``"process"``; one shard always runs in-process, and the result
     records ``"serial"``.  The merged result is identical (races,
     monitored locations, trie node totals) to the one-shard run, for
-    every shard count, executor, and log format.
+    every shard count, executor, and log source.
 
     Validation happens exactly once per log.  Tuple logs: ``validate``
-    (default on) schema-checks before any replay, so stale layouts
+    (default on) schema-checks before any replay, so malformed entries
     fail with a clear :class:`~repro.runtime.events.LogSchemaError`
     rather than misdecoding inside a shard worker; callers holding a
     log they already validated (or recorded in-process this run) pass

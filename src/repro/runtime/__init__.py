@@ -13,8 +13,6 @@ from .events import (
     MulticastSink,
     ObjectKind,
     RecordingSink,
-    dump_log,
-    load_log,
     replay_entries,
     validate_entries,
 )
@@ -22,7 +20,6 @@ from .binlog import (
     BinaryLogReader,
     BinaryLogSink,
     LogStatsSink,
-    is_binary_log,
     log_source,
     open_log,
     temporary_binary_log,
@@ -137,10 +134,8 @@ __all__ = [
     "ThreadState",
     "ThreadStatus",
     "TraceExhausted",
-    "dump_log",
     "engine_class",
     "engine_runner",
-    "load_log",
     "mj_repr",
     "record_run",
     "replay_entries",

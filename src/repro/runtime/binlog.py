@@ -61,18 +61,19 @@ degrades gracefully to a full scan (every partition may own every
 shard) without ever dropping an event.
 
 Validation is structural and O(1): the header carries the section
-offsets, record count, and a records CRC-32, so a mapped read needs no
-O(n) pre-scan (the satellite contract — tuple logs pay a
-``validate_entries`` pass at every trust boundary; binary logs are
-checked once at :meth:`BinaryLogReader.open` time against the file
-size and magic, and corruption inside the record region surfaces as a
-:class:`~repro.runtime.events.LogSchemaError` naming the byte offset).
+offsets, record/access counts, and a records CRC-32, so a mapped read
+needs no O(n) pre-scan.  A log is checked once, when its
+:class:`BinaryLogReader` opens, against the file size and magic; the
+index is checked against the header counts when it is first decoded,
+and corruption inside the record region surfaces as a
+:class:`~repro.runtime.events.LogSchemaError` naming the byte offset.
+``MJBL`` is the only at-rest format: a file without the magic is
+corrupt, not a different kind of log.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import mmap
 import struct
 import zlib
@@ -85,11 +86,9 @@ from .events import (
     EventSink,
     LogCorruptError,
     LogNotFoundError,
-    LogSchemaError,
     LogSchemaMismatchError,
     ObjectKind,
     RecordingSink,
-    load_log,
     validate_entries,
 )
 
@@ -229,8 +228,7 @@ class BinaryLogSink(EventSink):
         # flag clear, every section zero.  A recording that crashes
         # before close() leaves a file that is still recognizably MJBL,
         # so readers diagnose "never finalized (header flags at byte
-        # offset 12)" instead of falling through magic detection into a
-        # misleading "neither binary nor JSON" error.
+        # offset 12)" instead of a misleading bad-magic error.
         self._file.write(
             _HEADER.pack(
                 MAGIC, self.version, HEADER_SIZE, 0,
@@ -478,17 +476,19 @@ class BinaryLogReader:
         self.path = Path(path)
         try:
             size = self.path.stat().st_size
+            self._file = open(self.path, "rb")
         except OSError as error:
+            # Missing, unreadable, or a directory.
             raise LogNotFoundError(
                 f"{self.path}: cannot open binary event log ({error})"
             ) from error
         if size < HEADER_SIZE:
+            self.close()
             raise LogCorruptError(
                 f"{self.path}: {size}-byte file is smaller than the "
                 f"{HEADER_SIZE}-byte MJBL header",
                 offset=size,
             )
-        self._file = open(self.path, "rb")
         try:
             self._map: mmap.mmap = mmap.mmap(
                 self._file.fileno(), 0, access=mmap.ACCESS_READ
@@ -546,6 +546,13 @@ class BinaryLogReader:
                     f"header promises sections ending at byte offset "
                     f"{end}, file has {size} bytes",
                     offset=min(end, size),
+                )
+            if self.access_count > self.record_count:
+                raise LogCorruptError(
+                    f"{self.path}: header access count "
+                    f"{self.access_count} at byte offset 24 exceeds its "
+                    f"record count {self.record_count} — log corrupted",
+                    offset=24,
                 )
         except Exception:
             self.close()
@@ -654,6 +661,13 @@ class BinaryLogReader:
                     offset=offset,
                 )
             block_count, self.records_per_block = _INDEX_HEADER.unpack_from(view, offset)
+            if block_count and not self.records_per_block:
+                raise LogCorruptError(
+                    f"{self.path}: shard index promises {block_count} "
+                    f"blocks of 0 records each (records-per-block field "
+                    f"at byte offset {offset + 4}) — log corrupted",
+                    offset=offset + 4,
+                )
             offset += _INDEX_HEADER.size
             expected = self.index_offset + self.index_length
             if offset + block_count * _INDEX_ENTRY.size != expected:
@@ -692,6 +706,17 @@ class BinaryLogReader:
                     )
                 blocks.append(span)
                 offset += _INDEX_ENTRY_V2.size
+            records = sum(block.records for block in blocks)
+            accesses = sum(block.accesses for block in blocks)
+            if (records, accesses) != (self.record_count, self.access_count):
+                raise LogCorruptError(
+                    f"{self.path}: shard index at byte offset "
+                    f"{self.index_offset} counts {records} records "
+                    f"({accesses} accesses), but the header promises "
+                    f"{self.record_count} ({self.access_count}) — log "
+                    f"corrupted",
+                    offset=self.index_offset,
+                )
             self._blocks = blocks
         return self._blocks
 
@@ -1054,14 +1079,14 @@ class BinaryLogReader:
 
 
 # ----------------------------------------------------------------------
-# Format-agnostic helpers.
+# Log-source helpers.
 
 
-#: The two log sources: both replay through
-#: ``replay_into(sink, shard=-1, shards=1)``.
+#: The two log sources — an ``MJBL`` file and the in-memory tuple log:
+#: both replay through ``replay_into(sink, shard=-1, shards=1)``.
 LogSource = Union[BinaryLogReader, RecordingSink]
 #: Everything :func:`log_source` accepts: a source, raw schema-v3 tuple
-#: entries, or a path to an on-disk log of either format.
+#: entries, or a path to an on-disk ``MJBL`` log.
 LogLike = Union[LogSource, Sequence[tuple], str, Path]
 
 
@@ -1071,7 +1096,7 @@ def log_source(log: LogLike, validate: bool = True) -> Iterator[LogSource]:
     ``with`` block — the one place that branches on what a log is.
 
     A path opens through :func:`open_log` (the single validation point
-    for on-disk logs) and is closed on exit; a
+    for logs at rest) and is closed on exit; a
     :class:`BinaryLogReader` passes through untouched (its owner closes
     it); raw tuple entries become a :class:`RecordingSink` view over
     the same list.  Tuple logs are schema-checked with
@@ -1094,7 +1119,7 @@ def log_source(log: LogLike, validate: bool = True) -> Iterator[LogSource]:
 
 
 @contextmanager
-def temporary_binary_log(suffix: str = ".mjbl", dir=None):
+def temporary_binary_log():
     """A temp-file path that is *always* unlinked, even on error.
 
     ``NamedTemporaryFile(delete=False)`` + a manual ``unlink`` leaks
@@ -1103,14 +1128,14 @@ def temporary_binary_log(suffix: str = ".mjbl", dir=None):
     file by name while the handle object still exists).  This context
     manager is the one shared shape: create the name eagerly with the
     handle already closed, yield the :class:`~pathlib.Path`, and
-    guarantee removal in ``finally``.  The difflab round-trip axis, the
-    harness post-mortem recorder, and the ``repro serve`` upload spool
-    all route through it.
+    guarantee removal in ``finally``.  The difflab round-trip axis and
+    both ``repro serve`` upload spools (submit-time validation and the
+    log job) route through it.
     """
     import os
     import tempfile
 
-    descriptor, name = tempfile.mkstemp(suffix=suffix, dir=dir)
+    descriptor, name = tempfile.mkstemp(suffix=".mjbl")
     os.close(descriptor)
     path = Path(name)
     try:
@@ -1136,69 +1161,29 @@ def write_binary_log(
     return path
 
 
-def is_binary_log(path: Union[str, Path]) -> bool:
-    """True if ``path`` starts with the ``MJBL`` magic bytes."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
+def open_log(path: Union[str, Path]) -> BinaryLogReader:
+    """Open an on-disk ``MJBL`` event log — the single validation point
+    for logs at rest.
 
-
-def open_log(path: Union[str, Path]) -> LogSource:
-    """Open an on-disk event log of either format, auto-detected by
-    magic bytes.
-
-    Returns a :class:`BinaryLogReader` for ``MJBL`` files, or a
-    :class:`~repro.runtime.events.RecordingSink` holding the validated
-    entries of a JSON log produced by
-    :func:`~repro.runtime.events.dump_log`; either works as a context
-    manager.  Binary logs are validated structurally in O(1); tuple
-    logs pay the one :func:`~repro.runtime.events.validate_entries`
-    pass here — their single validation point — so downstream
+    A missing path raises :class:`~repro.runtime.events.LogNotFoundError`;
+    anything else opens as a :class:`BinaryLogReader`, validated
+    structurally in O(1), so a file that is not ``MJBL`` fails with the
+    reader's bad-magic (or short-file)
+    :class:`~repro.runtime.events.LogCorruptError`.  Downstream
     detection must not re-validate.
     """
     path = Path(path)
     if not path.exists():
         raise LogNotFoundError(f"{path}: event log not found")
-    if is_binary_log(path):
-        return BinaryLogReader(path)
-    try:
-        text = path.read_text()
-    except OSError as error:
-        raise LogNotFoundError(
-            f"{path}: cannot read event log ({error})"
-        ) from error
-    except UnicodeDecodeError as error:
-        raise LogCorruptError(
-            f"{path}: neither a binary event log (no MJBL magic at byte "
-            f"offset 0) nor a JSON tuple log (not UTF-8 at byte offset "
-            f"{error.start})",
-            offset=error.start,
-        ) from error
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise LogCorruptError(
-            f"{path}: neither a binary event log (no MJBL magic at byte "
-            f"offset 0) nor a JSON tuple log (JSON decode failed at "
-            f"byte offset {error.pos}: {error.msg})",
-            offset=error.pos,
-        ) from error
-    return RecordingSink(load_log(payload))
+    return BinaryLogReader(path)
 
 
 class LogStatsSink(EventSink):
-    """``repro log-stats`` as one sink, fed by any source's
-    ``replay_into`` — so tuple, v1 and v2 logs are summarised by the
-    same code in one pass.
+    """``repro log-stats`` as one sink, fed by a log's ``replay_into`` —
+    v1 and v2 logs are summarised by the same code in one pass.
 
-    Collects counts by kind, reads/writes, distinct locations / threads
-    / locks / condition objects, and what the stream costs in each
-    at-rest format, computed streaming without writing anything: the
-    JSON tuple log (:func:`~repro.runtime.events.dump_log`'s exact
-    bytes) and ``MJBL`` v1 at the default block size (record widths
-    plus header, string table and index).
+    Collects counts by kind, reads/writes, and distinct locations /
+    threads / locks / condition objects.
     """
 
     def __init__(self) -> None:
@@ -1213,88 +1198,50 @@ class LogStatsSink(EventSink):
         self.threads: set = set()
         self.locks: set = set()
         self.conditions: set = set()
-        self._strings: set[str] = set()
-        self._string_bytes = 0
-        self._record_bytes = 0
-        self._json_bytes = 0
-
-    def _count(self, entry: list, record_size: int) -> None:
-        """Tally one event, given its JSON-encoded tuple-log entry."""
-        self.counts[entry[0]] += 1
-        self._json_bytes += len(json.dumps(entry))
-        self._record_bytes += record_size
 
     def on_access_parts(
         self, object_uid, field, thread_id, kind, site_id, object_kind, object_label
     ) -> None:
-        self._count(
-            [RecordingSink.ACCESS, object_uid, field, thread_id, kind.value,
-             site_id, object_kind.value, object_label],
-            _ACCESS.size,
-        )
+        self.counts[RecordingSink.ACCESS] += 1
         self.locations.add((object_uid, field))
         self.threads.add(thread_id)
         if kind is AccessKind.WRITE:
             self.writes += 1
         else:
             self.reads += 1
-        for text in (field, object_label):
-            if text not in self._strings:
-                self._strings.add(text)
-                self._string_bytes += 4 + len(text.encode("utf-8"))
 
     def on_monitor_enter(self, thread_id, lock_uid, reentrant) -> None:
-        self._count([RecordingSink.ENTER, thread_id, lock_uid, reentrant], _MONITOR.size)
+        self.counts[RecordingSink.ENTER] += 1
         self.threads.add(thread_id)
         self.locks.add(lock_uid)
 
     def on_monitor_exit(self, thread_id, lock_uid, reentrant) -> None:
-        self._count([RecordingSink.EXIT, thread_id, lock_uid, reentrant], _MONITOR.size)
+        self.counts[RecordingSink.EXIT] += 1
         self.threads.add(thread_id)
         self.locks.add(lock_uid)
 
     def on_thread_start(self, parent_id, child_id) -> None:
-        self._count([RecordingSink.START, parent_id, child_id], _START.size)
+        self.counts[RecordingSink.START] += 1
         self.threads.update((parent_id, child_id))
 
     def on_thread_end(self, thread_id) -> None:
-        self._count([RecordingSink.END, thread_id], _END.size)
+        self.counts[RecordingSink.END] += 1
         self.threads.add(thread_id)
 
     def on_thread_join(self, joiner_id, joined_id) -> None:
-        self._count([RecordingSink.JOIN, joiner_id, joined_id], _JOIN.size)
+        self.counts[RecordingSink.JOIN] += 1
         self.threads.update((joiner_id, joined_id))
 
     def on_wait(self, thread_id, cond_uid) -> None:
-        self._count([RecordingSink.WAIT, thread_id, cond_uid], _WAIT.size)
+        self.counts[RecordingSink.WAIT] += 1
         self.threads.add(thread_id)
         self.conditions.add(cond_uid)
 
     def on_notify(self, thread_id, cond_uid, notify_all) -> None:
-        self._count([RecordingSink.NOTIFY, thread_id, cond_uid, notify_all], _NOTIFY.size)
+        self.counts[RecordingSink.NOTIFY] += 1
         self.threads.add(thread_id)
         self.conditions.add(cond_uid)
 
     @property
     def events(self) -> int:
         return sum(self.counts.values())
-
-    @property
-    def tuple_json_bytes(self) -> int:
-        """Length of ``json.dumps(dump_log(...))`` for this stream."""
-        # {"version": N, "entries": [e1, e2, ...]}
-        frame = len(
-            f'{{"version": {RecordingSink.SCHEMA_VERSION}, "entries": []}}'
-        )
-        return frame + self._json_bytes + 2 * max(self.events - 1, 0)
-
-    @property
-    def binary_bytes(self) -> int:
-        """Size of the stream's ``MJBL`` v1 serialization."""
-        blocks = max(1, -(-self.events // DEFAULT_RECORDS_PER_BLOCK))
-        return (
-            HEADER_SIZE
-            + self._record_bytes
-            + 4 + self._string_bytes
-            + _INDEX_HEADER.size + blocks * _INDEX_ENTRY.size
-        )

@@ -266,10 +266,10 @@ class CountingSink(EventSink):
 
 
 class LogSchemaError(ValueError):
-    """A recorded event log does not match the current tuple schema.
+    """A recorded event log cannot be read by this build.
 
     Raised instead of letting a stale or corrupted log misdecode: a log
-    recorded by an older build (different column layout) or truncated in
+    recorded by another build (different layout) or truncated in
     transit would otherwise be silently misread as field values shifting
     into the wrong positions.
 
@@ -293,8 +293,8 @@ class LogNotFoundError(LogSchemaError):
 
 
 class LogCorruptError(LogSchemaError):
-    """The log's bytes are damaged: truncated sections, unknown record
-    tags, CRC mismatches, out-of-range string ids, undecodable JSON.
+    """The log's bytes are damaged: bad magic, truncated sections,
+    unknown record tags, CRC mismatches, out-of-range string ids.
 
     Carries the byte ``offset`` of the first damage when it is known —
     the CLI prints it, and the daemon's 422 response body echoes it so
@@ -309,8 +309,8 @@ class LogCorruptError(LogSchemaError):
 
 class LogSchemaMismatchError(LogSchemaError):
     """The log is structurally intact but was recorded under a schema
-    this build does not read (version skew, wrong entry layout, or a
-    JSON payload that is not a serialized event log at all)."""
+    this build does not read (an ``MJBL`` format version from another
+    build, or raw tuple entries with the wrong layout)."""
 
 
 class RecordingSink(EventSink):
@@ -329,20 +329,11 @@ class RecordingSink(EventSink):
     also what makes sharded post-mortem detection cheap to fan out
     across processes (:mod:`repro.detector.sharded`).
 
-    The encoding is versioned (:data:`SCHEMA_VERSION`): post-mortem
-    consumers call :func:`validate_entries` before decoding, and the
-    serialized form produced by :func:`dump_log` embeds the version so
-    :func:`load_log` can reject logs recorded under a different layout
-    with a clear error instead of misdecoding them.
+    The tuple log lives only in memory: post-mortem consumers call
+    :func:`validate_entries` before replaying entries they did not
+    record themselves, and the at-rest format is ``MJBL``
+    (:mod:`repro.runtime.binlog`).
     """
-
-    #: Version of the tuple-encoded entry layout.  v1 was the unversioned
-    #: PR-1 encoding (identical column layout, no validation); v2 added
-    #: validation; v3 added the WAIT and NOTIFY condition-synchronization
-    #: tags.  Bump this whenever an entry tag gains, loses, or reorders
-    #: columns — or when new tags appear that older builds would not
-    #: understand.
-    SCHEMA_VERSION = 3
 
     ACCESS = "access"
     ENTER = "enter"
@@ -438,19 +429,13 @@ _ENTRY_COLUMNS = {
 }
 
 
-def validate_entries(entries, version: int = RecordingSink.SCHEMA_VERSION) -> None:
+def validate_entries(entries) -> None:
     """Check a tuple-encoded log against the current schema.
 
     Raises :class:`LogSchemaError` naming the first offending entry.
-    Post-mortem loaders call this before replaying a log that may have
-    been recorded by a different build, pickled, or persisted to disk.
+    Post-mortem detection calls this before replaying raw entries that
+    may have been built by other code or pickled.
     """
-    if version != RecordingSink.SCHEMA_VERSION:
-        raise LogSchemaMismatchError(
-            f"event log uses schema version {version}, but this build "
-            f"reads version {RecordingSink.SCHEMA_VERSION} — re-record "
-            f"the execution with the current build"
-        )
     for index, entry in enumerate(entries):
         if not isinstance(entry, tuple) or not entry:
             raise LogSchemaMismatchError(
@@ -466,77 +451,13 @@ def validate_entries(entries, version: int = RecordingSink.SCHEMA_VERSION) -> No
         if len(entry) != len(columns) + 1:
             raise LogSchemaMismatchError(
                 f"log entry {index} ({tag!r}) has {len(entry)} "
-                f"columns, schema version {RecordingSink.SCHEMA_VERSION} "
-                f"expects {len(columns) + 1}: {entry!r}"
+                f"columns, the schema expects {len(columns) + 1}: "
+                f"{entry!r}"
             )
         if not all(map(isinstance, entry[1:], columns)):
             raise LogSchemaMismatchError(
                 f"log entry {index} has mistyped {tag} columns: {entry!r}"
             )
-
-
-def dump_log(log) -> dict:
-    """Serialize a recorded log to a JSON-safe payload with an embedded
-    schema version (enums are encoded by value)."""
-    entries = log.log if isinstance(log, RecordingSink) else log
-    encoded = []
-    for entry in entries:
-        if entry[0] == RecordingSink.ACCESS:
-            encoded.append(
-                [entry[0], entry[1], entry[2], entry[3], entry[4].value,
-                 entry[5], entry[6].value, entry[7]]
-            )
-        else:
-            encoded.append(list(entry))
-    return {"version": RecordingSink.SCHEMA_VERSION, "entries": encoded}
-
-
-def load_log(payload: dict) -> list[tuple]:
-    """Decode a :func:`dump_log` payload back into tuple entries,
-    validating the schema version and layout first."""
-    if not isinstance(payload, dict) or "entries" not in payload:
-        raise LogSchemaMismatchError(
-            "payload is not a serialized event log (missing 'entries')"
-        )
-    version = payload.get("version")
-    if version != RecordingSink.SCHEMA_VERSION:
-        raise LogSchemaMismatchError(
-            f"event log was serialized with schema version {version}, "
-            f"but this build reads version "
-            f"{RecordingSink.SCHEMA_VERSION} — re-record the execution"
-        )
-    if not isinstance(payload["entries"], list):
-        raise LogSchemaMismatchError(
-            "payload is not a serialized event log ('entries' is not a list)"
-        )
-    entries: list[tuple] = []
-    for index, raw in enumerate(payload["entries"]):
-        if not isinstance(raw, list) or not raw:
-            raise LogSchemaMismatchError(
-                f"serialized entry {index} is not a non-empty list: {raw!r}"
-            )
-        if raw[0] == RecordingSink.ACCESS:
-            if len(raw) != len(_ENTRY_COLUMNS[RecordingSink.ACCESS]) + 1:
-                raise LogSchemaMismatchError(
-                    f"serialized access entry {index} has {len(raw)} "
-                    f"columns: {raw!r}"
-                )
-            try:
-                kind = AccessKind(raw[4])
-                object_kind = ObjectKind(raw[6])
-            except ValueError as error:
-                raise LogSchemaMismatchError(
-                    f"serialized entry {index} has unknown enum value: "
-                    f"{error}"
-                ) from error
-            entries.append(
-                (raw[0], raw[1], raw[2], raw[3], kind, raw[5], object_kind,
-                 raw[7])
-            )
-        else:
-            entries.append(tuple(raw))
-    validate_entries(entries)
-    return entries
 
 
 def replay_entries(entries, sink: EventSink, shard: int = -1, shards: int = 1) -> None:

@@ -3,8 +3,8 @@
 The paper's pitch is that precise datarace detection is cheap enough to
 run routinely; this package is how "routinely" scales past one CLI
 invocation.  A long-lived asyncio HTTP daemon accepts POSTed MJ
-programs, tuple-JSON event logs, or MJBL binary logs, classifies them
-by magic bytes, and dispatches detection jobs to a bounded pool of
+programs or MJBL binary event logs, classifies them by magic bytes,
+and dispatches detection jobs to a bounded pool of
 long-lived worker processes — CPU-bound detection never blocks the
 event loop, and each worker's content-addressed compile cache compiles
 a distinct program exactly once per daemon lifetime.

@@ -12,8 +12,8 @@ polls, or new submissions.
 Endpoints (the full contract lives in ``docs/service.md``):
 
 ``POST /submit``
-    Body is MJ source, a tuple-JSON log, or an MJBL binary log —
-    classified by magic bytes.  Query parameters: ``engine``, ``seed``,
+    Body is MJ source or an MJBL binary log — classified by magic
+    bytes.  Query parameters: ``engine``, ``seed``,
     ``filename`` (program jobs), ``wait=1`` (block until the job
     finishes and return the full result), ``stream=1`` (NDJSON: one
     line per detector-axis verdict as each completes, then the final
@@ -53,9 +53,7 @@ from ..lang import MJError
 from ..runtime import DEFAULT_ENGINE, ENGINES
 from .jobs import WorkerPool
 from .protocol import (
-    KIND_BINARY_LOG,
     KIND_PROGRAM,
-    KIND_TUPLE_LOG,
     canonical_json,
     classify_payload,
     error_payload,
@@ -104,10 +102,8 @@ def _validate_upload(kind: str, body: bytes) -> None:
     structurally in O(1) and decode their string table; v2 logs
     additionally inflate-check their compressed blocks (one zlib pass,
     no record decoding) so a garbled deflated span is caught here with
-    its block offset.  Tuple logs pay
-    their one parse+validate pass (they are the compatibility path —
-    the daemon's bulk format is MJBL).  Program bodies only need to be
-    text here; compile errors are real work and stay in the workers.
+    its block offset.  Program bodies only need to be text here;
+    compile errors are real work and stay in the workers.
     """
     from ..runtime.binlog import open_log, temporary_binary_log
 
@@ -120,13 +116,10 @@ def _validate_upload(kind: str, body: bytes) -> None:
                 f"(byte {error.start})"
             ) from error
         return
-    suffix = ".mjbl" if kind == KIND_BINARY_LOG else ".json"
-    with temporary_binary_log(suffix=suffix) as spool:
+    with temporary_binary_log() as spool:
         spool.write_bytes(body)
         with open_log(spool) as log:
-            validate = getattr(log, "validate_blocks", None)
-            if validate is not None:
-                validate()
+            log.validate_blocks()
 
 
 class ServiceApp:

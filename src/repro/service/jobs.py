@@ -43,7 +43,6 @@ from .cache import UNCACHED, CompileCache
 from .protocol import (
     KIND_BINARY_LOG,
     KIND_PROGRAM,
-    KIND_TUPLE_LOG,
     STAGES,
     detection_report,
     error_payload,
@@ -79,7 +78,7 @@ def execute_job(payload: dict, cache: CompileCache, emit) -> dict:
     kind = payload["kind"]
     if kind == KIND_PROGRAM:
         return _execute_program(payload, cache, emit)
-    if kind in (KIND_TUPLE_LOG, KIND_BINARY_LOG):
+    if kind == KIND_BINARY_LOG:
         return _execute_log(payload, emit)
     raise ValueError(f"unknown job kind {kind!r}")
 
@@ -158,18 +157,16 @@ def _execute_program(payload: dict, cache: CompileCache, emit) -> dict:
 def _execute_log(payload: dict, emit) -> dict:
     from ..runtime.binlog import open_log, temporary_binary_log
 
-    kind = payload["kind"]
-    suffix = ".mjbl" if kind == KIND_BINARY_LOG else ".json"
     timing = dict.fromkeys(STAGES, 0.0)
     started = time.perf_counter()
-    with temporary_binary_log(suffix=suffix) as spool:
+    with temporary_binary_log() as spool:
         spool.write_bytes(payload["body"])
         # open_log is the single validation point.
         with open_log(spool) as log:
             timing["load"] = time.perf_counter() - started
             detected = _detect(log, timing, emit)
     return {
-        "kind": kind,
+        "kind": KIND_BINARY_LOG,
         "engine": None,
         "cache": {"status": UNCACHED, "fingerprint": None},
         **detected,

@@ -64,23 +64,17 @@ def canonical_json(payload) -> str:
 
 
 KIND_PROGRAM = "program"
-KIND_TUPLE_LOG = "tuple-log"
 KIND_BINARY_LOG = "binary-log"
 
 
 def classify_payload(body: bytes) -> str:
     """Classify an uploaded body by magic bytes.
 
-    ``MJBL`` magic → binary log; a leading ``{`` (after whitespace) →
-    tuple-JSON log; anything else is treated as MJ source text.  The
-    same magic-byte discipline :func:`repro.runtime.binlog.open_log`
-    applies to on-disk paths, lifted to in-memory uploads.
+    ``MJBL`` magic → binary log; anything else is treated as MJ source
+    text (``MJBL`` is the only at-rest log format).
     """
     if body[: len(MAGIC)] == MAGIC:
         return KIND_BINARY_LOG
-    stripped = body.lstrip()
-    if stripped[:1] == b"{":
-        return KIND_TUPLE_LOG
     return KIND_PROGRAM
 
 

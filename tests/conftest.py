@@ -21,18 +21,6 @@ def run_source(source: str, seed=None, sink=None, trace_sites=None, max_steps=2_
     )
 
 
-#: Tuple-log ``entries`` that are valid JSON but not a list of tagged
-#: lists with typed columns: a scalar entry, and sync columns of the
-#: wrong JSON type.  Each must be a schema mismatch (CLI exit 4, HTTP
-#: 400), never a ``TypeError``.
-MALFORMED_ENTRIES = [
-    [5],
-    [["start", 0, [1]]],
-    [["join", 0, {"a": 1}]],
-    [["end", [1]]],
-]
-
-
 def access(uid, field, thread, kind, site=0) -> tuple:
     """One hand-built instance-field access as the seven arguments of
     ``EventSink.on_access_parts``, labelled ``Obj#<uid>``."""

@@ -8,7 +8,6 @@ point (``repro run --record-binary``, ``repro check --from-log``,
 and ``repro log-stats``).
 """
 
-import json
 
 import pytest
 
@@ -17,7 +16,7 @@ from repro.detector import detect_sharded
 from repro.difflab import load_corpus
 from repro.instrument import PlannerConfig, plan_instrumentation
 from repro.lang.resolver import compile_source
-from repro.runtime import RecordingSink, RoundRobinPolicy, dump_log, run_program
+from repro.runtime import RecordingSink, RoundRobinPolicy, run_program
 from repro.runtime.binlog import BinaryLogReader, write_binary_log
 from repro.workloads import ALL_WORKLOADS
 
@@ -138,22 +137,6 @@ class TestCliRecordAndReplay:
         assert direct == replayed == 1
         assert self._race_lines(direct_out) == self._race_lines(replayed_out)
 
-    def test_record_both_formats_agree(self, racy_file, tmp_path, capsys):
-        binary = tmp_path / "run.mjbl"
-        tuples = tmp_path / "run.json"
-        assert main([
-            "run", str(racy_file),
-            "--record", str(tuples),
-            "--record-binary", str(binary),
-        ]) == 0
-        capsys.readouterr()
-        from_binary = main(["check", str(racy_file), "--from-log", str(binary)])
-        binary_out = capsys.readouterr().out
-        from_tuples = main(["check", str(racy_file), "--from-log", str(tuples)])
-        tuple_out = capsys.readouterr().out
-        assert from_binary == from_tuples == 1
-        assert self._race_lines(binary_out) == self._race_lines(tuple_out)
-
     def test_from_log_without_program(self, racy_file, tmp_path, capsys):
         log = tmp_path / "run.mjbl"
         main(["run", str(racy_file), "--record-binary", str(log)])
@@ -179,6 +162,22 @@ class TestCliRecordAndReplay:
     def test_check_without_file_or_log_errors(self, capsys):
         assert main(["check"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cut", range(len("--r"), len("--record-binary"))
+    )
+    def test_run_refuses_abbreviated_record_binary(
+        self, racy_file, tmp_path, capsys, cut
+    ):
+        # No prefix of --record-binary resolves to it, so the retired
+        # tuple-JSON flag (``--record``, one of these prefixes) is a
+        # usage error rather than a silent MJBL recording.
+        log = tmp_path / "run.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(racy_file), "--record-binary"[:cut], str(log)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not log.exists()
 
     def test_from_log_rejects_corrupt_file(self, tmp_path, capsys):
         noise = tmp_path / "noise.mjbl"
@@ -277,8 +276,8 @@ class TestCliLogStats:
         out = capsys.readouterr().out
         assert "format: binary (MJBL v1" in out
         assert "crc: ok" in out
-        assert "tuple/binary size ratio:" in out
         assert "block fill:" in out
+        assert "bytes/event:" in out
 
     def test_compressed_log_stats_report_ratio(self, racy_file, tmp_path, capsys):
         log = tmp_path / "run.mjbl"
@@ -291,37 +290,6 @@ class TestCliLogStats:
         assert "format: binary (MJBL v2" in out
         assert "crc: ok" in out
         assert "compression:" in out
-
-    def test_tuple_log_stats(self, racy_file, tmp_path, capsys):
-        log = tmp_path / "run.json"
-        main(["run", str(racy_file), "--record", str(log)])
-        capsys.readouterr()
-        assert main(["log-stats", str(log)]) == 0
-        out = capsys.readouterr().out
-        assert "format: tuple JSON" in out
-        assert "tuple/binary size ratio:" in out
-
-    def test_stats_agree_across_formats(self, racy_file, tmp_path, capsys):
-        binary = tmp_path / "run.mjbl"
-        tuples = tmp_path / "run.json"
-        main([
-            "run", str(racy_file),
-            "--record", str(tuples),
-            "--record-binary", str(binary),
-        ])
-        capsys.readouterr()
-        main(["log-stats", str(binary)])
-        binary_out = capsys.readouterr().out
-        main(["log-stats", str(tuples)])
-        tuple_out = capsys.readouterr().out
-
-        def facts(text):
-            return [
-                line for line in text.splitlines()
-                if line.startswith(("events:", "  ", "distinct"))
-            ]
-
-        assert facts(binary_out) == facts(tuple_out)
 
     def test_log_stats_rejects_noise(self, tmp_path, capsys):
         noise = tmp_path / "noise.log"

@@ -168,21 +168,18 @@ class TestCheck:
         [
             (["--post-mortem"], ["load", "run", "detect"]),
             (["--shards", "2"], ["load", "run", "detect"]),
-            (["--from-log", "v1"], ["load", "detect"]),
-            (["--from-log", "tuple"], ["load", "detect"]),
+            (["--from-log"], ["load", "detect"]),
             (["--predict", "shb"], ["load", "run", "detect", "axes"]),
         ],
-        ids=["post-mortem", "shards-2", "from-log-v1", "from-log-tuple",
-             "predict-shb"],
+        ids=["post-mortem", "shards-2", "from-log-v1", "predict-shb"],
     )
     def test_phase_times_on_every_check_path(
         self, racy_file, tmp_path, flags, stages, capsys
     ):
         target = [str(racy_file)]
         if flags[0] == "--from-log":
-            log = tmp_path / ("racy.mjbl" if flags[1] == "v1" else "racy.json")
-            record = "--record-binary" if flags[1] == "v1" else "--record"
-            assert main(["run", str(racy_file), record, str(log)]) == 0
+            log = tmp_path / "racy.mjbl"
+            assert main(["run", str(racy_file), "--record-binary", str(log)]) == 0
             target, flags = [], ["--from-log", str(log)]
         capsys.readouterr()
         code = main(["check", *target, *flags, "--phase-times"])

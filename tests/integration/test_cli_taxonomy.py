@@ -1,14 +1,13 @@
 """CLI exit-code taxonomy for damaged, missing, and skewed event logs.
 
-``repro check --from-log`` and ``repro log-stats`` used to fold every
-log problem into one fused "neither binary nor JSON" error; the
-contract now is three distinguishable failures scripts can branch on
-without parsing messages:
+``repro check --from-log`` and ``repro log-stats`` fail in three
+distinguishable ways scripts can branch on without parsing messages:
 
 * exit 2 — the log does not exist (or a usage/compile error),
-* exit 3 — the bytes are corrupt or truncated (message carries the
-  damage's byte offset),
-* exit 4 — intact bytes recorded under a different schema version.
+* exit 3 — the bytes are corrupt or truncated, or are not MJBL at all
+  (message carries the damage's byte offset),
+* exit 4 — intact bytes recorded under an MJBL format version this
+  build does not read.
 
 ``repro serve`` maps the same classes to HTTP 404 / 422 / 400
 (tested in ``test_service.py``).
@@ -20,9 +19,9 @@ import pytest
 
 from repro.cli import main
 from repro.runtime.binlog import write_binary_log
-from repro.runtime.events import RecordingSink, dump_log
+from repro.runtime.events import RecordingSink
 
-from ..conftest import MALFORMED_ENTRIES, garble_string_table, unbalanced_exit_log
+from ..conftest import garble_string_table, unbalanced_exit_log
 
 PROGRAM = """
 class Main {
@@ -109,30 +108,67 @@ class TestLogErrorExitCodes:
         assert code == 3
         assert "corrupt" in capsys.readouterr().err
 
-    def test_schema_skew_exits_4(
-        self, command, binary_log, tmp_path, capsys
+    def test_zero_records_per_block_exits_3(
+        self, command, binary_log, capsys
     ):
-        _, sink = binary_log
-        payload = dump_log(sink)
-        payload["version"] = 999
-        skewed = tmp_path / "future.json"
-        skewed.write_text(json.dumps(payload))
-        code = self._invoke(command, skewed)
-        captured = capsys.readouterr()
-        assert code == 4
-        assert "schema" in captured.err
-        assert "999" in captured.err
+        # Used to escape log-stats as a ZeroDivisionError (exit 1), and
+        # to be accepted silently by check.
+        from repro.runtime.binlog import BinaryLogReader
 
-    @pytest.mark.parametrize("entries", MALFORMED_ENTRIES)
-    def test_malformed_json_structure_exits_4(
-        self, command, tmp_path, capsys, entries
-    ):
-        path = tmp_path / "malformed.json"
-        path.write_text(json.dumps({"version": 3, "entries": entries}))
+        path, _ = binary_log
+        with BinaryLogReader(path) as reader:
+            field = reader.index_offset + 4  # after the u32 block count
+        data = bytearray(path.read_bytes())
+        data[field : field + 4] = bytes(4)
+        path.write_bytes(bytes(data))
         code = self._invoke(command, path)
         captured = capsys.readouterr()
-        assert code == 4
-        assert "schema" in captured.err
+        assert code == 3
+        assert f"byte offset {field}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_access_count_above_record_count_exits_3(
+        self, command, binary_log, capsys
+    ):
+        # Used to be accepted: check --stats printed a negative count of
+        # replicated sync events.
+        path, sink = binary_log
+        data = bytearray(path.read_bytes())
+        data[24:32] = (len(sink.log) + 1000).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        code = self._invoke(command, path)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "byte offset 24" in captured.err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"", "0-byte file is smaller than the 80-byte MJBL header"),
+            (b"MJB", "3-byte file is smaller than the 80-byte MJBL header"),
+            (b"class Main { static def main() { } }\n" * 4,
+             "bad magic b'clas' at byte offset 0"),
+            (bytes(200), "bad magic b'\\x00\\x00\\x00\\x00' at byte offset 0"),
+            # The retired tuple-JSON log file, as it used to be written.
+            (b'{"version": 3, "entries": ['
+             b'["access", 1, "x", 0, "WRITE", 1, "instance", "Data#1"], '
+             b'["access", 1, "x", 0, "READ", 2, "instance", "Data#1"], '
+             b'["end", 0]]}',
+             "bad magic b'{\"ve' at byte offset 0"),
+        ],
+        ids=["empty", "partial-magic", "mj-source", "zeros", "tuple-json"],
+    )
+    def test_non_mjbl_file_exits_3(
+        self, command, content, message, tmp_path, capsys
+    ):
+        # MJBL is the only log format: any other file is a corrupt log,
+        # named by its size or its first four bytes.
+        path = tmp_path / "not-a-log"
+        path.write_bytes(content)
+        code = self._invoke(command, path)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert message in captured.err
         assert "Traceback" not in captured.err
 
 
@@ -198,14 +234,8 @@ class TestUnbalancedMonitorExit:
     named, never a traceback."""
 
     @pytest.mark.parametrize("post_mortem", [False, True])
-    @pytest.mark.parametrize("fmt", ["mjbl", "json"])
-    def test_unbalanced_exit_exits_3(self, fmt, post_mortem, tmp_path, capsys):
-        log = unbalanced_exit_log()
-        path = tmp_path / f"unbalanced.{fmt}"
-        if fmt == "mjbl":
-            write_binary_log(log, path)
-        else:
-            path.write_text(json.dumps(dump_log(log)))
+    def test_unbalanced_exit_exits_3(self, post_mortem, tmp_path, capsys):
+        path = write_binary_log(unbalanced_exit_log(), tmp_path / "unbalanced.mjbl")
         argv = ["check", "--from-log", str(path)]
         code = main(argv + ["--post-mortem"] if post_mortem else argv)
         err = capsys.readouterr().err

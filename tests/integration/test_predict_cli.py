@@ -128,16 +128,12 @@ class TestCheckPredict:
         assert main(["check", str(predictive_file), "--predict", "shb"]) == 1
         capsys.readouterr()
 
-    @pytest.mark.parametrize("record_flag,suffix", [
-        ("--record", "log.json"),
-        ("--record-binary", "log.mjbl"),
-    ])
-    def test_predict_from_recorded_logs(
-        self, predictive_file, tmp_path, capsys, record_flag, suffix
+    def test_predict_from_recorded_log(
+        self, predictive_file, tmp_path, capsys
     ):
-        log_path = tmp_path / suffix
+        log_path = tmp_path / "log.mjbl"
         assert main(
-            ["run", str(predictive_file), record_flag, str(log_path)]
+            ["run", str(predictive_file), "--record-binary", str(log_path)]
         ) == 0
         capsys.readouterr()
         exit_code = main(

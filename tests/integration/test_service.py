@@ -38,8 +38,6 @@ import pytest
 import repro
 from repro.cli import main
 
-from ..conftest import MALFORMED_ENTRIES
-
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
 RACY = """
@@ -494,20 +492,6 @@ class TestLogJobs:
         assert expected[0]["races"] > 0
         assert record["axes"][1:] == expected
 
-    def test_tuple_log_round_trips(self, daemon, binary_log):
-        from repro.runtime.binlog import open_log
-        from repro.runtime.events import RecordingSink, dump_log
-
-        log = RecordingSink()
-        with open_log(binary_log) as reader:
-            reader.replay_into(log)
-        payload = json.dumps(dump_log(log))
-        _, _, record = daemon.submit_json(
-            "/submit?wait=1", payload.encode(), expect=200
-        )
-        assert record["job"]["kind"] == "tuple-log"
-        assert record["result"]["report"]["verdict"] == "racy"
-
     def test_truncated_mjbl_is_422_with_offset(self, daemon, binary_log):
         status, _, data = daemon.request(
             "POST", "/submit", binary_log.read_bytes()[:40]
@@ -583,44 +567,25 @@ class TestLogJobs:
         assert status == 400
         assert json.loads(body)["taxonomy"] == "schema-mismatch"
 
-    def test_schema_skew_is_400(self, daemon):
-        skewed = json.dumps({"version": 999, "entries": []})
-        status, _, data = daemon.request("POST", "/submit", skewed.encode())
-        assert status == 400
-        assert json.loads(data)["taxonomy"] == "schema-mismatch"
-
-    @pytest.mark.parametrize("entries", MALFORMED_ENTRIES)
-    def test_malformed_json_structure_is_400(self, daemon, entries):
-        body = json.dumps({"version": 3, "entries": entries})
-        status, _, data = daemon.request("POST", "/submit", body.encode())
-        assert status == 400
-        assert json.loads(data)["taxonomy"] == "schema-mismatch"
-
-    @pytest.mark.parametrize("fmt", ["mjbl", "json"])
-    def test_unbalanced_monitor_exit_is_422(self, daemon, tmp_path, fmt):
+    def test_unbalanced_monitor_exit_is_422(self, daemon, tmp_path):
         from repro.runtime.binlog import write_binary_log
-        from repro.runtime.events import dump_log
 
         from ..conftest import unbalanced_exit_log
 
-        log = unbalanced_exit_log()
-        if fmt == "mjbl":
-            path = tmp_path / "unbalanced.mjbl"
-            write_binary_log(log, path)
-            body = path.read_bytes()
-        else:
-            body = json.dumps(dump_log(log)).encode()
-        status, _, record = daemon.submit_json("/submit?wait=1", body)
+        path = write_binary_log(unbalanced_exit_log(), tmp_path / "unbalanced.mjbl")
+        status, _, record = daemon.submit_json("/submit?wait=1", path.read_bytes())
         assert status == 422
         assert record["error"]["taxonomy"] == "corrupt"
         assert "unbalanced monitor exit" in record["error"]["error"]
 
-    def test_damaged_json_log_is_422(self, daemon):
-        status, _, data = daemon.request(
-            "POST", "/submit", b'{"version": 3, "entries": [['
-        )
+    def test_json_body_is_a_compile_error(self, daemon):
+        # A retired tuple-JSON log is not MJBL, so it is MJ source that
+        # does not compile: the documented 422 job error, never a 500.
+        body = b'  {"version": 3, "entries": [["start", 0, 1], ["end", 1]]}'
+        status, _, record = daemon.submit_json("/submit?wait=1", body)
         assert status == 422
-        assert json.loads(data)["taxonomy"] == "corrupt"
+        assert record["job"]["kind"] == "program"
+        assert record["error"]["taxonomy"] == "compile-error"
 
 
 class TestStageTiming:
@@ -647,10 +612,9 @@ class TestStageTiming:
             assert result["cache"]["status"] == status
             assert result["timing"]["run"] > 0.0
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2", "tuple"])
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
     def test_uploads_have_no_run_stage(self, daemon, tmp_path, fmt):
-        from repro.runtime.binlog import open_log, write_binary_log
-        from repro.runtime.events import RecordingSink, dump_log
+        from repro.runtime.binlog import write_binary_log
         from repro.runtime.synthlog import synthesize_file
 
         path = tmp_path / "synth.mjbl"
@@ -658,13 +622,7 @@ class TestStageTiming:
         if fmt == "v2":
             write_binary_log(path, tmp_path / "v2.mjbl", compress=6)
             path = tmp_path / "v2.mjbl"
-        body = path.read_bytes()
-        if fmt == "tuple":
-            log = RecordingSink()
-            with open_log(path) as reader:
-                reader.replay_into(log)
-            body = json.dumps(dump_log(log)).encode()
-        timing = self.result(daemon, body)["timing"]
+        timing = self.result(daemon, path.read_bytes())["timing"]
         assert timing["run"] == 0.0
         assert timing["detect"] > 0.0
 

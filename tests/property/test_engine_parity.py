@@ -19,8 +19,6 @@ errors as the AST interpreter.  These tests enforce that contract on
   recorded schedule.
 """
 
-import json
-
 import pytest
 
 from repro.detector import DetectorConfig, RaceDetector
@@ -37,7 +35,6 @@ from repro.runtime import (
     ENGINES,
     RandomPolicy,
     RecordingSink,
-    dump_log,
     engine_runner,
 )
 from repro.workloads import ALL_WORKLOADS
@@ -62,7 +59,7 @@ def observe(runner, resolved, trace_sites, policy, with_sink=True):
         )
     except Exception as error:  # noqa: BLE001 — error parity is the point.
         return ("error", type(error).__name__, str(error))
-    log = json.dumps(dump_log(sink), sort_keys=True) if with_sink else ""
+    log = sink.log if with_sink else None
     return (
         result.steps,
         result.threads_created,

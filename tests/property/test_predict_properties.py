@@ -12,11 +12,9 @@ Two layers, mirroring the battery's soundness story:
   including the ``sync_vocab``/``handoff_bias`` vocabularies): the same
   inclusions on real recorded traces, plus the MJBL round-trip — the
   predictors must report identically whether the log arrives as
-  in-memory tuples, a JSON file, a mapped binary log, or per-shard
-  streams decoded lazily by the sharded binary reader.
+  in-memory tuples, a mapped binary log, or per-shard streams decoded
+  lazily by the sharded binary reader.
 """
-
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +34,6 @@ from repro.runtime import (
     replay_entries,
 )
 from repro.runtime.binlog import BinaryLogReader, write_binary_log
-from repro.runtime.events import dump_log
 from repro.workloads.fuzz import generate_program
 
 from ..binlog_oracle import replayed, shard_entries
@@ -178,7 +175,7 @@ class TestStreamTheorems:
 class TestBinlogRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(raw=streams, mode=st.sampled_from(["shb", "hybrid"]))
-    def test_tuple_json_binary_and_sharded_paths_agree(
+    def test_tuple_binary_and_sharded_paths_agree(
         self, raw, mode, tmp_path_factory
     ):
         """The MJBL round-trip contract extended to prediction: the
@@ -190,8 +187,6 @@ class TestBinlogRoundTrip:
         feed(sink, events)
 
         tmp = tmp_path_factory.mktemp("predictlog")
-        json_path = tmp / "log.json"
-        json_path.write_text(json.dumps(dump_log(sink)))
         bin_path = write_binary_log(sink, tmp / "log.mjbl")
 
         def key(predictor):
@@ -202,7 +197,6 @@ class TestBinlogRoundTrip:
 
         baseline = key(predict_races(sink, mode))
         assert key(predict_races(list(sink.log), mode)) == baseline
-        assert key(predict_races(json_path, mode)) == baseline
         assert key(predict_races(bin_path, mode)) == baseline
 
         with BinaryLogReader(bin_path) as reader:

@@ -18,8 +18,6 @@ in a monitor deadlock; and small step budgets that end in
 ``StepLimitExceeded``.
 """
 
-import json
-
 from hypothesis import given, settings, strategies as st
 
 from repro.lang import compile_source
@@ -27,7 +25,6 @@ from repro.runtime import (
     RandomPolicy,
     RecordingSink,
     RoundRobinPolicy,
-    dump_log,
     engine_class,
 )
 from repro.workloads.fuzz import ProgramFuzzer
@@ -195,7 +192,9 @@ def observe(resolved, engine, policy_spec, max_steps, oracle):
         "output": list(runner.output),
         "steps": runner._scheduler.total_steps,
         "thread_steps": [t.steps for t in runner._threads],
-        "log": json.dumps(dump_log(sink), sort_keys=True),
+        # A snapshot: after a deadlock, dropping the runner closes its
+        # suspended generators, whose sync exits still reach the sink.
+        "log": list(sink.log),
         "rng": policy._rng.getstate() if policy_spec[0] == "random" else None,
     }
 

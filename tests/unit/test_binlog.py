@@ -8,7 +8,6 @@ name and label, and the per-block shard index lets power-of-two shard
 counts skip blocks without ever dropping an event.
 """
 
-import json
 import struct
 
 import pytest
@@ -26,12 +25,11 @@ from repro.runtime.binlog import (
     LogCorruptError,
     LogStatsSink,
     _shard_partition_mask,
-    is_binary_log,
     log_source,
     open_log,
     write_binary_log,
 )
-from repro.runtime.events import LogSchemaError, dump_log
+from repro.runtime.events import LogNotFoundError, LogSchemaError
 from repro.runtime.synthlog import synthesize_into
 
 from ..binlog_oracle import read_binary_log, replayed
@@ -112,11 +110,6 @@ class TestRoundTrip:
             table = reader.strings
             assert set(table) == expected
             assert len(table) == len(expected)  # interned: no duplicates
-
-    def test_estimate_matches_actual_file_size(self, recorded, binary_path):
-        stats = LogStatsSink()
-        recorded.replay_into(stats)
-        assert stats.binary_bytes == binary_path.stat().st_size
 
     def test_sink_is_idempotent_on_double_close(self, recorded, tmp_path):
         path = tmp_path / "twice.mjbl"
@@ -208,6 +201,50 @@ class TestValidation:
                 reader.replay_into(RecordingSink())
             assert info.value.offset == entry_offset
             assert f"byte offset {entry_offset}" in str(info.value)
+
+    def test_zero_records_per_block_is_corrupt(self, binary_path):
+        # Block fill is records / records_per_block: a zeroed field used
+        # to escape block_stats() as a ZeroDivisionError.  The index
+        # header is the u32 block count, then this u32.
+        with BinaryLogReader(binary_path) as reader:
+            field = reader.index_offset + 4
+        data = bytearray(binary_path.read_bytes())
+        struct.pack_into("<I", data, field, 0)
+        binary_path.write_bytes(data)
+        with BinaryLogReader(binary_path) as reader:
+            with pytest.raises(LogCorruptError, match="0 records each") as info:
+                reader.block_stats()
+        assert info.value.offset == field
+
+    def test_access_count_above_record_count_is_corrupt(self, binary_path):
+        # The header's counts feed --stats ("sync events replicated to
+        # each shard" is their difference); more accesses than records
+        # is rejected at open, in O(1).
+        with BinaryLogReader(binary_path) as reader:
+            records = reader.record_count
+        data = bytearray(binary_path.read_bytes())
+        struct.pack_into("<Q", data, 24, records + 1000)
+        binary_path.write_bytes(data)
+        with pytest.raises(LogCorruptError, match="exceeds its record count") as info:
+            BinaryLogReader(binary_path)
+        assert info.value.offset == 24
+
+    @pytest.mark.parametrize(
+        "field, delta", [(16, 1000), (24, -1)], ids=["records", "accesses"]
+    )
+    def test_header_counts_disagreeing_with_index_are_corrupt(
+        self, binary_path, field, delta
+    ):
+        with BinaryLogReader(binary_path) as reader:
+            index = reader.index_offset
+        data = bytearray(binary_path.read_bytes())
+        (count,) = struct.unpack_from("<Q", data, field)
+        struct.pack_into("<Q", data, field, count + delta)
+        binary_path.write_bytes(data)
+        with BinaryLogReader(binary_path) as reader:  # O(1) checks pass
+            with pytest.raises(LogCorruptError, match="header promises") as info:
+                reader.replay_into(RecordingSink())
+        assert info.value.offset == index
 
     def test_crc_verify_catches_silent_corruption(self, binary_path):
         # A payload flip that keeps every tag valid: undetectable
@@ -382,28 +419,25 @@ class TestShardIndex:
 
 
 class TestOpenLog:
-    def test_detects_binary_by_magic(self, binary_path, recorded):
-        assert is_binary_log(binary_path)
+    def test_opens_a_binary_reader(self, binary_path, recorded):
         with open_log(binary_path) as log:
             assert isinstance(log, BinaryLogReader)
             assert replayed(log) == list(recorded.log)
 
-    def test_detects_json_tuple_log(self, recorded, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(dump_log(recorded)))
-        assert not is_binary_log(path)
-        with open_log(path) as log:
-            assert isinstance(log, RecordingSink)
-            assert log.log == list(recorded.log)
-
-    def test_rejects_neither_format(self, tmp_path):
+    def test_rejects_non_mjbl_bytes_at_offset_zero(self, tmp_path):
         path = tmp_path / "noise.bin"
-        path.write_bytes(b"\x00\x01\x02 definitely not a log")
-        with pytest.raises(LogSchemaError, match="neither a binary"):
+        path.write_bytes(b"\x00\x01\x02 definitely not a log" * 4)
+        with pytest.raises(LogCorruptError, match="bad magic") as info:
             open_log(path)
+        assert info.value.offset == 0
 
-    def test_missing_file_is_not_binary(self, tmp_path):
-        assert not is_binary_log(tmp_path / "absent.mjbl")
+    def test_missing_file_is_not_found(self, tmp_path):
+        with pytest.raises(LogNotFoundError, match="not found"):
+            open_log(tmp_path / "absent.mjbl")
+
+    def test_directory_is_not_found(self, tmp_path):
+        with pytest.raises(LogNotFoundError, match="cannot open"):
+            open_log(tmp_path)
 
 
 class TestLogSource:
@@ -688,7 +722,6 @@ def _summary(stats: LogStatsSink) -> tuple:
     return (
         stats.counts, stats.reads, stats.writes, stats.locations,
         stats.threads, stats.locks, stats.conditions,
-        stats.tuple_json_bytes, stats.binary_bytes,
     )
 
 
@@ -711,13 +744,6 @@ class TestLogStats:
         )
         with BinaryLogReader(v1) as one, BinaryLogReader(v2) as two:
             assert _summary(_log_stats(one)) == _summary(_log_stats(two))
-
-    def test_tuple_json_bytes_match_dump_log(self, recorded):
-        expected = len(json.dumps(dump_log(recorded)))
-        assert _log_stats(recorded).tuple_json_bytes == expected
-        assert _log_stats(RecordingSink()).tuple_json_bytes == len(
-            json.dumps(dump_log([]))
-        )
 
     def test_default_block_size_is_sane(self):
         assert DEFAULT_RECORDS_PER_BLOCK >= 1024

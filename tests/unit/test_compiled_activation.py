@@ -11,7 +11,7 @@ import pytest
 
 from repro.instrument import PlannerConfig, plan_instrumentation
 from repro.lang import compile_source
-from repro.runtime import RandomPolicy, RecordingSink, dump_log, engine_class
+from repro.runtime import RandomPolicy, RecordingSink, engine_class
 from repro.runtime import interpreter as interpreter_module
 
 #: Early returns out of loops, branches, nested syncs and peeled loops;
@@ -118,7 +118,7 @@ def _observe(engine, source, seed, plan=False):
     sink = RecordingSink()
     runner = engine_class(engine)(resolved, sink=sink, policy=RandomPolicy(seed))
     result = runner.run()
-    return result.steps, tuple(result.output), dump_log(sink)
+    return result.steps, tuple(result.output), sink.log
 
 
 class TestFlatCode:
@@ -175,14 +175,14 @@ class TestTeardownParity:
             )
             with pytest.raises(Exception, match="null dereference") as caught:
                 runner.run()
-            after_error = dump_log(sink)
+            after_error = list(sink.log)
             # Dropping the engine closes the suspended generators: both
             # sync finally blocks release, innermost first.
             del runner, caught
             gc.collect()
-            logs[engine] = (after_error, dump_log(sink))
+            logs[engine] = (after_error, sink.log)
         assert logs["ast"] == logs["compiled"]
         after_error, after_teardown = logs["compiled"]
-        added = after_teardown["entries"][len(after_error["entries"]):]
+        added = after_teardown[len(after_error):]
         assert [entry[0] for entry in added] == ["exit", "exit"]
         assert added[0][2] != added[1][2]  # d's monitor, then l's.

@@ -1,10 +1,10 @@
-"""The versioned tuple-encoded event-log schema.
+"""The tuple-encoded in-memory event-log schema.
 
-RecordingSink logs cross process boundaries (sharded detection) and —
-via dump_log/load_log — build boundaries.  These tests pin the schema
-contract: validation catches version skew, unknown tags, wrong arity,
-and mistyped columns; serialization round-trips losslessly; and the
-post-mortem loaders refuse corrupt logs instead of misdecoding them.
+RecordingSink logs cross process boundaries (sharded detection), and
+raw entries reach post-mortem detection from other code.  These tests
+pin the schema contract: validation catches unknown tags, wrong arity,
+and mistyped columns, and the post-mortem loaders refuse corrupt logs
+instead of misdecoding them.
 """
 
 import pytest
@@ -16,12 +16,10 @@ from repro.runtime.events import (
     LogSchemaError,
     LogSchemaMismatchError,
     ObjectKind,
-    dump_log,
-    load_log,
     validate_entries,
 )
 
-from ..conftest import MALFORMED_ENTRIES, run_source
+from ..conftest import run_source
 
 SMALL = """\
 class Main {
@@ -58,16 +56,6 @@ def recorded():
 class TestValidateEntries:
     def test_fresh_recording_validates(self, recorded):
         validate_entries(recorded.log)
-
-    def test_version_mismatch_rejected(self, recorded):
-        with pytest.raises(LogSchemaError, match="schema version"):
-            validate_entries(recorded.log, version=1)
-
-    def test_v2_log_rejected_with_remediation(self, recorded):
-        # v2 predates the wait/notify tags; a v2 reader must be told to
-        # re-record rather than silently dropping condition edges.
-        with pytest.raises(LogSchemaError, match="re-record"):
-            validate_entries(recorded.log, version=2)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(LogSchemaError, match="unknown tag"):
@@ -123,42 +111,8 @@ class TestValidateEntries:
         with pytest.raises(LogSchemaError, match=str(len(recorded.log))):
             validate_entries(entries)
 
-
-class TestDumpLoadRoundtrip:
-    def test_roundtrip_is_lossless(self, recorded):
-        payload = dump_log(recorded)
-        assert payload["version"] == RecordingSink.SCHEMA_VERSION
-        restored = load_log(payload)
-        assert restored == recorded.log
-
-    def test_roundtrip_survives_json(self, recorded):
-        import json
-
-        payload = json.loads(json.dumps(dump_log(recorded)))
-        assert load_log(payload) == recorded.log
-
-    def test_roundtrip_detects_same_races(self, recorded):
-        serial = detect_sharded(recorded, 1)
-        restored = detect_sharded(load_log(dump_log(recorded)), 1)
-        assert [str(r.key) for r in restored.reports.reports] == [
-            str(r.key) for r in serial.reports.reports
-        ]
-
-    def test_load_rejects_wrong_version(self, recorded):
-        payload = dump_log(recorded)
-        payload["version"] = 1
-        with pytest.raises(LogSchemaError, match="schema version"):
-            load_log(payload)
-
-    def test_load_rejects_v2_payload_with_remediation(self, recorded):
-        payload = dump_log(recorded)
-        payload["version"] = 2
-        with pytest.raises(LogSchemaError, match="re-record the execution"):
-            load_log(payload)
-
-    def test_wait_notify_entries_roundtrip(self):
-        # The v3 additions themselves: condition-sync tags validate and
-        # survive serialization.
+    def test_wait_notify_entries_validate(self):
+        # The condition-synchronization tags validate.
         source = """
         class Main {
           static def main() {
@@ -184,31 +138,6 @@ class TestDumpLoadRoundtrip:
         assert RecordingSink.WAIT in tags
         assert RecordingSink.NOTIFY in tags
         validate_entries(log.log)
-        assert load_log(dump_log(log)) == log.log
-
-    def test_load_rejects_non_log_payload(self):
-        with pytest.raises(LogSchemaError, match="entries"):
-            load_log({"version": RecordingSink.SCHEMA_VERSION})
-        with pytest.raises(LogSchemaError):
-            load_log("not a payload")
-
-    @pytest.mark.parametrize(
-        "entries", MALFORMED_ENTRIES + [[{"tag": "end"}], 5, None, [[[1], 2]]]
-    )
-    def test_load_rejects_malformed_json_structure(self, entries):
-        # Every JSON shape that is not a list of tagged lists with typed
-        # columns is a schema mismatch, never a TypeError.
-        with pytest.raises(LogSchemaMismatchError):
-            load_log({"version": RecordingSink.SCHEMA_VERSION, "entries": entries})
-
-    def test_load_rejects_unknown_enum_value(self, recorded):
-        payload = dump_log(recorded)
-        for raw in payload["entries"]:
-            if raw[0] == RecordingSink.ACCESS:
-                raw[4] = "teleport"
-                break
-        with pytest.raises(LogSchemaError, match="enum"):
-            load_log(payload)
 
 
 class TestLoadersValidate:
@@ -216,6 +145,33 @@ class TestLoadersValidate:
         entries = list(recorded.log) + [("bogus", 1)]
         with pytest.raises(LogSchemaError):
             detect_sharded(entries, 2)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [5],
+            [None],
+            [["start", 0, 1]],
+            [(RecordingSink.START, 0, [1])],
+            [(RecordingSink.JOIN, 0, {"a": 1})],
+            [(RecordingSink.END, [1])],
+            [({"tag": "end"},)],
+            [(RecordingSink.ACCESS, 1, "f0", 0, "teleport", 1,
+              ObjectKind.INSTANCE, "Obj#1")],
+        ],
+        ids=[
+            "scalar-entry", "none-entry", "list-entry", "list-column",
+            "dict-column", "list-thread", "dict-tag", "unknown-access-kind",
+        ],
+    )
+    def test_detect_sharded_refuses_malformed_raw_entries(self, entries):
+        # Raw entries built by other code or unpickled are the one
+        # tuple-log trust boundary left: every shape that is not a
+        # tagged tuple with typed columns is a schema mismatch, never a
+        # TypeError from inside a shard.
+        for shards in (1, 3):
+            with pytest.raises(LogSchemaMismatchError):
+                detect_sharded(entries, shards)
 
     def test_validation_can_be_disabled(self, recorded):
         # Trusted in-process logs may skip the scan (the difflab replays

@@ -340,18 +340,12 @@ class Main {
         assert self.reports(via_sink) == self.reports(via_list)
         assert self.reports(via_sink)  # the race is actually there
 
-    def test_json_and_binary_paths_agree(self, sink, tmp_path):
-        import json
-
-        from repro.runtime.events import dump_log
+    def test_binary_path_agrees(self, sink, tmp_path):
         from repro.runtime.binlog import write_binary_log
 
-        json_path = tmp_path / "log.json"
-        json_path.write_text(json.dumps(dump_log(sink)))
         bin_path = write_binary_log(sink, tmp_path / "log.mjbl")
         for mode in PREDICTORS:
             baseline = self.reports(predict_races(sink, mode))
-            assert self.reports(predict_races(json_path, mode)) == baseline
             assert self.reports(predict_races(bin_path, mode)) == baseline
 
     def test_mapped_reader_accepted(self, sink, tmp_path):

@@ -27,7 +27,6 @@ from repro.service.protocol import (
     EXIT_SCHEMA_MISMATCH,
     KIND_BINARY_LOG,
     KIND_PROGRAM,
-    KIND_TUPLE_LOG,
     canonical_json,
     classify_payload,
     detection_report,
@@ -54,11 +53,10 @@ class TestClassifyPayload:
     def test_binary_log_magic(self):
         assert classify_payload(MAGIC + b"\x00" * 76) == KIND_BINARY_LOG
 
-    def test_tuple_log_brace(self):
-        assert classify_payload(b'{"version": 3}') == KIND_TUPLE_LOG
-
-    def test_tuple_log_leading_whitespace(self):
-        assert classify_payload(b'  \n\t{"entries": []}') == KIND_TUPLE_LOG
+    def test_json_body_is_program(self):
+        # MJBL is the only log format: a JSON body is (bad) MJ source.
+        assert classify_payload(b'{"version": 3}') == KIND_PROGRAM
+        assert classify_payload(b'  \n\t{"entries": []}') == KIND_PROGRAM
 
     def test_program_source(self):
         assert classify_payload(b"class Main { }") == KIND_PROGRAM

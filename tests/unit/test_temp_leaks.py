@@ -40,12 +40,6 @@ class TestTemporaryBinaryLog:
             path.unlink()
         assert list(private_tmp.iterdir()) == []
 
-    def test_custom_suffix_and_dir(self, tmp_path):
-        with temporary_binary_log(suffix=".json", dir=tmp_path) as path:
-            assert path.parent == tmp_path
-            assert path.suffix == ".json"
-        assert list(tmp_path.iterdir()) == []
-
 
 class TestDifflabRoundTripCleanup:
     def test_roundtrip_failure_leaves_no_temp_file(
