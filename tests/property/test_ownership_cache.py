@@ -42,9 +42,10 @@ class TransitionProbe(RaceDetector):
             self.transitions_checked += 1
             for caches in self.cache._threads.values():  # noqa: SLF001
                 for cache in (caches.read, caches.write):
+                    # A slot holds its cached key or None.
                     assert not any(
-                        entry is not None and entry.valid and entry.key == key
-                        for entry in cache._slots  # noqa: SLF001
+                        slot == key
+                        for slot in cache._slots  # noqa: SLF001
                     )
         super().on_access_parts(
             object_uid, field, thread_id, kind, site_id, object_kind,
