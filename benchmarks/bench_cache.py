@@ -16,20 +16,26 @@ import pytest
 from repro.detector import AccessCache, LockTracker, LockTrie
 from repro.harness import CONFIG_FULL, CONFIG_NO_CACHE
 from repro.lang.ast import AccessKind
+from repro.runtime import LocationInterner
 from repro.workloads import BENCHMARKS
 
 from conftest import prepare
 
 
 class TestFastPathMicro:
+    """Keys are interned :class:`MemoryLocation` objects, as the
+    detector passes them, so the cache's slot function takes the branch
+    the detector runs."""
+
     def test_cache_hit_cost(self, benchmark):
         cache = AccessCache()
         locks = LockTracker()
-        cache.access_tracked(1, ("m", "f"), AccessKind.READ, locks)
+        key = LocationInterner().intern(1, "f")
+        cache.access_tracked(1, key, AccessKind.READ, locks)
         benchmark.group = "cache:fast-path"
 
         def hit():
-            return cache.access_tracked(1, ("m", "f"), AccessKind.READ, locks)
+            return cache.access_tracked(1, key, AccessKind.READ, locks)
 
         assert benchmark(hit)
 
@@ -59,7 +65,8 @@ class TestFastPathMicro:
         benchmark.group = "cache:fast-path"
         cache = AccessCache()
         locks = LockTracker()
-        keys = [("m", i) for i in range(512)]
+        interner = LocationInterner()
+        keys = [interner.intern(uid, "f") for uid in range(1, 513)]
 
         def miss_insert():
             for key in keys:

@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--engine", choices=sorted(ENGINES),
                        default=DEFAULT_ENGINE,
                        help="execution engine: the AST interpreter or the "
-                       "closure-compiled backend (default: %(default)s)")
+                       "compiled backend, which runs generated Python code "
+                       "(default: %(default)s)")
     check.add_argument("--seed", type=int, default=None,
                        help="random-scheduler seed (default: round-robin)")
     check.add_argument("--no-static", action="store_true",

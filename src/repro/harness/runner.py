@@ -132,7 +132,7 @@ def run_workload(
     Compilation and planning happen *outside* the timed region — the
     paper measures runtime overhead of the instrumented executable, not
     compile time.  Engine construction is likewise outside: for the
-    compiled engine it includes closure compilation, which is compile
+    compiled engine it includes code generation, which is compile
     time by the same argument.
     """
     source = spec.build(scale)

@@ -450,6 +450,40 @@ class Parser:
         )
 
 
+#: The deepest nesting of statements and expressions (blocks do not
+#: count) a program may have.  Every later phase — resolver, static
+#: analyses, both engines — recurses over the AST, and this bound keeps
+#: each of them well inside Python's default recursion limit, so a
+#: deeper program is a parse error instead of a crash in some phase.
+MAX_NESTING = 256
+
+
 def parse(source: str, filename: str = "<input>") -> ast.Program:
     """Parse MJ source text into an unresolved :class:`Program`."""
-    return Parser(tokenize(source, filename)).parse_program()
+    parser = Parser(tokenize(source, filename))
+    try:
+        program = parser.parse_program()
+    except RecursionError:
+        # Parenthesized nesting recurses through every precedence level.
+        raise ParseError(
+            "expression nested too deeply to parse", parser._peek().location
+        ) from None
+    _check_nesting(program)
+    return program
+
+
+def _check_nesting(program: ast.Program) -> None:
+    """Raise :class:`ParseError` if ``program`` nests deeper than
+    :data:`MAX_NESTING` (an explicit stack: a left-associative operator
+    chain nests as deep as it is long without recursing in the parser)."""
+    stack = [(program, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, (ast.Expr, ast.Stmt)) and type(node) is not ast.Block:
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(
+                    f"program nested deeper than {MAX_NESTING} levels",
+                    node.location,
+                )
+        stack.extend((child, depth) for child in node.children())

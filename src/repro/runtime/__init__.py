@@ -38,7 +38,7 @@ ENGINES = {
 
 #: name -> Interpreter class, for callers that need to construct the
 #: engine separately from running it (the harness keeps construction —
-#: which includes closure compilation — outside its timed region, as it
+#: which includes code generation — outside its timed region, as it
 #: already keeps MJ compilation and instrumentation planning).
 ENGINE_CLASSES = {
     "ast": Interpreter,

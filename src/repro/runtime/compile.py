@@ -1,195 +1,426 @@
-"""AST → closure-threaded code: the MJ compilation backend.
+"""AST → generated Python source: the MJ compilation backend.
 
 The tree-walking interpreter (:mod:`repro.runtime.interpreter`) pays a
 per-*execution* price for work that is a pure function of the program
 text: node-type dispatch, local-variable dict probes, method resolution,
-operator decoding, and — critically — the per-access decision of whether
-a site is traced.  This module pays all of those costs once, at compile
-time, by lowering every resolved AST node into a Python closure with its
-operands pre-bound:
+operator decoding, and the per-access decision of whether a site is
+traced.  This module pays those costs once, by writing every MJ method
+as one Python generator function and letting CPython compile the lot:
 
-* locals live in a flat frame *list* at slot indices assigned per
-  method (dict probes become list indexing);
-* method targets are resolved ahead of time — static calls bind the
-  compiled callee directly (arity checked at compile time), instance
-  calls go through per-class method tables built once;
-* operators compile to specialized combiner closures (no string
-  comparison chains at runtime);
-* every access site gets a *statically specialized trace stub*: a site
-  in the instrumentation plan compiles to a closure that has the sink's
-  ``on_access_parts``, the interned label cache, the constant field
-  name, site id and access kind already captured, while a site outside
-  the plan (eliminated by the static race set, Section 6.1's omitted
-  ``trace`` pseudo-instruction) compiles to a plain load/store whose
-  only residue is the ``accesses_executed`` counter.
+* MJ locals are Python locals (``v<slot>``; slot 0 is ``this``).  A
+  local that may be read before its first assignment starts as the
+  :data:`_UNBOUND` sentinel and each such read checks for it, so the
+  AST interpreter's "unbound variable" error survives; reads that a
+  definite-assignment pass proves bound skip the check.
+* ``if`` and ``while`` are Python control flow; ``sync`` is an inline
+  ``try``/``finally``; ``return`` is a Python ``return``.
+* A call is inline dispatch — a static call names its callee, a
+  virtual call probes a monomorphic per-site cache (class, callee)
+  whose miss path resolves the method and checks the arity — plus one
+  ``yield from`` of the callee's function, so an activation costs one
+  generator frame.
+* Operators run inline on ints, with the interpreter's error path
+  behind a type test; a flow-insensitive pass types the locals that
+  only ever hold ints or booleans, which drops the tests on them.
+* A site outside the instrumentation plan is one counter increment in
+  the generated code (Section 6.1's omitted ``trace``); a traced site
+  calls its statically specialized trace stub (:meth:`_record_stub`).
 
 Scheduling parity is the load-bearing invariant.  The scheduler charges
-one step per ``yield`` reaching it through the generator stack, and the
-AST interpreter yields only at real preemption points (before each
-memory access, at monitor operations, thread start/join/wait/barrier,
-and loop back-edges).  Pure subtrees — literals, locals, arithmetic —
-never yield, so they compile to *plain* closures ``f(frame) -> value``
-called directly.  Any subtree containing a preemption point compiles to
-a *generator* closure ``g(frame, thread)`` that yields at exactly the
-same points the interpreter does.  Every compilation routine therefore
-returns a ``(is_gen, closure)`` pair and callers splice pure operands
-in as direct calls.  The result: identical scheduler decision
-sequences, identical event streams, byte for byte.
+one step per ``yield`` reaching it, and the generated code yields at
+exactly the AST interpreter's preemption points: before each memory
+access (after its operands are evaluated), at monitor acquisition,
+thread start/join/wait/barrier, and loop back-edges.  Operands are
+evaluated left to right into temporaries, so errors, allocations and
+events keep the interpreter's order.  The result: identical scheduler
+decision sequences and byte-identical event streams.
 
-Beyond per-node closures, three *fusions* flatten the generator stack
-the scheduler must traverse on every step (the AST engine's dominant
-hidden cost — each live ``yield from`` level taxes every resume):
+The source text never contains text from the MJ program.  Names are
+slot, temporary, constant or function numbers; field names, string
+literals, source locations, class descriptors, call-site caches, trace
+stubs and the engine's kernels are *bound constants*: parameters of one
+generated factory per program (``make``), the engine's state under the
+fixed names of :data:`_ENGINE_PARAMS` and the rest as ``c<n>``.  The
+engine calls the factory with its own values, so the text is a pure
+function of the program's shape, its instrumentation plan and whether a
+sink is attached, and :func:`_factory` compiles each distinct text once
+per process in a bounded cache.
 
-1. each method activation is *flat code*: its statements, with every
-   ``if``, ``while`` and nested block lowered to branches and jumps,
-   form one instruction tuple run by the module-level generator
-   :func:`run_code` — one frame per activation however deeply the
-   control flow nests, and ``return`` is a plain generator return;
-2. calls inline the callee prologue — arity check, frame allocation —
-   into the call-site closure, which delegates straight to ``run_code``
-   on the callee's code, so one call costs two generator frames, not
-   the interpreter's invoke/block/statement stack;
-3. value-producing generator closures accept a compile-time
-   *destination* (an assignment's frame slot), so ``x = a[i] +
-   this.f`` runs in a single generator frame end to end.
+CPython caps a function at 20 statically nested blocks and the
+tokenizer at 100 indentation levels.  A statement list or short-circuit
+operand that would nest deeper than :data:`_MAX_LEVEL` /
+:data:`_MAX_BLOCKS` moves into a helper generator function defined at
+the top of its method (MJ locals reach it as closure cells); a helper
+returns :data:`_FELL_THROUGH` unless an MJ ``return`` ran inside it.
 """
 
 from __future__ import annotations
 
+import builtins
+
 from ..lang import ast
 from ..lang.errors import MJAssertionError, MJError, MJRuntimeError
 from ..lang.resolver import ARRAY_FIELD
-from .interpreter import _Return
 from .scheduler import ThreadStatus
 from .values import MJArray, MJClassObject, MJObject, Reference, mj_repr
 
-#: Sentinel stored in unassigned frame slots so reads of
-#: not-yet-bound locals raise the same error the AST interpreter does.
+#: Value of an MJ local before its first assignment.
 _UNBOUND = object()
 
-#: Destination marker for gen-expression templates (fusion 3): a
-#: non-negative int destination means "store into that frame slot";
-#: ``_DEST_VALUE`` means "return the value to the consuming closure".
-_DEST_VALUE = None
-
-#: Returned by a ``sync`` body's code when control falls off its end,
-#: as opposed to a ``return`` statement inside the body.
+#: Returned by a statement helper whose statements ran to the end (as
+#: opposed to an MJ ``return`` inside them).
 _FELL_THROUGH = object()
 
-# Flat-code opcodes.  An instruction is ``(op, arg, target, location)``;
-# :func:`run_code` spells the opcodes as literals (cheaper than global
-# loads on the per-instruction path).
-_GEN = 0  # yield from arg(frame, thread)
-_PURE = 1  # arg(frame)
-_BR = 2  # branch on the pure condition arg(frame): False jumps to target
-_BR_OPS = 3  # branch on the condition whose op stream is arg (_linearize)
-_BACK = 4  # loop back-edge: yield (a preemption point), jump to target
-_JUMP = 5  # jump to target
-_RET = 6  # return arg(frame)
-_RET_GEN = 7  # return (yield from arg(frame, thread))
-_END = 8  # return the constant arg
+#: Indentation level at which a nested statement list or short-circuit
+#: operand moves into a helper function.  One statement adds at most a
+#: few levels of its own, far inside CPython's limit of 100.
+_MAX_LEVEL = 48
+
+#: Enclosing ``while``/``try`` blocks at which a nested statement list
+#: moves into a helper function (CPython allows 20).
+_MAX_BLOCKS = 14
+
+#: Distinct generated texts whose compiled factories stay cached.
+_CACHE_SIZE = 32
+
+#: Int literals rendered into the text; larger ones are bound constants.
+_INLINE_INT = 1 << 62
+
+# Static types the code generator tracks: int, bool, or unknown (None);
+# _TOP only exists while typing locals (no assignment seen yet).
+_INT = "i"
+_BOOL = "b"
+_OBJECT = "o"
+_TOP = "?"
+
+_COMPARISONS = frozenset(("<", "<=", ">", ">="))
+_INT_RESULTS = frozenset(("-", "*", "/", "%"))
+
+#: The engine state every factory takes before its per-program constants.
+_ENGINE_PARAMS = (
+    "CN",  # [accesses_executed, accesses_emitted]
+    "OUT",  # output.append
+    "CO",  # class name -> class object (allocates on first use)
+    "SO",  # the unresolved static access: raises the interpreter's error
+    "LS",  # thread id -> lexical monitor stack
+    "ENTER",  # sink.on_monitor_enter
+    "EXIT",  # sink.on_monitor_exit
+    "UIDS",  # the uid allocator
+    "KSTART",
+    "KJOIN",
+    "KWAIT",
+    "KNOTIFY",
+    "KBARRIER",
+)
 
 
-def run_code(code, frame, thread):
-    """Run one activation's flat code: the single generator frame of a
-    method call, a thread body, or a ``sync`` body.
-
-    A ``return`` inside a ``sync`` body cannot end this frame directly
-    (the monitor must be released first): the sync closure raises
-    :class:`_Return` once its ``finally`` has run, and the enclosing
-    activation's runner catches it here.
-    """
-    pc = 0
-    try:
-        while True:
-            op, arg, target, location = code[pc]
-            if op == 0:
-                yield from arg(frame, thread)
-                pc += 1
-            elif op == 1:
-                arg(frame)
-                pc += 1
-            elif op == 2:
-                cond = arg(frame)
-                if cond is True:
-                    pc += 1
-                elif cond is False:
-                    pc = target
-                else:
-                    _condition_error(cond, location)
-            elif op == 4:
-                yield  # Loop back-edge preemption point.
-                pc = target
-            elif op == 3:
-                stack = []
-                append = stack.append
-                for item in arg:
-                    tag = item[0]
-                    if tag == 0:
-                        append(item[1](frame))
-                    elif tag == 4:
-                        right = stack.pop()
-                        append(item[1](stack.pop(), right))
-                    elif tag == 1:
-                        obj = item[1](frame)
-                        yield  # Preemption point before the read.
-                        if type(obj) is MJObject and item[2] in obj.fields:
-                            item[3](obj, thread)
-                            append(obj.fields[item[2]])
-                        else:
-                            append(item[4](obj, thread))
-                    elif tag == 2:
-                        array = item[1](frame)
-                        index = item[2](frame)
-                        yield
-                        if (
-                            type(array) is MJArray
-                            and type(index) is int
-                            and 0 <= index < len(array.elements)
-                        ):
-                            item[3](array, thread)
-                            append(array.elements[index])
-                        else:
-                            append(item[4](array, index))
-                    else:
-                        append((yield from item[1](frame, thread)))
-                cond = stack[0]
-                if cond is True:
-                    pc += 1
-                elif cond is False:
-                    pc = target
-                else:
-                    _condition_error(cond, location)
-            elif op == 5:
-                pc = target
-            elif op == 6:
-                return arg(frame)
-            elif op == 7:
-                return (yield from arg(frame, thread))
-            else:
-                return arg
-    except _Return as signal:
-        return signal.value
+# ---------------------------------------------------------------------------
+# Runtime helpers the generated code calls: error and slow paths.  Each
+# raises (or computes) exactly what Interpreter does for the same case.
 
 
-def _condition_error(cond, location):
-    """Raise the AST interpreter's error for a non-boolean condition."""
+def _unbound(site):
+    name, location = site
+    raise MJRuntimeError(f"unbound variable {name!r}", location)
+
+
+def _condition_error(value, location):
     raise MJRuntimeError(
-        f"condition must be a boolean, got {mj_repr(cond)}", location
+        f"condition must be a boolean, got {mj_repr(value)}", location
     )
 
 
+def _not_error(value, location):
+    raise MJRuntimeError("'!' requires a boolean", location)
+
+
+def _neg_error(value, location):
+    raise MJRuntimeError("unary '-' requires an integer", location)
+
+
+def _unary_unknown(site):
+    op, location = site
+    raise MJRuntimeError(f"unknown unary operator {op!r}", location)
+
+
+def _operator_unknown(site):
+    op, location = site
+    raise MJRuntimeError(f"unknown operator {op!r}", location)
+
+
+def _ints_only(op, left, right, location):
+    for operand in (left, right):
+        if not isinstance(operand, int) or isinstance(operand, bool):
+            raise MJRuntimeError(
+                f"operator {op!r} requires integers, got "
+                f"{mj_repr(left)} and {mj_repr(right)}",
+                location,
+            )
+
+
+def _add(left, right, location):
+    if isinstance(left, str):
+        return left + mj_repr(right)
+    if isinstance(right, str):
+        return mj_repr(left) + right
+    _ints_only("+", left, right, location)
+    return left + right
+
+
+def _int_operator(op):
+    """The slow path of an int-only operator: its operands are not both
+    ints, or (``/``, ``%``) the divisor is zero.  It always raises."""
+
+    def slow(left, right, location):
+        _ints_only(op, left, right, location)
+        # Two ints reach here only as / or % with a zero divisor.
+        word = "division" if op == "/" else "modulo"
+        raise MJRuntimeError(f"{word} by zero", location)
+
+    return slow
+
+
+#: operator -> (inline Python operator, slow-path helper name).
+_ARITH = {
+    "+": ("+", "ADD"),
+    "-": ("-", "SUB"),
+    "*": ("*", "MUL"),
+    "<": ("<", "LT"),
+    "<=": ("<=", "LE"),
+    ">": (">", "GT"),
+    ">=": (">=", "GE"),
+}
+
+
+def _read_field_slow(obj, thread, site):
+    field_name, record, location = site
+    if obj is None:
+        raise MJRuntimeError(
+            f"null dereference reading field {field_name!r}", location
+        )
+    if isinstance(obj, MJArray):
+        if field_name == "length":
+            # Array length is immutable: not an access event.
+            return len(obj)
+        raise MJRuntimeError(f"arrays have no field {field_name!r}", location)
+    if isinstance(obj, MJClassObject):
+        if field_name not in obj.statics:
+            raise MJRuntimeError(
+                f"class {obj.class_info.name!r} has no static field "
+                f"{field_name!r}",
+                location,
+            )
+        record(obj, thread)
+        return obj.statics[field_name]
+    if not isinstance(obj, MJObject):
+        raise MJRuntimeError(
+            f"cannot read field {field_name!r} of {mj_repr(obj)}", location
+        )
+    raise MJRuntimeError(
+        f"class {obj.class_info.name!r} has no field {field_name!r}", location
+    )
+
+
+def _write_field_slow(obj, value, thread, site):
+    field_name, record, location = site
+    if obj is None:
+        raise MJRuntimeError(
+            f"null dereference writing field {field_name!r}", location
+        )
+    if isinstance(obj, MJArray):
+        raise MJRuntimeError(
+            f"cannot write field {field_name!r} of an array", location
+        )
+    if isinstance(obj, MJClassObject):
+        if field_name not in obj.statics:
+            raise MJRuntimeError(
+                f"class {obj.class_info.name!r} has no static field "
+                f"{field_name!r}",
+                location,
+            )
+        record(obj, thread)
+        obj.statics[field_name] = value
+        return
+    if not isinstance(obj, MJObject):
+        raise MJRuntimeError(
+            f"cannot write field {field_name!r} of {mj_repr(obj)}", location
+        )
+    raise MJRuntimeError(
+        f"class {obj.class_info.name!r} has no field {field_name!r}", location
+    )
+
+
+def _array_error(verb):
+    def fail(array, index, location):
+        if array is None:
+            raise MJRuntimeError(f"null dereference in array {verb}", location)
+        if not isinstance(array, MJArray):
+            raise MJRuntimeError(
+                f"array {verb} applied to {mj_repr(array)}", location
+            )
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise MJRuntimeError("array index must be an integer", location)
+        raise MJRuntimeError(
+            f"array index {index} out of bounds [0, {len(array)})", location
+        )
+
+    return fail
+
+
+def _new_array_error(size, location):
+    raise MJRuntimeError("array size must be a non-negative integer", location)
+
+
+def _new_unknown(site):
+    class_info, class_name, location = site
+    class_info(class_name)  # Raises the resolver's error.
+    raise MJRuntimeError(f"unknown class {class_name!r}", location)
+
+
+def _new_without_init(site):
+    class_name, location = site
+    raise MJRuntimeError(
+        f"class {class_name!r} has no 'init' method but 'new' was given "
+        f"arguments",
+        location,
+    )
+
+
+def _arity_error(entry, nargs):
+    raise MJRuntimeError(
+        f"{entry.qname} expects {entry.nparams} argument(s), got {nargs}",
+        entry.location,
+    )
+
+
+def _static_missing(site):
+    class_info, class_name, method_name, location = site
+    class_info(class_name)  # An unknown class raises here.
+    raise MJRuntimeError(
+        f"no static method {method_name!r} in class {class_name!r}", location
+    )
+
+
+def _dispatch(receiver, cell, site):
+    """A virtual call's cache miss: resolve the callee (raising the
+    interpreter's dispatch or arity error), cache it, return it."""
+    method_name, nargs, location, vtables = site
+    if type(receiver) is MJObject:
+        info = receiver.class_info
+        entry = vtables[info.name].get(method_name)
+        if entry is not None:
+            if entry.nparams != nargs:
+                _arity_error(entry, nargs)
+            cell[0] = info
+            cell[1] = entry.fn
+            return entry.fn
+    if receiver is None:
+        raise MJRuntimeError(
+            f"null dereference calling {method_name!r}", location
+        )
+    if not isinstance(receiver, MJObject):
+        raise MJRuntimeError(
+            f"cannot call method {method_name!r} on {mj_repr(receiver)}",
+            location,
+        )
+    raise MJRuntimeError(
+        f"class {receiver.class_info.name!r} has no instance method "
+        f"{method_name!r}",
+        location,
+    )
+
+
+def _sync_error(lock, location):
+    raise MJRuntimeError(f"sync requires an object, got {mj_repr(lock)}", location)
+
+
+def _barrier_error(obj, location):
+    raise MJRuntimeError(
+        f"barrier requires an object, got {mj_repr(obj)}", location
+    )
+
+
+def _assert_failed(location):
+    raise MJAssertionError("assertion failed", location)
+
+
+def _unhandled(site):
+    what, location = site
+    raise MJRuntimeError(f"unhandled {what}", location)
+
+
+#: The generated module's globals.
+_GLOBALS = {
+    "__builtins__": builtins,
+    "O": MJObject,
+    "A": MJArray,
+    "R": Reference,
+    "U": _UNBOUND,
+    "NR": _FELL_THROUGH,
+    "BLOCKED": ThreadStatus.BLOCKED,
+    "MR": mj_repr,
+    "UB": _unbound,
+    "CE": _condition_error,
+    "NOT": _not_error,
+    "NEG": _neg_error,
+    "UNOP": _unary_unknown,
+    "BADOP": _operator_unknown,
+    "ADD": _add,
+    "SUB": _int_operator("-"),
+    "MUL": _int_operator("*"),
+    "DIV": _int_operator("/"),
+    "MOD": _int_operator("%"),
+    "LT": _int_operator("<"),
+    "LE": _int_operator("<="),
+    "GT": _int_operator(">"),
+    "GE": _int_operator(">="),
+    "FR": _read_field_slow,
+    "FW": _write_field_slow,
+    "AR": _array_error("read"),
+    "AW": _array_error("write"),
+    "NAE": _new_array_error,
+    "NEWU": _new_unknown,
+    "NEWA": _new_without_init,
+    "ARITY": _arity_error,
+    "SMISS": _static_missing,
+    "DISPATCH": _dispatch,
+    "SYE": _sync_error,
+    "BAE": _barrier_error,
+    "AF": _assert_failed,
+    "UNH": _unhandled,
+}
+
+#: text -> compiled factory, least recently used first.
+_FACTORIES: dict = {}
+
+
+def _factory(text: str):
+    """The factory ``make`` defined by ``text``, compiled at most once
+    per process while it stays among the :data:`_CACHE_SIZE` most
+    recently used texts."""
+    make = _FACTORIES.pop(text, None)
+    if make is None:
+        namespace = dict(_GLOBALS)
+        exec(compile(text, "<mj-generated>", "exec"), namespace)
+        make = namespace["make"]
+        while len(_FACTORIES) >= _CACHE_SIZE:
+            del _FACTORIES[next(iter(_FACTORIES))]
+    _FACTORIES[text] = make
+    return make
+
+
 class MethodEntry:
-    """Everything a call site needs to enter a compiled method."""
+    """Everything a call site or thread start needs to enter a method."""
 
-    __slots__ = ("nparams", "nslots", "code", "qname", "location")
+    __slots__ = ("index", "nparams", "fn", "qname", "location")
 
-    def __init__(self, nparams, nslots, qname, location):
+    def __init__(self, index, nparams, qname, location):
+        #: The method's function is ``m<index>`` in the generated text.
+        self.index = index
         self.nparams = nparams
-        self.nslots = nslots
-        #: The body's flat code for :func:`run_code`, filled in once the
-        #: body is compiled (two-phase, for mutual recursion).
-        self.code = ()
+        #: The generated generator function ``fn(thread, this, *args)``,
+        #: bound once the factory has run.
+        self.fn = None
         self.qname = qname
         self.location = location
 
@@ -197,23 +428,25 @@ class MethodEntry:
 class CompiledProgram:
     """The output of compilation: entry point + per-class method tables."""
 
-    __slots__ = ("main_entry", "vtables")
+    __slots__ = ("main_entry", "vtables", "text")
 
-    def __init__(self, main_entry, vtables):
-        #: Compiled ``Main.main`` — the compiled engine runs it as the
-        #: main thread's body.
+    def __init__(self, main_entry, vtables, text):
+        #: ``Main.main`` — the compiled engine runs it as the main
+        #: thread's body.
         self.main_entry = main_entry
         #: class name -> {method name -> MethodEntry} for instance
         #: dispatch; statics are deliberately absent (calling one
         #: through an instance raises like the interpreter).
         self.vtables = vtables
+        #: The generated source (the factory cache's key).
+        self.text = text
 
 
 def _collect_slots(method: ast.MethodDecl) -> dict:
-    """Assign a frame slot to every name the method can bind.
+    """Assign a slot to every name the method can bind.
 
-    Slot 0 is reserved for ``this``; parameters take 1..n in order;
-    every ``var``-declared or assigned name after that.  MJ locals are
+    Slot 0 is ``this``; parameters take 1..n in order; every
+    ``var``-declared or assigned name after that.  MJ locals are
     method-scoped (the interpreter keeps one flat dict per frame), so a
     flat slot map is exact.  A duplicate parameter name keeps only its
     last slot live, matching ``dict(zip(params, args))``.
@@ -231,53 +464,122 @@ def _collect_slots(method: ast.MethodDecl) -> dict:
     return slots
 
 
-def _noop(frame):
-    return None
+def _local_types(method: ast.MethodDecl, slots: dict, nparams: int) -> dict:
+    """slot -> _INT / _BOOL for the non-parameter locals that only ever
+    hold one of those types (a greatest fixpoint over assignments:
+    ``j = j + 1`` keeps ``j`` an int).  A read before the first
+    assignment raises, so it never observes another type."""
+    assignments = []
+    for node in method.body.walk():
+        node_type = type(node)
+        if node_type is ast.VarDecl:
+            assignments.append((slots[node.name], node.init))
+        elif node_type is ast.AssignLocal:
+            assignments.append((slots[node.name], node.value))
+    types = {slot: _TOP for slot, _ in assignments if slot > nparams}
+
+    def type_of(expr):
+        node_type = type(expr)
+        if node_type is ast.IntLiteral:
+            return _INT
+        if node_type is ast.BoolLiteral:
+            return _BOOL
+        if node_type is ast.VarRef:
+            return types.get(slots.get(expr.name))
+        if node_type is ast.Unary:
+            return _BOOL if expr.op == "!" else _INT if expr.op == "-" else None
+        if node_type is ast.Binary:
+            op = expr.op
+            if op in _INT_RESULTS:
+                return _INT
+            if op == "+":
+                left, right = type_of(expr.left), type_of(expr.right)
+                if left is None or right is None:
+                    return None
+                if left == _TOP or right == _TOP:
+                    return _TOP if _BOOL not in (left, right) else None
+                return _INT if left == right == _INT else None
+            if op in _COMPARISONS or op in ("==", "!=", "&&", "||"):
+                return _BOOL
+        return None
+
+    changed = True
+    while changed:
+        changed = False
+        for slot, expr in assignments:
+            current = types.get(slot)
+            if current is None:
+                continue
+            found = type_of(expr)
+            if found == _TOP or found == current:
+                continue
+            types[slot] = found if current == _TOP else None
+            changed = True
+    return {slot: kind for slot, kind in types.items() if kind in (_INT, _BOOL)}
 
 
-def _pure_fns(instructions):
-    """The closures of a run of pure statement instructions, or
-    ``None`` if any instruction is not one."""
-    for instruction in instructions:
-        if instruction[0] != _PURE:
-            return None
-    return tuple(instruction[1] for instruction in instructions)
+class _Code:
+    """The lines of one generated function under construction."""
 
+    __slots__ = ("lines", "level", "blocks", "yields")
 
-def _pure_runner(fns: tuple):
-    """One plain closure running ``fns`` in order."""
-    if not fns:
-        return _noop
-    if len(fns) == 1:
-        return fns[0]
+    def __init__(self, level):
+        self.lines: list = []
+        #: Indentation level of the next emitted line.
+        self.level = level
+        #: Enclosing while/try blocks at the next emitted line.
+        self.blocks = 0
+        #: Whether a yield was emitted (a function without one is made
+        #: a generator by an unreachable trailing yield).
+        self.yields = False
 
-    def run_pure(frame):
-        for fn in fns:
-            fn(frame)
-
-    return run_pure
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.level + line)
 
 
 class ProgramCompiler:
-    """Lowers one resolved program for one engine instance.
+    """Generates, compiles and binds one program for one engine.
 
-    Compilation closes over the engine's mutable runtime state (uid
-    allocator, sink, label cache, counters), so a compiled program is
-    engine-private.  Compilation is a single cheap AST walk and happens
-    at engine construction — outside any timed region, matching how the
-    harness excludes compile time.
+    Generation closes over the engine's runtime state (uid allocator,
+    sink, label cache, counters) only through the factory's arguments,
+    so the text can be shared; the bound functions are engine-private.
     """
 
     def __init__(self, engine):
         self.engine = engine
         self.resolved = engine._resolved
-        #: id(MethodDecl) -> MethodEntry (created before body compile).
+        #: id(MethodDecl) -> MethodEntry (created before body generation).
         self._entries: dict = {}
-        #: Methods whose bodies still need compiling.
         self._pending: list = []
-        #: class name -> {method name -> MethodEntry}; populated at the
-        #: end but captured (as an object) by call closures earlier.
+        #: class name -> {method name -> MethodEntry}; filled at the end,
+        #: read by the dispatch miss path at run time.
         self.vtables: dict = {}
+        self._consts: list = []
+        self._shared: dict = {}
+        self._functions: list = []
+        sink = engine._sink
+        counts = engine._counts
+
+        def count(ref, thread):
+            counts[0] += 1
+
+        #: The record callable of every untraced site's slow path.
+        self.count = count
+        self._engine_args = (
+            counts,
+            engine.output.append,
+            engine._class_object,
+            engine._static_owner_object,
+            engine._lock_stacks,
+            sink.on_monitor_enter if sink is not None else None,
+            sink.on_monitor_exit if sink is not None else None,
+            engine._uids,
+            engine._start_kernel,
+            engine._join_kernel,
+            engine._wait_kernel,
+            engine._notify_kernel,
+            engine._barrier_kernel,
+        )
 
     # ------------------------------------------------------------------
     # Driver.
@@ -299,42 +601,67 @@ class ProgramCompiler:
                         table[method_name] = self._entry(decl)
             self.vtables[name] = table
         self._drain()
-        return CompiledProgram(main_entry=main_entry, vtables=self.vtables)
+        entries = sorted(self._entries.values(), key=lambda entry: entry.index)
+        params = ", ".join(
+            _ENGINE_PARAMS + tuple(f"c{i}" for i in range(len(self._consts)))
+        )
+        names = "".join(f"m{entry.index}, " for entry in entries)
+        text = "\n".join(
+            [f"def make({params}):"]
+            + self._functions
+            + [f"    return ({names})", ""]
+        )
+        functions = _factory(text)(*self._engine_args, *self._consts)
+        for entry, fn in zip(entries, functions):
+            entry.fn = fn
+        return CompiledProgram(main_entry, self.vtables, text)
 
     def _drain(self) -> None:
         while self._pending:
-            method, slots, entry = self._pending.pop()
-            entry.code = self._code(method.body.body, slots, None)
+            method, entry = self._pending.pop(0)
+            self._functions.extend(_MethodWriter(self, method, entry).write())
 
     def _entry(self, method: ast.MethodDecl) -> MethodEntry:
         key = id(method)
         entry = self._entries.get(key)
         if entry is None:
-            slots = _collect_slots(method)
             entry = MethodEntry(
+                index=len(self._entries),
                 nparams=len(method.params),
-                nslots=len(slots) + 1,
                 qname=method.qualified_name,
                 location=method.location,
             )
             self._entries[key] = entry
-            self._pending.append((method, slots, entry))
+            self._pending.append((method, entry))
         return entry
+
+    # ------------------------------------------------------------------
+    # Bound constants.
+
+    def const(self, value) -> str:
+        """A fresh factory parameter bound to ``value``."""
+        self._consts.append(value)
+        return f"c{len(self._consts) - 1}"
+
+    def shared(self, key, value) -> str:
+        """One factory parameter per distinct hashable ``key``."""
+        name = self._shared.get(key)
+        if name is None:
+            name = self._shared[key] = self.const(value)
+        return name
 
     # ------------------------------------------------------------------
     # Trace stubs.
 
     def _record_stub(self, site_id, kind: ast.AccessKind, field_name: str):
-        """The statically specialized instrumentation stub for one site.
-
-        Traced sites get a closure over the pre-bound sink fast path and
-        the interned label cache; untraced sites (outside the static
-        race set, or no sink attached) reduce to one counter increment —
-        the compiled analogue of the instrumenter omitting the ``trace``
-        pseudo-instruction.
+        """The statically specialized instrumentation stub for one site,
+        or ``None`` for an untraced site (outside the static race set,
+        or no sink attached), whose generated code only counts the
+        access — the analogue of the instrumenter omitting the
+        ``trace`` pseudo-instruction.
 
         With a :class:`~repro.detector.pipeline.RaceDetector` sink that
-        has ownership and a single-probe cache on, a traced site instead
+        has ownership and a single-probe cache on, a traced site
         compiles to the inline fast path
         (:class:`~repro.detector.pipeline.InlineFastPath`), which
         finishes owned accesses and shared cache hits without calling
@@ -347,11 +674,7 @@ class ProgramCompiler:
         if sink is None or (
             trace_sites is not None and site_id not in trace_sites
         ):
-
-            def record(ref, thread):
-                counts[0] += 1
-
-            return record
+            return None
 
         emit = engine._emit_parts
         labels = engine._ref_labels
@@ -443,1740 +766,678 @@ class ProgramCompiler:
 
         return record
 
+
+class _MethodWriter:
+    """Writes one MJ method as the generator function
+    ``m<index>(th, v0, v1, ..., vn)``: ``th`` is the running thread,
+    ``v0`` the receiver (``None`` in a static method), ``v1..vn`` the
+    arguments.
+
+    Expression methods return ``(code, atomic, static_type)``.  A
+    non-atomic ``code`` must be consumed by the very next emitted line
+    (or stored into a temporary first), so that everything evaluates in
+    the interpreter's order; an atomic one (a name or literal) may be
+    read any number of times.
+    """
+
+    def __init__(self, compiler: ProgramCompiler, method, entry):
+        self.compiler = compiler
+        self.const = compiler.const
+        self.shared = compiler.shared
+        self.resolved = compiler.resolved
+        self.method = method
+        self.entry = entry
+        self.slots = _collect_slots(method)
+        self.nparams = len(method.params)
+        #: v0 .. v<nslots - 1>: this, the parameters, the locals.
+        self.nslots = max(self.slots.values(), default=0) + 1
+        self.types = _local_types(method, self.slots, self.nparams)
+        #: Slots surely bound at the current point (definite assignment).
+        self.assigned = set(range(self.nparams + 1))
+        #: Slots read where they may still be unbound.
+        self.needs_init: set = set()
+        self.temps = 0
+        self.helpers: list = []
+        self.code = _Code(2)
+        self.has_sink = compiler.engine._sink is not None
+        #: An instance method's receiver is always an MJObject (dispatch,
+        #: ``new`` and ``start`` only ever pass one).
+        self.this_type = None if method.is_static else _OBJECT
+
     # ------------------------------------------------------------------
-    # Flat code (fusion 1: one runner frame per activation).
+    # Assembly.
 
-    def _code(self, stmts: list, ctx, end) -> tuple:
-        """A statement list as finished flat code for :func:`run_code`,
-        closed by an instruction returning ``end``."""
-        code: list = []
-        self._emit_block(stmts, ctx, code)
-        code.append((_END, end, None, None))
-        return tuple(code)
+    def write(self) -> list:
+        body = self.code
+        for stmt in self.method.body.body:
+            self.stmt(stmt)
+        self._close(body, "return None")
+        params = ", ".join(f"v{i}" for i in range(self.nparams + 1))
+        lines = [f"    def m{self.entry.index}(th, {params}):"]
+        locals_ = range(self.nparams + 1, self.nslots)
+        if self.helpers:
+            init = [f"v{slot}" for slot in locals_]
+        else:
+            init = [f"v{slot}" for slot in locals_ if slot in self.needs_init]
+        if init:
+            lines.append("        " + " = ".join(init) + " = U")
+        for name, helper in self.helpers:
+            lines.append(f"        def {name}():")
+            lines.extend(helper.lines)
+        lines.extend(body.lines)
+        return lines
 
-    def _emit_block(self, stmts: list, ctx, code: list) -> None:
-        """Append a statement list's instructions to ``code``; branch
-        targets are absolute indices into ``code``."""
-        for stmt in stmts:
-            node_type = type(stmt)
-            if node_type is ast.If:
-                self._emit_if(stmt, ctx, code)
-            elif node_type is ast.While:
-                self._emit_while(stmt, ctx, code)
-            elif node_type is ast.Block:
-                self._emit_block(stmt.body, ctx, code)
-            elif node_type is ast.Return:
-                if stmt.value is None:
-                    code.append((_END, None, None, None))
-                else:
-                    is_gen, fn = self._compile_expr(stmt.value, ctx)
-                    code.append((_RET_GEN if is_gen else _RET, fn, None, None))
-            else:
-                is_gen, fn = self._compile_stmt(stmt, ctx)
-                code.append((_GEN if is_gen else _PURE, fn, None, None))
+    @staticmethod
+    def _close(code: _Code, final: str) -> None:
+        code.emit(final)
+        if not code.yields:
+            code.emit("yield  # Unreachable: makes the function a generator.")
 
-    def _condition(self, cond: ast.Expr, ctx):
-        """``(_BR, fn)`` for a pure condition; ``(_BR_OPS, ops)`` for a
-        generator one, which the runner evaluates inline via its
-        postfix op stream (see _linearize) — no condition frame."""
-        is_gen, fn = self._compile_expr(cond, ctx)
-        if not is_gen:
-            return _BR, fn
-        ops: list = []
-        self._linearize(cond, ctx, ops)
-        return _BR_OPS, tuple(ops)
+    def temp(self) -> str:
+        self.temps += 1
+        return f"x{self.temps}"
 
-    def _emit_if(self, stmt: ast.If, ctx, code: list) -> None:
-        op, cond = self._condition(stmt.cond, ctx)
-        cond_location = stmt.cond.location
-        start = len(code)
-        code.append(None)  # The branch, patched below.
-        self._emit_block(stmt.then_block.body, ctx, code)
-        middle = len(code)
-        else_fns = ()
-        if stmt.else_block is not None:
-            code.append(None)  # The jump over the else arm.
-            self._emit_block(stmt.else_block.body, ctx, code)
-            else_fns = _pure_fns(code[middle + 1 :])
-        then_fns = _pure_fns(code[start + 1 : middle])
-        if op == _BR and then_fns is not None and else_fns is not None:
-            # Pure condition and arms: one plain closure, no jumps.
-            del code[start:]
-            then_pure = _pure_runner(then_fns)
-            else_pure = _pure_runner(else_fns)
+    def _deep(self) -> bool:
+        code = self.code
+        return code.level >= _MAX_LEVEL or code.blocks >= _MAX_BLOCKS
 
-            def if_pure(frame):
-                cond_value = cond(frame)
-                if cond_value is True:
-                    then_pure(frame)
-                elif cond_value is False:
-                    else_pure(frame)
-                else:
-                    _condition_error(cond_value, cond_location)
-
-            code.append((_PURE, if_pure, None, None))
-            return
-        target = len(code)
-        if stmt.else_block is not None:
-            code[middle] = (_JUMP, None, target, None)
-            target = middle + 1
-        code[start] = (op, cond, target, cond_location)
-
-    def _emit_while(self, stmt: ast.While, ctx, code: list) -> None:
-        op, cond = self._condition(stmt.cond, ctx)
-        cond_location = stmt.cond.location
-        top = len(code)
-        code.append(None)  # The loop-exit branch, patched below.
-        self._emit_block(stmt.body.body, ctx, code)
-        body_fns = _pure_fns(code[top + 1 :])
-        if op == _BR and body_fns is not None:
-            # Pure condition and body: a leaf generator whose only yield
-            # is the back-edge.
-            del code[top:]
-            body_pure = _pure_runner(body_fns)
-
-            def while_pc_pb(frame, thread):
-                while True:
-                    cond_value = cond(frame)
-                    if cond_value is not True:
-                        if cond_value is False:
-                            break
-                        _condition_error(cond_value, cond_location)
-                    body_pure(frame)
-                    yield  # Loop back-edge preemption point.
-
-            code.append((_GEN, while_pc_pb, None, None))
-            return
-        code.append((_BACK, None, top, None))
-        code[top] = (op, cond, len(code), cond_location)
+    def _helper(self, fill) -> str:
+        """A new helper function defined at the top of this method; its
+        body is whatever ``fill(code)`` emits.  Returns its name."""
+        name = f"h{len(self.helpers) + 1}"
+        helper = _Code(3)
+        self.helpers.append((name, helper))
+        slots = ", ".join(f"v{slot}" for slot in range(self.nslots))
+        helper.emit(f"nonlocal {slots}")
+        outer = self.code
+        self.code = helper
+        try:
+            fill(helper)
+        finally:
+            self.code = outer
+        return name
 
     # ------------------------------------------------------------------
     # Statements.
 
-    def _compile_stmt(self, stmt: ast.Stmt, ctx):
+    def block(self, stmts: list) -> None:
+        """A nested statement list, one level in (a helper if deep)."""
+        code = self.code
+        code.level += 1
+        if self._deep():
+
+            def fill(helper):
+                for stmt in stmts:
+                    self.stmt(stmt)
+                self._close(helper, "return NR")
+
+            name = self._helper(fill)
+            result = self.temp()
+            code.emit(f"{result} = yield from {name}()")
+            code.emit(f"if {result} is not NR:")
+            code.emit(f"    return {result}")
+            code.yields = True
+        else:
+            mark = len(code.lines)
+            for stmt in stmts:
+                self.stmt(stmt)
+            if len(code.lines) == mark:
+                code.emit("pass")
+        code.level -= 1
+
+    def stmt(self, stmt) -> None:
         node_type = type(stmt)
+        emit = self.code.emit
         if node_type is ast.AssignLocal or node_type is ast.VarDecl:
             value = stmt.value if node_type is ast.AssignLocal else stmt.init
-            slot = ctx[stmt.name]
-            value_gen, value_fn = self._compile_expr(value, ctx, dest=slot)
-            if value_gen:
-                # The template stores into the slot itself (fusion 3).
-                return True, value_fn
-
-            def assign(frame):
-                frame[slot] = value_fn(frame)
-
-            return False, assign
-        if node_type is ast.FieldWrite:
-            return self._compile_field_write(stmt, ctx)
-        if node_type is ast.ArrayWrite:
-            return self._compile_array_write(stmt, ctx)
-        if node_type is ast.StaticFieldWrite:
-            return self._compile_static_write(stmt, ctx)
-        if node_type is ast.ExprStmt:
-            # Expression closures share the statement calling convention
-            # (run_code discards values), so reuse them directly.
-            return self._compile_expr(stmt.expr, ctx)
-        if node_type is ast.Sync:
-            return self._compile_sync(stmt, ctx)
-        if node_type is ast.Start:
-            return self._compile_unary_kernel(
-                stmt.thread, self.engine._start_kernel, stmt.location, ctx
+            code, _, _ = self.expr(value)
+            slot = self.slots[stmt.name]
+            emit(f"v{slot} = {code}")
+            self.assigned.add(slot)
+        elif node_type is ast.If:
+            cond = self.condition(stmt.cond)
+            before = set(self.assigned)
+            emit(f"if {cond}:")
+            self.block(stmt.then_block.body)
+            then_assigned = self.assigned
+            self.assigned = set(before)
+            if stmt.else_block is not None:
+                emit("else:")
+                self.block(stmt.else_block.body)
+            self.assigned &= then_assigned
+        elif node_type is ast.While:
+            self.while_(stmt)
+        elif node_type is ast.FieldWrite:
+            self.field_write(stmt)
+        elif node_type is ast.ArrayWrite:
+            self.array_write(stmt)
+        elif node_type is ast.ExprStmt:
+            code, atomic, _ = self.expr(stmt.expr)
+            if not atomic:
+                emit(code)
+        elif node_type is ast.Return:
+            if stmt.value is None:
+                emit("return None")
+            else:
+                code, _, _ = self.expr(stmt.value)
+                emit(f"return {code}")
+        elif node_type is ast.StaticFieldWrite:
+            self.static_write(stmt)
+        elif node_type is ast.Sync:
+            self.sync(stmt)
+        elif node_type is ast.Block:
+            for inner in stmt.body:
+                self.stmt(inner)
+        elif node_type is ast.Print:
+            code, _, _ = self.expr(stmt.value)
+            emit(f"OUT(MR({code}))")
+        elif node_type is ast.Assert:
+            cond = self.condition(stmt.cond)
+            emit(f"if not ({cond}):")
+            emit(f"    AF({self.const(stmt.location)})")
+        elif node_type is ast.Start:
+            self.kernel("KSTART", stmt.thread, stmt.location)
+        elif node_type is ast.Join:
+            self.kernel("KJOIN", stmt.thread, stmt.location)
+        elif node_type is ast.Wait:
+            self.kernel("KWAIT", stmt.target, stmt.location)
+        elif node_type is ast.Notify:
+            target = self.atom(stmt.target)
+            emit(
+                f"KNOTIFY({target}, th, {stmt.notify_all is True}, "
+                f"{self.const(stmt.location)})"
             )
-        if node_type is ast.Join:
-            return self._compile_unary_kernel(
-                stmt.thread, self.engine._join_kernel, stmt.location, ctx
+        elif node_type is ast.Barrier:
+            target = self.atom(stmt.target)
+            location = self.const(stmt.location)
+            # The target check precedes the parties evaluation, as the
+            # interpreter orders them.
+            emit(f"if not isinstance({target}, R):")
+            emit(f"    BAE({target}, {location})")
+            parties = self.atom(stmt.parties)
+            emit(
+                f"yield from KBARRIER({target}, {parties}, th, {location})"
             )
-        if node_type is ast.Wait:
-            return self._compile_unary_kernel(
-                stmt.target, self.engine._wait_kernel, stmt.location, ctx
-            )
-        if node_type is ast.Notify:
-            return self._compile_notify(stmt, ctx)
-        if node_type is ast.Barrier:
-            return self._compile_barrier(stmt, ctx)
-        if node_type is ast.Print:
-            value_gen, value_fn = self._compile_expr(stmt.value, ctx)
-            out_append = self.engine.output.append
-            if value_gen:
+            self.code.yields = True
+        else:
+            site = self.const((f"statement {node_type.__name__}", stmt.location))
+            emit(f"UNH({site})")
 
-                def print_gen(frame, thread):
-                    out_append(mj_repr((yield from value_fn(frame, thread))))
+    def kernel(self, kernel: str, operand, location) -> None:
+        """start/join/wait: one operand, then an engine kernel."""
+        obj = self.atom(operand)
+        self.code.emit(f"yield from {kernel}({obj}, th, {self.const(location)})")
+        self.code.yields = True
 
-                return True, print_gen
+    def condition(self, expr) -> str:
+        """Code for ``expr`` checked to be a boolean, as conditions and
+        short-circuit operands are."""
+        code, atomic, kind = self.expr(expr)
+        if kind == _BOOL:
+            return code
+        if not atomic:
+            code = self.store(code)
+        self.code.emit(f"if type({code}) is not bool:")
+        self.code.emit(f"    CE({code}, {self.const(expr.location)})")
+        return code
 
-            def print_pure(frame):
-                out_append(mj_repr(value_fn(frame)))
+    def while_(self, stmt: ast.While) -> None:
+        code = self.code
+        header = len(code.lines)
+        code.emit("while True:")
+        code.level += 1
+        code.blocks += 1
+        before = set(self.assigned)
+        cond = self.condition(stmt.cond)
+        if len(code.lines) == header + 1:
+            # The condition needs no statements: test it in the header.
+            code.lines[header] = "    " * (code.level - 1) + f"while {cond}:"
+        else:
+            code.emit(f"if not ({cond}):")
+            code.emit("    break")
+        code.level -= 1
+        self.block(stmt.body.body)
+        code.level += 1
+        code.emit("yield  # Loop back-edge preemption point.")
+        code.yields = True
+        code.level -= 1
+        code.blocks -= 1
+        self.assigned = before
 
-            return False, print_pure
-        if node_type is ast.Assert:
-            cond_gen, cond_fn = self._compile_expr(stmt.cond, ctx)
-            cond_location = stmt.cond.location
-            location = stmt.location
-            if cond_gen:
+    def record(self, site_id, kind, field_name, ref: str):
+        """The line recording one access to ``ref``, and the site's
+        record callable for the slow paths."""
+        stub = self.compiler._record_stub(site_id, kind, field_name)
+        if stub is None:
+            return "CN[0] += 1", self.compiler.count
+        return f"{self.const(stub)}({ref}, th)", stub
 
-                def assert_gen(frame, thread):
-                    cond = yield from cond_fn(frame, thread)
-                    if type(cond) is not bool:
-                        _condition_error(cond, cond_location)
-                    if not cond:
-                        raise MJAssertionError("assertion failed", location)
-
-                return True, assert_gen
-
-            def assert_pure(frame):
-                cond = cond_fn(frame)
-                if type(cond) is not bool:
-                    _condition_error(cond, cond_location)
-                if not cond:
-                    raise MJAssertionError("assertion failed", location)
-
-            return False, assert_pure
-        location = stmt.location
-        name = node_type.__name__
-
-        def unhandled(frame):
-            raise MJRuntimeError(f"unhandled statement {name}", location)
-
-        return False, unhandled
-
-    # ------------------------------------------------------------------
-    # Memory writes.
-
-    def _compile_field_write(self, stmt: ast.FieldWrite, ctx):
-        obj_gen, obj_fn = self._compile_expr(stmt.obj, ctx)
-        value_gen, value_fn = self._compile_expr(stmt.value, ctx)
-        field_name = stmt.field_name
-        record = self._record_stub(
-            stmt.site_id, ast.AccessKind.WRITE, field_name
+    def field_write(self, stmt: ast.FieldWrite) -> None:
+        obj, obj_type = self.atom_typed(stmt.obj)
+        value = self.atom(stmt.value)
+        field = self.shared(("str", stmt.field_name), stmt.field_name)
+        line, stub = self.record(
+            stmt.site_id, ast.AccessKind.WRITE, stmt.field_name, obj
         )
-        location = stmt.location
+        site = self.const((stmt.field_name, stub, stmt.location))
+        emit = self.code.emit
+        emit("yield  # Preemption point before the write.")
+        self.code.yields = True
+        test = f"{field} in {obj}.fields"
+        if obj_type != _OBJECT:
+            test = f"type({obj}) is O and {test}"
+        emit(f"if {test}:")
+        emit(f"    {line}")
+        emit(f"    {obj}.fields[{field}] = {value}")
+        emit("else:")
+        emit(f"    FW({obj}, {value}, th, {site})")
 
-        def slow(obj, value, thread):
-            if obj is None:
-                raise MJRuntimeError(
-                    f"null dereference writing field {field_name!r}", location
-                )
-            if isinstance(obj, MJArray):
-                raise MJRuntimeError(
-                    f"cannot write field {field_name!r} of an array", location
-                )
-            if isinstance(obj, MJClassObject):
-                if field_name not in obj.statics:
-                    raise MJRuntimeError(
-                        f"class {obj.class_info.name!r} has no static field "
-                        f"{field_name!r}",
-                        location,
-                    )
-                record(obj, thread)
-                obj.statics[field_name] = value
-                return
-            if not isinstance(obj, MJObject):
-                raise MJRuntimeError(
-                    f"cannot write field {field_name!r} of {mj_repr(obj)}",
-                    location,
-                )
-            raise MJRuntimeError(
-                f"class {obj.class_info.name!r} has no field {field_name!r}",
-                location,
-            )
+    def array_write(self, stmt: ast.ArrayWrite) -> None:
+        array = self.atom(stmt.array)
+        index, index_type = self.atom_typed(stmt.index)
+        value = self.atom(stmt.value)
+        line, _ = self.record(stmt.site_id, ast.AccessKind.WRITE, ARRAY_FIELD, array)
+        emit = self.code.emit
+        emit("yield  # Preemption point before the write.")
+        self.code.yields = True
+        emit(f"if {self.in_bounds(array, index, index_type)}:")
+        emit(f"    {line}")
+        emit(f"    {array}.elements[{index}] = {value}")
+        emit("else:")
+        emit(f"    AW({array}, {index}, {self.const(stmt.location)})")
 
-        if not obj_gen and not value_gen:
+    @staticmethod
+    def in_bounds(array: str, index: str, index_type) -> str:
+        test = f"type({array}) is A and "
+        if index_type != _INT:
+            test += f"type({index}) is int and "
+        return test + f"0 <= {index} < len({array}.elements)"
 
-            def write_pure_ops(frame, thread):
-                obj = obj_fn(frame)
-                value = value_fn(frame)
-                yield  # Preemption point before the write.
-                if type(obj) is MJObject:
-                    fields = obj.fields
-                    if field_name in fields:
-                        record(obj, thread)
-                        fields[field_name] = value
-                        return
-                slow(obj, value, thread)
-
-            return True, write_pure_ops
-
-        def write_gen_ops(frame, thread):
-            if obj_gen:
-                obj = yield from obj_fn(frame, thread)
-            else:
-                obj = obj_fn(frame)
-            if value_gen:
-                value = yield from value_fn(frame, thread)
-            else:
-                value = value_fn(frame)
-            yield
-            if type(obj) is MJObject:
-                fields = obj.fields
-                if field_name in fields:
-                    record(obj, thread)
-                    fields[field_name] = value
-                    return
-            slow(obj, value, thread)
-
-        return True, write_gen_ops
-
-    def _compile_array_write(self, stmt: ast.ArrayWrite, ctx):
-        array_gen, array_fn = self._compile_expr(stmt.array, ctx)
-        index_gen, index_fn = self._compile_expr(stmt.index, ctx)
-        value_gen, value_fn = self._compile_expr(stmt.value, ctx)
-        record = self._record_stub(
-            stmt.site_id, ast.AccessKind.WRITE, ARRAY_FIELD
-        )
-        location = stmt.location
-
-        def fail(array, index):
-            if array is None:
-                raise MJRuntimeError(
-                    "null dereference in array write", location
-                )
-            if not isinstance(array, MJArray):
-                raise MJRuntimeError(
-                    f"array write applied to {mj_repr(array)}", location
-                )
-            if not isinstance(index, int) or isinstance(index, bool):
-                raise MJRuntimeError(
-                    "array index must be an integer", location
-                )
-            raise MJRuntimeError(
-                f"array index {index} out of bounds [0, {len(array)})",
-                location,
-            )
-
-        if not (array_gen or index_gen or value_gen):
-
-            def awrite_pure_ops(frame, thread):
-                array = array_fn(frame)
-                index = index_fn(frame)
-                value = value_fn(frame)
-                yield
-                if type(array) is MJArray:
-                    elements = array.elements
-                    if type(index) is int and 0 <= index < len(elements):
-                        record(array, thread)
-                        elements[index] = value
-                        return
-                fail(array, index)
-
-            return True, awrite_pure_ops
-
-        def awrite_gen_ops(frame, thread):
-            if array_gen:
-                array = yield from array_fn(frame, thread)
-            else:
-                array = array_fn(frame)
-            if index_gen:
-                index = yield from index_fn(frame, thread)
-            else:
-                index = index_fn(frame)
-            if value_gen:
-                value = yield from value_fn(frame, thread)
-            else:
-                value = value_fn(frame)
-            yield
-            if type(array) is MJArray:
-                elements = array.elements
-                if type(index) is int and 0 <= index < len(elements):
-                    record(array, thread)
-                    elements[index] = value
-                    return
-            fail(array, index)
-
-        return True, awrite_gen_ops
-
-    def _resolve_static_owner(self, class_name: str, field_name: str):
-        """Compile-time static-field owner resolution; ``None`` defers
-        the (identical) failure to runtime."""
-        try:
-            info = self.resolved.class_info(class_name)
-        except MJError:
-            return None
-        return info.static_field_owner(field_name)
-
-    def _compile_static_write(self, stmt: ast.StaticFieldWrite, ctx):
-        value_gen, value_fn = self._compile_expr(stmt.value, ctx)
-        field_name = stmt.field_name
-        location = stmt.location
-        owner = self._resolve_static_owner(stmt.class_name, field_name)
+    def static_write(self, stmt: ast.StaticFieldWrite) -> None:
+        value = self.atom(stmt.value)
+        owner = _static_owner(self.resolved, stmt.class_name, stmt.field_name)
+        emit = self.code.emit
         if owner is None:
-            resolve_owner = self.engine._static_owner_object
-            class_name = stmt.class_name
-
-            def swrite_unresolved(frame, thread):
-                if value_gen:
-                    yield from value_fn(frame, thread)
-                else:
-                    value_fn(frame)
-                resolve_owner(class_name, field_name, location)
-
-            return True, swrite_unresolved
-        class_object = self.engine._class_object
-        owner_name = owner.name
-        record = self._record_stub(
-            stmt.site_id, ast.AccessKind.WRITE, field_name
-        )
-
-        def swrite(frame, thread):
-            if value_gen:
-                value = yield from value_fn(frame, thread)
-            else:
-                value = value_fn(frame)
-            owner_obj = class_object(owner_name)
-            yield
-            record(owner_obj, thread)
-            owner_obj.statics[field_name] = value
-
-        return True, swrite
-
-    # ------------------------------------------------------------------
-    # Synchronization statements.
-
-    def _compile_sync(self, stmt: ast.Sync, ctx):
-        lock_gen, lock_fn = self._compile_expr(stmt.lock, ctx)
-        body = self._code(stmt.body.body, ctx, _FELL_THROUGH)
-        engine = self.engine
-        sink = engine._sink
-        on_enter = sink.on_monitor_enter if sink is not None else None
-        on_exit = sink.on_monitor_exit if sink is not None else None
-        lock_stacks = engine._lock_stacks
-        location = stmt.location
-        BLOCKED = ThreadStatus.BLOCKED
-
-        def sync(frame, thread):
-            if lock_gen:
-                lock = yield from lock_fn(frame, thread)
-            else:
-                lock = lock_fn(frame)
-            if not isinstance(lock, Reference):
-                raise MJRuntimeError(
-                    f"sync requires an object, got {mj_repr(lock)}", location
-                )
-            monitor = lock.monitor
-            thread_id = thread.thread_id
-            while not monitor.can_acquire(thread_id):
-                thread.status = BLOCKED
-                thread.blocked_on = monitor
-                yield
-            outermost = monitor.acquire(thread_id)
-            if on_enter is not None:
-                on_enter(thread_id, lock.uid, reentrant=not outermost)
-            stack = lock_stacks.setdefault(thread_id, [])
-            stack.append(lock.uid)
-            try:
-                value = yield from run_code(body, frame, thread)
-            finally:
-                stack.pop()
-                # A thread torn down mid-wait already released the
-                # monitor; only release when actually held.
-                if monitor.owner == thread_id:
-                    released = monitor.release(thread_id)
-                    if on_exit is not None:
-                        on_exit(thread_id, lock.uid, reentrant=not released)
-            if value is not _FELL_THROUGH:
-                # A return inside the body: with the monitor released,
-                # unwind to the enclosing activation's runner.
-                raise _Return(value)
-
-        return True, sync
-
-    def _compile_unary_kernel(self, operand: ast.Expr, kernel, location, ctx):
-        """start/join/wait: evaluate one operand, hand off to an engine
-        kernel generator."""
-        operand_gen, operand_fn = self._compile_expr(operand, ctx)
-
-        def run_kernel(frame, thread):
-            if operand_gen:
-                obj = yield from operand_fn(frame, thread)
-            else:
-                obj = operand_fn(frame)
-            yield from kernel(obj, thread, location)
-
-        return True, run_kernel
-
-    def _compile_notify(self, stmt: ast.Notify, ctx):
-        target_gen, target_fn = self._compile_expr(stmt.target, ctx)
-        kernel = self.engine._notify_kernel
-        notify_all = stmt.notify_all
-        location = stmt.location
-
-        def notify(frame, thread):
-            if target_gen:
-                obj = yield from target_fn(frame, thread)
-            else:
-                obj = target_fn(frame)
-            kernel(obj, thread, notify_all, location)
+            names = self.const((stmt.class_name, stmt.field_name, stmt.location))
+            emit(f"SO(*{names})")
             return
-            yield  # Unreached; forces generator (notify never suspends).
+        obj = self.temp()
+        owner_name = self.shared(("str", owner.name), owner.name)
+        field = self.shared(("str", stmt.field_name), stmt.field_name)
+        emit(f"{obj} = CO({owner_name})")
+        line, _ = self.record(
+            stmt.site_id, ast.AccessKind.WRITE, stmt.field_name, obj
+        )
+        emit("yield  # Preemption point before the write.")
+        self.code.yields = True
+        emit(line)
+        emit(f"{obj}.statics[{field}] = {value}")
 
-        return True, notify
-
-    def _compile_barrier(self, stmt: ast.Barrier, ctx):
-        target_gen, target_fn = self._compile_expr(stmt.target, ctx)
-        parties_gen, parties_fn = self._compile_expr(stmt.parties, ctx)
-        kernel = self.engine._barrier_kernel
-        location = stmt.location
-
-        def barrier(frame, thread):
-            if target_gen:
-                obj = yield from target_fn(frame, thread)
-            else:
-                obj = target_fn(frame)
-            # The target check precedes parties evaluation (the
-            # interpreter orders them this way too).
-            if not isinstance(obj, Reference):
-                raise MJRuntimeError(
-                    f"barrier requires an object, got {mj_repr(obj)}", location
-                )
-            if parties_gen:
-                parties = yield from parties_fn(frame, thread)
-            else:
-                parties = parties_fn(frame)
-            yield from kernel(obj, parties, thread, location)
-
-        return True, barrier
+    def sync(self, stmt: ast.Sync) -> None:
+        code, _, _ = self.expr(stmt.lock)
+        lock = self.store(code)  # Fixed even if the body reassigns a local.
+        monitor = self.temp()
+        stack = self.temp()
+        emit = self.code.emit
+        emit(f"if not isinstance({lock}, R):")
+        emit(f"    SYE({lock}, {self.const(stmt.location)})")
+        emit(f"{monitor} = {lock}.monitor")
+        emit(f"while not {monitor}.can_acquire(th.thread_id):")
+        emit("    th.status = BLOCKED")
+        emit(f"    th.blocked_on = {monitor}")
+        emit("    yield")
+        self.code.yields = True
+        acquire = f"{monitor}.acquire(th.thread_id)"
+        if self.has_sink:
+            emit(f"ENTER(th.thread_id, {lock}.uid, reentrant=not {acquire})")
+        else:
+            emit(acquire)
+        emit(f"{stack} = LS.setdefault(th.thread_id, [])")
+        emit(f"{stack}.append({lock}.uid)")
+        emit("try:")
+        self.code.blocks += 1
+        self.block(stmt.body.body)
+        self.code.blocks -= 1
+        emit("finally:")
+        emit(f"    {stack}.pop()")
+        # A thread torn down mid-wait already released the monitor;
+        # only release when actually held.
+        emit(f"    if {monitor}.owner == th.thread_id:")
+        release = f"{monitor}.release(th.thread_id)"
+        if self.has_sink:
+            emit(f"        EXIT(th.thread_id, {lock}.uid, reentrant=not {release})")
+        else:
+            emit(f"        {release}")
 
     # ------------------------------------------------------------------
     # Expressions.
-    #
-    # ``dest`` (fusion 3) tells a gen-expression template what to do
-    # with its value: _DEST_VALUE returns it to the consuming closure,
-    # a slot index stores it into the frame.  Pure closures always
-    # return the value — their consumer handles the destination, since
-    # no frame is saved by fusing.
 
-    def _compile_expr(self, expr: ast.Expr, ctx, dest=_DEST_VALUE):
+    def store(self, code: str) -> str:
+        name = self.temp()
+        self.code.emit(f"{name} = {code}")
+        return name
+
+    def atom(self, expr) -> str:
+        return self.atom_typed(expr)[0]
+
+    def atom_typed(self, expr):
+        code, atomic, kind = self.expr(expr)
+        if not atomic:
+            code = self.store(code)
+        return code, kind
+
+    def expr(self, expr):
         node_type = type(expr)
-        if dest is not _DEST_VALUE:
-            # Route to the dest-aware templates; any other generator
-            # shape gets an explicit store wrapper so the destination
-            # is never silently dropped.
-            if node_type is ast.Binary and expr.op not in ("&&", "||"):
-                return self._compile_binary(expr, ctx, dest)
-            if node_type is ast.FieldRead:
-                return self._compile_field_read(expr, ctx, dest)
-            if node_type is ast.ArrayRead:
-                return self._compile_array_read(expr, ctx, dest)
-            if node_type is ast.Call:
-                return self._compile_call(expr, ctx, dest)
-            if node_type is ast.New:
-                return self._compile_new(expr, ctx, dest)
-            if node_type is ast.StaticFieldRead:
-                return self._compile_static_read(expr, ctx, dest)
-            is_gen, fn = self._compile_expr(expr, ctx)
-            if not is_gen:
-                return is_gen, fn
-
-            def store_wrap(frame, thread):
-                frame[dest] = yield from fn(frame, thread)
-
-            return True, store_wrap
         if node_type is ast.VarRef:
-            return self._compile_var_ref(expr, ctx)
+            slot = self.slots.get(expr.name)
+            if slot is None:
+                # Never assigned anywhere in the method: always unbound.
+                site = self.const((expr.name, expr.location))
+                self.code.emit(f"UB({site})")
+                return "None", True, None
+            if slot not in self.assigned:
+                self.needs_init.add(slot)
+                site = self.const((expr.name, expr.location))
+                self.code.emit(f"if v{slot} is U:")
+                self.code.emit(f"    UB({site})")
+            return f"v{slot}", True, self.types.get(slot)
         if node_type is ast.Binary:
-            return self._compile_binary(expr, ctx, dest)
+            if expr.op == "&&" or expr.op == "||":
+                return self.shortcircuit(expr)
+            return self.binary(expr)
         if node_type is ast.FieldRead:
-            return self._compile_field_read(expr, ctx, dest)
+            return self.field_read(expr)
         if node_type is ast.ArrayRead:
-            return self._compile_array_read(expr, ctx, dest)
-        if node_type is ast.IntLiteral or node_type is ast.BoolLiteral \
-                or node_type is ast.StringLiteral:
+            return self.array_read(expr)
+        if node_type is ast.IntLiteral:
             value = expr.value
-
-            def const(frame):
-                return value
-
-            return False, const
+            if -_INLINE_INT < value < _INLINE_INT:
+                return repr(value), True, _INT
+            return self.const(value), True, _INT
+        if node_type is ast.BoolLiteral:
+            return repr(expr.value is True), True, _BOOL
         if node_type is ast.ThisRef:
-
-            def this_ref(frame):
-                return frame[0]
-
-            return False, this_ref
+            return "v0", True, self.this_type
         if node_type is ast.Call:
-            return self._compile_call(expr, ctx, dest)
+            return self.call(expr)
+        if node_type is ast.StringLiteral:
+            return self.shared(("str", expr.value), expr.value), True, None
         if node_type is ast.NullLiteral:
-
-            def null(frame):
-                return None
-
-            return False, null
+            return "None", True, None
         if node_type is ast.ClassRef:
-            class_object = self.engine._class_object
-            class_name = expr.class_name
-
-            def class_ref(frame):
-                return class_object(class_name)
-
-            return False, class_ref
+            name = self.shared(("str", expr.class_name), expr.class_name)
+            return f"CO({name})", False, None
         if node_type is ast.Unary:
-            return self._compile_unary(expr, ctx)
+            return self.unary(expr)
         if node_type is ast.StaticFieldRead:
-            return self._compile_static_read(expr, ctx, dest)
+            return self.static_read(expr)
         if node_type is ast.New:
-            return self._compile_new(expr, ctx, dest)
+            return self.new(expr)
         if node_type is ast.NewArray:
-            return self._compile_new_array(expr, ctx)
-        location = expr.location
-        name = node_type.__name__
+            size, kind = self.atom_typed(expr.size)
+            test = f"{size} >= 0" if kind == _INT else (
+                f"type({size}) is int and {size} >= 0"
+            )
+            alloc = self.const(expr.alloc_id)
+            location = self.const(expr.location)
+            return (
+                f"A(UIDS, {size}, {alloc}) if {test} else NAE({size}, {location})",
+                False,
+                None,
+            )
+        site = self.const((f"expression {node_type.__name__}", expr.location))
+        self.code.emit(f"UNH({site})")
+        return "None", True, None
 
-        def unhandled(frame):
-            raise MJRuntimeError(f"unhandled expression {name}", location)
+    def unary(self, expr: ast.Unary):
+        operand, kind = self.atom_typed(expr.operand)
+        location = self.const(expr.location)
+        if expr.op == "!":
+            if kind == _BOOL:
+                return f"not {operand}", False, _BOOL
+            return (
+                f"(not {operand}) if type({operand}) is bool "
+                f"else NOT({operand}, {location})",
+                False,
+                _BOOL,
+            )
+        if expr.op == "-":
+            if kind == _INT:
+                return f"-{operand}", False, _INT
+            return (
+                f"-{operand} if type({operand}) is int "
+                f"else NEG({operand}, {location})",
+                False,
+                _INT,
+            )
+        self.code.emit(f"UNOP({self.const((expr.op, expr.location))})")
+        return "None", True, None
 
-        return False, unhandled
-
-    def _compile_var_ref(self, expr: ast.VarRef, ctx):
-        name = expr.name
-        location = expr.location
-        slot = ctx.get(name)
-        if slot is None:
-            # Never assigned anywhere in the method: always unbound.
-            def unbound(frame):
-                raise MJRuntimeError(
-                    f"unbound variable {name!r}", location
-                )
-
-            return False, unbound
-
-        def var_ref(frame):
-            value = frame[slot]
-            if value is _UNBOUND:
-                raise MJRuntimeError(f"unbound variable {name!r}", location)
-            return value
-
-        return False, var_ref
-
-    def _compile_unary(self, expr: ast.Unary, ctx):
-        operand_gen, operand_fn = self._compile_expr(expr.operand, ctx)
+    def binary(self, expr: ast.Binary):
         op = expr.op
-        location = expr.location
-        if op == "!":
+        left, left_type = self.atom_typed(expr.left)
+        right, right_type = self.atom_typed(expr.right)
+        if op == "==" or op == "!=":
+            # Python's == is MJ's: identity on references (which define
+            # no __eq__), value equality on ints, booleans and strings.
+            return f"{left} {op} {right}", False, _BOOL
+        tests = [
+            f"type({operand}) is int"
+            for operand, kind in ((left, left_type), (right, right_type))
+            if kind != _INT
+        ]
+        location = self.const(expr.location)
+        if op in _ARITH:
+            symbol, slow = _ARITH[op]
+            kind = _BOOL if op in _COMPARISONS else _INT
+            if op == "+" and tests:
+                kind = None  # String concatenation.
+            fast = f"{left} {symbol} {right}"
+            if not tests:
+                return fast, False, kind
+            guard = " and ".join(tests)
+            return (
+                f"{fast} if {guard} else {slow}({left}, {right}, {location})",
+                False,
+                kind,
+            )
+        if op == "/" or op == "%":
+            quotient = f"int({left} / {right})"
+            fast = quotient if op == "/" else f"{left} - {quotient} * {right}"
+            guard = " and ".join(tests + [right])
+            slow = "DIV" if op == "/" else "MOD"
+            return (
+                f"{fast} if {guard} else {slow}({left}, {right}, {location})",
+                False,
+                _INT,
+            )
+        self.code.emit(f"BADOP({self.const((op, expr.location))})")
+        return "None", True, None
 
-            def apply(value):
-                if not isinstance(value, bool):
-                    raise MJRuntimeError("'!' requires a boolean", location)
-                return not value
-
-        elif op == "-":
-
-            def apply(value):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise MJRuntimeError(
-                        "unary '-' requires an integer", location
-                    )
-                return -value
-
-        else:
-
-            def apply(value):
-                raise MJRuntimeError(
-                    f"unknown unary operator {op!r}", location
-                )
-
-        if operand_gen:
-
-            def unary_gen(frame, thread):
-                return apply((yield from operand_fn(frame, thread)))
-
-            return True, unary_gen
-
-        def unary_pure(frame):
-            return apply(operand_fn(frame))
-
-        return False, unary_pure
-
-    def _compile_binary(self, expr: ast.Binary, ctx, dest=_DEST_VALUE):
-        op = expr.op
-        if op == "&&" or op == "||":
-            return self._compile_shortcircuit(expr, ctx)
-        combine = _binary_combiner(op, expr.location)
-        left_acc = self._access_operand(expr.left, ctx)
-        right_acc = self._access_operand(expr.right, ctx)
-        if left_acc is not None and right_acc is not None:
-            # At least one side must actually yield, else both compiled
-            # pure and we would not be here — checked below.
-            if left_acc[0] != "pure" or right_acc[0] != "pure":
-                return True, self._fused_binary(
-                    left_acc, right_acc, combine, dest
-                )
-        left_gen, left_fn = self._compile_expr(expr.left, ctx)
-        right_gen, right_fn = self._compile_expr(expr.right, ctx)
-        if not left_gen and not right_gen:
-            if op in _INT_FAST_OPS:
-                fast = _INT_FAST_OPS[op]
-
-                def binary_fast(frame):
-                    left = left_fn(frame)
-                    right = right_fn(frame)
-                    if type(left) is int and type(right) is int:
-                        return fast(left, right)
-                    return combine(left, right)
-
-                return False, binary_fast
-
-            def binary_pure(frame):
-                return combine(left_fn(frame), right_fn(frame))
-
-            return False, binary_pure
-
-        # A call combined with a pure operand folds the combine into the
-        # call closure itself, removing the binary frame from the resume
-        # chain (hot for recursive accumulations like
-        # ``count = count + search(...)``).  The pure side cannot yield
-        # and frames are thread-local, so only error ordering is
-        # observable — preserved by evaluating a pure *left* operand at
-        # the top of the call generator (exactly where the binary frame
-        # would have) and a pure *right* operand after the call returns.
-        if left_gen != right_gen:
-            if right_gen and type(expr.right) is ast.Call:
-                return self._compile_call(
-                    expr.right, ctx, dest, fold=(combine, left_fn, None)
-                )
-            if left_gen and type(expr.left) is ast.Call:
-                return self._compile_call(
-                    expr.left, ctx, dest, fold=(combine, None, right_fn)
-                )
-
-        # A deeper tree (nested binaries over accesses/calls) flattens
-        # to one generator frame running a postfix op sequence instead
-        # of one frame per interior node.
-        ops: list = []
-        self._linearize(expr.left, ctx, ops)
-        self._linearize(expr.right, ctx, ops)
-        ops.append((4, combine))
-        if len(ops) > 3:
-            # Left-deep spines — leaf, then (leaf, combine) pairs — are
-            # the common shape and evaluate without a value stack.
-            if len(ops) % 2 == 1 and ops[0][0] != 4 and all(
-                ops[i][0] != 4 and ops[i + 1][0] == 4
-                for i in range(1, len(ops), 2)
-            ):
-                pairs = tuple(
-                    (ops[i], ops[i + 1][1]) for i in range(1, len(ops), 2)
-                )
-                return True, self._spine_eval(ops[0], pairs, dest)
-            return True, self._tree_eval(tuple(ops), dest)
-
-        def binary_gen(frame, thread):
-            if left_gen:
-                left = yield from left_fn(frame, thread)
-            else:
-                left = left_fn(frame)
-            if right_gen:
-                right = yield from right_fn(frame, thread)
-            else:
-                right = right_fn(frame)
-            value = combine(left, right)
-            if dest is _DEST_VALUE:
-                return value
-            frame[dest] = value
-
-        return True, binary_gen
-
-    # -- Flattened binary trees (fusion 3, deep case). -----------------
-
-    def _linearize(self, expr: ast.Expr, ctx, ops: list) -> None:
-        """Append postfix ops for ``expr`` to ``ops``.
-
-        Op encodings: ``(0, fn)`` pure value; ``(1, obj_fn, field_name,
-        record, slow)`` field read; ``(2, array_fn, index_fn, record,
-        fail)`` array read; ``(3, gen_fn)`` any other generator
-        sub-expression (delegated); ``(4, combine)`` apply an operator
-        to the top two stack values.  Postfix order preserves the
-        interpreter's left-to-right leaf evaluation and the point at
-        which each combiner (and its errors) runs.
-        """
-        if type(expr) is ast.Binary and expr.op not in ("&&", "||"):
-            is_gen, fn = self._compile_expr(expr, ctx)
-            if not is_gen:
-                ops.append((0, fn))
-                return
-            self._linearize(expr.left, ctx, ops)
-            self._linearize(expr.right, ctx, ops)
-            ops.append((4, _binary_combiner(expr.op, expr.location)))
-            return
-        acc = self._access_operand(expr, ctx)
-        if acc is None:
-            _, fn = self._compile_expr(expr, ctx)
-            ops.append((3, fn))
-        elif acc[0] == "pure":
-            ops.append((0, acc[1]))
-        elif acc[0] == "field":
-            ops.append((1,) + acc[1:])
-        else:
-            ops.append((2,) + acc[1:])
-
-    def _spine_eval(self, first, pairs, dest):
-        """Stack-free evaluator for a left-deep binary spine: evaluate
-        the first leaf, then fold each (leaf, combiner) pair into the
-        accumulator.  Leaf encodings match :meth:`_linearize`."""
-
-        def spine(frame, thread):
-            op = first
-            tag = op[0]
-            if tag == 0:
-                acc = op[1](frame)
-            elif tag == 1:
-                obj = op[1](frame)
-                yield  # Preemption point before the read.
-                if type(obj) is MJObject and op[2] in obj.fields:
-                    op[3](obj, thread)
-                    acc = obj.fields[op[2]]
-                else:
-                    acc = op[4](obj, thread)
-            elif tag == 2:
-                array = op[1](frame)
-                index = op[2](frame)
-                yield
-                if (
-                    type(array) is MJArray
-                    and type(index) is int
-                    and 0 <= index < len(array.elements)
-                ):
-                    op[3](array, thread)
-                    acc = array.elements[index]
-                else:
-                    acc = op[4](array, index)
-            else:
-                acc = yield from op[1](frame, thread)
-            for op, comb in pairs:
-                tag = op[0]
-                if tag == 0:
-                    value = op[1](frame)
-                elif tag == 1:
-                    obj = op[1](frame)
-                    yield
-                    if type(obj) is MJObject and op[2] in obj.fields:
-                        op[3](obj, thread)
-                        value = obj.fields[op[2]]
-                    else:
-                        value = op[4](obj, thread)
-                elif tag == 2:
-                    array = op[1](frame)
-                    index = op[2](frame)
-                    yield
-                    if (
-                        type(array) is MJArray
-                        and type(index) is int
-                        and 0 <= index < len(array.elements)
-                    ):
-                        op[3](array, thread)
-                        value = array.elements[index]
-                    else:
-                        value = op[4](array, index)
-                else:
-                    value = yield from op[1](frame, thread)
-                acc = comb(acc, value)
-            if dest is _DEST_VALUE:
-                return acc
-            frame[dest] = acc
-
-        return spine
-
-    def _tree_eval(self, ops: tuple, dest):
-        """One generator frame evaluating a postfix op sequence over a
-        small value stack; yields exactly where the nested closures
-        would (before each access, inside delegated generators)."""
-
-        def tree(frame, thread):
-            stack = []
-            push = stack.append
-            pop = stack.pop
-            for op in ops:
-                tag = op[0]
-                if tag == 0:
-                    push(op[1](frame))
-                elif tag == 4:
-                    right = pop()
-                    push(op[1](pop(), right))
-                elif tag == 1:
-                    obj = op[1](frame)
-                    yield  # Preemption point before the read.
-                    if type(obj) is MJObject and op[2] in obj.fields:
-                        op[3](obj, thread)
-                        push(obj.fields[op[2]])
-                    else:
-                        push(op[4](obj, thread))
-                elif tag == 2:
-                    array = op[1](frame)
-                    index = op[2](frame)
-                    yield
-                    if (
-                        type(array) is MJArray
-                        and type(index) is int
-                        and 0 <= index < len(array.elements)
-                    ):
-                        op[3](array, thread)
-                        push(array.elements[index])
-                    else:
-                        push(op[4](array, index))
-                else:
-                    push((yield from op[1](frame, thread)))
-            value = stack[0]
-            if dest is _DEST_VALUE:
-                return value
-            frame[dest] = value
-
-        return tree
-
-    # -- Fused binary over access-read operands (fusion 3). ------------
-
-    def _access_operand(self, expr: ast.Expr, ctx):
-        """Classify an operand for the fused binary template.
-
-        Returns ``("pure", fn)``, ``("field", obj_fn, field_name,
-        record, slow)``, ``("array", array_fn, index_fn, record,
-        fail)``, or ``None`` when the operand is a generator of another
-        shape (falls back to the generic chain).
-        """
-        node_type = type(expr)
-        if node_type is ast.FieldRead:
-            obj_gen, obj_fn = self._compile_expr(expr.obj, ctx)
-            if obj_gen:
-                return None
-            record, slow = self._field_read_parts(expr)
-            return ("field", obj_fn, expr.field_name, record, slow)
-        if node_type is ast.ArrayRead:
-            array_gen, array_fn = self._compile_expr(expr.array, ctx)
-            index_gen, index_fn = self._compile_expr(expr.index, ctx)
-            if array_gen or index_gen:
-                return None
-            record, fail = self._array_read_parts(expr)
-            return ("array", array_fn, index_fn, record, fail)
-        is_gen, fn = self._compile_expr(expr, ctx)
-        if is_gen:
-            return None
-        return ("pure", fn)
-
-    def _fused_binary(self, left_acc, right_acc, combine, dest):
-        """One generator frame computing ``combine(left, right)`` where
-        operands may be field/array reads (each yielding exactly like
-        the AST engine before its access)."""
-        lmode = left_acc[0]
-        rmode = right_acc[0]
-        # Pad so each operand unpacks once at closure creation; the
-        # meaning of l1..l4 depends on the mode (see _access_operand).
-        l1, l2, l3, l4 = (left_acc + (None, None, None))[1:5]
-        r1, r2, r3, r4 = (right_acc + (None, None, None))[1:5]
-
-        def fused(frame, thread):
-            if lmode == "pure":
-                left = l1(frame)
-            elif lmode == "field":
-                obj = l1(frame)
-                yield  # Preemption point before the read.
-                if type(obj) is MJObject and l2 in obj.fields:
-                    l3(obj, thread)
-                    left = obj.fields[l2]
-                else:
-                    left = l4(obj, thread)
-            else:
-                array = l1(frame)
-                index = l2(frame)
-                yield
-                if (
-                    type(array) is MJArray
-                    and type(index) is int
-                    and 0 <= index < len(array.elements)
-                ):
-                    l3(array, thread)
-                    left = array.elements[index]
-                else:
-                    left = l4(array, index)
-            if rmode == "pure":
-                right = r1(frame)
-            elif rmode == "field":
-                obj = r1(frame)
-                yield
-                if type(obj) is MJObject and r2 in obj.fields:
-                    r3(obj, thread)
-                    right = obj.fields[r2]
-                else:
-                    right = r4(obj, thread)
-            else:
-                array = r1(frame)
-                index = r2(frame)
-                yield
-                if (
-                    type(array) is MJArray
-                    and type(index) is int
-                    and 0 <= index < len(array.elements)
-                ):
-                    r3(array, thread)
-                    right = array.elements[index]
-                else:
-                    right = r4(array, index)
-            value = combine(left, right)
-            if dest is _DEST_VALUE:
-                return value
-            frame[dest] = value
-
-        return fused
-
-    def _compile_shortcircuit(self, expr: ast.Binary, ctx):
-        left_gen, left_fn = self._compile_expr(expr.left, ctx)
-        right_gen, right_fn = self._compile_expr(expr.right, ctx)
-        left_location = expr.left.location
-        right_location = expr.right.location
+    def shortcircuit(self, expr: ast.Binary):
         is_and = expr.op == "&&"
-        if not left_gen and not right_gen:
+        left = self.condition(expr.left)
+        if not atomic_code(left):
+            left = self.store(left)
+        code = self.code
+        result = self.temp()
+        header = len(code.lines)
+        code.emit(f"if {left}:" if is_and else f"if not {left}:")
+        code.level += 1
+        if self._deep():
 
-            def shortcircuit_pure(frame):
-                left = left_fn(frame)
-                if type(left) is not bool:
-                    _condition_error(left, left_location)
-                if left is not is_and:
-                    # and: left False -> False; or: left True -> True.
-                    return left
-                right = right_fn(frame)
-                if type(right) is not bool:
-                    _condition_error(right, right_location)
-                return right
+            def fill(helper):
+                value = self.condition(expr.right)
+                self._close(helper, f"return {value}")
 
-            return False, shortcircuit_pure
+            right = f"(yield from {self._helper(fill)}())"
+            code.yields = True
+        else:
+            right = self.condition(expr.right)
+            if len(code.lines) == header + 1:
+                # The right operand needs no statements: one expression.
+                del code.lines[header]
+                code.level -= 1
+                word = "and" if is_and else "or"
+                return f"{left} {word} ({right})", False, _BOOL
+        code.emit(f"{result} = {right}")
+        code.level -= 1
+        code.emit("else:")
+        code.emit(f"    {result} = {'False' if is_and else 'True'}")
+        return result, True, _BOOL
 
-        def shortcircuit_gen(frame, thread):
-            if left_gen:
-                left = yield from left_fn(frame, thread)
-            else:
-                left = left_fn(frame)
-            if type(left) is not bool:
-                _condition_error(left, left_location)
-            if left is not is_and:
-                return left
-            if right_gen:
-                right = yield from right_fn(frame, thread)
-            else:
-                right = right_fn(frame)
-            if type(right) is not bool:
-                _condition_error(right, right_location)
-            return right
-
-        return True, shortcircuit_gen
-
-    # ------------------------------------------------------------------
-    # Memory reads.
-
-    def _field_read_parts(self, expr: ast.FieldRead):
-        """The record stub and slow path shared by every field-read
-        template."""
-        field_name = expr.field_name
-        record = self._record_stub(
-            expr.site_id, ast.AccessKind.READ, field_name
+    def field_read(self, expr: ast.FieldRead):
+        obj = self.atom(expr.obj)
+        field = self.shared(("str", expr.field_name), expr.field_name)
+        line, stub = self.record(
+            expr.site_id, ast.AccessKind.READ, expr.field_name, obj
         )
-        location = expr.location
+        site = self.const((expr.field_name, stub, expr.location))
+        value = self.temp()
+        emit = self.code.emit
+        emit("yield  # Preemption point before the read.")
+        self.code.yields = True
+        if expr.field_name == "length":
+            # Mostly an array's length, which has no .fields to probe.
+            emit(f"if type({obj}) is O and {field} in {obj}.fields:")
+            emit(f"    {line}")
+            emit(f"    {value} = {obj}.fields[{field}]")
+            emit("else:")
+            emit(f"    {value} = FR({obj}, th, {site})")
+            return value, True, None
+        # Only an MJObject has .fields: anything else, or a missing
+        # field, takes the slow path, which raises or reads a static.
+        emit("try:")
+        emit(f"    {value} = {obj}.fields[{field}]")
+        emit("except (KeyError, AttributeError):")
+        emit(f"    {value} = FR({obj}, th, {site})")
+        emit("else:")
+        emit(f"    {line}")
+        return value, True, None
 
-        def slow(obj, thread):
-            if obj is None:
-                raise MJRuntimeError(
-                    f"null dereference reading field {field_name!r}", location
-                )
-            if isinstance(obj, MJArray):
-                if field_name == "length":
-                    # Array length is immutable: not an access event.
-                    return len(obj)
-                raise MJRuntimeError(
-                    f"arrays have no field {field_name!r}", location
-                )
-            if isinstance(obj, MJClassObject):
-                if field_name not in obj.statics:
-                    raise MJRuntimeError(
-                        f"class {obj.class_info.name!r} has no static field "
-                        f"{field_name!r}",
-                        location,
-                    )
-                record(obj, thread)
-                return obj.statics[field_name]
-            if not isinstance(obj, MJObject):
-                raise MJRuntimeError(
-                    f"cannot read field {field_name!r} of {mj_repr(obj)}",
-                    location,
-                )
-            raise MJRuntimeError(
-                f"class {obj.class_info.name!r} has no field {field_name!r}",
-                location,
-            )
+    def array_read(self, expr: ast.ArrayRead):
+        array = self.atom(expr.array)
+        index, index_type = self.atom_typed(expr.index)
+        line, _ = self.record(expr.site_id, ast.AccessKind.READ, ARRAY_FIELD, array)
+        value = self.temp()
+        emit = self.code.emit
+        emit("yield  # Preemption point before the read.")
+        self.code.yields = True
+        emit(f"if {self.in_bounds(array, index, index_type)}:")
+        emit(f"    {line}")
+        emit(f"    {value} = {array}.elements[{index}]")
+        emit("else:")
+        emit(f"    {value} = AR({array}, {index}, {self.const(expr.location)})")
+        return value, True, None
 
-        return record, slow
-
-    def _compile_field_read(self, expr: ast.FieldRead, ctx, dest=_DEST_VALUE):
-        obj_gen, obj_fn = self._compile_expr(expr.obj, ctx)
-        field_name = expr.field_name
-        record, slow = self._field_read_parts(expr)
-
-        if not obj_gen:
-
-            def read_pure_obj(frame, thread):
-                obj = obj_fn(frame)
-                yield  # Preemption point before the read.
-                if type(obj) is MJObject:
-                    fields = obj.fields
-                    if field_name in fields:
-                        record(obj, thread)
-                        value = fields[field_name]
-                    else:
-                        value = slow(obj, thread)
-                else:
-                    value = slow(obj, thread)
-                if dest is _DEST_VALUE:
-                    return value
-                frame[dest] = value
-
-            return True, read_pure_obj
-
-        def read_gen_obj(frame, thread):
-            obj = yield from obj_fn(frame, thread)
-            yield
-            if type(obj) is MJObject:
-                fields = obj.fields
-                if field_name in fields:
-                    record(obj, thread)
-                    value = fields[field_name]
-                else:
-                    value = slow(obj, thread)
-            else:
-                value = slow(obj, thread)
-            if dest is _DEST_VALUE:
-                return value
-            frame[dest] = value
-
-        return True, read_gen_obj
-
-    def _array_read_parts(self, expr: ast.ArrayRead):
-        record = self._record_stub(
-            expr.site_id, ast.AccessKind.READ, ARRAY_FIELD
-        )
-        location = expr.location
-
-        def fail(array, index):
-            if array is None:
-                raise MJRuntimeError(
-                    "null dereference in array read", location
-                )
-            if not isinstance(array, MJArray):
-                raise MJRuntimeError(
-                    f"array read applied to {mj_repr(array)}", location
-                )
-            if not isinstance(index, int) or isinstance(index, bool):
-                raise MJRuntimeError(
-                    "array index must be an integer", location
-                )
-            raise MJRuntimeError(
-                f"array index {index} out of bounds [0, {len(array)})",
-                location,
-            )
-
-        return record, fail
-
-    def _compile_array_read(self, expr: ast.ArrayRead, ctx, dest=_DEST_VALUE):
-        array_gen, array_fn = self._compile_expr(expr.array, ctx)
-        index_gen, index_fn = self._compile_expr(expr.index, ctx)
-        record, fail = self._array_read_parts(expr)
-
-        if not array_gen and not index_gen:
-
-            def aread_pure_ops(frame, thread):
-                array = array_fn(frame)
-                index = index_fn(frame)
-                yield
-                if type(array) is MJArray:
-                    elements = array.elements
-                    if type(index) is int and 0 <= index < len(elements):
-                        record(array, thread)
-                        value = elements[index]
-                        if dest is _DEST_VALUE:
-                            return value
-                        frame[dest] = value
-                        return
-                value = fail(array, index)
-
-            return True, aread_pure_ops
-
-        def aread_gen_ops(frame, thread):
-            if array_gen:
-                array = yield from array_fn(frame, thread)
-            else:
-                array = array_fn(frame)
-            if index_gen:
-                index = yield from index_fn(frame, thread)
-            else:
-                index = index_fn(frame)
-            yield
-            if type(array) is MJArray:
-                elements = array.elements
-                if type(index) is int and 0 <= index < len(elements):
-                    record(array, thread)
-                    value = elements[index]
-                    if dest is _DEST_VALUE:
-                        return value
-                    frame[dest] = value
-                    return
-            value = fail(array, index)
-
-        return True, aread_gen_ops
-
-    def _compile_static_read(
-        self, expr: ast.StaticFieldRead, ctx, dest=_DEST_VALUE
-    ):
-        field_name = expr.field_name
-        location = expr.location
-        owner = self._resolve_static_owner(expr.class_name, field_name)
+    def static_read(self, expr: ast.StaticFieldRead):
+        owner = _static_owner(self.resolved, expr.class_name, expr.field_name)
+        emit = self.code.emit
         if owner is None:
-            resolve_owner = self.engine._static_owner_object
-            class_name = expr.class_name
-
-            def sread_unresolved(frame, thread):
-                resolve_owner(class_name, field_name, location)
-                yield  # Unreached: resolution above always raises.
-
-            return True, sread_unresolved
-        class_object = self.engine._class_object
-        owner_name = owner.name
-        record = self._record_stub(
-            expr.site_id, ast.AccessKind.READ, field_name
+            names = self.const((expr.class_name, expr.field_name, expr.location))
+            emit(f"SO(*{names})")
+            return "None", True, None
+        obj = self.temp()
+        owner_name = self.shared(("str", owner.name), owner.name)
+        field = self.shared(("str", expr.field_name), expr.field_name)
+        emit(f"{obj} = CO({owner_name})")
+        line, _ = self.record(
+            expr.site_id, ast.AccessKind.READ, expr.field_name, obj
         )
+        emit("yield  # Preemption point before the read.")
+        self.code.yields = True
+        emit(line)
+        return f"{obj}.statics[{field}]", False, None
 
-        def sread(frame, thread):
-            owner_obj = class_object(owner_name)
-            yield
-            record(owner_obj, thread)
-            value = owner_obj.statics[field_name]
-            if dest is _DEST_VALUE:
-                return value
-            frame[dest] = value
+    def args(self, exprs) -> list:
+        return [self.atom(arg) for arg in exprs]
 
-        return True, sread
+    def invoke(self, callee: str, this: str, args: list):
+        self.code.yields = True
+        joined = "".join(f", {arg}" for arg in args)
+        return f"(yield from {callee}(th, {this}{joined}))", False, None
 
-    # ------------------------------------------------------------------
-    # Allocation and calls (fusion 2: prologue inlined at the site).
-
-    def _compile_new(self, expr: ast.New, ctx, dest=_DEST_VALUE):
+    def new(self, expr: ast.New):
         class_name = expr.class_name
-        location = expr.location
+        emit = self.code.emit
         try:
             info = self.resolved.class_info(class_name)
         except MJError:
-            class_info = self.resolved.class_info
-
-            def new_unknown(frame):
-                class_info(class_name)  # Raises the resolver's error.
-                raise MJRuntimeError(f"unknown class {class_name!r}", location)
-
-            return False, new_unknown
-        uids = self.engine._uids
-        alloc_id = expr.alloc_id
+            site = (self.resolved.class_info, class_name, expr.location)
+            emit(f"NEWU({self.const(site)})")
+            return "None", True, None
+        make = f"O(UIDS, {self.const(info)}, {self.const(expr.alloc_id)})"
         init = info.resolve_method("init")
         if init is None or init.is_static:
-            if expr.args:
+            if not expr.args:
+                return make, False, None
+            # The interpreter allocates (drawing a uid) before noticing
+            # the missing init, and evaluates no argument.
+            emit(make)
+            emit(f"NEWA({self.const((class_name, expr.location))})")
+            return "None", True, None
+        obj = self.store(make)
+        entry = self.compiler._entry(init)
+        args = self.args(expr.args)
+        if len(args) != entry.nparams:
+            emit(f"ARITY({self.const(entry)}, {len(args)})")
+            return obj, True, None
+        code, _, _ = self.invoke(f"m{entry.index}", obj, args)
+        emit(code)
+        return obj, True, None
 
-                def new_bad_args(frame):
-                    # The interpreter allocates (drawing a uid) before
-                    # noticing the missing init; preserve that.
-                    MJObject(uids, info, alloc_id)
-                    raise MJRuntimeError(
-                        f"class {class_name!r} has no 'init' method but "
-                        f"'new' was given arguments",
-                        location,
-                    )
-
-                return False, new_bad_args
-
-            def new_plain(frame):
-                return MJObject(uids, info, alloc_id)
-
-            return False, new_plain
-        entry = self._entry(init)
-        arg_parts = [self._compile_expr(arg, ctx) for arg in expr.args]
-        args_pure = not any(is_gen for is_gen, _ in arg_parts)
-        pure_arg_fns = tuple(fn for _, fn in arg_parts)
-        arg_items = tuple(arg_parts)
-        if args_pure:
-            arg_ops = ()
-        else:
-            ops_list: list = []
-            for arg in expr.args:
-                self._linearize(arg, ctx, ops_list)
-            arg_ops = tuple(ops_list)
-        nparams = entry.nparams
-        nslots = entry.nslots
-        if len(expr.args) != nparams:
-            qname, entry_location = entry.qname, entry.location
-            nargs = len(expr.args)
-
-            def new_arity_error(frame, thread):
-                MJObject(uids, info, alloc_id)
-                for is_gen, fn in arg_items:
-                    if is_gen:
-                        yield from fn(frame, thread)
-                    else:
-                        fn(frame)
-                raise MJRuntimeError(
-                    f"{qname} expects {nparams} argument(s), got {nargs}",
-                    entry_location,
-                )
-
-            return True, new_arity_error
-
-        def new_fused(frame, thread):
-            obj = MJObject(uids, info, alloc_id)
-            nframe = [_UNBOUND] * nslots
-            nframe[0] = obj
-            if args_pure:
-                for i, fn in enumerate(pure_arg_fns):
-                    nframe[i + 1] = fn(frame)
-            else:
-                values = []
-                append = values.append
-                for op in arg_ops:
-                    tag = op[0]
-                    if tag == 0:
-                        append(op[1](frame))
-                    elif tag == 4:
-                        right = values.pop()
-                        append(op[1](values.pop(), right))
-                    elif tag == 1:
-                        robj = op[1](frame)
-                        yield  # Preemption point before the read.
-                        if type(robj) is MJObject and op[2] in robj.fields:
-                            op[3](robj, thread)
-                            append(robj.fields[op[2]])
-                        else:
-                            append(op[4](robj, thread))
-                    elif tag == 2:
-                        array = op[1](frame)
-                        index = op[2](frame)
-                        yield
-                        if (
-                            type(array) is MJArray
-                            and type(index) is int
-                            and 0 <= index < len(array.elements)
-                        ):
-                            op[3](array, thread)
-                            append(array.elements[index])
-                        else:
-                            append(op[4](array, index))
-                    else:
-                        append((yield from op[1](frame, thread)))
-                nframe[1 : nparams + 1] = values
-            yield from run_code(entry.code, nframe, thread)
-            if dest is _DEST_VALUE:
-                return obj
-            frame[dest] = obj
-
-        return True, new_fused
-
-    def _compile_new_array(self, expr: ast.NewArray, ctx):
-        size_gen, size_fn = self._compile_expr(expr.size, ctx)
-        uids = self.engine._uids
-        alloc_id = expr.alloc_id
-        location = expr.location
-
-        def build(size):
-            if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-                raise MJRuntimeError(
-                    "array size must be a non-negative integer", location
-                )
-            return MJArray(uids, size, alloc_id)
-
-        if size_gen:
-
-            def new_array_gen(frame, thread):
-                return build((yield from size_fn(frame, thread)))
-
-            return True, new_array_gen
-
-        def new_array(frame):
-            return build(size_fn(frame))
-
-        return False, new_array
-
-    def _compile_call(self, expr: ast.Call, ctx, dest=_DEST_VALUE, fold=None):
-        # ``fold`` is (combiner, pre_fn, post_fn) from _compile_binary:
-        # a binary combine over this call's value and one pure operand,
-        # executed inside the call closure (see the fold comment there).
-        if fold is not None:
-            fold_combine, fold_pre, fold_post = fold
-        else:
-            fold_combine = fold_pre = fold_post = None
+    def call(self, expr: ast.Call):
+        emit = self.code.emit
         if expr.receiver is not None:
-            recv_gen, recv_fn = self._compile_expr(expr.receiver, ctx)
+            receiver, receiver_type = self.atom_typed(expr.receiver)
         else:
-            recv_gen, recv_fn = False, None
-        arg_parts = [self._compile_expr(arg, ctx) for arg in expr.args]
-        args_pure = not any(is_gen for is_gen, _ in arg_parts)
-        pure_arg_fns = tuple(fn for _, fn in arg_parts)
-        arg_items = tuple(arg_parts)
-        if args_pure:
-            arg_ops = ()
-        else:
-            # One concatenated postfix stream for all arguments: each
-            # argument leaves exactly one value, so after running the
-            # stream the value stack IS the argument list, evaluated
-            # inline in the call-site frame (see _linearize).
-            ops_list: list = []
-            for arg in expr.args:
-                self._linearize(arg, ctx, ops_list)
-            arg_ops = tuple(ops_list)
-        nargs = len(expr.args)
+            receiver, receiver_type = "None", None
+        args = self.args(expr.args)
+        nargs = len(args)
         method_name = expr.method_name
-        location = expr.location
-
         if expr.is_static:
-            static_class = expr.static_class
             try:
-                info = self.resolved.class_info(static_class)
+                info = self.resolved.class_info(expr.static_class)
                 method = info.resolve_method(method_name)
             except MJError:
                 method = None
-            if method is not None and method.is_static:
-                entry = self._entry(method)
-                nparams = entry.nparams
-                if nargs != nparams:
-                    qname, entry_location = entry.qname, entry.location
-
-                    def call_static_arity(frame, thread):
-                        if fold_pre is not None:
-                            fold_pre(frame)
-                        if recv_fn is not None:
-                            if recv_gen:
-                                yield from recv_fn(frame, thread)
-                            else:
-                                recv_fn(frame)
-                        for is_gen, fn in arg_items:
-                            if is_gen:
-                                yield from fn(frame, thread)
-                            else:
-                                fn(frame)
-                        raise MJRuntimeError(
-                            f"{qname} expects {nparams} argument(s), "
-                            f"got {nargs}",
-                            entry_location,
-                        )
-
-                    return True, call_static_arity
-                nslots = entry.nslots
-
-                def call_static(frame, thread):
-                    if fold_pre is not None:
-                        fold_left = fold_pre(frame)
-                    if recv_fn is not None:
-                        if recv_gen:
-                            yield from recv_fn(frame, thread)
-                        else:
-                            recv_fn(frame)
-                    nframe = [_UNBOUND] * nslots
-                    if args_pure:
-                        for i, fn in enumerate(pure_arg_fns):
-                            nframe[i + 1] = fn(frame)
-                    else:
-                        values = []
-                        append = values.append
-                        for op in arg_ops:
-                            tag = op[0]
-                            if tag == 0:
-                                append(op[1](frame))
-                            elif tag == 4:
-                                right = values.pop()
-                                append(op[1](values.pop(), right))
-                            elif tag == 1:
-                                obj = op[1](frame)
-                                yield  # Preemption point before the read.
-                                if type(obj) is MJObject and op[2] in obj.fields:
-                                    op[3](obj, thread)
-                                    append(obj.fields[op[2]])
-                                else:
-                                    append(op[4](obj, thread))
-                            elif tag == 2:
-                                array = op[1](frame)
-                                index = op[2](frame)
-                                yield
-                                if (
-                                    type(array) is MJArray
-                                    and type(index) is int
-                                    and 0 <= index < len(array.elements)
-                                ):
-                                    op[3](array, thread)
-                                    append(array.elements[index])
-                                else:
-                                    append(op[4](array, index))
-                            else:
-                                append((yield from op[1](frame, thread)))
-                        nframe[1 : nparams + 1] = values
-                    nframe[0] = None
-                    value = yield from run_code(entry.code, nframe, thread)
-                    if fold_pre is not None:
-                        value = fold_combine(fold_left, value)
-                    elif fold_post is not None:
-                        value = fold_combine(value, fold_post(frame))
-                    if dest is _DEST_VALUE:
-                        return value
-                    frame[dest] = value
-
-                return True, call_static
-
-            class_info = self.resolved.class_info
-
-            def call_static_missing(frame, thread):
-                if fold_pre is not None:
-                    fold_pre(frame)
-                if recv_fn is not None:
-                    if recv_gen:
-                        yield from recv_fn(frame, thread)
-                    else:
-                        recv_fn(frame)
-                for is_gen, fn in arg_items:
-                    if is_gen:
-                        yield from fn(frame, thread)
-                    else:
-                        fn(frame)
-                class_info(static_class)  # Unknown class raises here.
-                raise MJRuntimeError(
-                    f"no static method {method_name!r} in class "
-                    f"{static_class!r}",
-                    location,
+            if method is None or not method.is_static:
+                site = (
+                    self.resolved.class_info,
+                    expr.static_class,
+                    method_name,
+                    expr.location,
                 )
-
-            return True, call_static_missing
-
-        vtables = self.vtables
-        #: Monomorphic inline cache: [last class_info, its entry].  Call
-        #: sites are overwhelmingly monomorphic, so an identity check
-        #: replaces the per-call name + table lookups.
-        cache = [None, None]
-
-        def dispatch_error(receiver):
-            if receiver is None:
-                raise MJRuntimeError(
-                    f"null dereference calling {method_name!r}", location
-                )
-            if not isinstance(receiver, MJObject):
-                raise MJRuntimeError(
-                    f"cannot call method {method_name!r} on "
-                    f"{mj_repr(receiver)}",
-                    location,
-                )
-            raise MJRuntimeError(
-                f"class {receiver.class_info.name!r} has no instance method "
-                f"{method_name!r}",
-                location,
-            )
-
-        def call_virtual(frame, thread):
-            if fold_pre is not None:
-                fold_left = fold_pre(frame)
-            if recv_fn is None:
-                receiver = None
-            elif recv_gen:
-                receiver = yield from recv_fn(frame, thread)
-            else:
-                receiver = recv_fn(frame)
-            if args_pure:
-                args = [fn(frame) for fn in pure_arg_fns]
-            else:
-                args = []
-                append = args.append
-                for op in arg_ops:
-                    tag = op[0]
-                    if tag == 0:
-                        append(op[1](frame))
-                    elif tag == 4:
-                        right = args.pop()
-                        append(op[1](args.pop(), right))
-                    elif tag == 1:
-                        obj = op[1](frame)
-                        yield  # Preemption point before the read.
-                        if type(obj) is MJObject and op[2] in obj.fields:
-                            op[3](obj, thread)
-                            append(obj.fields[op[2]])
-                        else:
-                            append(op[4](obj, thread))
-                    elif tag == 2:
-                        array = op[1](frame)
-                        index = op[2](frame)
-                        yield
-                        if (
-                            type(array) is MJArray
-                            and type(index) is int
-                            and 0 <= index < len(array.elements)
-                        ):
-                            op[3](array, thread)
-                            append(array.elements[index])
-                        else:
-                            append(op[4](array, index))
-                    else:
-                        append((yield from op[1](frame, thread)))
-            if type(receiver) is MJObject:
-                class_info = receiver.class_info
-                if class_info is cache[0]:
-                    entry = cache[1]
-                else:
-                    entry = vtables[class_info.name].get(method_name)
-                    if entry is not None:
-                        cache[0] = class_info
-                        cache[1] = entry
-                if entry is not None:
-                    nparams = entry.nparams
-                    if nargs != nparams:
-                        raise MJRuntimeError(
-                            f"{entry.qname} expects {nparams} argument(s), "
-                            f"got {nargs}",
-                            entry.location,
-                        )
-                    nframe = [_UNBOUND] * entry.nslots
-                    nframe[0] = receiver
-                    if nparams:
-                        nframe[1 : nparams + 1] = args
-                    value = yield from run_code(entry.code, nframe, thread)
-                    if fold_pre is not None:
-                        value = fold_combine(fold_left, value)
-                    elif fold_post is not None:
-                        value = fold_combine(value, fold_post(frame))
-                    if dest is _DEST_VALUE:
-                        return value
-                    frame[dest] = value
-                    return
-            dispatch_error(receiver)
-
-        return True, call_virtual
-
-
-# ---------------------------------------------------------------------------
-# Binary operator combiners.
-
-#: Fast paths spliced inline when both operands are already ints; the
-#: full combiner re-checks and raises for everything else.
-_INT_FAST_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-def _binary_combiner(op: str, location):
-    """A closure implementing one binary operator on evaluated operands,
-    bit-for-bit compatible with ``Interpreter._eval_binary``."""
-    if op == "==":
-
-        def combine(left, right):
-            if isinstance(left, Reference) or isinstance(right, Reference):
-                return left is right
-            return left == right
-
-        return combine
-    if op == "!=":
-
-        def combine(left, right):
-            if isinstance(left, Reference) or isinstance(right, Reference):
-                return left is not right
-            return not (left == right)
-
-        return combine
-
-    def type_error(left, right):
-        raise MJRuntimeError(
-            f"operator {op!r} requires integers, got "
-            f"{mj_repr(left)} and {mj_repr(right)}",
-            location,
+                emit(f"SMISS({self.const(site)})")
+                return "None", True, None
+            entry = self.compiler._entry(method)
+            if nargs != entry.nparams:
+                emit(f"ARITY({self.const(entry)}, {nargs})")
+                return "None", True, None
+            return self.invoke(f"m{entry.index}", "None", args)
+        # Monomorphic inline cache: [class_info, callee], filled by the
+        # miss path only for a callee whose arity matches the site.
+        cell = self.const([None, None])
+        site = self.const(
+            (method_name, nargs, expr.location, self.compiler.vtables)
         )
+        test = f"{receiver}.class_info is {cell}[0]"
+        if receiver_type != _OBJECT:
+            test = f"type({receiver}) is O and {test}"
+        callee = f"({cell}[1] if {test} else DISPATCH({receiver}, {cell}, {site}))"
+        return self.invoke(callee, receiver, args)
 
-    def ints_only(left, right):
-        for operand in (left, right):
-            if not isinstance(operand, int) or isinstance(operand, bool):
-                type_error(left, right)
 
-    if op == "+":
+def atomic_code(code: str) -> bool:
+    """Whether ``code`` is a bare name or literal."""
+    return code.isidentifier() or code.lstrip("-").isdigit()
 
-        def combine(left, right):
-            if isinstance(left, str):
-                return left + mj_repr(right)
-            if isinstance(right, str):
-                return mj_repr(left) + right
-            if type(left) is int and type(right) is int:
-                return left + right
-            ints_only(left, right)
-            return left + right
 
-        return combine
-    if op == "-":
-
-        def combine(left, right):
-            if type(left) is int and type(right) is int:
-                return left - right
-            ints_only(left, right)
-            return left - right
-
-        return combine
-    if op == "*":
-
-        def combine(left, right):
-            if type(left) is int and type(right) is int:
-                return left * right
-            ints_only(left, right)
-            return left * right
-
-        return combine
-    if op == "/":
-
-        def combine(left, right):
-            if not (type(left) is int and type(right) is int):
-                ints_only(left, right)
-            if right == 0:
-                raise MJRuntimeError("division by zero", location)
-            return int(left / right)  # Truncating, like Java.
-
-        return combine
-    if op == "%":
-
-        def combine(left, right):
-            if not (type(left) is int and type(right) is int):
-                ints_only(left, right)
-            if right == 0:
-                raise MJRuntimeError("modulo by zero", location)
-            return left - int(left / right) * right
-
-        return combine
-    if op == "<":
-
-        def combine(left, right):
-            if type(left) is int and type(right) is int:
-                return left < right
-            ints_only(left, right)
-            return left < right
-
-        return combine
-    if op == "<=":
-
-        def combine(left, right):
-            if type(left) is int and type(right) is int:
-                return left <= right
-            ints_only(left, right)
-            return left <= right
-
-        return combine
-    if op == ">":
-
-        def combine(left, right):
-            if type(left) is int and type(right) is int:
-                return left > right
-            ints_only(left, right)
-            return left > right
-
-        return combine
-    if op == ">=":
-
-        def combine(left, right):
-            if type(left) is int and type(right) is int:
-                return left >= right
-            ints_only(left, right)
-            return left >= right
-
-        return combine
-
-    def combine(left, right):
-        raise MJRuntimeError(f"unknown operator {op!r}", location)
-
-    return combine
+def _static_owner(resolved, class_name: str, field_name: str):
+    """Compile-time static-field owner resolution; ``None`` defers the
+    (identical) failure to run time."""
+    try:
+        info = resolved.class_info(class_name)
+    except MJError:
+        return None
+    return info.static_field_owner(field_name)

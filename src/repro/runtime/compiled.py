@@ -1,20 +1,20 @@
 """The compiled MJ engine: a drop-in :class:`Interpreter` replacement.
 
-:class:`CompiledInterpreter` executes the closure-threaded code produced
-by :mod:`repro.runtime.compile` instead of walking the AST.  Everything
-observable is identical to the AST engine — scheduler decision
-sequences, uid allocation order, the schema-v3 event stream byte for
-byte, error messages, wait/notify/barrier semantics — because the
-compiled closures yield at exactly the interpreter's preemption points
-and perform memory operations in the same order.  Only the per-step
-constant factor changes: node dispatch, locals access, method
-resolution, and the traced/untraced decision all happen at compile
-time.
+:class:`CompiledInterpreter` runs the Python generator functions that
+:mod:`repro.runtime.compile` generates, one per MJ method, instead of
+walking the AST.  Everything observable is identical to the AST engine
+— scheduler decision sequences, uid allocation order, the schema-v3
+event stream byte for byte, error messages, wait/notify/barrier
+semantics — because the generated code yields at exactly the
+interpreter's preemption points and performs memory operations in the
+same order.  Only the per-step constant factor changes: node dispatch,
+locals access, method resolution, and the traced/untraced decision all
+happen at compile time, and a method activation is one generator frame.
 
-Synchronization statements are *cold* (a handful of executions per
-thread, versus millions of memory accesses), so their post-evaluation
-logic lives here as engine kernels that the compiled closures delegate
-to after evaluating operands.  The kernels are line-for-line the
+Thread start/join, wait, notify and barrier are *cold* (a handful of
+executions per thread, versus millions of memory accesses), so their
+post-evaluation logic lives here as engine kernels that the generated
+code calls after evaluating operands.  The kernels are line-for-line the
 interpreter's, operating on the same inherited runtime state
 (``_lock_stacks``, ``_wait_sets``, ``_woken``, ``_barriers``), which
 keeps the two engines' semantics from drifting apart structurally as
@@ -27,7 +27,7 @@ from typing import Optional
 
 from ..lang.errors import MJRuntimeError, SourceLocation
 from ..lang.resolver import ResolvedProgram
-from .compile import _UNBOUND, ProgramCompiler, run_code
+from .compile import ProgramCompiler
 from .events import EventSink, ObjectKind
 from .interpreter import Interpreter, RunResult
 from .scheduler import SchedulingPolicy, ThreadState, ThreadStatus
@@ -35,9 +35,10 @@ from .values import MJArray, MJClassObject, MJObject, Reference, mj_repr
 
 
 class CompiledInterpreter(Interpreter):
-    """Executes one resolved MJ program through compiled closures.
+    """Executes one resolved MJ program through generated code.
 
-    Construction compiles the whole program (one cheap AST walk);
+    Construction generates the program's source (one AST walk), fetches
+    its compiled factory from the process-wide cache, and binds it;
     :meth:`run` then drives the compiled entry point under the same
     scheduler the AST engine uses.  All constructor parameters and the
     :class:`RunResult` contract match :class:`Interpreter`.
@@ -102,19 +103,17 @@ class CompiledInterpreter(Interpreter):
         return self._thread_body(self._compiled.main_entry, None, thread)
 
     def _thread_body(self, entry, this, thread: ThreadState):
-        """Drive a zero-argument compiled method (main / run) through
-        :func:`run_code`: every scheduler step of the thread traverses
-        this frame, so it holds no more than the frame set-up and the
-        end-of-thread event.  ``main``/``run`` declaring parameters
-        raises exactly like the AST engine's ``_invoke``."""
+        """Drive a zero-argument method (main / run): every scheduler
+        step of the thread traverses this frame, so it holds no more
+        than the call and the end-of-thread event.  ``main``/``run``
+        declaring parameters raises exactly like the AST engine's
+        ``_invoke``."""
         if entry.nparams != 0:
             raise MJRuntimeError(
                 f"{entry.qname} expects {entry.nparams} argument(s), got 0",
                 entry.location,
             )
-        frame = [_UNBOUND] * entry.nslots
-        frame[0] = this
-        yield from run_code(entry.code, frame, thread)
+        yield from entry.fn(thread, this)
         if self._sink is not None:
             self._sink.on_thread_end(thread.thread_id)
 
@@ -263,7 +262,7 @@ class CompiledInterpreter(Interpreter):
     def _barrier_kernel(
         self, obj, parties, thread: ThreadState, location: SourceLocation
     ):
-        # The compiled closure has already verified obj is a Reference
+        # The generated code has already verified obj is a Reference
         # (before evaluating the parties expression, as the AST engine
         # orders it).
         if not isinstance(parties, int) or isinstance(parties, bool) or parties < 1:

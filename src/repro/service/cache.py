@@ -19,10 +19,11 @@ one may never re-plan a resolved program), but execution only reads
 it, and every engine run constructs fresh runtime state (uid
 allocator, scheduler, heap), so repeated runs over one cached entry
 are byte-identical — the service's cache-parity test pins exactly
-that.  The closure-compiled engine still lowers the cached AST to
-closures per run (its compiled code deliberately closes over engine
-instance state), but that is the cheap single AST walk; the expensive
-analyses are what the cache amortizes.
+that.  The compiled engine still generates source from the cached AST
+per run and binds it to the engine instance's state, but that is the
+cheap single AST walk (the compiled factory itself is cached per
+process, keyed on the generated text); the expensive analyses are what
+the cache amortizes.
 
 The cache is process-local.  Each long-lived worker process owns one
 instance; entries are never shipped across the pipe (resolved programs

@@ -1,6 +1,6 @@
 """Cross-engine parity: the compiled backend against the AST interpreter.
 
-The closure-compiled engine is a drop-in replacement: for any program,
+The compiled engine (generated code) is a drop-in replacement: for any program,
 schedule, and instrumentation plan it must make the same scheduler
 decisions, allocate the same object uids, emit a byte-identical
 schema-v3 event stream, print the same output, and raise the same
@@ -242,3 +242,215 @@ class TestCorpusParity:
         assert_parity(
             resolved, plan.trace_sites, lambda: entry.schedule.policy()
         )
+
+
+def _nested(depth, open_, close, inner):
+    """``inner`` wrapped in ``depth`` nested constructs; ``open_(i)``
+    and ``close(i)`` are the text before and after level ``i``."""
+    for level in reversed(range(depth)):
+        inner = open_(level) + inner + close(level)
+    return inner
+
+
+#: Programs that nest deeper than CPython allows a function to nest
+#: (20 static blocks, 100 indentation levels): the code generator must
+#: move the inner levels into helper functions.
+DEEP_PROGRAMS = {
+    "while-30": "class Main { static def main() { "
+    + _nested(
+        30,
+        lambda i: f"var i{i} = 0; while (i{i} < 1) {{ i{i} = i{i} + 1; ",
+        lambda i: " }",
+        'print "deep";',
+    )
+    + " } }",
+    "sync-25": """
+class Main {
+  static def main() {
+    var d = new Data();
+    d.x = 0;
+    var a = new Worker(d); var b = new Worker(d);
+    start a; start b; join a; join b;
+    print "deep " + d.x;
+  }
+}
+class Data { field x; }
+class Worker {
+  field d;
+  def init(d) { this.d = d; }
+  def run() { var l = this.d; """
+    + _nested(
+        25,
+        lambda i: f"sync ({'l' if i % 2 else 'this'}) {{ ",
+        lambda i: " }",
+        "l.x = l.x + 1; if (l.x > 100) { return; }",
+    )
+    + " } }",
+    "if-150": "class Main { static def main() { var n = 0; var o = new Main(); "
+    + _nested(
+        150,
+        lambda i: f"if (n == {i} && o != null) {{ n = n + 1; ",
+        lambda i: " } else { print n; }",
+        'print "deep";',
+    )
+    + " } }",
+    # Right-nested short-circuits nest inside one statement, here 30
+    # levels under 30 ifs (a parenthesis costs the recursive-descent
+    # parser some 16 frames, so parentheses alone cannot nest as deep).
+    "and-30-in-if-30": "class Main { static def main() { var t = true; "
+    + _nested(
+        30,
+        lambda i: "if (t) { ",
+        lambda i: " }",
+        "var x = "
+        + _nested(30, lambda i: "(t && ", lambda i: ")", "t")
+        + '; if (x) { print "deep"; }',
+    )
+    + " } }",
+    # Just inside the parser's nesting bound: 250 terms, 250 reads.
+    "sum-250": "class Main { static def main() { var d = new D(); d.go(); } } "
+    "class D { field f; def go() { this.f = 1; var x = "
+    + " - ".join(["this.f"] * 250)
+    + '; print "deep " + x; } }',
+}
+
+#: String literals and identifiers that would break generated source if
+#: any program text reached it.
+HOSTILE_PROGRAMS = {
+    "strings": r"""
+class Main {
+  static def main() {
+    var a = "\"\"\"";
+    var b = "\\";
+    var c = "line1\nline2";
+    var d = "__import__('os').system('exit 3')";
+    var e = "'''\\n\")\n    raise SystemExit(3)\n#";
+    print a; print b; print c; print d; print e;
+    var s = new S(a + b + c + d + e);
+    print s.t;
+  }
+}
+class S { field t; def init(t) { this.t = t + "\\\""; } }
+""",
+    "python-names": """
+class Main {
+  static def main() {
+    var lambda = new yield(3);
+    var None = lambda.pass(4);
+    var th = 1; var v0 = 2; var x1 = 3; var c0 = 4; var U = 5; var NR = 6;
+    var make = 7; var m0 = 8; var h1 = 9; var CN = 10; var OUT = 11;
+    print None + th + v0 + x1 + c0 + U + NR + make + m0 + h1 + CN + OUT;
+    var len = newarray(2);
+    len[0] = "type";
+    print len[0] + len.length;
+    yield.nonlocal = lambda;
+    var exec = new __import__(yield.nonlocal);
+    var eval = new __import__(lambda);
+    start exec; start eval; join exec; join eval;
+    print lambda.import + " " + lambda.True;
+    print Main.isinstance(True(), 2);
+  }
+  static def isinstance(object, int) { return object + int; }
+  static def True() { return 40; }
+}
+class yield {
+  field import; field True;
+  static field nonlocal;
+  def init(def_) { this.import = def_; this.True = false; }
+  def pass(is) { return is + this.import; }
+}
+class __import__ {
+  field os;
+  def init(os) { this.os = os; }
+  def run() {
+    var global = 0;
+    while (global < 3) {
+      sync (this.os) { this.os.import = this.os.import + 1; }
+      global = global + 1;
+    }
+  }
+}
+""",
+}
+
+EXPECTED_OUTPUT = {
+    "strings": (
+        '"""',
+        "\\",
+        "line1\nline2",
+        "__import__('os').system('exit 3')",
+        "'''\\n\")\n    raise SystemExit(3)\n#",
+        '"""\\line1\nline2__import__(\'os\').system(\'exit 3\')'
+        "'''\\n\")\n    raise SystemExit(3)\n#\\\"",
+    ),
+    "python-names": ("73", "type2", "9 false", "42"),
+}
+
+
+class TestGeneratorLimits:
+    """Deep nesting and hostile source: both engines agree on output,
+    steps, event log and errors, and no Python compile or recursion
+    error escapes from the code generator."""
+
+    @staticmethod
+    def _both(source, policy):
+        resolved = compile_source(source, filename="limits")
+        plan = plan_instrumentation(resolved, PlannerConfig())
+        sides = [
+            observe(runner, resolved, trace_sites, make(), True)
+            for runner in (run_ast, run_compiled)
+            for trace_sites, make in ((plan.trace_sites, policy), (None, policy))
+        ]
+        assert sides[:2] == sides[2:]
+        for side in sides:
+            assert side[0] != "error", side
+        return sides[0]
+
+    @pytest.mark.parametrize("name", sorted(DEEP_PROGRAMS))
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_deep_nesting_identical(self, name, seed):
+        steps, _, _, _, output, _ = self._both(
+            DEEP_PROGRAMS[name],
+            lambda: None if seed is None else RandomPolicy(seed=seed),
+        )
+        assert output[-1].startswith("deep")
+        if name == "while-30":
+            assert steps == 31
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_PROGRAMS))
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_hostile_source_identical(self, name, seed):
+        _, _, _, _, output, _ = self._both(
+            HOSTILE_PROGRAMS[name],
+            lambda: None if seed is None else RandomPolicy(seed=seed),
+        )
+        assert output == EXPECTED_OUTPUT[name]
+
+    def test_expression_past_the_nesting_bound_is_a_parse_error(self):
+        from repro.lang import ParseError
+        from repro.lang.parser import MAX_NESTING
+
+        terms = " + ".join(["1"] * 2000)
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}"):
+            compile_source(f"class Main {{ static def main() {{ print {terms}; }} }}")
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_cli_exits_stay_in_the_taxonomy(self, engine, tmp_path, capsys):
+        from repro.cli import main
+
+        programs = dict(DEEP_PROGRAMS, **HOSTILE_PROGRAMS)
+        programs["sum-2000"] = "class Main { static def main() { print %s; } }" % (
+            " + ".join(["1"] * 2000)
+        )
+        programs["parens-300"] = "class Main { static def main() { print %s1%s; } }" % (
+            "(" * 300,
+            ")" * 300,
+        )
+        codes = {}
+        for name, source in sorted(programs.items()):
+            path = tmp_path / f"{name}.mj"
+            path.write_text(source)
+            codes[name] = main(["check", str(path), "--engine", engine, "--seed", "3"])
+        capsys.readouterr()
+        assert codes["sum-2000"] == 2 and codes["parens-300"] == 2
+        assert set(codes.values()) <= {0, 1, 2, 3, 4}
