@@ -4,12 +4,6 @@ ICG, single-instance, escape, and the static datarace set (Section 5)."""
 from . import ir
 from .cfg import FlowGraph
 from .dataflow import TOP, DataflowProblem, meet_intersection, solve_forward
-from .deadlock_static import (
-    StaticDeadlockAnalysis,
-    StaticDeadlockReport,
-    StaticLockEdge,
-    analyze_static_deadlocks,
-)
 from .dominators import DominatorInfo
 from .escape import EscapeAnalysis, EscapeInfo, analyze_escape
 from .icfg import ICG, ICGBuilder, build_icg, method_node, sync_node
@@ -68,9 +62,6 @@ __all__ = [
     "PointsToResult",
     "SSABuilder",
     "SingleInstanceInfo",
-    "StaticDeadlockAnalysis",
-    "StaticDeadlockReport",
-    "StaticLockEdge",
     "SiteBase",
     "StartEdge",
     "StaticRaceAnalysis",
@@ -83,7 +74,6 @@ __all__ = [
     "analyze_immutability",
     "analyze_points_to",
     "analyze_single_instance",
-    "analyze_static_deadlocks",
     "analyze_static_races",
     "build_icg",
     "build_ssa",

@@ -8,10 +8,9 @@ Commands
     ``--no-static`` / ``--no-weaker`` / ``--no-peeling`` /
     ``--no-cache`` / ``--no-ownership`` / ``--fields-merged`` toggle
     the paper's configuration axes; ``--seed N`` picks a random
-    interleaving; ``--deadlocks`` also runs the lock-order analysis;
-    ``--stats`` prints the event funnel and cache statistics;
-    ``--phase-times`` prints the wall time of each stage the path ran
-    (load / run / detect / axes), on every check path.
+    interleaving; ``--stats`` prints the event funnel and cache
+    statistics; ``--phase-times`` prints the wall time of each stage
+    the path ran (load / run / detect / axes), on every check path.
 
 ``run FILE.mj``
     Execute a program uninstrumented and print its output.
@@ -59,13 +58,12 @@ import sys
 import time
 from pathlib import Path
 
-from .detector import DeadlockDetector, DetectorConfig, RaceDetector
+from .detector import DetectorConfig, RaceDetector
 from .instrument import PlannerConfig, plan_instrumentation
 from .lang import MJError, compile_source
 from .runtime import (
     DEFAULT_ENGINE,
     ENGINES,
-    MulticastSink,
     RandomPolicy,
     RoundRobinPolicy,
     engine_runner,
@@ -104,8 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disable the ownership model")
     check.add_argument("--fields-merged", action="store_true",
                        help="object-granularity locations (Table 3 variant)")
-    check.add_argument("--deadlocks", action="store_true",
-                       help="also run lock-order deadlock analysis")
     check.add_argument("--stats", action="store_true",
                        help="print the event funnel and cache stats")
     check.add_argument("--phase-times", action="store_true",
@@ -320,15 +316,13 @@ def cmd_check(args) -> int:
     if shards < 1:
         print("error: --shards must be positive", file=sys.stderr)
         return 2
-    if args.report_json and (args.deadlocks or args.predict or
-                             args.phase_times):
+    if args.report_json and (args.predict or args.phase_times):
         print("error: --report-json covers the race report only "
-              "(drop --deadlocks/--predict/--phase-times)",
+              "(drop --predict/--phase-times)",
               file=sys.stderr)
         return 2
 
     sharded = None
-    deadlocks = None
     result = None
     predictor = None
     predicted = set()
@@ -345,19 +339,11 @@ def cmd_check(args) -> int:
             # below replays the log through its replay_into.
             log = open_log(args.from_log)
             lap("load")
-            if args.deadlocks:
-                deadlocks = DeadlockDetector()
-                log.replay_into(deadlocks)
-                lap("axes")
         else:
             log = RecordingSink()
-            sink = log
-            if args.deadlocks:
-                deadlocks = DeadlockDetector()
-                sink = MulticastSink([log, deadlocks])
             result = engine_runner(args.engine)(
                 resolved,
-                sink=sink,
+                sink=log,
                 trace_sites=plan.trace_sites,
                 policy=_policy(args.seed),
             )
@@ -395,13 +381,9 @@ def cmd_check(args) -> int:
             resolved=resolved,
             static_races=plan.static_races,
         )
-        sink = detector
-        if args.deadlocks:
-            deadlocks = DeadlockDetector()
-            sink = MulticastSink([detector, deadlocks])
         result = engine_runner(args.engine)(
             resolved,
-            sink=sink,
+            sink=detector,
             trace_sites=plan.trace_sites,
             policy=_policy(args.seed),
         )
@@ -442,21 +424,6 @@ def cmd_check(args) -> int:
         else:
             print(f"[{args.predict}] no races predicted in reorderings "
                   f"of this trace")
-    if deadlocks is not None:
-        if deadlocks.reports:
-            for report in deadlocks.reports:
-                print(report.describe())
-        else:
-            print("no potential deadlocks detected (dynamic)")
-        if resolved is not None:
-            from .analysis import analyze_static_deadlocks
-
-            static_reports = analyze_static_deadlocks(resolved)
-            if static_reports:
-                for report in static_reports:
-                    print(report.describe())
-            else:
-                print("no potential deadlocks detected (static)")
     if args.stats:
         if plan is not None:
             print(f"instrumented sites: {plan.stats.sites_instrumented} of "
@@ -501,13 +468,19 @@ def cmd_run(args) -> int:
         from .runtime import BinaryLogSink
 
         sink = BinaryLogSink(args.record_binary, compress=args.compress)
-    result = engine_runner(args.engine)(
-        resolved, sink=sink, policy=_policy(args.seed)
-    )
+    try:
+        result = engine_runner(args.engine)(
+            resolved, sink=sink, policy=_policy(args.seed)
+        )
+    finally:
+        # A run that raises (a deadlock, an MJ runtime error) never
+        # reaches run-end; closing here still finalizes the events
+        # recorded so far into a valid log.  Idempotent otherwise.
+        if sink is not None:
+            sink.close()
     for line in result.output:
         print(line)
     if sink is not None:
-        sink.close()  # idempotent; the engine's run-end already closed
         flavor = (
             "binary"
             if args.compress is None

@@ -14,7 +14,6 @@ Quick use::
 """
 
 from .cache import AccessCache, CacheStats
-from .deadlock import DeadlockDetector, DeadlockReport, LockEdge
 from .config import (
     FIELDS_MERGED,
     FULL,
@@ -59,9 +58,6 @@ from .weaker import (
 
 __all__ = [
     "AccessCache",
-    "DeadlockDetector",
-    "DeadlockReport",
-    "LockEdge",
     "CacheStats",
     "DetectorConfig",
     "FIELDS_MERGED",

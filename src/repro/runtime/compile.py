@@ -18,7 +18,8 @@ as one Python generator function and letting CPython compile the lot:
   virtual call probes a monomorphic per-site cache (class, callee)
   whose miss path resolves the method and checks the arity — plus one
   ``yield from`` of the callee's function, so an activation costs one
-  generator frame.
+  generator frame.  The call passes its depth, and the callee raises
+  the interpreter's error past ``MAX_CALL_DEPTH``.
 * Operators run inline on ints, with the interpreter's error path
   behind a type test; a flow-insensitive pass types the locals that
   only ever hold ints or booleans, which drops the tests on them.
@@ -61,6 +62,7 @@ import builtins
 from ..lang import ast
 from ..lang.errors import MJAssertionError, MJError, MJRuntimeError
 from ..lang.resolver import ARRAY_FIELD
+from .interpreter import MAX_CALL_DEPTH, call_depth_error
 from .scheduler import ThreadStatus
 from .values import MJArray, MJClassObject, MJObject, Reference, mj_repr
 
@@ -388,6 +390,7 @@ _GLOBALS = {
     "BAE": _barrier_error,
     "AF": _assert_failed,
     "UNH": _unhandled,
+    "DEEP": call_depth_error,
 }
 
 #: text -> compiled factory, least recently used first.
@@ -418,8 +421,9 @@ class MethodEntry:
         #: The method's function is ``m<index>`` in the generated text.
         self.index = index
         self.nparams = nparams
-        #: The generated generator function ``fn(thread, this, *args)``,
-        #: bound once the factory has run.
+        #: The generated generator function ``fn(thread, depth, this,
+        #: *args)``, bound once the factory has run; ``depth`` is the
+        #: activation's call depth (1 for a thread's entry method).
         self.fn = None
         self.qname = qname
         self.location = location
@@ -769,9 +773,10 @@ class ProgramCompiler:
 
 class _MethodWriter:
     """Writes one MJ method as the generator function
-    ``m<index>(th, v0, v1, ..., vn)``: ``th`` is the running thread,
-    ``v0`` the receiver (``None`` in a static method), ``v1..vn`` the
-    arguments.
+    ``m<index>(th, d, v0, v1, ..., vn)``: ``th`` is the running thread,
+    ``d`` the activation's call depth (checked against
+    :data:`~repro.runtime.interpreter.MAX_CALL_DEPTH`), ``v0`` the
+    receiver (``None`` in a static method), ``v1..vn`` the arguments.
 
     Expression methods return ``(code, atomic, static_type)``.  A
     non-atomic ``code`` must be consumed by the very next emitted line
@@ -813,7 +818,12 @@ class _MethodWriter:
             self.stmt(stmt)
         self._close(body, "return None")
         params = ", ".join(f"v{i}" for i in range(self.nparams + 1))
-        lines = [f"    def m{self.entry.index}(th, {params}):"]
+        name = self.const(self.method.qualified_name)
+        location = self.const(self.method.location)
+        lines = [
+            f"    def m{self.entry.index}(th, d, {params}):",
+            f"        if d > {MAX_CALL_DEPTH}: DEEP({name}, {location})",
+        ]
         locals_ = range(self.nparams + 1, self.nslots)
         if self.helpers:
             init = [f"v{slot}" for slot in locals_]
@@ -1355,7 +1365,8 @@ class _MethodWriter:
     def invoke(self, callee: str, this: str, args: list):
         self.code.yields = True
         joined = "".join(f", {arg}" for arg in args)
-        return f"(yield from {callee}(th, {this}{joined}))", False, None
+        code = f"(yield from {callee}(th, d + 1, {this}{joined}))"
+        return code, False, None
 
     def new(self, expr: ast.New):
         class_name = expr.class_name

@@ -113,7 +113,7 @@ class CompiledInterpreter(Interpreter):
                 f"{entry.qname} expects {entry.nparams} argument(s), got 0",
                 entry.location,
             )
-        yield from entry.fn(thread, this)
+        yield from entry.fn(thread, 1, this)
         if self._sink is not None:
             self._sink.on_thread_end(thread.thread_id)
 

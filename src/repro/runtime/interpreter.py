@@ -46,6 +46,20 @@ from .values import (
 )
 
 
+#: Activations one MJ thread may have open at once, its ``main`` or
+#: ``run`` included.  Both engines fail the same call past it, with the
+#: same error, well before Python's own recursion limit: the AST engine
+#: nests several Python frames per MJ call, the compiled engine one.
+MAX_CALL_DEPTH = 100
+
+
+def call_depth_error(qualified_name: str, location: SourceLocation):
+    raise MJRuntimeError(
+        f"call depth exceeds {MAX_CALL_DEPTH} entering {qualified_name}",
+        location,
+    )
+
+
 class _Return(Exception):
     """Internal control-flow signal for ``return`` statements."""
 
@@ -60,6 +74,8 @@ class Frame:
     method: ast.MethodDecl
     locals: dict
     this: Optional[MJObject]
+    #: 1 for the thread's entry method, one more per nested call.
+    depth: int
 
 
 @dataclass
@@ -223,17 +239,23 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Method invocation.
 
-    def _invoke(self, method: ast.MethodDecl, receiver, args, thread: ThreadState):
+    def _invoke(
+        self, method: ast.MethodDecl, receiver, args, thread: ThreadState,
+        depth: int = 1,
+    ):
         if len(args) != len(method.params):
             raise MJRuntimeError(
                 f"{method.qualified_name} expects {len(method.params)} "
                 f"argument(s), got {len(args)}",
                 method.location,
             )
+        if depth > MAX_CALL_DEPTH:
+            call_depth_error(method.qualified_name, method.location)
         frame = Frame(
             method=method,
             locals=dict(zip(method.params, args)),
             this=receiver,
+            depth=depth,
         )
         try:
             yield from self._exec_block(method.body, frame, thread)
@@ -819,7 +841,7 @@ class Interpreter:
             args = []
             for arg in expr.args:
                 args.append((yield from self._eval(arg, frame, thread)))
-            yield from self._invoke(init, obj, args, thread)
+            yield from self._invoke(init, obj, args, thread, frame.depth + 1)
         elif expr.args:
             raise MJRuntimeError(
                 f"class {expr.class_name!r} has no 'init' method but "
@@ -844,7 +866,9 @@ class Interpreter:
                     f"{expr.static_class!r}",
                     expr.location,
                 )
-            return (yield from self._invoke(method, None, args, thread))
+            return (yield from self._invoke(
+                method, None, args, thread, frame.depth + 1
+            ))
         if receiver is None:
             raise MJRuntimeError(
                 f"null dereference calling {expr.method_name!r}", expr.location
@@ -861,7 +885,9 @@ class Interpreter:
                 f"{expr.method_name!r}",
                 expr.location,
             )
-        return (yield from self._invoke(method, receiver, args, thread))
+        return (yield from self._invoke(
+            method, receiver, args, thread, frame.depth + 1
+        ))
 
 
 def run_program(

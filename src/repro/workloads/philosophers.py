@@ -1,19 +1,19 @@
-"""``philosophers`` — the dining-philosophers deadlock workload.
+"""``philosophers`` — dining philosophers, a nested-lock workload.
 
-Exercises the Section 10 deadlock-detection extension.  Two variants:
+Each philosopher takes two forks with nested ``sync`` blocks.  Two
+variants:
 
 * **naive** (``ordered=False``): every philosopher takes the left fork
-  then the right — the classic circular lock-order with a feasible
-  deadlock.  Under most schedules the simulation *completes anyway*
-  (quanta are long enough for a philosopher to grab both forks), which
-  is exactly the interesting case: the dynamic lock-order analysis
-  reports the potential cycle from a successful run, and the static
-  analysis reports it without running at all;
+  then the right — the classic circular lock order.  Most schedules
+  complete anyway (quanta are long enough for a philosopher to grab
+  both forks); a schedule that does deadlock ends in the scheduler's
+  ``DeadlockError``;
 * **ordered** (``ordered=True``): the standard fix — philosophers take
-  the lower-numbered fork first — and both analyses stay silent.
+  the lower-numbered fork first, so no schedule deadlocks.
 
 No dataraces either way: the eating counters are per-philosopher and
-the forks are only ever used as monitors.
+the forks are only ever used as monitors.  EXPERIMENTS.md (Section 10)
+records what a lock-order deadlock analysis reported on both variants.
 """
 
 from __future__ import annotations

@@ -1,8 +1,13 @@
 """Integration tests for the command-line interface."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+PROGRAMS = Path(__file__).resolve().parents[2] / "examples" / "programs"
 
 RACY = """
 class Main {
@@ -26,23 +31,6 @@ SAFE = RACY.replace(
     "def run() { this.d.x = this.d.x + 1; }",
     "def run() { sync (this.d) { this.d.x = this.d.x + 1; } }",
 )
-
-DEADLOCKY = """
-class Main {
-  static def main() {
-    var l1 = new L(); var l2 = new L();
-    var a = new W(l1, l2); var b = new W(l2, l1);
-    start a; join a;
-    start b; join b;
-  }
-}
-class L { }
-class W {
-  field x; field y;
-  def init(x, y) { this.x = x; this.y = y; }
-  def run() { sync (this.x) { sync (this.y) { } } }
-}
-"""
 
 
 def phase_rows(out) -> list:
@@ -122,12 +110,11 @@ class TestCheck:
         code = main(["check", str(safe_file), "--fields-merged"])
         assert code in (0, 1)
 
-    def test_deadlocks_flag(self, tmp_path, capsys):
-        path = tmp_path / "dead.mj"
-        path.write_text(DEADLOCKY)
-        main(["check", str(path), "--deadlocks"])
-        out = capsys.readouterr().out
-        assert "POTENTIAL DEADLOCK" in out
+    def test_deadlocks_flag_is_unknown(self, safe_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", str(safe_file), "--deadlocks"])
+        assert excinfo.value.code == 2
+        assert "--deadlocks" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["check", str(tmp_path / "ghost.mj")])
@@ -201,6 +188,25 @@ class TestRunAndExplain:
         out = capsys.readouterr().out
         assert code == 0
         assert out.strip() == "2"
+
+    def test_record_binary_finalizes_a_failed_run(self, tmp_path, capsys):
+        """A run that raises (bank_transfer deadlocks at seed 1) still
+        leaves a valid MJBL log of the events recorded before the
+        failure, byte-identical on both engines."""
+        from repro.runtime import ENGINES, open_log
+
+        digests = set()
+        for engine in sorted(ENGINES):
+            log = tmp_path / f"{engine}.mjbl"
+            code = main(["run", str(PROGRAMS / "bank_transfer.mj"),
+                         "--seed", "1", "--engine", engine,
+                         "--record-binary", str(log)])
+            assert code == 2
+            with open_log(log) as reader:
+                assert reader.record_count > 0
+            digests.add(hashlib.sha256(log.read_bytes()).hexdigest())
+        assert "deadlock" in capsys.readouterr().err
+        assert len(digests) == 1
 
     def test_explain_lists_static_decisions(self, racy_file, capsys):
         code = main(["explain", str(racy_file)])

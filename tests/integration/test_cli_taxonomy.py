@@ -298,6 +298,7 @@ class TestReportJson:
     def test_report_json_rejects_human_only_flags(self, tmp_path, capsys):
         program = tmp_path / "prog.mj"
         program.write_text(PROGRAM)
-        code = main(["check", str(program), "--report-json", "--deadlocks"])
-        assert code == 2
-        assert "report-json" in capsys.readouterr().err
+        for flags in (["--phase-times"], ["--predict", "shb"]):
+            code = main(["check", str(program), "--report-json", *flags])
+            assert code == 2
+            assert "report-json" in capsys.readouterr().err

@@ -7,7 +7,7 @@ stays consistent and queryable, and partial logs replay."""
 
 import pytest
 
-from repro.detector import DeadlockDetector, RaceDetector, ReferenceDetector
+from repro.detector import RaceDetector, ReferenceDetector
 from repro.lang import MJAssertionError, MJRuntimeError, compile_source
 from repro.runtime import MulticastSink, RecordingSink, run_program
 
@@ -107,10 +107,17 @@ class TestCrashMidRun:
     def test_crash_with_multicast_sinks(self):
         resolved = compile_source(CRASH_IN_SYNC)
         races = RaceDetector(resolved=resolved)
-        deadlocks = DeadlockDetector()
+        log = RecordingSink()
         with pytest.raises(MJRuntimeError):
-            run_program(resolved, sink=MulticastSink([races, deadlocks]))
-        deadlocks.analyze()  # Must not blow up on partial state.
+            run_program(resolved, sink=MulticastSink([races, log]))
+        # Both sinks saw the same partial stream up to the abort.
+        assert log.log
+        replayed = RaceDetector(resolved=resolved)
+        log.replay_into(replayed)
+        assert replayed.stats.accesses == races.stats.accesses
+        assert (
+            replayed.reports.racy_locations == races.reports.racy_locations
+        )
 
     def test_out_of_bounds_mid_loop(self):
         source = """

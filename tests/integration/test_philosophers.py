@@ -1,76 +1,48 @@
-"""Dining philosophers through both deadlock analyses.
+"""Dining philosophers: a nested-lock workload with no dataraces.
 
-The static/dynamic precision story in one workload: all forks come
-from a single allocation site, so the static analysis cannot tell the
-naive fork order from the globally-ordered fix (it reports the
-conflated self-cycle for both — conservative).  The dynamic lock-order
-graph sees concrete fork identities and separates them exactly.
+Every fork is only ever used as a monitor and each eating counter
+belongs to one philosopher, so neither fork order yields a race.  The
+naive order can deadlock under some schedules (the scheduler then
+raises ``DeadlockError``); the seeds below all complete.
 """
 
-import pytest
-
-from repro.analysis import analyze_static_deadlocks
-from repro.detector import DeadlockDetector, RaceDetector
+from repro.detector import RaceDetector
 from repro.lang import compile_source
-from repro.runtime import MulticastSink, RandomPolicy, run_program
+from repro.runtime import RandomPolicy, run_program
 from repro.workloads import ALL_WORKLOADS, philosophers
 
 
-def run_with_detectors(source, policy=None):
+def run_with_detector(source, policy=None):
     resolved = compile_source(source)
-    deadlocks = DeadlockDetector()
     races = RaceDetector(resolved=resolved)
-    result = run_program(
-        resolved, sink=MulticastSink([deadlocks, races]), policy=policy
-    )
-    return result, deadlocks, races
+    result = run_program(resolved, sink=races, policy=policy)
+    return result, races
 
 
 class TestNaiveVariant:
-    def test_completes_yet_reports_potential_cycle(self):
-        result, deadlocks, races = run_with_detectors(philosophers.source(3))
-        assert result.output == ["meals=6"]  # The run itself succeeded.
-        assert len(deadlocks.reports) >= 1
+    def test_completes(self):
+        result, _ = run_with_detector(philosophers.source(3))
+        assert result.output == ["meals=6"]
 
     def test_no_dataraces(self):
-        _, _, races = run_with_detectors(philosophers.source(3))
+        _, races = run_with_detector(philosophers.source(3))
         assert races.reports.object_count == 0
 
-    def test_static_analysis_reports(self):
-        reports = analyze_static_deadlocks(
-            compile_source(philosophers.source(3))
-        )
-        assert len(reports) >= 1
-
-    def test_cycle_detected_across_sizes(self):
+    def test_no_dataraces_across_sizes(self):
         for n in (2, 3, 4):
-            _, deadlocks, _ = run_with_detectors(philosophers.source(n))
-            assert deadlocks.reports, f"n={n}"
+            _, races = run_with_detector(philosophers.source(n))
+            assert races.reports.object_count == 0, f"n={n}"
 
 
 class TestOrderedVariant:
-    def test_dynamic_analysis_is_silent(self):
-        _, deadlocks, _ = run_with_detectors(
-            philosophers.source(3, ordered=True)
-        )
-        assert not deadlocks.reports
-
-    def test_dynamic_silent_across_seeds(self):
+    def test_no_dataraces_across_seeds(self):
         for seed in range(5):
-            _, deadlocks, _ = run_with_detectors(
+            result, races = run_with_detector(
                 philosophers.source(3, ordered=True),
                 policy=RandomPolicy(seed),
             )
-            assert not deadlocks.reports, f"seed {seed}"
-
-    def test_static_analysis_is_conservative_here(self):
-        """One allocation site for every fork: the static abstraction
-        cannot express the index ordering, so it (soundly) still
-        reports — the precision gap the dynamic analysis closes."""
-        reports = analyze_static_deadlocks(
-            compile_source(philosophers.source(3, ordered=True))
-        )
-        assert len(reports) >= 1
+            assert result.output == ["meals=6"], f"seed {seed}"
+            assert races.reports.object_count == 0, f"seed {seed}"
 
 
 class TestSpecs:
@@ -79,5 +51,8 @@ class TestSpecs:
         assert "philosophers-ordered" in ALL_WORKLOADS
 
     def test_thread_counts(self):
-        result, _, _ = run_with_detectors(philosophers.source(3))
-        assert result.threads_created == 4
+        for ordered in (False, True):
+            result, _ = run_with_detector(
+                philosophers.source(3, ordered=ordered)
+            )
+            assert result.threads_created == 4, f"ordered={ordered}"

@@ -454,3 +454,60 @@ class TestGeneratorLimits:
         capsys.readouterr()
         assert codes["sum-2000"] == 2 and codes["parens-300"] == 2
         assert set(codes.values()) <= {0, 1, 2, 3, 4}
+
+
+def _recursion(depth):
+    """``Main.main`` plus ``depth - 1`` nested ``Main.down`` calls:
+    ``depth`` activations open at the innermost call."""
+    return f"""
+class Main {{
+  static def main() {{
+    print Main.down({depth - 1});
+  }}
+  static def down(n) {{
+    if (n <= 1) {{ return 1; }}
+    return 1 + Main.down(n - 1);
+  }}
+}}
+"""
+
+
+class TestCallDepthParity:
+    """One MJ call-depth bound on both engines: a call at the bound runs,
+    the first call past it fails with the same runtime error on both,
+    and the CLI reports it as a runtime error (exit 2)."""
+
+    def test_at_the_bound_identical(self):
+        from repro.runtime.interpreter import MAX_CALL_DEPTH
+
+        resolved = compile_source(_recursion(MAX_CALL_DEPTH), filename="deep")
+        assert_parity(resolved, None, lambda: None)
+        assert observe(run_compiled, resolved, None, None)[4] == (
+            str(MAX_CALL_DEPTH - 1),
+        )
+
+    def test_past_the_bound_same_error(self):
+        from repro.runtime.interpreter import MAX_CALL_DEPTH
+
+        resolved = compile_source(
+            _recursion(MAX_CALL_DEPTH + 1), filename="deep"
+        )
+        assert_parity(resolved, None, lambda: None)
+        outcome = observe(run_ast, resolved, None, None)
+        assert outcome == (
+            "error",
+            "MJRuntimeError",
+            f"deep:6:3: call depth exceeds {MAX_CALL_DEPTH} entering "
+            "Main.down",
+        )
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_cli_exit_past_the_bound(self, engine, tmp_path, capsys):
+        from repro.cli import main
+        from repro.runtime.interpreter import MAX_CALL_DEPTH
+
+        path = tmp_path / "deep.mj"
+        path.write_text(_recursion(MAX_CALL_DEPTH + 1))
+        for command in ("run", "check"):
+            assert main([command, str(path), "--engine", engine]) == 2
+            assert "call depth exceeds" in capsys.readouterr().err
