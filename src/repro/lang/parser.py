@@ -472,18 +472,31 @@ def parse(source: str, filename: str = "<input>") -> ast.Program:
     return program
 
 
-def _check_nesting(program: ast.Program) -> None:
-    """Raise :class:`ParseError` if ``program`` nests deeper than
-    :data:`MAX_NESTING` (an explicit stack: a left-associative operator
-    chain nests as deep as it is long without recursing in the parser)."""
-    stack = [(program, 0)]
+def _nested_nodes(root: ast.Node):
+    """Every node under ``root`` with its nesting depth: the statements
+    and expressions (blocks do not count) on its path from ``root``.
+    An explicit stack: a left-associative operator chain nests as deep
+    as it is long without recursing in the parser."""
+    stack = [(root, 0)]
     while stack:
         node, depth = stack.pop()
         if isinstance(node, (ast.Expr, ast.Stmt)) and type(node) is not ast.Block:
             depth += 1
-            if depth > MAX_NESTING:
-                raise ParseError(
-                    f"program nested deeper than {MAX_NESTING} levels",
-                    node.location,
-                )
+        yield node, depth
         stack.extend((child, depth) for child in node.children())
+
+
+def nesting_depth(root: ast.Node) -> int:
+    """The deepest nesting of statements and expressions under ``root``."""
+    return max(depth for _, depth in _nested_nodes(root))
+
+
+def _check_nesting(program: ast.Program) -> None:
+    """Raise :class:`ParseError` if ``program`` nests deeper than
+    :data:`MAX_NESTING`."""
+    for node, depth in _nested_nodes(program):
+        if depth > MAX_NESTING:
+            raise ParseError(
+                f"program nested deeper than {MAX_NESTING} levels",
+                node.location,
+            )

@@ -22,11 +22,13 @@ a lockset-based detector observes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from ..lang import ast
 from ..lang.errors import MJAssertionError, MJRuntimeError, SourceLocation
+from ..lang.parser import nesting_depth
 from ..lang.resolver import ARRAY_FIELD, ResolvedProgram
 from .events import EventSink, ObjectKind
 from .scheduler import (
@@ -48,9 +50,37 @@ from .values import (
 
 #: Activations one MJ thread may have open at once, its ``main`` or
 #: ``run`` included.  Both engines fail the same call past it, with the
-#: same error, well before Python's own recursion limit: the AST engine
-#: nests several Python frames per MJ call, the compiled engine one.
+#: same error.  The compiled engine nests one Python frame per MJ call;
+#: the AST engine nests more, growing with the statements and
+#: expressions around the call, so its :meth:`Interpreter.run` raises
+#: the recursion limit to fit (up to :data:`RECURSION_CEILING`).
 MAX_CALL_DEPTH = 100
+
+
+#: The AST engine's Python frames per MJ activation: at most three per
+#: level of statement or expression nesting (``sync`` nests
+#: ``_exec_stmt``, ``_exec_sync`` and ``_exec_block``), plus the call.
+_FRAMES_PER_LEVEL = 3
+_FRAMES_PER_CALL = 8
+
+#: The highest recursion limit an AST run sets.  Each nested generator
+#: frame also takes C stack on CPython 3.11, and chains of 30,000 of them
+#: overflow a thread's 8 MB stack; past this limit a deep program meets
+#: ``RecursionError`` instead of a crash.
+RECURSION_CEILING = 15_000
+
+
+def _frames_needed(resolved: ResolvedProgram) -> int:
+    """Python frames the AST engine may nest for ``MAX_CALL_DEPTH``
+    activations of ``resolved``'s methods, over the caller's frames."""
+    nesting = max(nesting_depth(method.body) for method in resolved.methods)
+    caller = 0
+    frame = sys._getframe()
+    while frame is not None:
+        caller += 1
+        frame = frame.f_back
+    per_call = _FRAMES_PER_LEVEL * nesting + _FRAMES_PER_CALL
+    return caller + MAX_CALL_DEPTH * per_call
 
 
 def call_depth_error(qualified_name: str, location: SourceLocation):
@@ -160,7 +190,18 @@ class Interpreter:
         main_thread.body = self._main_body(main_thread)
         self._threads.append(main_thread)
         self._scheduler.register(main_thread)
-        steps = self._scheduler.run()
+        # Raise Python's recursion limit for the run so that the call
+        # depth bound, not the nesting of statements around a call,
+        # decides how deep MJ recursion goes; restore it afterwards.
+        limit = sys.getrecursionlimit()
+        wanted = min(_frames_needed(self._resolved), RECURSION_CEILING)
+        if wanted > limit:
+            sys.setrecursionlimit(wanted)
+        try:
+            steps = self._scheduler.run()
+        finally:
+            if wanted > limit and sys.getrecursionlimit() == wanted:
+                sys.setrecursionlimit(limit)
         if self._sink is not None:
             self._sink.on_run_end()
         return RunResult(

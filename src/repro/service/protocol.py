@@ -18,7 +18,7 @@ import json
 from typing import Optional
 
 from ..detector.sharded import canonical_report_order
-from ..lang import MJError
+from ..lang import MJError, MJRuntimeError
 from ..runtime.binlog import MAGIC
 from ..runtime.events import (
     LogCorruptError,
@@ -199,9 +199,9 @@ def http_status_for(error: BaseException) -> int:
 
     The same taxonomy as the CLI exit codes: missing → 404, damaged
     bytes → 422 (the body names the byte offset), schema skew or a
-    payload that is not a log/program at all → 400.  MJ compile errors
-    are 422 (well-formed request, unprocessable program); everything
-    unclassified is a 500.
+    payload that is not a log/program at all → 400.  MJ compile and
+    runtime errors are 422 (well-formed request, unprocessable
+    program); everything unclassified is a 500.
     """
     if isinstance(error, LogNotFoundError):
         return 404
@@ -222,6 +222,8 @@ def error_taxonomy(error: BaseException) -> str:
         return "corrupt"
     if isinstance(error, LogSchemaMismatchError):
         return "schema-mismatch"
+    if isinstance(error, MJRuntimeError):
+        return "runtime-error"
     if isinstance(error, MJError):
         return "compile-error"
     if isinstance(error, LogSchemaError):

@@ -32,6 +32,22 @@ SAFE = RACY.replace(
     "def run() { sync (this.d) { this.d.x = this.d.x + 1; } }",
 )
 
+#: A program whose main thread starts a worker that writes ``m.x``,
+#: writes ``m.x`` itself, and then fails at FAILURE.
+FAILS_AFTER_WRITES = """
+class Main {
+  field x;
+  static def main() {
+    var m = new Main();
+    var w = new W(m); start w;
+    m.x = 1;
+    FAILURE
+  }
+  static def down(n) { return 1 + Main.down(n); }
+}
+class W { field m; def init(m) { this.m = m; } def run() { this.m.x = 2; } }
+"""
+
 
 def phase_rows(out) -> list:
     """The stage names ``--phase-times`` printed, in order; each row
@@ -206,6 +222,40 @@ class TestRunAndExplain:
                 assert reader.record_count > 0
             digests.add(hashlib.sha256(log.read_bytes()).hexdigest())
         assert "deadlock" in capsys.readouterr().err
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize(
+        "failure, message",
+        [
+            ("var a = newarray(2); a[m.x + 5] = 3;", "out of bounds"),
+            ("var z = null; z.x = 3;", "null dereference"),
+            ("assert m.x == 7;", "assertion failed"),
+            ("print Main.down(1);", "call depth exceeds"),
+        ],
+        ids=["out-of-bounds", "null", "assert", "call-depth"],
+    )
+    def test_record_binary_finalizes_each_runtime_failure(
+        self, tmp_path, capsys, failure, message
+    ):
+        """A worker's write and main's are recorded before main fails:
+        the log holds them, is byte-identical on both engines, and
+        ``check --from-log`` reads it."""
+        from repro.runtime import ENGINES, open_log
+
+        program = tmp_path / "fails.mj"
+        program.write_text(FAILS_AFTER_WRITES.replace("FAILURE", failure))
+        digests = set()
+        for engine in sorted(ENGINES):
+            log = tmp_path / f"{engine}.mjbl"
+            code = main(["run", str(program), "--seed", "3",
+                         "--engine", engine, "--record-binary", str(log)])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            with open_log(log) as reader:
+                assert reader.record_count > 0
+            digests.add(hashlib.sha256(log.read_bytes()).hexdigest())
+            assert main(["check", "--from-log", str(log)]) in (0, 1)
+            capsys.readouterr()
         assert len(digests) == 1
 
     def test_explain_lists_static_decisions(self, racy_file, capsys):

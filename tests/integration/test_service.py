@@ -344,6 +344,45 @@ class TestProgramJobs:
         assert record["job"]["state"] == "error"
         assert record["error"]["taxonomy"] == "compile-error"
 
+    @pytest.mark.parametrize(
+        "name,body,message",
+        [
+            pytest.param(
+                "assert",
+                "class Main { static def main() { assert 1 == 2; } }",
+                "assertion failed",
+                id="assert",
+            ),
+            pytest.param(
+                "null",
+                "class Main { field x; static def main() "
+                "{ var m = null; print m.x; } }",
+                "null",
+                id="null",
+            ),
+            pytest.param(
+                "call-depth",
+                "class Main { static def main() { print Main.down(500); } "
+                "static def down(n) { if (n <= 1) { return 1; } "
+                "return 1 + Main.down(n - 1); } }",
+                "call depth exceeds",
+                id="call-depth",
+            ),
+        ],
+    )
+    def test_runtime_error_is_422_runtime_job_error(
+        self, daemon, name, body, message
+    ):
+        """A program that compiles but fails while it runs is the same
+        unprocessable-program 422 as a compile error, labelled apart."""
+        status, _, record = daemon.submit_json(
+            f"/submit?wait=1&filename={name}.mj", body.encode()
+        )
+        assert status == 422
+        assert record["job"]["state"] == "error"
+        assert record["error"]["taxonomy"] == "runtime-error"
+        assert message in record["error"]["error"]
+
     def test_stream_emits_one_line_per_axis(self, daemon):
         conn = http.client.HTTPConnection(
             "127.0.0.1", daemon.port, timeout=60

@@ -472,6 +472,60 @@ class Main {{
 """
 
 
+def _nested(opener, levels):
+    """``Main.down`` with its recursive call under ``levels`` nested
+    ``opener { ... }`` statements, so that the AST engine nests more
+    Python frames per MJ call than in :func:`_recursion`."""
+    call = "return 1 + Main.down(n - 1);"
+    for _ in range(levels):
+        call = f"{opener} {{ {call} }}"
+    return f"""
+class Main {{
+  static field lock;
+  static def main() {{ Main.lock = new Main(); print Main.down({{n}}); }}
+  static def down(n) {{ if (n <= 1) {{ return 1; }} {call} return 0; }}
+}}
+"""
+
+
+#: Recursion through each kind of call and around nested statements,
+#: as templates whose ``{n}`` makes the innermost call open ``n + 1``
+#: activations on one thread; each prints ``n`` when it completes.
+CALL_SHAPES = {
+    "if-2": _nested("if (n > 0)", 2),
+    "if-8": _nested("if (n > 0)", 8),
+    "while-4": _nested("while (n > 0)", 4),
+    "sync-4": _nested("sync (Main.lock)", 4),
+    "instance": """
+class Main { static def main() { var c = new C(); print c.down({n}); } }
+class C {
+  def down(n) { if (n <= 1) { return 1; } return 1 + this.down(n - 1); }
+}
+""",
+    "constructor": """
+class Main { static def main() { var node = new Node({n}); print node.size; } }
+class Node {
+  field size; field next;
+  def init(n) { this.size = n; if (n > 1) { this.next = new Node(n - 1); } }
+}
+""",
+    "mutual": """
+class Main {
+  static def main() { print Main.ping({n}); }
+  static def ping(n) { if (n <= 1) { return 1; } return 1 + Main.pong(n - 1); }
+  static def pong(n) { if (n <= 1) { return 1; } return 1 + Main.ping(n - 1); }
+}
+""",
+    "thread": """
+class Main {
+  static def main() { var w = new W(); start w; join w; }
+  static def down(n) { if (n <= 1) { return 1; } return 1 + Main.down(n - 1); }
+}
+class W { def run() { print Main.down({n}); } }
+""",
+}
+
+
 class TestCallDepthParity:
     """One MJ call-depth bound on both engines: a call at the bound runs,
     the first call past it fails with the same runtime error on both,
@@ -511,3 +565,37 @@ class TestCallDepthParity:
         for command in ("run", "check"):
             assert main([command, str(path), "--engine", engine]) == 2
             assert "call depth exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", sorted(CALL_SHAPES))
+    def test_every_call_shape_runs_at_the_bound(self, shape):
+        from repro.runtime.interpreter import MAX_CALL_DEPTH
+
+        source = CALL_SHAPES[shape].replace("{n}", str(MAX_CALL_DEPTH - 1))
+        resolved = compile_source(source, filename=shape)
+        assert_parity(resolved, None, lambda: None)
+        assert observe(run_ast, resolved, None, None)[4] == (
+            str(MAX_CALL_DEPTH - 1),
+        )
+
+    @pytest.mark.parametrize("shape", sorted(CALL_SHAPES))
+    def test_every_call_shape_fails_past_the_bound(self, shape):
+        from repro.runtime.interpreter import MAX_CALL_DEPTH
+
+        source = CALL_SHAPES[shape].replace("{n}", str(MAX_CALL_DEPTH))
+        resolved = compile_source(source, filename=shape)
+        assert_parity(resolved, None, lambda: None)
+        kind, name, message = observe(run_ast, resolved, None, None)
+        assert (kind, name) == ("error", "MJRuntimeError")
+        assert f"call depth exceeds {MAX_CALL_DEPTH}" in message
+
+    def test_ast_run_restores_the_recursion_limit(self):
+        import sys
+
+        from repro.runtime.interpreter import MAX_CALL_DEPTH
+
+        limit = sys.getrecursionlimit()
+        template = CALL_SHAPES["if-8"]
+        for n in (MAX_CALL_DEPTH - 1, MAX_CALL_DEPTH):
+            resolved = compile_source(template.replace("{n}", str(n)))
+            observe(run_ast, resolved, None, None)
+            assert sys.getrecursionlimit() == limit

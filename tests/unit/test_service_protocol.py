@@ -5,7 +5,14 @@ import json
 import pytest
 
 from repro.detector.pipeline import PipelineStats
-from repro.lang import MJError
+from repro.lang import (
+    LexError,
+    MJAssertionError,
+    MJError,
+    MJRuntimeError,
+    ParseError,
+    ResolveError,
+)
 from repro.runtime.binlog import MAGIC
 from repro.runtime.events import (
     LogCorruptError,
@@ -13,6 +20,9 @@ from repro.runtime.events import (
     LogSchemaError,
     LogSchemaMismatchError,
 )
+from repro.runtime.interpreter import call_depth_error
+from repro.runtime.replay import ReplayDivergence
+from repro.runtime.scheduler import DeadlockError, StepLimitExceeded
 from repro.service.cache import (
     HIT,
     MAX_ENTRIES,
@@ -100,6 +110,35 @@ class TestErrorTaxonomy:
         assert exit_code_for(error) == exit_code
         assert http_status_for(error) == status
         assert error_taxonomy(error) == taxonomy
+
+    @pytest.mark.parametrize(
+        "error_class,taxonomy",
+        [
+            (LexError, "compile-error"),
+            (ParseError, "compile-error"),
+            (ResolveError, "compile-error"),
+            (MJRuntimeError, "runtime-error"),
+            (MJAssertionError, "runtime-error"),
+            (DeadlockError, "runtime-error"),
+            (StepLimitExceeded, "runtime-error"),
+            (ReplayDivergence, "runtime-error"),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_mj_errors_split_compile_from_runtime(self, error_class, taxonomy):
+        """A program that fails to compile and one that fails while it
+        runs are both unprocessable (exit 2, HTTP 422), but the
+        taxonomy tells them apart."""
+        error = error_class("failed")
+        assert exit_code_for(error) == EXIT_ERROR
+        assert http_status_for(error) == 422
+        assert error_taxonomy(error) == taxonomy
+
+    def test_call_depth_error_is_a_runtime_error(self):
+        with pytest.raises(MJRuntimeError) as excinfo:
+            call_depth_error("Main.down", None)
+        assert error_taxonomy(excinfo.value) == "runtime-error"
+        assert error_payload(excinfo.value)["taxonomy"] == "runtime-error"
 
     def test_error_payload_carries_offset(self):
         payload = error_payload(LogCorruptError("damaged", offset=123))
