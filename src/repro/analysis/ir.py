@@ -212,21 +212,6 @@ class AStore(Instr):
 
 
 @dataclass
-class ArrayLength(Instr):
-    dest: str
-    array: str
-
-    def uses(self):
-        return (self.array,)
-
-    def defs(self):
-        return self.dest
-
-    def __str__(self):
-        return f"{self.dest} = length({self.array})"
-
-
-@dataclass
 class NewObj(Instr):
     dest: str
     class_name: str

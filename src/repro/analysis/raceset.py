@@ -73,9 +73,6 @@ class StaticRaceSet:
     escape: EscapeInfo
     immutability: Optional[ImmutabilityInfo] = None
 
-    def is_racy(self, site_id: int) -> bool:
-        return site_id in self.racy_sites
-
     def partners_of(self, site_id: int) -> set[int]:
         """Sites that may race with ``site_id`` (debugging support)."""
         partners = set()

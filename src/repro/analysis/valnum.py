@@ -12,9 +12,9 @@ unique definition, so value numbers attach to SSA names:
   are already numbered — two phis in the same block with identical
   operand maps merge; otherwise (loop-carried values) they get a fresh
   number, which is conservative but sound;
-* everything observing mutable state (loads, allocations, calls,
-  array length) gets a fresh number per definition — the analysis never
-  assumes two loads yield the same value.
+* everything observing mutable state (loads, allocations, calls) gets
+  a fresh number per definition — the analysis never assumes two loads
+  yield the same value.
 
 Soundness property used downstream: ``vn(a) == vn(b)`` implies the two
 registers hold the same value at any point where both are in scope.
@@ -118,7 +118,7 @@ class ValueNumbering:
                 # All operands agree: the phi is a no-op.
                 return operand_vns[0][1]
             return self._lookup(("phi", block_id, tuple(operand_vns)))
-        # Loads, allocations, calls, array length: opaque.
+        # Loads, allocations, calls: opaque.
         return self._fresh()
 
 

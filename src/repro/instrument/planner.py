@@ -88,9 +88,6 @@ class InstrumentationPlan:
     #: site_id -> justifying weaker site (for tooling/tests).
     eliminations: dict[int, int] = field(default_factory=dict)
 
-    def is_traced(self, site_id: int) -> bool:
-        return site_id in self.trace_sites
-
 
 def plan_instrumentation(
     resolved: ResolvedProgram, config: Optional[PlannerConfig] = None

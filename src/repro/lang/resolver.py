@@ -158,12 +158,6 @@ class ResolvedProgram:
             raise ResolveError(f"unknown class {name!r}")
         return info
 
-    def method_of_site(self, site_id: int) -> ast.MethodDecl:
-        return self.sites[site_id].method
-
-    def all_site_ids(self) -> set[int]:
-        return set(self.sites)
-
     def register_cloned_site(self, node: ast.Node, template: SiteInfo) -> int:
         """Register a cloned access node, allocating it a fresh site id.
 

@@ -25,22 +25,15 @@ from .binlog import (
     temporary_binary_log,
     write_binary_log,
 )
-from .compiled import CompiledInterpreter, run_compiled_program
+from .compiled import CompiledInterpreter
 from .interpreter import Frame, Interpreter, RunResult, run_program
 
-#: Engine registry: name -> run_program-compatible callable.  Every
-#: entry point that executes MJ (CLI, harness, difflab, replay) selects
-#: through this table so engines stay interchangeable.
+#: Engine registry: name -> :class:`Interpreter` class.  Every entry
+#: point that executes MJ (CLI, harness, difflab, replay) selects
+#: through this table so engines stay interchangeable.  The harness
+#: constructs the engine separately from running it, keeping code
+#: generation outside its timed region.
 ENGINES = {
-    "ast": run_program,
-    "compiled": run_compiled_program,
-}
-
-#: name -> Interpreter class, for callers that need to construct the
-#: engine separately from running it (the harness keeps construction —
-#: which includes code generation — outside its timed region, as it
-#: already keeps MJ compilation and instrumentation planning).
-ENGINE_CLASSES = {
     "ast": Interpreter,
     "compiled": CompiledInterpreter,
 }
@@ -59,8 +52,8 @@ if DEFAULT_ENGINE not in ENGINES:
     )
 
 
-def engine_runner(engine: str):
-    """Resolve an engine name to its ``run_program``-compatible runner."""
+def engine_class(engine: str):
+    """Resolve an engine name to its :class:`Interpreter` subclass."""
     try:
         return ENGINES[engine]
     except KeyError:
@@ -68,13 +61,12 @@ def engine_runner(engine: str):
         raise ValueError(f"unknown engine {engine!r} (choose from: {known})")
 
 
-def engine_class(engine: str):
-    """Resolve an engine name to its :class:`Interpreter` subclass."""
-    try:
-        return ENGINE_CLASSES[engine]
-    except KeyError:
-        known = ", ".join(sorted(ENGINE_CLASSES))
-        raise ValueError(f"unknown engine {engine!r} (choose from: {known})")
+def engine_runner(engine: str):
+    """Resolve an engine name to a :func:`run_program`-compatible
+    runner: ``runner(resolved, **options)`` constructs the engine and
+    runs it once."""
+    cls = engine_class(engine)
+    return lambda resolved, **options: cls(resolved, **options).run()
 
 from .replay import (
     FallbackReplayPolicy,
@@ -105,7 +97,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "DeadlockError",
     "ENGINES",
-    "ENGINE_CLASSES",
     "EventSink",
     "FallbackReplayPolicy",
     "Frame",
@@ -140,7 +131,6 @@ __all__ = [
     "record_run",
     "replay_entries",
     "replay_run",
-    "run_compiled_program",
     "run_program",
     "validate_entries",
 ]

@@ -589,9 +589,6 @@ class BinaryLogReader:
     def sync_count(self) -> int:
         return self.record_count - self.access_count
 
-    def size_bytes(self) -> int:
-        return self.index_offset + self.index_length
-
     # -- sections --------------------------------------------------------
 
     @property

@@ -121,10 +121,6 @@ class RunResult:
     #: Accesses actually emitted to the sink.
     accesses_emitted: int
 
-    @property
-    def output_text(self) -> str:
-        return "\n".join(self.output)
-
 
 class Interpreter:
     """Executes one resolved MJ program.
@@ -187,21 +183,13 @@ class Interpreter:
     def run(self) -> RunResult:
         """Execute the program to completion and return the result."""
         main_thread = ThreadState(thread_id=0, name="main", body=None)
-        main_thread.body = self._main_body(main_thread)
+        main_thread.body = self._entry_body(None, main_thread)
         self._threads.append(main_thread)
         self._scheduler.register(main_thread)
-        # Raise Python's recursion limit for the run so that the call
-        # depth bound, not the nesting of statements around a call,
-        # decides how deep MJ recursion goes; restore it afterwards.
-        limit = sys.getrecursionlimit()
-        wanted = min(_frames_needed(self._resolved), RECURSION_CEILING)
-        if wanted > limit:
-            sys.setrecursionlimit(wanted)
-        try:
-            steps = self._scheduler.run()
-        finally:
-            if wanted > limit and sys.getrecursionlimit() == wanted:
-                sys.setrecursionlimit(limit)
+        self._scheduler.on_thread_end = (
+            self._sink.on_thread_end if self._sink is not None else None
+        )
+        steps = self._schedule()
         if self._sink is not None:
             self._sink.on_run_end()
         return RunResult(
@@ -212,11 +200,39 @@ class Interpreter:
             accesses_emitted=self.accesses_emitted,
         )
 
-    def _main_body(self, thread: ThreadState):
-        method = self._resolved.main_method
-        yield from self._invoke(method, None, [], thread)
-        if self._sink is not None:
-            self._sink.on_thread_end(thread.thread_id)
+    def _schedule(self) -> int:
+        """Run every thread to completion; returns the step count.
+
+        Raises Python's recursion limit for the run so that the call
+        depth bound, not the nesting of statements around a call,
+        decides how deep MJ recursion goes; restores it afterwards.
+        """
+        limit = sys.getrecursionlimit()
+        wanted = min(_frames_needed(self._resolved), RECURSION_CEILING)
+        if wanted > limit:
+            sys.setrecursionlimit(wanted)
+        try:
+            return self._scheduler.run()
+        finally:
+            if wanted > limit and sys.getrecursionlimit() == wanted:
+                sys.setrecursionlimit(limit)
+
+    def _entry_body(self, obj: Optional[MJObject], thread: ThreadState):
+        """The body of ``thread``: the generator of its entry method's
+        activation, which the scheduler steps directly.
+
+        The entry method is ``Main.main`` when ``obj`` is ``None``, else
+        ``obj``'s ``run`` instance method; ``None`` when ``obj``'s class
+        has none.  An entry method that declares parameters fails on the
+        thread's first step.
+        """
+        if obj is None:
+            method = self._resolved.main_method
+        else:
+            method = obj.class_info.resolve_method("run")
+            if method is None or method.is_static:
+                return None
+        return self._invoke(method, obj, [], thread)
 
     # ------------------------------------------------------------------
     # Class objects and allocation.
@@ -259,23 +275,27 @@ class Interpreter:
         if self._trace_sites is not None and site_id not in self._trace_sites:
             return
         # The (object kind, label) pair is a pure function of the
-        # reference, so it is computed once per object, not per event —
-        # the hot path does one dict probe instead of isinstance checks
-        # and an f-string per access.
+        # reference, so it is computed once per object, not per event.
         uid = ref.uid
         cached = self._ref_labels.get(uid)
         if cached is None:
-            if isinstance(ref, MJArray):
-                cached = (ObjectKind.ARRAY, f"array#{uid}")
-            elif isinstance(ref, MJClassObject):
-                cached = (ObjectKind.CLASS, f"class {ref.class_info.name}")
-            else:
-                cached = (ObjectKind.INSTANCE, f"{ref.class_info.name}#{uid}")
-            self._ref_labels[uid] = cached
+            cached = self._label_of(ref)
         self.accesses_emitted += 1
         self._emit_parts(
             uid, field_name, thread.thread_id, kind, site_id, cached[0], cached[1]
         )
+
+    def _label_of(self, ref: Reference) -> tuple:
+        """Compute and intern the (ObjectKind, label) pair for ``ref``."""
+        uid = ref.uid
+        if isinstance(ref, MJArray):
+            cached = (ObjectKind.ARRAY, f"array#{uid}")
+        elif isinstance(ref, MJClassObject):
+            cached = (ObjectKind.CLASS, f"class {ref.class_info.name}")
+        else:
+            cached = (ObjectKind.INSTANCE, f"{ref.class_info.name}#{uid}")
+        self._ref_labels[uid] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # Method invocation.
@@ -473,26 +493,52 @@ class Interpreter:
 
     def _exec_start(self, stmt: ast.Start, frame: Frame, thread: ThreadState):
         obj = yield from self._eval(stmt.thread, frame, thread)
+        yield from self._start_kernel(obj, thread, stmt.location)
+
+    def _exec_join(self, stmt: ast.Join, frame: Frame, thread: ThreadState):
+        obj = yield from self._eval(stmt.thread, frame, thread)
+        yield from self._join_kernel(obj, thread, stmt.location)
+
+    def _exec_wait(self, stmt: ast.Wait, frame: Frame, thread: ThreadState):
+        obj = yield from self._eval(stmt.target, frame, thread)
+        yield from self._wait_kernel(obj, thread, stmt.location)
+
+    def _exec_notify(self, stmt: ast.Notify, frame: Frame, thread: ThreadState):
+        obj = yield from self._eval(stmt.target, frame, thread)
+        self._notify_kernel(obj, thread, stmt.notify_all, stmt.location)
+
+    def _exec_barrier(self, stmt: ast.Barrier, frame: Frame, thread: ThreadState):
+        obj = yield from self._eval(stmt.target, frame, thread)
+        if not isinstance(obj, Reference):
+            raise MJRuntimeError(
+                f"barrier requires an object, got {mj_repr(obj)}", stmt.location
+            )
+        parties = yield from self._eval(stmt.parties, frame, thread)
+        yield from self._barrier_kernel(obj, parties, thread, stmt.location)
+
+    # ------------------------------------------------------------------
+    # Thread and condition-synchronization kernels: what start, join,
+    # wait, notify and barrier do once their operands are evaluated.
+    # Both engines run them; the compiled engine's generated code calls
+    # them directly.
+
+    def _start_kernel(self, obj, thread: ThreadState, location: SourceLocation):
         if not isinstance(obj, MJObject):
             raise MJRuntimeError(
                 f"start requires a thread object, got {mj_repr(obj)}",
-                stmt.location,
+                location,
             )
-        run_method = obj.class_info.resolve_method("run")
-        if run_method is None or run_method.is_static:
+        child_id = len(self._threads)
+        child = ThreadState(thread_id=child_id, name=f"T{child_id}", body=None)
+        child.body = self._entry_body(obj, child)
+        if child.body is None:
             raise MJRuntimeError(
-                f"class {obj.class_info.name!r} has no 'run' method",
-                stmt.location,
+                f"class {obj.class_info.name!r} has no 'run' method", location
             )
         if obj.uid in self._started_objects:
             raise MJRuntimeError(
-                f"thread object {obj!r} started twice", stmt.location
+                f"thread object {obj!r} started twice", location
             )
-        child_id = len(self._threads)
-        child = ThreadState(
-            thread_id=child_id, name=f"T{child_id}", body=None
-        )
-        child.body = self._child_body(child, obj, run_method)
         self._threads.append(child)
         self._started_objects[obj.uid] = child
         self._scheduler.register(child)
@@ -500,22 +546,16 @@ class Interpreter:
             self._sink.on_thread_start(thread.thread_id, child_id)
         yield
 
-    def _child_body(self, thread: ThreadState, obj: MJObject, run_method):
-        yield from self._invoke(run_method, obj, [], thread)
-        if self._sink is not None:
-            self._sink.on_thread_end(thread.thread_id)
-
-    def _exec_join(self, stmt: ast.Join, frame: Frame, thread: ThreadState):
-        obj = yield from self._eval(stmt.thread, frame, thread)
+    def _join_kernel(self, obj, thread: ThreadState, location: SourceLocation):
         if not isinstance(obj, MJObject):
             raise MJRuntimeError(
                 f"join requires a thread object, got {mj_repr(obj)}",
-                stmt.location,
+                location,
             )
         target = self._started_objects.get(obj.uid)
         if target is None:
             raise MJRuntimeError(
-                "join on a thread object that was never started", stmt.location
+                "join on a thread object that was never started", location
             )
         while target.status is not ThreadStatus.FINISHED:
             thread.status = ThreadStatus.JOINING
@@ -524,26 +564,20 @@ class Interpreter:
         if self._sink is not None:
             self._sink.on_thread_join(thread.thread_id, target.thread_id)
 
-    # ------------------------------------------------------------------
-    # Condition synchronization.
-
-    def _exec_wait(self, stmt: ast.Wait, frame: Frame, thread: ThreadState):
-        obj = yield from self._eval(stmt.target, frame, thread)
+    def _wait_kernel(self, obj, thread: ThreadState, location: SourceLocation):
         if not isinstance(obj, Reference):
             raise MJRuntimeError(
-                f"wait requires an object, got {mj_repr(obj)}", stmt.location
+                f"wait requires an object, got {mj_repr(obj)}", location
             )
         monitor = obj.monitor
         if monitor.owner != thread.thread_id:
-            raise MJRuntimeError(
-                "wait without holding the monitor", stmt.location
-            )
+            raise MJRuntimeError("wait without holding the monitor", location)
         stack = self._lock_stacks.get(thread.thread_id)
         if not stack or stack[-1] != obj.uid:
             raise MJRuntimeError(
                 "wait target must be the innermost held monitor "
                 "(release/re-acquire would break lock nesting otherwise)",
-                stmt.location,
+                location,
             )
         # Release every reentrancy level; the lock nesting is restored
         # verbatim at wakeup, so enclosing sync blocks stay balanced.
@@ -581,26 +615,24 @@ class Interpreter:
         if self._sink is not None:
             self._sink.on_wait(thread.thread_id, obj.uid)
 
-    def _exec_notify(self, stmt: ast.Notify, frame: Frame, thread: ThreadState):
-        obj = yield from self._eval(stmt.target, frame, thread)
+    def _notify_kernel(
+        self, obj, thread: ThreadState, notify_all: bool, location: SourceLocation
+    ) -> None:
+        keyword = "notifyall" if notify_all else "notify"
         if not isinstance(obj, Reference):
-            keyword = "notifyall" if stmt.notify_all else "notify"
             raise MJRuntimeError(
-                f"{keyword} requires an object, got {mj_repr(obj)}",
-                stmt.location,
+                f"{keyword} requires an object, got {mj_repr(obj)}", location
             )
-        monitor = obj.monitor
-        if monitor.owner != thread.thread_id:
-            keyword = "notifyall" if stmt.notify_all else "notify"
+        if obj.monitor.owner != thread.thread_id:
             raise MJRuntimeError(
-                f"{keyword} without holding the monitor", stmt.location
+                f"{keyword} without holding the monitor", location
             )
         if self._sink is not None:
-            self._sink.on_notify(thread.thread_id, obj.uid, stmt.notify_all)
+            self._sink.on_notify(thread.thread_id, obj.uid, notify_all)
         waiters = self._wait_sets.get(obj.uid)
         if not waiters:
             return  # Lost notification — a no-op, as in Java.
-        if stmt.notify_all:
+        if notify_all:
             released = list(waiters)
             waiters.clear()
         else:
@@ -616,18 +648,17 @@ class Interpreter:
         self._scheduler.wake(state)
         state.waiting_on = None
 
-    def _exec_barrier(self, stmt: ast.Barrier, frame: Frame, thread: ThreadState):
-        obj = yield from self._eval(stmt.target, frame, thread)
-        if not isinstance(obj, Reference):
-            raise MJRuntimeError(
-                f"barrier requires an object, got {mj_repr(obj)}", stmt.location
-            )
-        parties = yield from self._eval(stmt.parties, frame, thread)
+    def _barrier_kernel(
+        self, obj: Reference, parties, thread: ThreadState,
+        location: SourceLocation,
+    ):
+        """A barrier arrival; the caller has checked that ``obj`` is a
+        :class:`Reference` before evaluating ``parties``."""
         if not isinstance(parties, int) or isinstance(parties, bool) or parties < 1:
             raise MJRuntimeError(
                 f"barrier party count must be a positive integer, got "
                 f"{mj_repr(parties)}",
-                stmt.location,
+                location,
             )
         state = self._barriers.get(obj.uid)
         if state is None or state["parties"] is None:
@@ -642,7 +673,7 @@ class Interpreter:
                 f"barrier #{obj.uid} party count mismatch: generation "
                 f"{state['generation']} opened with {state['parties']}, "
                 f"this arrival says {parties}",
-                stmt.location,
+                location,
             )
         # Arrival: an all-to-all rendezvous is encoded as one notifyall
         # per arrival plus one wait per release, giving happens-before

@@ -135,10 +135,6 @@ class ReplayPolicy(SchedulingPolicy):
                 f"recording"
             )
 
-    @property
-    def steps_replayed(self) -> int:
-        return self._position
-
 
 class FallbackReplayPolicy(SchedulingPolicy):
     """Replays a trace *prefix*, then hands over to a fallback policy.

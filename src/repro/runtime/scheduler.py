@@ -139,7 +139,10 @@ class Scheduler:
     * a ``WAITING`` thread becomes runnable only through :meth:`wake`.
 
     ``max_steps`` bounds total execution to catch accidental infinite
-    loops in workloads.
+    loops in workloads.  A thread's ``body`` is its entry method's
+    generator; when it returns, :attr:`on_thread_end` (set by the
+    engine) receives the thread id before the thread is marked
+    ``FINISHED``.
     """
 
     def __init__(self, policy: SchedulingPolicy, max_steps: int = 10_000_000):
@@ -147,6 +150,10 @@ class Scheduler:
         self.max_steps = max_steps
         self.threads: list[ThreadState] = []
         self.total_steps = 0
+        #: Called with a thread's id when its body returns (the sink's
+        #: ``on_thread_end``), or ``None``.  A body that raises ends the
+        #: run without it.
+        self.on_thread_end = None
         #: Set when a thread changed status behind the run loop's back
         #: (a registration or a wakeup); the loop then rebuilds its
         #: runnable list before the next pick.
@@ -205,6 +212,7 @@ class Scheduler:
         BLOCKED = ThreadStatus.BLOCKED
         JOINING = ThreadStatus.JOINING
         FINISHED = ThreadStatus.FINISHED
+        on_thread_end = self.on_thread_end
         max_steps = self.max_steps
         total = self.total_steps
         # Rebuild the runnable list before the next pick: set when the
@@ -263,6 +271,8 @@ class Scheduler:
                     if thread.status is not RUNNABLE:
                         poll = True
                 except StopIteration:
+                    if on_thread_end is not None:
+                        on_thread_end(thread.thread_id)
                     thread.status = FINISHED
                     thread.steps += 1
                     poll = True

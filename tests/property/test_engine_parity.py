@@ -16,7 +16,9 @@ errors as the AST interpreter.  These tests enforce that contract on
   (``handoff_bias``) and helper calls with early returns
   (``calls_vocab``);
 * every committed reproducer in ``tests/corpus/``, replayed under its
-  recorded schedule.
+  recorded schedule;
+* a thread whose ``run`` declares a parameter, which fails with the
+  same arity error on the child's first step.
 """
 
 import pytest
@@ -524,6 +526,65 @@ class Main {
 class W { def run() { print Main.down({n}); } }
 """,
 }
+
+
+#: A thread class whose ``run`` declares a parameter: ``start`` succeeds,
+#: and the child's first step raises the arity error.
+RUN_WITH_PARAMETERS = """
+class Main {
+  static def main() {
+    var w = new W();
+    start w;
+    print "started";
+    join w;
+  }
+}
+class W {
+  def run(x) { print x; }
+}
+"""
+
+
+class TestThreadEntryParity:
+    """A thread's entry method that declares parameters fails the same
+    way on both engines: same message and location, on the child's
+    first step."""
+
+    def test_run_with_parameters_same_error(self):
+        resolved = compile_source(RUN_WITH_PARAMETERS, filename="entry")
+        for seed in (None, 1, 2002):
+            assert_parity(
+                resolved,
+                None,
+                lambda: None if seed is None else RandomPolicy(seed=seed),
+            )
+        assert observe(run_ast, resolved, None, None) == (
+            "error",
+            "MJRuntimeError",
+            "entry:11:3: W.run expects 1 argument(s), got 0",
+        )
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_run_with_parameters_fails_on_the_first_step(self, engine):
+        from repro.lang.errors import MJRuntimeError
+        from repro.runtime import engine_class
+
+        resolved = compile_source(RUN_WITH_PARAMETERS, filename="entry")
+        sink = RecordingSink()
+        runner = engine_class(engine)(resolved, sink=sink)
+        with pytest.raises(MJRuntimeError) as caught:
+            runner.run()
+        assert caught.value.message == "W.run expects 1 argument(s), got 0"
+        assert (caught.value.location.line, caught.value.location.column) == (
+            11,
+            3,
+        )
+        main, child = runner._threads
+        # The start went through; the main thread ran on to its join,
+        # and the child's first step raised before counting as a step.
+        assert runner.output == ["started"]
+        assert main.steps > 0 and child.steps == 0
+        assert sink.log == [(RecordingSink.START, 0, 1)]
 
 
 class TestCallDepthParity:

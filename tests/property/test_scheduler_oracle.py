@@ -16,8 +16,15 @@ joins; single-``notify`` token pools (``pick_waiter`` draws); unguarded
 waits that end in a lost-wakeup deadlock; opposite lock orders that end
 in a monitor deadlock; and small step budgets that end in
 ``StepLimitExceeded``.
+
+The scheduler also emits each thread's end event when the thread's body
+returns.  The thread-end tests check that contract on both engines
+under both loops: exactly one end event per finished thread, none for a
+thread whose body raised or that never finished, and no event of a
+thread after its end event.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lang import compile_source
@@ -25,6 +32,7 @@ from repro.runtime import (
     RandomPolicy,
     RecordingSink,
     RoundRobinPolicy,
+    ThreadStatus,
     engine_class,
 )
 from repro.workloads.fuzz import ProgramFuzzer
@@ -192,6 +200,9 @@ def observe(resolved, engine, policy_spec, max_steps, oracle):
         "output": list(runner.output),
         "steps": runner._scheduler.total_steps,
         "thread_steps": [t.steps for t in runner._threads],
+        "finished": [
+            t.status is ThreadStatus.FINISHED for t in runner._threads
+        ],
         # A snapshot: after a deadlock, dropping the runner closes its
         # suspended generators, whose sync exits still reach the sink.
         "log": list(sink.log),
@@ -245,3 +256,113 @@ def test_every_ending_is_reached():
         "DeadlockError",
         "StepLimitExceeded",
     }
+
+
+def child_raises(workers: int) -> str:
+    """``workers`` threads run and are joined; then one more thread
+    dereferences null after its first access, ending the run with its
+    error while the main thread waits to join it."""
+    starts = "\n".join(
+        f"    var w{i} = new Worker(c); start w{i};" for i in range(workers)
+    )
+    joins = "\n".join(f"    join w{i};" for i in range(workers))
+    return f"""
+class Main {{
+  static def main() {{
+    var c = new Cell();
+    c.x = 0;
+{starts}
+{joins}
+    var f = new Faulty(c); start f;
+    join f;
+  }}
+}}
+class Cell {{ field x; field next; }}
+class Worker {{
+  field c;
+  def init(c) {{ this.c = c; }}
+  def run() {{ sync (this.c) {{ this.c.x = this.c.x + 1; }} }}
+}}
+class Faulty {{
+  field c;
+  def init(c) {{ this.c = c; }}
+  def run() {{ this.c.x = 1; print this.c.next.x; }}
+}}
+"""
+
+
+_END = RecordingSink.END
+_ACCESS = RecordingSink.ACCESS
+
+
+def _actor(entry):
+    """The thread a ``RecordingSink`` entry belongs to: an access names
+    it at index 3, every other entry at index 1 (the parent of a start,
+    the joiner of a join)."""
+    return entry[3] if entry[0] == _ACCESS else entry[1]
+
+
+def thread_end_violations(log, finished) -> list:
+    """How ``log`` breaks the thread-end contract: exactly one end event
+    per finished thread, none for any other (a thread whose body raised,
+    or one still live when the run stopped), and each end event the last
+    entry its thread acts in.  ``finished[tid]`` says whether thread
+    ``tid`` finished."""
+    problems = []
+    for tid, done in enumerate(finished):
+        ends = [i for i, entry in enumerate(log) if entry == (_END, tid)]
+        if len(ends) != (1 if done else 0):
+            problems.append((tid, done, len(ends)))
+            continue
+        later = [
+            entry for entry in log[ends[0] + 1:] if _actor(entry) == tid
+        ] if ends else []
+        if later:
+            problems.append((tid, "acts after its end", later[0]))
+    return problems
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["scheduler", "oracle"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_thread_end_events(engine, oracle):
+    """One end event per finished thread, none for the thread whose body
+    raised or for threads cut off by a deadlock or the step budget, on
+    both engines under both loops."""
+    cases = [
+        (token_pool(3, 3, "notify"), ("random", 7), 200_000, None),
+        (token_pool(2, 2, "notifyall"), ("round-robin", 2), 200_000, None),
+        (child_raises(2), ("round-robin", 10), 200_000, "MJRuntimeError"),
+        (child_raises(3), ("random", 2002), 200_000, "MJRuntimeError"),
+        (unguarded_wait(3), ("round-robin", 1), 200_000, "DeadlockError"),
+        (token_pool(3, 3, "notify"), ("random", 7), 40, "StepLimitExceeded"),
+    ]
+    for source, policy_spec, max_steps, expected in cases:
+        run = observe(
+            compile_source(source), engine, policy_spec, max_steps, oracle
+        )
+        log, finished = run["log"], run["finished"]
+        assert (run["error"] or (None,))[0] == expected
+        assert thread_end_violations(log, finished) == []
+        assert sum(entry[0] == _END for entry in log) == sum(finished)
+        assert ((_END, 0) in log) == (expected is None)
+        if expected == "MJRuntimeError":
+            # The joined workers ended; the faulty thread acted, then
+            # raised, and got no end event.
+            faulty = len(finished) - 1
+            assert sum(finished) == len(finished) - 2
+            assert any(_actor(entry) == faulty for entry in log)
+            assert (_END, faulty) not in log
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=programs,
+    policy_spec=policies,
+    max_steps=st.one_of(st.just(200_000), st.integers(1, 400)),
+)
+def test_thread_end_contract_on_fuzzed_programs(source, policy_spec, max_steps):
+    resolved = compile_source(source)
+    for engine in ENGINES:
+        for oracle in (False, True):
+            run = observe(resolved, engine, policy_spec, max_steps, oracle)
+            assert thread_end_violations(run["log"], run["finished"]) == []

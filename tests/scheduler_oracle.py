@@ -8,7 +8,9 @@ and collect the runnable threads on *every* step, then pick through
 ``policy.choose`` (or the round-robin in-quantum lookup) — so property
 tests and ``benchmarks/bench_compile.py`` can check that the incremental
 loop makes exactly the decisions the old one did: same picks, same step
-counts, same event log, same error text.
+counts, same event log, same error text.  Like the production loop, it
+emits a thread's end event through ``on_thread_end`` when the thread's
+body returns, before marking it ``FINISHED``.
 
 Swap it into an engine with :func:`use_oracle` before calling ``run()``.
 """
@@ -29,9 +31,10 @@ class OracleScheduler(Scheduler):
     every step."""
 
     def run(self) -> int:
-        """The parent loop, verbatim: rebuild the runnable list (status
-        refresh and collection fused into one pass) on every step, take
-        the round-robin in-quantum shortcut, else ``policy.choose``."""
+        """The parent loop, verbatim but for the thread-end hook: rebuild
+        the runnable list (status refresh and collection fused into one
+        pass) on every step, take the round-robin in-quantum shortcut,
+        else ``policy.choose``."""
         threads = self.threads
         policy = self.policy
         round_robin = policy if type(policy) is RoundRobinPolicy else None
@@ -39,6 +42,7 @@ class OracleScheduler(Scheduler):
         BLOCKED = ThreadStatus.BLOCKED
         JOINING = ThreadStatus.JOINING
         FINISHED = ThreadStatus.FINISHED
+        on_thread_end = self.on_thread_end
         max_steps = self.max_steps
         total = self.total_steps
         try:
@@ -105,6 +109,8 @@ class OracleScheduler(Scheduler):
                     thread.body.send(None)
                     thread.steps += 1
                 except StopIteration:
+                    if on_thread_end is not None:
+                        on_thread_end(thread.thread_id)
                     thread.status = FINISHED
                     thread.steps += 1
                 total += 1
