@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Regenerate the paper's experimental tables in one run.
 
-Produces Table 1 (benchmark characteristics), Table 2 (runtime
-performance per configuration, with overhead %), the event-count
-companion of Table 2, Table 3 (racy objects per accuracy variant,
-with the paper's numbers alongside), and the Section 8.2 space report.
+Prints the markdown experiment report (the same text as
+``python -m repro tables``): Table 1 (benchmark characteristics),
+Table 2 (runtime performance per configuration, with overhead %) and
+its event-count companion, Table 3 (racy objects per accuracy variant,
+with the paper's numbers alongside), and the Section 8.2 space numbers.
 
 Run:  python examples/benchmark_tables.py           (quick: small scales)
       python examples/benchmark_tables.py --full    (default scales)
@@ -12,34 +13,14 @@ Run:  python examples/benchmark_tables.py           (quick: small scales)
 
 import sys
 
-from repro.harness import space_report, table1, table2, table2_events, table3
-from repro.workloads import BENCHMARKS, TABLE2_BENCHMARKS
+from repro.harness import build_report
 
 
 def main() -> None:
     quick = "--full" not in sys.argv
     scale = 4 if quick else None
     repeats = 1 if quick else 3
-
-    print("TABLE 1 — Benchmark programs and their characteristics")
-    print(table1(list(BENCHMARKS.values()), scale=scale))
-
-    print("\nTABLE 2 — Runtime performance "
-          "(best of {} run(s); overhead vs Base)".format(repeats))
-    rendered, raw = table2(
-        list(TABLE2_BENCHMARKS.values()), scale=scale, repeats=repeats
-    )
-    print(rendered)
-
-    print("\nTABLE 2 (events) — Access events emitted per configuration")
-    print(table2_events(raw))
-
-    print("\nTABLE 3 — Number of objects with dataraces reported")
-    rendered3, _ = table3(list(BENCHMARKS.values()), scale=scale)
-    print(rendered3)
-
-    print("\nSECTION 8.2 — Space accounting")
-    print(space_report(BENCHMARKS["tsp2"], scale=scale))
+    print(build_report(scale=scale, repeats=repeats), end="")
 
 
 if __name__ == "__main__":

@@ -69,8 +69,8 @@ class HBRaceReport:
 class HappensBeforeDetector(EventSink):
     """Vector-clock datarace detection over the MJ event stream."""
 
-    #: The report type :meth:`_report` builds; subclasses and clones
-    #: with the same report fields swap it.
+    #: The report type :meth:`_report` builds; subclasses with the same
+    #: report fields swap it.
     report_class = HBRaceReport
 
     def __init__(self):

@@ -28,8 +28,9 @@ Commands
     eliminated trace sites, peeled loops.
 
 ``tables``
-    Regenerate the paper's Tables 1/2/3 (``--scale`` and ``--repeats``
-    control cost).
+    Regenerate the paper's Tables 1/2/3 and the Section 8.2 space
+    numbers as one markdown report (``--scale`` and ``--repeats``
+    control cost; ``--output FILE`` writes it to a file).
 
 ``serve``
     The race-detection HTTP daemon: POST MJ programs or recorded MJBL
@@ -64,6 +65,7 @@ from .lang import MJError, compile_source
 from .runtime import (
     DEFAULT_ENGINE,
     ENGINES,
+    LogSchemaError,
     RandomPolicy,
     RoundRobinPolicy,
     engine_runner,
@@ -188,7 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--scale", type=int, default=4)
     tables.add_argument("--repeats", type=int, default=1)
     tables.add_argument("--output", type=Path, default=None,
-                        help="write a markdown report instead of printing")
+                        help="write the markdown report to a file "
+                        "instead of printing it")
 
     serve = sub.add_parser(
         "serve",
@@ -590,32 +593,13 @@ def cmd_explain(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    from .harness import table1, table2, table2_events, table3
+    from .harness import build_report, write_report
 
-    if args.output is not None:
-        from .harness import write_report
-
-        target = write_report(
-            args.output, scale=args.scale, repeats=args.repeats
-        )
-        print(f"wrote {target}")
+    if args.output is None:
+        print(build_report(scale=args.scale, repeats=args.repeats), end="")
         return 0
-    from .workloads import BENCHMARKS, TABLE2_BENCHMARKS
-
-    print("TABLE 1")
-    print(table1(list(BENCHMARKS.values()), scale=args.scale))
-    print("\nTABLE 2")
-    rendered, raw = table2(
-        list(TABLE2_BENCHMARKS.values()),
-        scale=args.scale,
-        repeats=args.repeats,
-    )
-    print(rendered)
-    print("\nTABLE 2 (events)")
-    print(table2_events(raw))
-    print("\nTABLE 3")
-    rendered3, _ = table3(list(BENCHMARKS.values()), scale=args.scale)
-    print(rendered3)
+    target = write_report(args.output, scale=args.scale, repeats=args.repeats)
+    print(f"wrote {target}")
     return 0
 
 
@@ -783,33 +767,21 @@ def main(argv=None) -> int:
         "serve": cmd_serve,
         "difflab": cmd_difflab,
     }
-    from .runtime import (
-        LogCorruptError,
-        LogNotFoundError,
-        LogSchemaError,
-        LogSchemaMismatchError,
-    )
-
-    # The log-error taxonomy maps to distinct exit codes so scripts can
-    # branch without parsing messages: 2 = not found (or any usage /
-    # compile error), 3 = corrupt or truncated (the message carries the
-    # byte offset of the first damage), 4 = schema mismatch (intact
-    # bytes, wrong recording schema).  ``repro serve`` maps the same
-    # classes to 404 / 422 / 400.
+    # Classified errors map to distinct exit codes so scripts can
+    # branch without parsing messages: 2 = not found, usage, compile or
+    # MJ runtime error, 3 = corrupt or truncated log (the message
+    # carries the byte offset of the first damage), 4 = schema mismatch
+    # (intact bytes, wrong recording schema).  ``repro serve`` answers
+    # the same classes with 404 / 422 / 400.  Every row of the
+    # taxonomy table covers an MJError or a LogSchemaError.
     try:
         return handlers[args.command](args)
-    except LogNotFoundError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except LogCorruptError as error:
-        print(f"error: corrupt event log: {error}", file=sys.stderr)
-        return 3
-    except LogSchemaMismatchError as error:
-        print(f"error: event-log schema mismatch: {error}", file=sys.stderr)
-        return 4
     except (MJError, LogSchemaError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        from .service.protocol import classify_error
+
+        row = classify_error(error)
+        print(f"{row.prefix}{error}", file=sys.stderr)
+        return row.exit_code
 
 
 if __name__ == "__main__":

@@ -14,13 +14,7 @@ Quick use::
 """
 
 from .cache import AccessCache, CacheStats
-from .config import (
-    FIELDS_MERGED,
-    FULL,
-    NO_CACHE,
-    NO_OWNERSHIP,
-    DetectorConfig,
-)
+from .config import DetectorConfig
 from .locksets import LockTracker, join_pseudo_lock
 from .ownership import SHARED, OwnershipFilter, OwnershipStats
 from .pipeline import PipelineStats, RaceDetector
@@ -60,13 +54,9 @@ __all__ = [
     "AccessCache",
     "CacheStats",
     "DetectorConfig",
-    "FIELDS_MERGED",
-    "FULL",
     "HybridPredictor",
     "LockTracker",
     "LockTrie",
-    "NO_CACHE",
-    "NO_OWNERSHIP",
     "PREDICTORS",
     "PredictedRace",
     "SHBPredictor",

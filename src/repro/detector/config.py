@@ -13,7 +13,8 @@ The flags correspond to the paper's experimental configurations:
 The *static* configurations of Table 2 (``NoStatic``, ``NoDominators``,
 ``NoPeeling``) live in :class:`repro.instrument.planner.PlannerConfig`,
 since they select which sites are instrumented rather than how events
-are processed.
+are processed.  The named columns themselves are defined once, as the
+``CONFIG_*`` presets of :mod:`repro.harness.runner`.
 """
 
 from __future__ import annotations
@@ -34,11 +35,3 @@ class DetectorConfig:
         """A copy with the given fields replaced."""
         return replace(self, **changes)
 
-
-#: The paper's complete algorithm ("Full" in Tables 2 and 3).
-FULL = DetectorConfig()
-#: Table 3 variants.
-FIELDS_MERGED = FULL.but(fields_merged=True)
-NO_OWNERSHIP = FULL.but(ownership=False)
-#: Table 2 variant (dynamic side).
-NO_CACHE = FULL.but(cache=False)

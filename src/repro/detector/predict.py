@@ -53,9 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..baselines.happens_before import HappensBeforeDetector, VectorClock
+from ..baselines.happens_before import HappensBeforeDetector
 from ..lang.ast import AccessKind
-from ..runtime.events import EventSink
 from .locksets import LockTracker, join_pseudo_lock
 
 #: Predictor registry for CLI/difflab flag values.
@@ -110,45 +109,27 @@ def _real_locks_intersect(a: frozenset, b: frozenset) -> bool:
     return False
 
 
-class SHBPredictor(EventSink):
+class SHBPredictor(HappensBeforeDetector):
     """Schedulable-happens-before race prediction over one trace.
 
-    Structurally a :class:`HappensBeforeDetector` clone — same sparse
-    vector clocks, same epoch increments, same check-then-update per
-    access — with the lock clocks removed and lock-coupled write→read
-    edges added.  Keeping the increments identical (monitor exit,
-    start, notify, join all tick the local clock even though the exit
-    no longer publishes an edge) keeps epoch numbering aligned with the
-    HB baseline, which is what makes the superset theorem hold
-    pointwise: every clock entry here is ≤ the HB detector's entry at
-    the same trace point, so every HB "unordered" verdict is also an
-    SHB "unordered" verdict.
+    A :class:`HappensBeforeDetector` — same sparse vector clocks, same
+    epoch increments, same check-then-update per access — with the lock
+    clocks removed and lock-coupled write→read edges added.  Keeping the
+    increments identical (monitor exit, start, notify, join all tick the
+    local clock even though the exit no longer publishes an edge) keeps
+    epoch numbering aligned with the HB baseline, which is what makes
+    the superset theorem hold pointwise: every clock entry here is ≤ the
+    HB detector's entry at the same trace point, so every HB "unordered"
+    verdict is also an SHB "unordered" verdict.
     """
 
     name = "shb"
+    report_class = PredictedRace
 
     def __init__(self) -> None:
-        self._thread_clocks: dict[int, VectorClock] = {0: VectorClock({0: 1})}
-        self._cond_clocks: dict[int, VectorClock] = {}
+        super().__init__()
         self.locks = LockTracker()
         self.locks.acquire_pseudo(0, join_pseudo_lock(0))
-        self._locations: dict = {}
-        self.reports: list[PredictedRace] = []
-        self.racy_locations: set = set()
-        self.racy_objects: set = set()
-
-    # -- clock plumbing (identical to the HB baseline) -------------------
-
-    def _clock(self, thread_id: int) -> VectorClock:
-        clock = self._thread_clocks.get(thread_id)
-        if clock is None:
-            clock = VectorClock({thread_id: 1})
-            self._thread_clocks[thread_id] = clock
-        return clock
-
-    def _increment(self, thread_id: int) -> None:
-        clock = self._clock(thread_id)
-        clock[thread_id] = clock.get(thread_id, 0) + 1
 
     # -- synchronization events ------------------------------------------
 
@@ -166,34 +147,15 @@ class SHBPredictor(EventSink):
             self._increment(thread_id)
 
     def on_thread_start(self, parent_id: int, child_id: int) -> None:
-        child = self._clock(child_id)
-        child.join(self._clock(parent_id))
-        self._increment(parent_id)
+        super().on_thread_start(parent_id, child_id)
         self.locks.acquire_pseudo(child_id, join_pseudo_lock(child_id))
 
     def on_thread_end(self, thread_id: int) -> None:
         self.locks.release_pseudo(thread_id, join_pseudo_lock(thread_id))
 
     def on_thread_join(self, joiner_id: int, joined_id: int) -> None:
-        # Same phantom-epoch guard as the HB baseline: only join a
-        # clock the joined thread actually established.
-        joined = self._thread_clocks.get(joined_id)
-        if joined is not None:
-            self._clock(joiner_id).join(joined)
-        self._increment(joiner_id)
+        super().on_thread_join(joiner_id, joined_id)
         self.locks.acquire_pseudo(joiner_id, join_pseudo_lock(joined_id))
-
-    def on_notify(self, thread_id, cond_uid, notify_all) -> None:
-        cond = self._cond_clocks.get(cond_uid)
-        if cond is None:
-            self._cond_clocks[cond_uid] = cond = VectorClock()
-        cond.join(self._clock(thread_id))
-        self._increment(thread_id)
-
-    def on_wait(self, thread_id: int, cond_uid: int) -> None:
-        cond = self._cond_clocks.get(cond_uid)
-        if cond is not None:
-            self._clock(thread_id).join(cond)
 
     # -- accesses ---------------------------------------------------------
 
@@ -260,10 +222,6 @@ class SHBPredictor(EventSink):
                         key, object_label, thread_id, site_id, w_thread, "write-read"
                     )
             history.reads[thread_id] = (clock.get(thread_id, 0), lockset)
-
-    # The HB baseline's report step, building a PredictedRace instead.
-    report_class = PredictedRace
-    _report = HappensBeforeDetector._report
 
 
 class HybridPredictor(SHBPredictor):

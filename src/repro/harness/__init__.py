@@ -1,4 +1,4 @@
-"""Experiment harness: named configurations, runners, table builders."""
+"""Experiment harness: named configurations, runners, the report."""
 
 from .runner import (
     CONFIG_BASE,
@@ -12,24 +12,14 @@ from .runner import (
     TABLE2_CONFIGS,
     TABLE3_CONFIGS,
     Configuration,
-    PostMortemOutcome,
     RunOutcome,
     overhead_percent,
     run_table2_row,
     run_table3_row,
     run_workload,
-    run_workload_post_mortem,
 )
 from .explore import ExplorationResult, explore_schedules
 from .report import build_report, write_report
-from .tables import (
-    format_table,
-    space_report,
-    table1,
-    table2,
-    table2_events,
-    table3,
-)
 
 __all__ = [
     "CONFIG_BASE",
@@ -42,22 +32,14 @@ __all__ = [
     "CONFIG_NO_STATIC",
     "Configuration",
     "ExplorationResult",
-    "PostMortemOutcome",
     "RunOutcome",
     "TABLE2_CONFIGS",
     "TABLE3_CONFIGS",
     "build_report",
     "explore_schedules",
-    "format_table",
     "overhead_percent",
     "run_table2_row",
     "run_table3_row",
     "run_workload",
-    "run_workload_post_mortem",
-    "space_report",
-    "table1",
-    "table2",
-    "table2_events",
-    "table3",
     "write_report",
 ]

@@ -1,9 +1,18 @@
-"""Markdown experiment-report writer.
+"""The experiment report: the one table pipeline.
 
-Generates a self-contained paper-vs-measured report (the automated
-core of EXPERIMENTS.md): Tables 1/2/3, the event-count companion of
-Table 2, and the Section 8.2 space numbers, as GitHub-flavoured
-markdown.  Used by ``python -m repro tables --output report.md``.
+Runs the paper's evaluation and renders it as GitHub-flavoured
+markdown: Table 1 (benchmark characteristics), Table 2 (runtime per
+configuration, with overhead against Base) and its event-count
+companion, Table 3 (racy objects per accuracy variant, beside the
+paper's numbers), and the Section 8.2 space numbers.
+``python -m repro tables`` prints it, ``--output FILE`` writes it, and
+``examples/benchmark_tables.py`` prints it too.
+
+Each (workload, configuration) pair runs once (Table 2 keeps the best
+of ``repeats`` runs).  Table 3 reuses Table 2's Full runs, and Table 1's
+thread counts and the space numbers read Table 3's Full run: under the
+round-robin scheduler the counters of a run do not depend on which
+table asked for it.
 """
 
 from __future__ import annotations
@@ -14,12 +23,10 @@ from typing import Optional
 from ..workloads import BENCHMARKS, TABLE2_BENCHMARKS
 from .runner import (
     TABLE2_CONFIGS,
+    TABLE3_CONFIGS,
     overhead_percent,
     run_table2_row,
-    run_table3_row,
     run_workload,
-    run_workload_post_mortem,
-    CONFIG_FULL,
 )
 
 
@@ -35,25 +42,37 @@ def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
 
 def build_report(scale: Optional[int] = None, repeats: int = 1) -> str:
     """Run every experiment and return the markdown report text."""
+    table2 = {
+        spec.name: run_table2_row(spec, scale=scale, repeats=repeats)
+        for spec in TABLE2_BENCHMARKS.values()
+    }
+    table3 = {}
+    for spec in BENCHMARKS.values():
+        done = table2.get(spec.name, {})
+        table3[spec.name] = {
+            config.name: done[config.name]
+            if config.name in done
+            else run_workload(spec, config, scale=scale)
+            for config in TABLE3_CONFIGS
+        }
+
     sections: list[str] = [
         "# Experiment report (generated)",
         "",
-        "Regenerated by `python -m repro tables --output <file>`.",
+        "Regenerated by `python -m repro tables` "
+        "(`--output <file>` writes it to a file).",
         "",
     ]
 
-    # Table 1.
-    rows = []
-    for spec in BENCHMARKS.values():
-        outcome = run_workload(spec, CONFIG_FULL, scale=scale)
-        rows.append(
-            [
-                spec.name,
-                str(spec.loc(scale)),
-                str(outcome.threads),
-                spec.description,
-            ]
-        )
+    rows = [
+        [
+            spec.name,
+            str(spec.loc(scale)),
+            str(table3[spec.name]["Full"].threads),
+            spec.description,
+        ]
+        for spec in BENCHMARKS.values()
+    ]
     sections += [
         "## Table 1 — benchmark characteristics",
         "",
@@ -63,17 +82,15 @@ def build_report(scale: Optional[int] = None, repeats: int = 1) -> str:
         "",
     ]
 
-    # Table 2 + events.
     perf_rows = []
     event_rows = []
     config_names = [c.name for c in TABLE2_CONFIGS if c.name != "Base"]
-    for spec in TABLE2_BENCHMARKS.values():
-        outcomes = run_table2_row(spec, scale=scale, repeats=repeats)
+    for name, outcomes in table2.items():
         base = outcomes["Base"]
-        perf_row = [spec.name, f"{base.wall_seconds:.3f}s"]
-        event_row = [spec.name]
-        for name in config_names:
-            outcome = outcomes[name]
+        perf_row = [name, f"{base.wall_seconds:.3f}s"]
+        event_row = [name]
+        for config_name in config_names:
+            outcome = outcomes[config_name]
             pct = overhead_percent(base, outcome)
             perf_row.append(f"{outcome.wall_seconds:.3f}s ({pct:+.0f}%)")
             event_row.append(str(outcome.events))
@@ -90,140 +107,42 @@ def build_report(scale: Optional[int] = None, repeats: int = 1) -> str:
         "",
     ]
 
-    # Table 3.
     rows = []
     for spec in BENCHMARKS.values():
-        outcomes = run_table3_row(spec, scale=scale)
         paper = (
             "/".join(str(n) for n in spec.paper_table3)
             if spec.paper_table3
             else "-"
         )
         rows.append(
-            [
-                spec.name,
-                str(outcomes["Full"].racy_object_count),
-                str(outcomes["FieldsMerged"].racy_object_count),
-                str(outcomes["NoOwnership"].racy_object_count),
-                paper,
+            [spec.name]
+            + [
+                str(table3[spec.name][config.name].racy_object_count)
+                for config in TABLE3_CONFIGS
             ]
+            + [paper]
         )
     sections += [
         "## Table 3 — racy objects reported",
         "",
         _markdown_table(
-            ["Example", "Full", "FieldsMerged", "NoOwnership",
-             "Paper (F/FM/NO)"],
+            ["Example"]
+            + [config.name for config in TABLE3_CONFIGS]
+            + ["Paper (F/FM/NO)"],
             rows,
         ),
         "",
     ]
 
-    # Space (§8.2).
-    outcome = run_workload(BENCHMARKS["tsp2"], CONFIG_FULL, scale=scale)
+    full = table3["tsp2"]["Full"]
     sections += [
         "## Section 8.2 — space",
         "",
-        f"tsp2: {outcome.trie_nodes} trie nodes for "
-        f"{outcome.monitored_locations} monitored locations "
+        f"tsp2: {full.trie_nodes} trie nodes for "
+        f"{full.monitored_locations} monitored locations "
         f"(paper: 7967 nodes / 6562 locations).",
         "",
     ]
-
-    # Sharded post-mortem detection (reproduction extension).
-    pm_rows = []
-    for name in ("tsp2", "mtrt2", "sor2"):
-        pm = run_workload_post_mortem(
-            TABLE2_BENCHMARKS[name], CONFIG_FULL, shards=4, scale=scale
-        )
-        per_shard = ", ".join(
-            str(shard.access_events) for shard in pm.sharded.outcomes
-        )
-        pm_rows.append(
-            [
-                name,
-                str(pm.shards),
-                str(pm.access_events),
-                per_shard,
-                str(pm.replicated_sync_events),
-                str(pm.races_reported),
-                str(pm.monitored_locations),
-                str(pm.trie_nodes),
-                "yes" if pm.matches_serial else "**NO**",
-            ]
-        )
-    sections += [
-        "## Sharded post-mortem detection",
-        "",
-        "One recorded execution, partitioned by object uid across "
-        "independent detectors (sync events replicated to every "
-        "shard); the merged result must reproduce the serial offline "
-        "pass exactly.",
-        "",
-        _markdown_table(
-            [
-                "Example",
-                "Shards",
-                "Accesses",
-                "Per shard",
-                "Syncs ×shard",
-                "Races",
-                "Locations",
-                "Trie nodes",
-                "= serial",
-            ],
-            pm_rows,
-        ),
-        "",
-    ]
-
-    # Differential race-oracle lab (reproduction extension).
-    from ..difflab import run_campaign, verify_corpus
-
-    campaign = run_campaign(programs=8, schedules=2, shrink=True)
-    entries, problems = verify_corpus()
-    corpus_rows = [
-        [
-            entry.name,
-            entry.schedule.describe(),
-            ", ".join(entry.classes) if entry.classes else "-",
-            entry.fingerprint,
-        ]
-        for entry in entries
-    ]
-    lab_rows = [
-        [klass, str(count)]
-        for klass, count in sorted(campaign.expected_counts.items())
-    ]
-    status = (
-        "**ALL CLEAR** — no violations"
-        if campaign.ok and not problems
-        else f"**{len(campaign.violations)} violation(s), "
-        f"{len(problems)} corpus problem(s)**"
-    )
-    sections += [
-        "## Differential race-oracle lab",
-        "",
-        f"{campaign.cases_run} fuzz cases (expected discrepancy classes "
-        f"are evidence the battery has teeth; any violation is a bug "
-        f"shrunk to a minimal reproducer): {status}.",
-        "",
-        _markdown_table(["Expected class", "Cases"], lab_rows),
-        "",
-        f"### Committed reproducer corpus ({len(entries)} entries)",
-        "",
-        _markdown_table(
-            ["Entry", "Schedule", "Classes", "Fingerprint"], corpus_rows
-        ),
-        "",
-    ]
-    for violation in campaign.violations:
-        sections += [
-            f"VIOLATION `{violation.fingerprint}` "
-            f"[{', '.join(violation.classes)}] from "
-            f"{violation.original_label}: {violation.stats.describe()}",
-            "",
-        ]
     return "\n".join(sections)
 
 

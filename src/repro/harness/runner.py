@@ -2,8 +2,8 @@
 
 One :class:`Configuration` bundles a compile-time
 :class:`~repro.instrument.planner.PlannerConfig` with a runtime
-:class:`~repro.detector.config.DetectorConfig`; the named presets map
-to the columns of the paper's Tables 2 and 3:
+:class:`~repro.detector.config.DetectorConfig`; the named presets are
+the one definition of the columns of the paper's Tables 2 and 3:
 
 ============== ============================ =========================
 name           compile-time                 runtime
@@ -51,34 +51,32 @@ class Configuration:
     detector: Optional[DetectorConfig]
 
 
-def _full_planner() -> PlannerConfig:
-    return PlannerConfig()
-
-
 #: Table 2 configurations (performance).
 CONFIG_BASE = Configuration("Base", planner=None, detector=None)
-CONFIG_FULL = Configuration("Full", _full_planner(), DetectorConfig())
+CONFIG_FULL = Configuration("Full", PlannerConfig(), DetectorConfig())
 CONFIG_NO_STATIC = Configuration(
-    "NoStatic", _full_planner().but(static_analysis=False), DetectorConfig()
+    "NoStatic", PlannerConfig().but(static_analysis=False), DetectorConfig()
 )
+#: Disabling the weaker-than check also disables peeling (the paper
+#: notes peeling "is useless without that check").
 CONFIG_NO_DOMINATORS = Configuration(
     "NoDominators",
-    _full_planner().but(static_weaker=False, loop_peeling=False),
+    PlannerConfig().but(static_weaker=False, loop_peeling=False),
     DetectorConfig(),
 )
 CONFIG_NO_PEELING = Configuration(
-    "NoPeeling", _full_planner().but(loop_peeling=False), DetectorConfig()
+    "NoPeeling", PlannerConfig().but(loop_peeling=False), DetectorConfig()
 )
 CONFIG_NO_CACHE = Configuration(
-    "NoCache", _full_planner(), DetectorConfig(cache=False)
+    "NoCache", PlannerConfig(), DetectorConfig(cache=False)
 )
 
 #: Table 3 configurations (accuracy).
 CONFIG_FIELDS_MERGED = Configuration(
-    "FieldsMerged", _full_planner(), DetectorConfig(fields_merged=True)
+    "FieldsMerged", PlannerConfig(), DetectorConfig(fields_merged=True)
 )
 CONFIG_NO_OWNERSHIP = Configuration(
-    "NoOwnership", _full_planner(), DetectorConfig(ownership=False)
+    "NoOwnership", PlannerConfig(), DetectorConfig(ownership=False)
 )
 
 TABLE2_CONFIGS = [
@@ -193,100 +191,6 @@ def run_workload(
         outcome.trie_nodes = detector.total_trie_nodes()
         outcome.monitored_locations = detector.monitored_locations
     return outcome
-
-
-@dataclass
-class PostMortemOutcome:
-    """One recorded execution analyzed with one shard and sharded."""
-
-    workload: str
-    configuration: str
-    shards: int
-    executor: str
-    access_events: int
-    replicated_sync_events: int
-    races_reported: int
-    monitored_locations: int
-    trie_nodes: int
-    #: True when the sharded run reproduced the one-shard run exactly
-    #: (same reports, monitored locations, and trie node totals).
-    matches_serial: bool
-    sharded: "object" = None
-
-
-def run_workload_post_mortem(
-    spec: WorkloadSpec,
-    configuration: Configuration,
-    shards: int = 4,
-    scale: Optional[int] = None,
-    executor: str = "serial",
-    policy: Optional[SchedulingPolicy] = None,
-    max_steps: int = 50_000_000,
-    engine: str = DEFAULT_ENGINE,
-) -> PostMortemOutcome:
-    """Record one execution, then detect offline with one shard and
-    with ``shards``, checking that the two agree.
-
-    ``executor`` is ``"serial"`` or ``"process"``, as for
-    :func:`~repro.detector.sharded.detect_sharded`.
-    """
-    from ..detector.sharded import detect_sharded
-    from ..runtime.events import RecordingSink
-
-    if configuration.detector is None:
-        raise ValueError("post-mortem detection needs a detector config")
-    source = spec.build(scale)
-    resolved = compile_source(source, filename=spec.name)
-    trace_sites: Optional[set] = set()
-    static_races = None
-    if configuration.planner is not None:
-        plan = plan_instrumentation(resolved, configuration.planner)
-        trace_sites = plan.trace_sites
-        static_races = plan.static_races
-
-    log = RecordingSink()
-    engine_class(engine)(
-        resolved,
-        sink=log,
-        trace_sites=trace_sites,
-        policy=policy if policy is not None else RoundRobinPolicy(quantum=10),
-        max_steps=max_steps,
-    ).run()
-    one = detect_sharded(
-        log,
-        1,
-        config=configuration.detector,
-        resolved=resolved,
-        static_races=static_races,
-    )
-    sharded = detect_sharded(
-        log,
-        shards,
-        config=configuration.detector,
-        resolved=resolved,
-        static_races=static_races,
-        executor=executor,
-        validate=False,  # the one-shard pass above already validated
-    )
-
-    matches = (
-        sharded.reports.reports == one.reports.reports
-        and sharded.monitored_locations == one.monitored_locations
-        and sharded.trie_nodes == one.trie_nodes
-    )
-    return PostMortemOutcome(
-        workload=spec.name,
-        configuration=configuration.name,
-        shards=shards,
-        executor=sharded.executor,
-        access_events=sharded.partitioned_accesses,
-        replicated_sync_events=sharded.replicated_sync_events,
-        races_reported=sharded.races,
-        monitored_locations=sharded.monitored_locations,
-        trie_nodes=sharded.trie_nodes,
-        matches_serial=matches,
-        sharded=sharded,
-    )
 
 
 def run_table2_row(

@@ -2,10 +2,6 @@
 
 from .loop_peeling import LoopPeeler, PeelingStats, peel_loops
 from .planner import (
-    FULL_PLAN,
-    NO_DOMINATORS,
-    NO_PEELING,
-    NO_STATIC,
     InstrumentationPlan,
     PlannerConfig,
     PlanStats,
@@ -19,12 +15,8 @@ from .static_weaker import (
 
 __all__ = [
     "EliminationResult",
-    "FULL_PLAN",
     "InstrumentationPlan",
     "LoopPeeler",
-    "NO_DOMINATORS",
-    "NO_PEELING",
-    "NO_STATIC",
     "PeelingStats",
     "PlanStats",
     "PlannerConfig",

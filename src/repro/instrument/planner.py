@@ -57,15 +57,6 @@ class PlannerConfig:
         return replace(self, **changes)
 
 
-#: The paper's full compile-time pipeline.
-FULL_PLAN = PlannerConfig()
-NO_STATIC = FULL_PLAN.but(static_analysis=False)
-#: Disabling the weaker-than check also disables peeling (the paper
-#: notes peeling "is useless without that check").
-NO_DOMINATORS = FULL_PLAN.but(static_weaker=False, loop_peeling=False)
-NO_PEELING = FULL_PLAN.but(loop_peeling=False)
-
-
 @dataclass
 class PlanStats:
     sites_total: int = 0

@@ -2,7 +2,6 @@
 
 from .events import (
     AccessEvent,
-    CountingSink,
     EventSink,
     LocationInterner,
     LogCorruptError,
@@ -93,7 +92,6 @@ from .values import MJArray, MJClassObject, MJObject, Monitor, Reference, mj_rep
 __all__ = [
     "AccessEvent",
     "CompiledInterpreter",
-    "CountingSink",
     "DEFAULT_ENGINE",
     "DeadlockError",
     "ENGINES",

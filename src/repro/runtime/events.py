@@ -222,49 +222,6 @@ class MulticastSink(EventSink):
             sink.on_run_end()
 
 
-class CountingSink(EventSink):
-    """Counts events; used by the benchmark harness for the
-    platform-independent side of Table 2."""
-
-    def __init__(self) -> None:
-        self.accesses = 0
-        self.reads = 0
-        self.writes = 0
-        self.monitor_enters = 0
-        self.monitor_exits = 0
-        self.thread_starts = 0
-        self.thread_joins = 0
-        self.waits = 0
-        self.notifies = 0
-
-    def on_access_parts(
-        self, object_uid, field, thread_id, kind, site_id, object_kind, object_label
-    ) -> None:
-        self.accesses += 1
-        if kind is AccessKind.WRITE:
-            self.writes += 1
-        else:
-            self.reads += 1
-
-    def on_monitor_enter(self, thread_id: int, lock_uid: int, reentrant: bool) -> None:
-        self.monitor_enters += 1
-
-    def on_monitor_exit(self, thread_id: int, lock_uid: int, reentrant: bool) -> None:
-        self.monitor_exits += 1
-
-    def on_thread_start(self, parent_id: int, child_id: int) -> None:
-        self.thread_starts += 1
-
-    def on_thread_join(self, joiner_id: int, joined_id: int) -> None:
-        self.thread_joins += 1
-
-    def on_wait(self, thread_id: int, cond_uid: int) -> None:
-        self.waits += 1
-
-    def on_notify(self, thread_id: int, cond_uid: int, notify_all: bool) -> None:
-        self.notifies += 1
-
-
 class LogSchemaError(ValueError):
     """A recorded event log cannot be read by this build.
 

@@ -57,16 +57,28 @@ from .values import (
 MAX_CALL_DEPTH = 100
 
 
-#: The AST engine's Python frames per MJ activation: at most three per
-#: level of statement or expression nesting (``sync`` nests
-#: ``_exec_stmt``, ``_exec_sync`` and ``_exec_block``), plus the call.
-_FRAMES_PER_LEVEL = 3
-_FRAMES_PER_CALL = 8
+#: The AST engine's Python frames per MJ activation, at most
+#: ``_FRAMES_PER_LEVEL`` per level of statement or expression nesting
+#: plus ``_FRAMES_PER_CALL``.  A nested statement under ``if``,
+#: ``while`` or a block costs one frame (``_exec_stmt`` iterates the
+#: block itself); under ``sync``, two (``_exec_sync`` holds the
+#: monitor); an operand of a binary operator, a call or a ``new``, two
+#: (``_eval_binary``, ``_eval_call``, ``_eval_new``).  A call node
+#: reaches its callee's first statement through ``_eval_call`` and
+#: ``_invoke``.
+_FRAMES_PER_LEVEL = 2
+_FRAMES_PER_CALL = 1
+
+#: Frames on top of the activations: the scheduler, the innermost
+#: evaluation, the sink and detector calls it makes, and the call-depth
+#: error.
+_FRAMES_SPARE = 100
 
 #: The highest recursion limit an AST run sets.  Each nested generator
 #: frame also takes C stack on CPython 3.11, and chains of 30,000 of them
-#: overflow a thread's 8 MB stack; past this limit a deep program meets
-#: ``RecursionError`` instead of a crash.
+#: overflow a thread's 8 MB stack.  A program whose nesting would need
+#: more frames at the call-depth bound fails with an ``MJRuntimeError``
+#: when its recursion reaches the limit.
 RECURSION_CEILING = 15_000
 
 
@@ -80,7 +92,7 @@ def _frames_needed(resolved: ResolvedProgram) -> int:
         caller += 1
         frame = frame.f_back
     per_call = _FRAMES_PER_LEVEL * nesting + _FRAMES_PER_CALL
-    return caller + MAX_CALL_DEPTH * per_call
+    return caller + _FRAMES_SPARE + MAX_CALL_DEPTH * per_call
 
 
 def call_depth_error(qualified_name: str, location: SourceLocation):
@@ -88,6 +100,16 @@ def call_depth_error(qualified_name: str, location: SourceLocation):
         f"call depth exceeds {MAX_CALL_DEPTH} entering {qualified_name}",
         location,
     )
+
+
+def _condition(value, expr: ast.Expr) -> bool:
+    """``value`` as a branch condition: MJ conditions must be booleans."""
+    if not isinstance(value, bool):
+        raise MJRuntimeError(
+            f"condition must be a boolean, got {mj_repr(value)}",
+            expr.location,
+        )
+    return value
 
 
 class _Return(Exception):
@@ -206,6 +228,8 @@ class Interpreter:
         Raises Python's recursion limit for the run so that the call
         depth bound, not the nesting of statements around a call,
         decides how deep MJ recursion goes; restores it afterwards.
+        Past :data:`RECURSION_CEILING` the run fails with an
+        :class:`MJRuntimeError` instead.
         """
         limit = sys.getrecursionlimit()
         wanted = min(_frames_needed(self._resolved), RECURSION_CEILING)
@@ -213,6 +237,13 @@ class Interpreter:
             sys.setrecursionlimit(wanted)
         try:
             return self._scheduler.run()
+        except RecursionError:
+            raise MJRuntimeError(
+                f"calls nested in statements too deep for the ast engine: "
+                f"more than {RECURSION_CEILING} Python frames before call "
+                f"depth {MAX_CALL_DEPTH} (the compiled engine nests one "
+                f"frame per call)"
+            ) from None
         finally:
             if wanted > limit and sys.getrecursionlimit() == wanted:
                 sys.setrecursionlimit(limit)
@@ -319,17 +350,14 @@ class Interpreter:
             depth=depth,
         )
         try:
-            yield from self._exec_block(method.body, frame, thread)
+            for stmt in method.body.body:
+                yield from self._exec_stmt(stmt, frame, thread)
         except _Return as signal:
             return signal.value
         return None
 
     # ------------------------------------------------------------------
     # Statements.
-
-    def _exec_block(self, block: ast.Block, frame: Frame, thread: ThreadState):
-        for stmt in block.body:
-            yield from self._exec_stmt(stmt, frame, thread)
 
     def _exec_stmt(self, stmt: ast.Stmt, frame: Frame, thread: ThreadState):
         # Same leaf-type dispatch as _eval, ordered by execution
@@ -338,17 +366,18 @@ class Interpreter:
         if node_type is ast.AssignLocal:
             frame.locals[stmt.name] = yield from self._eval(stmt.value, frame, thread)
         elif node_type is ast.If:
-            cond = yield from self._eval_bool(stmt.cond, frame, thread)
-            if cond:
-                yield from self._exec_block(stmt.then_block, frame, thread)
-            elif stmt.else_block is not None:
-                yield from self._exec_block(stmt.else_block, frame, thread)
+            value = yield from self._eval(stmt.cond, frame, thread)
+            block = stmt.then_block if _condition(value, stmt.cond) else stmt.else_block
+            if block is not None:
+                for inner in block.body:
+                    yield from self._exec_stmt(inner, frame, thread)
         elif node_type is ast.While:
             while True:
-                cond = yield from self._eval_bool(stmt.cond, frame, thread)
-                if not cond:
+                value = yield from self._eval(stmt.cond, frame, thread)
+                if not _condition(value, stmt.cond):
                     break
-                yield from self._exec_block(stmt.body, frame, thread)
+                for inner in stmt.body.body:
+                    yield from self._exec_stmt(inner, frame, thread)
                 yield  # Loop back-edge preemption point.
         elif node_type is ast.FieldWrite:
             obj = yield from self._eval(stmt.obj, frame, thread)
@@ -396,11 +425,12 @@ class Interpreter:
             value = yield from self._eval(stmt.value, frame, thread)
             self.output.append(mj_repr(value))
         elif node_type is ast.Assert:
-            cond = yield from self._eval_bool(stmt.cond, frame, thread)
-            if not cond:
+            value = yield from self._eval(stmt.cond, frame, thread)
+            if not _condition(value, stmt.cond):
                 raise MJAssertionError("assertion failed", stmt.location)
         elif node_type is ast.Block:
-            yield from self._exec_block(stmt, frame, thread)
+            for inner in stmt.body:
+                yield from self._exec_stmt(inner, frame, thread)
         else:
             raise MJRuntimeError(
                 f"unhandled statement {type(stmt).__name__}", stmt.location
@@ -479,7 +509,8 @@ class Interpreter:
         stack = self._lock_stacks.setdefault(thread.thread_id, [])
         stack.append(lock.uid)
         try:
-            yield from self._exec_block(stmt.body, frame, thread)
+            for inner in stmt.body.body:
+                yield from self._exec_stmt(inner, frame, thread)
         finally:
             stack.pop()
             # A thread torn down mid-wait (deadlock unwinding) already
@@ -709,15 +740,6 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Expressions.
 
-    def _eval_bool(self, expr: ast.Expr, frame: Frame, thread: ThreadState):
-        value = yield from self._eval(expr, frame, thread)
-        if not isinstance(value, bool):
-            raise MJRuntimeError(
-                f"condition must be a boolean, got {mj_repr(value)}",
-                expr.location,
-            )
-        return value
-
     def _eval(self, expr: ast.Expr, frame: Frame, thread: ThreadState):
         # Dispatch on the concrete node type (every node class is a
         # leaf, so identity comparison is equivalent to isinstance and
@@ -849,15 +871,17 @@ class Interpreter:
     def _eval_binary(self, expr: ast.Binary, frame: Frame, thread: ThreadState):
         op = expr.op
         if op == "&&":
-            left = yield from self._eval_bool(expr.left, frame, thread)
-            if not left:
+            left = yield from self._eval(expr.left, frame, thread)
+            if not _condition(left, expr.left):
                 return False
-            return (yield from self._eval_bool(expr.right, frame, thread))
+            right = yield from self._eval(expr.right, frame, thread)
+            return _condition(right, expr.right)
         if op == "||":
-            left = yield from self._eval_bool(expr.left, frame, thread)
-            if left:
+            left = yield from self._eval(expr.left, frame, thread)
+            if _condition(left, expr.left):
                 return True
-            return (yield from self._eval_bool(expr.right, frame, thread))
+            right = yield from self._eval(expr.right, frame, thread)
+            return _condition(right, expr.right)
         left = yield from self._eval(expr.left, frame, thread)
         right = yield from self._eval(expr.right, frame, thread)
         if op == "==":

@@ -15,7 +15,7 @@ can diff reports across runs, builds, and transport (CLI vs HTTP).
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..detector.sharded import canonical_report_order
 from ..lang import MJError, MJRuntimeError
@@ -183,52 +183,68 @@ def verdict_payload(name: str, locations, objects, races: int) -> dict:
 # Error taxonomy → exit codes and HTTP statuses.
 
 
+class ErrorClass(NamedTuple):
+    """One row of :data:`ERROR_TAXONOMY`."""
+
+    #: The exception class the row covers (subclasses included).
+    kind: type
+    #: The stable machine name services and scripts branch on.
+    taxonomy: str
+    #: ``repro``'s exit code.
+    exit_code: int
+    #: The HTTP status the daemon answers.
+    http_status: int
+    #: What ``repro`` prints on stderr before the message.
+    prefix: str
+
+
+#: The one classification of errors, most specific class first: missing
+#: → 404, damaged bytes → 422 (the message names the byte offset),
+#: schema skew → 400; MJ compile and runtime errors are 422 (a
+#: well-formed request, an unprocessable program).  An error no row
+#: covers is ``internal``: HTTP 500, and the CLI lets it propagate.
+ERROR_TAXONOMY = (
+    ErrorClass(LogNotFoundError, "not-found", EXIT_ERROR, 404, "error: "),
+    ErrorClass(
+        LogCorruptError, "corrupt", EXIT_CORRUPT, 422,
+        "error: corrupt event log: ",
+    ),
+    ErrorClass(
+        LogSchemaMismatchError, "schema-mismatch", EXIT_SCHEMA_MISMATCH, 400,
+        "error: event-log schema mismatch: ",
+    ),
+    ErrorClass(MJRuntimeError, "runtime-error", EXIT_ERROR, 422, "error: "),
+    ErrorClass(MJError, "compile-error", EXIT_ERROR, 422, "error: "),
+    ErrorClass(LogSchemaError, "log-error", EXIT_ERROR, 422, "error: "),
+)
+
+
+def classify_error(error: BaseException) -> Optional[ErrorClass]:
+    """The first :data:`ERROR_TAXONOMY` row covering ``error``, or
+    None for an unclassified error."""
+    for row in ERROR_TAXONOMY:
+        if isinstance(error, row.kind):
+            return row
+    return None
+
+
 def exit_code_for(error: BaseException) -> int:
-    """The CLI exit code for a classified log error."""
-    if isinstance(error, LogNotFoundError):
-        return EXIT_ERROR
-    if isinstance(error, LogCorruptError):
-        return EXIT_CORRUPT
-    if isinstance(error, LogSchemaMismatchError):
-        return EXIT_SCHEMA_MISMATCH
-    return EXIT_ERROR
+    """The CLI exit code for a classified error (2 otherwise)."""
+    row = classify_error(error)
+    return EXIT_ERROR if row is None else row.exit_code
 
 
 def http_status_for(error: BaseException) -> int:
-    """The HTTP status the daemon answers for a classified error.
-
-    The same taxonomy as the CLI exit codes: missing → 404, damaged
-    bytes → 422 (the body names the byte offset), schema skew or a
-    payload that is not a log/program at all → 400.  MJ compile and
-    runtime errors are 422 (well-formed request, unprocessable
-    program); everything unclassified is a 500.
-    """
-    if isinstance(error, LogNotFoundError):
-        return 404
-    if isinstance(error, LogCorruptError):
-        return 422
-    if isinstance(error, LogSchemaMismatchError):
-        return 400
-    if isinstance(error, (MJError, LogSchemaError)):
-        return 422
-    return 500
+    """The HTTP status the daemon answers for an error (500 when
+    unclassified)."""
+    row = classify_error(error)
+    return 500 if row is None else row.http_status
 
 
 def error_taxonomy(error: BaseException) -> str:
     """The stable machine name of an error class."""
-    if isinstance(error, LogNotFoundError):
-        return "not-found"
-    if isinstance(error, LogCorruptError):
-        return "corrupt"
-    if isinstance(error, LogSchemaMismatchError):
-        return "schema-mismatch"
-    if isinstance(error, MJRuntimeError):
-        return "runtime-error"
-    if isinstance(error, MJError):
-        return "compile-error"
-    if isinstance(error, LogSchemaError):
-        return "log-error"
-    return "internal"
+    row = classify_error(error)
+    return "internal" if row is None else row.taxonomy
 
 
 def error_payload(error: BaseException) -> dict:

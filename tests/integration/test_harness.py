@@ -1,4 +1,4 @@
-"""Integration tests for the experiment harness and table builders."""
+"""Integration tests for the experiment harness runners."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.harness import (
     run_table3_row,
     run_workload,
 )
-from repro.harness.tables import format_table, space_report, table1, table3
 from repro.workloads import ALL_WORKLOADS, BENCHMARKS
 
 
@@ -88,25 +87,3 @@ class TestTableRows:
         outcomes = run_table3_row(BENCHMARKS["elevator2"])
         assert outcomes["Full"].racy_object_count == 0
         assert outcomes["NoOwnership"].racy_object_count > 0
-
-
-class TestRenderers:
-    def test_format_table_alignment(self):
-        text = format_table(["a", "bb"], [["x", "y"], ["longer", "z"]])
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert len(set(len(l) for l in lines)) <= 2
-
-    def test_table1_renders_all_benchmarks(self):
-        text = table1([BENCHMARKS["elevator2"], BENCHMARKS["hedc2"]])
-        assert "elevator2" in text
-        assert "hedc2" in text
-
-    def test_table3_renders_with_paper_column(self):
-        text, raw = table3([BENCHMARKS["elevator2"]])
-        assert "0/0/16" in text
-        assert "elevator2" in raw
-
-    def test_space_report_mentions_trie_nodes(self):
-        text = space_report(BENCHMARKS["tsp2"], scale=5)
-        assert "trie nodes" in text

@@ -1,5 +1,5 @@
 """Integration tests for the sharded post-mortem engine: real
-workloads, both executors, the harness runner, and the CLI flags."""
+workloads, both executors, and the CLI flags."""
 
 import pytest
 
@@ -171,21 +171,6 @@ class TestWholeWorkflow:
         result = detect_sharded(log, 4, resolved=resolved)
         assert result.partitioned_accesses == log.access_count
         assert result.reports.reports == one.reports.reports
-
-    def test_harness_post_mortem_runner(self):
-        from repro.harness import CONFIG_FULL, run_workload_post_mortem
-
-        outcome = run_workload_post_mortem(
-            ALL_WORKLOADS["tsp2"],
-            CONFIG_FULL,
-            shards=4,
-            scale=4,
-            executor="process",
-        )
-        assert outcome.matches_serial
-        assert outcome.shards == 4
-        assert outcome.access_events > 0
-        assert outcome.replicated_sync_events > 0
 
 
 #: Two workers race on d.x; after both join, main keeps accessing d

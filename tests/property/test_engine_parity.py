@@ -498,6 +498,7 @@ CALL_SHAPES = {
     "if-8": _nested("if (n > 0)", 8),
     "while-4": _nested("while (n > 0)", 4),
     "sync-4": _nested("sync (Main.lock)", 4),
+    "sync-50": _nested("sync (Main.lock)", 50),
     "instance": """
 class Main { static def main() { var c = new C(); print c.down({n}); } }
 class C {
@@ -660,3 +661,25 @@ class TestCallDepthParity:
             resolved = compile_source(template.replace("{n}", str(n)))
             observe(run_ast, resolved, None, None)
             assert sys.getrecursionlimit() == limit
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_past_the_frame_ceiling_is_a_runtime_error(
+        self, command, tmp_path, capsys
+    ):
+        """A call under so many ``sync`` blocks that the AST engine
+        would need more Python frames than it may take fails as an MJ
+        runtime error (exit 2), not a Python traceback; the compiled
+        engine runs it to the bound."""
+        from repro.cli import main
+        from repro.runtime.interpreter import MAX_CALL_DEPTH
+
+        path = tmp_path / "deep.mj"
+        path.write_text(
+            _nested("sync (Main.lock)", 100).replace(
+                "{n}", str(MAX_CALL_DEPTH - 1)
+            )
+        )
+        assert main([command, str(path), "--engine", "ast"]) == 2
+        assert "too deep for the ast engine" in capsys.readouterr().err
+        assert main([command, str(path), "--engine", "compiled"]) == 0
+        assert str(MAX_CALL_DEPTH - 1) in capsys.readouterr().out

@@ -4,8 +4,8 @@ keys, canonical versioned locksets, and the tuple-encoded event log."""
 from repro.detector import LockTracker, RaceDetector
 from repro.lang.ast import AccessKind
 from repro.runtime import (
-    CountingSink,
     LocationInterner,
+    LogStatsSink,
     MemoryLocation,
     ObjectKind,
     RecordingSink,
@@ -116,10 +116,10 @@ class TestRecordingSinkEncoding:
         sink = RecordingSink()
         sink.on_access_parts(*self._event())
         sink.on_monitor_enter(1, 42, False)
-        counter = CountingSink()
+        counter = LogStatsSink()
         replay_entries(sink.log, counter)
-        assert counter.accesses == 1
-        assert counter.monitor_enters == 1
+        assert counter.counts[RecordingSink.ACCESS] == 1
+        assert counter.counts[RecordingSink.ENTER] == 1
 
     def test_recording_replay_recording_is_identity(self):
         sink = RecordingSink()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import MJAssertionError, MJRuntimeError
-from repro.runtime import CountingSink, RecordingSink
+from repro.runtime import LogStatsSink, RecordingSink
 
 from ..conftest import run_source
 
@@ -350,8 +350,8 @@ class TestThreads:
 
 
 class TestEventEmission:
-    def test_counting_sink_counts_accesses(self):
-        sink = CountingSink()
+    def test_stats_sink_counts_accesses(self):
+        sink = LogStatsSink()
         run_main(
             "var p = new P(); p.x = 1; var v = p.x;",
             "class P { field x; }",
@@ -366,9 +366,9 @@ class TestEventEmission:
             "var p = new P(); p.x = 1; var v = p.x; } }\n"
             "class P { field x; }"
         )
-        sink = CountingSink()
+        sink = LogStatsSink()
         run_source(source, sink=sink, trace_sites=set())
-        assert sink.accesses == 0
+        assert sink.counts[RecordingSink.ACCESS] == 0
 
     def test_monitor_events_flagged_reentrant(self):
         sink = RecordingSink()
@@ -402,6 +402,6 @@ class TestEventEmission:
         assert start < end < join
 
     def test_array_length_read_emits_no_event(self):
-        sink = CountingSink()
+        sink = LogStatsSink()
         run_main("var a = newarray(2); print a.length;", sink=sink)
-        assert sink.accesses == 0
+        assert sink.counts[RecordingSink.ACCESS] == 0

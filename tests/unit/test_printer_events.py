@@ -4,9 +4,9 @@ import pytest
 
 from repro.lang import ast, compile_source, parse, render_expr, render_program, render_stmt
 from repro.lang.ast import AccessKind
+from repro.runtime.binlog import LogStatsSink
 from repro.runtime.events import (
     AccessEvent,
-    CountingSink,
     MemoryLocation,
     MulticastSink,
     RecordingSink,
@@ -122,24 +122,29 @@ class TestPrinterRoundTrip:
 
 
 class TestSinks:
-    def test_counting_sink_full_protocol(self):
-        sink = CountingSink()
+    def test_stats_sink_full_protocol(self):
+        sink = LogStatsSink()
         sink.on_access_parts(*access(1, "f", 1, AccessKind.WRITE))
         sink.on_access_parts(*access(1, "f", 1, AccessKind.READ))
         sink.on_monitor_enter(1, 5, False)
         sink.on_monitor_exit(1, 5, False)
         sink.on_thread_start(0, 1)
         sink.on_thread_join(0, 1)
-        assert sink.accesses == 2
         assert sink.writes == 1
         assert sink.reads == 1
-        assert sink.monitor_enters == 1
-        assert sink.monitor_exits == 1
-        assert sink.thread_starts == 1
-        assert sink.thread_joins == 1
+        assert sink.counts == {
+            RecordingSink.ACCESS: 2,
+            RecordingSink.ENTER: 1,
+            RecordingSink.EXIT: 1,
+            RecordingSink.START: 1,
+            RecordingSink.END: 0,
+            RecordingSink.JOIN: 1,
+            RecordingSink.WAIT: 0,
+            RecordingSink.NOTIFY: 0,
+        }
 
     def test_multicast_delivers_to_all(self):
-        a, b = CountingSink(), CountingSink()
+        a, b = LogStatsSink(), LogStatsSink()
         multi = MulticastSink([a, b])
         multi.on_access_parts(*access(1, "f", 1, AccessKind.READ))
         multi.on_monitor_enter(1, 5, False)
@@ -148,8 +153,9 @@ class TestSinks:
         multi.on_thread_join(0, 1)
         multi.on_monitor_exit(1, 5, False)
         multi.on_run_end()
-        assert a.accesses == b.accesses == 1
-        assert a.monitor_enters == b.monitor_enters == 1
+        assert a.counts == b.counts
+        assert a.counts[RecordingSink.ACCESS] == 1
+        assert a.counts[RecordingSink.ENTER] == 1
 
     def test_recording_sink_replay_order(self):
         recorder = RecordingSink()

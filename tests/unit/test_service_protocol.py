@@ -32,12 +32,14 @@ from repro.service.cache import (
     source_fingerprint,
 )
 from repro.service.protocol import (
+    ERROR_TAXONOMY,
     EXIT_CORRUPT,
     EXIT_ERROR,
     EXIT_SCHEMA_MISMATCH,
     KIND_BINARY_LOG,
     KIND_PROGRAM,
     canonical_json,
+    classify_error,
     classify_payload,
     detection_report,
     error_payload,
@@ -160,6 +162,65 @@ class TestErrorTaxonomy:
             LogSchemaMismatchError("c"),
         ):
             assert isinstance(error, LogSchemaError)
+
+    #: (error, its table row's kind, the exact stderr ``repro`` prints).
+    CLI_CASES = [
+        (LogNotFoundError("gone"), LogNotFoundError, "error: gone\n"),
+        (
+            LogCorruptError("bad", offset=40),
+            LogCorruptError,
+            "error: corrupt event log: bad\n",
+        ),
+        (
+            LogSchemaMismatchError("skew"),
+            LogSchemaMismatchError,
+            "error: event-log schema mismatch: skew\n",
+        ),
+        (MJRuntimeError("null"), MJRuntimeError, "error: null\n"),
+        (DeadlockError("stuck"), MJRuntimeError, "error: stuck\n"),
+        (ParseError("parse"), MJError, "error: parse\n"),
+        (MJError("usage"), MJError, "error: usage\n"),
+        (LogSchemaError("other"), LogSchemaError, "error: other\n"),
+    ]
+
+    @pytest.mark.parametrize(
+        "error,kind,stderr",
+        CLI_CASES,
+        ids=[type(case[0]).__name__ for case in CLI_CASES],
+    )
+    def test_cli_and_service_read_one_table(
+        self, error, kind, stderr, monkeypatch, capsys
+    ):
+        """``repro``'s exit code and stderr, the daemon's HTTP status
+        and the taxonomy name all come from the error's table row."""
+        from repro import cli
+
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_explain", fail)
+        code = cli.main(["explain", "program.mj"])
+        row = classify_error(error)
+        assert row.kind is kind
+        assert code == exit_code_for(error) == row.exit_code
+        assert capsys.readouterr().err == stderr
+        assert http_status_for(error) == row.http_status
+        assert error_taxonomy(error) == row.taxonomy
+
+    def test_cli_lets_unclassified_errors_propagate(self, monkeypatch):
+        from repro import cli
+
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_explain", fail)
+        assert classify_error(RuntimeError("boom")) is None
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.main(["explain", "program.mj"])
+
+    def test_every_row_is_an_error_the_cli_catches(self):
+        for row in ERROR_TAXONOMY:
+            assert issubclass(row.kind, (MJError, LogSchemaError))
 
 
 class TestDetectionReport:
