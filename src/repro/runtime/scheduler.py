@@ -192,10 +192,11 @@ class Scheduler:
         A ``JOINING`` thread needs no per-step poll: its target can only
         finish here, on a step that already marks the list stale.
 
-        Picks: under :class:`RandomPolicy` the loop draws
-        ``runnable[randbelow(n)]`` with the policy's own generator —
-        exactly what ``Random.choice`` does, so the seeded stream is
-        unchanged; under :class:`RoundRobinPolicy` the in-quantum case
+        Picks: under :class:`RandomPolicy` the loop draws an index with
+        the policy generator's ``getrandbits(k)``, redrawing while it is
+        ``>= n``, where ``k = n.bit_length()`` is cached per rebuild —
+        the rejection loop ``Random.choice`` runs, so the seeded stream
+        is unchanged; under :class:`RoundRobinPolicy` the in-quantum case
         is a direct lookup (threads register with ``thread_id`` equal
         to their list index; the id is still verified before trusting
         it).  Every other policy gets ``policy.choose(runnable)``, and
@@ -205,8 +206,8 @@ class Scheduler:
         threads = self.threads
         policy = self.policy
         round_robin = policy if type(policy) is RoundRobinPolicy else None
-        randbelow = (
-            policy._rng._randbelow if type(policy) is RandomPolicy else None
+        getrandbits = (
+            policy._rng.getrandbits if type(policy) is RandomPolicy else None
         )
         RUNNABLE = ThreadStatus.RUNNABLE
         BLOCKED = ThreadStatus.BLOCKED
@@ -249,8 +250,12 @@ class Scheduler:
                     if not count:
                         self._raise_if_deadlocked()
                         return total
-                if randbelow is not None:
-                    thread = runnable[randbelow(count)]
+                    bits = count.bit_length()
+                if getrandbits is not None:
+                    r = getrandbits(bits)
+                    while r >= count:
+                        r = getrandbits(bits)
+                    thread = runnable[r]
                 else:
                     thread = None
                     if round_robin is not None and round_robin._remaining > 0:

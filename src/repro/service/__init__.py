@@ -25,9 +25,8 @@ Layout (see ``docs/service.md`` for the HTTP contract):
   SIGTERM drain.
 """
 
-from .app import ServeConfig, serve_forever
-from .cache import CompileCache
-from .jobs import JobRecord, WorkerPool
+from importlib import import_module
+
 from .protocol import (
     REPORT_SCHEMA_VERSION,
     canonical_json,
@@ -50,3 +49,23 @@ __all__ = [
     "http_status_for",
     "serve_forever",
 ]
+
+#: Exports resolved on first use, so that ``check --report-json`` and the
+#: CLI's error exits, which need only :mod:`~repro.service.protocol`,
+#: do not import asyncio and the worker pool.
+_LAZY = {
+    "CompileCache": "cache",
+    "JobRecord": "jobs",
+    "ServeConfig": "app",
+    "WorkerPool": "jobs",
+    "serve_forever": "app",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -1,13 +1,15 @@
 """Pin the scheduler's pick streams to the policies they stand in for.
 
 ``Scheduler.run`` does not call ``RandomPolicy.choose`` or (inside a
-quantum) ``RoundRobinPolicy.choose``: it draws ``runnable[randbelow(n)]``
-from the policy's own generator and looks the round-robin thread up
-directly.  Recorded schedules, witness traces and the difflab corpus all
-depend on those shortcuts making exactly the policies' choices, so these
-tests drive the real loop and a naive loop that calls the policy (or
-``random.Random(seed).choice``) side by side and compare every pick —
-with ``pick_waiter`` draws interleaved into the same random stream.
+quantum) ``RoundRobinPolicy.choose``: it draws the index with the
+policy generator's ``getrandbits(k)`` rejection loop, ``k`` cached per
+runnable-list rebuild (the same stream as ``Random.choice``), and looks
+the round-robin thread up directly.  Recorded schedules, witness traces
+and the difflab corpus all depend on those shortcuts making exactly the
+policies' choices, so these tests drive the real loop and a naive loop
+that calls the policy (or ``random.Random(seed).choice``) side by side
+and compare every pick — with ``pick_waiter`` draws interleaved into
+the same random stream.
 """
 
 import random
@@ -54,13 +56,16 @@ def _lengths(seed, n):
     return [rng.randint(1, 12) for _ in range(n)]
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize(
+    "n", [*range(1, 9), 15, 16, 17, 31, 32, 33, 63, 64, 65]
+)
 @pytest.mark.parametrize("seed", range(25))
 def test_random_draw_matches_random_choice(seed, n):
     """The inline draw picks what ``Random(seed).choice`` picks on the
     same runnable list, for every list size the run passes through
     (threads finish at different times, so sizes shrink from ``n`` to
-    1), and leaves the generator in the same state."""
+    1), and leaves the generator in the same state.  The sizes past 8
+    straddle the powers of two where the draw's bit count steps."""
     lengths = _lengths(seed, n)
     policy = RandomPolicy(seed)
     log, steps = _scheduled(policy, lengths)

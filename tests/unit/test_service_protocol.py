@@ -1,9 +1,14 @@
 """Unit tests for the service wire protocol and the compile cache."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+import repro.service
 from repro.detector.pipeline import PipelineStats
 from repro.lang import (
     LexError,
@@ -322,3 +327,32 @@ class TestCompileCache:
         with pytest.raises(MJError):
             cache.lookup("class Main { oops }", "bad.mj")
         assert len(cache) == 0
+
+
+class TestLazyServiceExports:
+    def test_protocol_import_leaves_the_daemon_out(self):
+        # check --report-json and the CLI's error exits need only the
+        # protocol module; the asyncio daemon and the worker pool load
+        # on first use of the package's lazy exports.
+        script = (
+            "import sys, repro.cli, repro.service.protocol\n"
+            "print(sorted(m for m in ('asyncio', 'repro.service.app',"
+            " 'repro.service.jobs') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={
+                **os.environ,
+                "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+            },
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("name", sorted(repro.service.__all__))
+    def test_every_export_resolves(self, name):
+        assert getattr(repro.service, name) is not None
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError):
+            repro.service.NoSuchExport
