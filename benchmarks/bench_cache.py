@@ -23,9 +23,11 @@ from conftest import prepare
 
 
 class TestFastPathMicro:
-    """Keys are interned :class:`MemoryLocation` objects, as the
-    detector passes them, so the cache's slot function takes the branch
-    the detector runs."""
+    """Keys are canonical :class:`MemoryLocation` objects, as the
+    detector's location records hold them.  ``access_tracked`` is the
+    cache's reference entry point and hashes the key on every call; the
+    detector's spine reads the slot from the location record instead,
+    so these time an upper bound on its probe."""
 
     def test_cache_hit_cost(self, benchmark):
         cache = AccessCache()

@@ -159,7 +159,7 @@ def _detector_counters(detector) -> tuple:
     return (
         _report_keys(detector),
         repr(detector.stats),
-        repr(detector.ownership.stats),
+        repr(detector.ownership_stats),
         repr(detector.cache.stats),
     )
 

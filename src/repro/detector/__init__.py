@@ -17,7 +17,7 @@ from .cache import AccessCache, CacheStats
 from .config import DetectorConfig
 from .locksets import LockTracker, join_pseudo_lock
 from .ownership import SHARED, OwnershipFilter, OwnershipStats
-from .pipeline import PipelineStats, RaceDetector
+from .pipeline import LocationRecord, PipelineStats, RaceDetector
 from .predict import (
     PREDICTORS,
     HybridPredictor,
@@ -55,6 +55,7 @@ __all__ = [
     "CacheStats",
     "DetectorConfig",
     "HybridPredictor",
+    "LocationRecord",
     "LockTracker",
     "LockTrie",
     "PREDICTORS",

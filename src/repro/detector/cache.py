@@ -48,8 +48,7 @@ from ..runtime.events import MemoryLocation
 _HASH_MULTIPLIER = 0x9E3779B1
 _MASK32 = 0xFFFFFFFF
 
-#: Field name -> its code, memoised (the detector's spine and the
-#: compiled engine's stubs read it directly).
+#: Field name -> its code, memoised.
 FIELD_CODES: dict[str, int] = {}
 
 

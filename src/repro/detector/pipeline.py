@@ -22,23 +22,22 @@ detection).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 from ..lang.ast import AccessKind
 from ..lang.resolver import ResolvedProgram
-from ..runtime.events import AccessEvent, EventSink, LocationInterner, ObjectKind
+from ..runtime.events import AccessEvent, EventSink, MemoryLocation, ObjectKind
 from .cache import (
     _COMPACT_MIN_LISTED,
-    _HASH_MULTIPLIER,
-    _MASK32,
-    FIELD_CODES,
     UNLISTED,
     AccessCache,
     field_code,
+    slot_of,
 )
 from .config import DetectorConfig
 from .locksets import LockTracker, join_pseudo_lock
-from .ownership import SHARED, OwnershipFilter
+from .ownership import SHARED, OwnershipStats
 from .report import RaceReport, ReportCollector
 from .trie import FILTERED, LockTrie, TrieStats
 
@@ -99,6 +98,28 @@ def static_partner_descriptors(resolved, static_races, site_id: int) -> tuple:
     return tuple(descriptors)
 
 
+class LocationRecord:
+    """Everything the access path keeps about one location.
+
+    ``key`` is the canonical location key: a :class:`MemoryLocation`,
+    or the object uid of a ``FieldsMerged`` instance key.  It is the
+    one object the caches store and reports carry, so a cache hit is an
+    identity test.  ``owner`` is the ownership state (``None`` while
+    virgin, then the owning thread id, then :data:`SHARED`); ``trie``
+    is the location's :class:`LockTrie` once an access reaches it; and
+    ``slot`` is the key's index in every thread's caches, computed once
+    with :func:`~repro.detector.cache.slot_of`.
+    """
+
+    __slots__ = ("key", "owner", "trie", "slot")
+
+    def __init__(self, key, slot: int):
+        self.key = key
+        self.owner = None
+        self.trie = None
+        self.slot = slot
+
+
 class RaceDetector(EventSink):
     """On-the-fly datarace detector: ownership + caches + lockset tries."""
 
@@ -119,14 +140,12 @@ class RaceDetector(EventSink):
         #: identified partner sites (Section 2.6's debugging support).
         self._static_races = static_races
         self.locks = LockTracker()
-        self.ownership = OwnershipFilter() if self.config.ownership else None
         self.cache = (
             AccessCache(size=self.config.cache_size)
             if self.config.cache
             else None
         )
         self.trie_stats = TrieStats()
-        self._tries: dict = {}
         self.reports = ReportCollector()
         self.stats = PipelineStats()
         #: Accesses the compiled engine's inline fast path completed
@@ -135,27 +154,30 @@ class RaceDetector(EventSink):
         #: above; observability only.
         self.inline_owned = 0
         self.inline_cache_hits = 0
-        #: Canonical location keys: one MemoryLocation per (object,
-        #: field) pair, reused by every event touching that location.
-        self.interner = LocationInterner()
+        #: The ownership model's counters (``None`` with ownership
+        #: off); each location's owner lives in its record.
+        self.ownership_stats = (
+            OwnershipStats() if self.config.ownership else None
+        )
+        #: The location records, field-major: field → object uid →
+        #: :class:`LocationRecord`.  ``None`` holds every FieldsMerged
+        #: instance key (keyed by uid alone); class objects keep their
+        #: per-field tables.
+        self._records: dict = {}
         self._fields_merged = self.config.fields_merged
+        self._merged_records = self.location_table(None)
         # Pre-bound hot-path state: `on_access_parts` runs once per
         # emitted access, so attribute chains are resolved here once.
-        # The ownership table/stats are reached into directly — the
-        # admission logic is inlined in `on_access_parts` (it must stay
-        # counter-identical to `OwnershipFilter.admit`).
-        # The interner's tables, the cache's per-thread table and the
-        # tracker's lock stacks and per-thread (lockset, path) entries
-        # are probed directly too: each is a dict read on the spine,
-        # with the owning method called only on a first sighting.
-        self._intern = self.interner.intern
-        self._location_tables = self.interner._tables
-        self._owners = self.ownership._owners if self.ownership else None
-        self._own_stats = self.ownership.stats if self.ownership else None
+        # The cache's per-thread table and the tracker's lock stacks and
+        # per-thread (lockset, path) entries are probed directly: each
+        # is a dict read on the spine, with the owning method called
+        # only on a first sighting.
         cache = self.cache
         self._cache_threads = cache._threads if cache is not None else None
         self._cache_stats = cache.stats if cache is not None else None
-        self._cache_size = self.config.cache_size
+        #: The cache size the records' slots are computed for (any
+        #: size works without a cache: the slots are then never read).
+        self._slot_size = cache._size if cache is not None else 1
         # The sync-event handlers run in the batched binary-log replay's
         # tight per-block loops, so the tracker methods are pre-bound
         # alongside the access-path state above.
@@ -216,74 +238,71 @@ class RaceDetector(EventSink):
         object_kind: ObjectKind,
         object_label: str,
     ) -> None:
-        """The hot path: one access, no event object, interned key.
+        """The hot path: one access, no event object, one record.
 
-        An :class:`AccessEvent` is materialized only if the access ends
-        up in a race report — the overwhelmingly common filtered cases
-        (owned, cache hit, weaker-than) allocate nothing.  Every stage
-        up to the trie runs inline, so an access that reaches the trie
-        costs one call, :meth:`LockTrie.observe`.
+        The location's :class:`LocationRecord` is found with one
+        two-level probe (field, then object uid) and holds everything
+        the stages before the trie read: the owner, the cache slot and
+        the trie.  An :class:`AccessEvent` is materialized only if the
+        access ends up in a race report — the overwhelmingly common
+        filtered cases (owned, cache hit, weaker-than) allocate nothing.
+        Every stage up to the trie runs inline, so an access that
+        reaches the trie costs one call, :meth:`LockTrie.observe`.
         """
         stats = self.stats
         stats.accesses += 1
         # FieldsMerged (Table 3) keys an object's fields by its uid alone;
         # class objects keep per-field static locations.
         if self._fields_merged and object_kind is not ObjectKind.CLASS:
-            key = object_uid
-            code = 0
+            record = self._merged_records.get(object_uid)
+            if record is None:
+                record = self.location_record(object_uid, None)
         else:
-            # LocationInterner.intern's probe; it runs on a first sighting.
-            table = self._location_tables.get(object_uid)
-            key = table.get(field) if table is not None else None
-            if key is None:
-                key = self._intern(object_uid, field)
-            code = None
+            table = self._records.get(field)
+            record = table.get(object_uid) if table is not None else None
+            if record is None:
+                record = self.location_record(object_uid, field)
 
-        owners = self._owners
-        if owners is not None:
-            # Inlined OwnershipFilter.admit — the per-event method call
-            # and result tuple are measurable at this rate.  Counters
-            # must track the method exactly (see tests/unit/test_ownership).
-            owner = owners.get(key)
+        own_stats = self.ownership_stats
+        if own_stats is not None:
+            # OwnershipFilter.admit on the record's owner — the method
+            # call and result tuple are measurable at this rate.
+            # Counters must track the method exactly (see
+            # tests/property/test_pipeline_spine).
+            owner = record.owner
             if owner is SHARED:
-                self._own_stats.shared_passed += 1
+                own_stats.shared_passed += 1
             elif owner is None:
-                owners[key] = thread_id
-                self._own_stats.owned_filtered += 1
+                record.owner = thread_id
+                own_stats.owned_filtered += 1
                 stats.owned_filtered += 1
                 return
             elif owner == thread_id:
-                self._own_stats.owned_filtered += 1
+                own_stats.owned_filtered += 1
                 stats.owned_filtered += 1
                 return
             else:
-                # No cache can hold ``key`` yet: the owner's accesses
+                # No cache can hold the key yet: the owner's accesses
                 # returned above, before the cache was consulted, and
                 # SHARED is terminal — so there is nothing to evict.
-                owners[key] = SHARED
-                self._own_stats.transitions += 1
+                record.owner = SHARED
+                own_stats.transitions += 1
 
         cache_threads = self._cache_threads
         if cache_threads is not None:
             # Inlined AccessCache.access_tracked: counter- and
             # state-identical to it (see tests/property/test_pipeline_spine).
+            # A slot holds only record keys, one object per location,
+            # so the hit test is identity.
             caches = cache_threads.get(thread_id)
             if caches is None:
                 caches = self.cache.thread_caches(thread_id)
             cache = caches.write if kind is _WRITE else caches.read
             slots = cache._slots
-            size = self._cache_size
-            # The slot function (cache.slot_of), from the uid and the
-            # field's memoised code.
-            if code is None:
-                code = FIELD_CODES.get(field)
-                if code is None:
-                    code = field_code(field)
-            index = (
-                (((object_uid ^ code) * _HASH_MULTIPLIER) & _MASK32) >> 16
-            ) % size
+            index = record.slot
+            key = record.key
             cache_stats = self._cache_stats
-            if slots[index] == key:
+            if slots[index] is key:
                 cache_stats.hits += 1
                 stats.cache_hits += 1
                 return
@@ -298,6 +317,7 @@ class RaceDetector(EventSink):
             slots[index] = key
             held = self._lock_stacks.get(thread_id)
             if held:
+                size = cache._size
                 code = cache._next_code + index
                 cache._next_code += size
                 codes[index] = code
@@ -320,9 +340,9 @@ class RaceDetector(EventSink):
         if entry is None:
             entry = self._lockset_path(thread_id)
         lockset, path = entry
-        trie = self._tries.get(key)
+        trie = record.trie
         if trie is None:
-            self._tries[key] = trie = self.trie_class(self.trie_stats)
+            record.trie = trie = self.trie_class(self.trie_stats)
         prior = trie.observe(
             lockset, path, thread_id, kind, self._read_read_races
         )
@@ -332,8 +352,13 @@ class RaceDetector(EventSink):
             return
         stats.detector_processed += 1
         if prior is not None:
+            key = record.key
             event = AccessEvent(
-                location=self.interner.intern(object_uid, field),
+                location=(
+                    key
+                    if type(key) is MemoryLocation
+                    else MemoryLocation(object_uid, field)
+                ),
                 thread_id=thread_id,
                 kind=kind,
                 site_id=site_id,
@@ -341,6 +366,33 @@ class RaceDetector(EventSink):
                 object_label=object_label,
             )
             self._report(key, event, lockset, prior)
+
+    def location_table(self, field: Optional[str]) -> dict:
+        """The ``object uid → LocationRecord`` table of ``field``'s
+        locations (``None``: the FieldsMerged instance keys), made on
+        first use."""
+        table = self._records.get(field)
+        if table is None:
+            self._records[field] = table = {}
+        return table
+
+    def location_record(
+        self, object_uid: int, field: Optional[str]
+    ) -> LocationRecord:
+        """The record of location ``(object_uid, field)`` — with
+        ``field=None``, of the FieldsMerged instance key
+        ``object_uid`` — made on first use."""
+        table = self.location_table(field)
+        record = table.get(object_uid)
+        if record is None:
+            if field is None:
+                key, code = object_uid, 0
+            else:
+                key, code = MemoryLocation(object_uid, field), field_code(field)
+            table[object_uid] = record = LocationRecord(
+                key, slot_of(object_uid, code, self._slot_size)
+            )
+        return record
 
     def inline_fast_path(self) -> Optional["InlineFastPath"]:
         """The handles the compiled engine's trace stubs close over to
@@ -351,7 +403,7 @@ class RaceDetector(EventSink):
         which are rare on every benchmarked workload, while each shared
         access would pay the stub's owner check and then the spine's.
         """
-        if self._owners is None or self.cache is None:
+        if self.ownership_stats is None or self.cache is None:
             return None
         return InlineFastPath(self)
 
@@ -380,10 +432,27 @@ class RaceDetector(EventSink):
     # ------------------------------------------------------------------
     # Introspection.
 
+    def records(self):
+        """Every location record, field by field."""
+        for table in self._records.values():
+            yield from table.values()
+
+    @property
+    def tries(self) -> MappingProxyType:
+        """A read-only ``{key: LockTrie}`` of the locations with trie
+        history."""
+        return MappingProxyType(
+            {
+                record.key: record.trie
+                for record in self.records()
+                if record.trie is not None
+            }
+        )
+
     @property
     def monitored_locations(self) -> int:
         """Locations with trie history (the paper reports 6562 for tsp)."""
-        return len(self._tries)
+        return sum(record.trie is not None for record in self.records())
 
     def total_trie_nodes(self) -> int:
         """Live trie nodes (the paper reports 7967 for tsp), read off
@@ -395,42 +464,37 @@ class InlineFastPath:
     """One run's inline fast path into a :class:`RaceDetector`.
 
     The compiled engine's trace stub (``ProgramCompiler._record_stub``)
-    mirrors :meth:`RaceDetector.on_access_parts` — the keying, the
-    inlined owner check, and the single-probe cache hit of
-    :meth:`AccessCache.access_tracked` — and completes three outcomes
-    without the call:
+    mirrors :meth:`RaceDetector.on_access_parts`.  A site's field is
+    static, so the stub binds that field's ``uid → LocationRecord``
+    table (:meth:`RaceDetector.location_table`) when it is built and
+    finds an access's record with one ``get``; a missing record is made
+    with :meth:`RaceDetector.location_record`.  It then
+    completes three outcomes without the call:
 
-    * virgin claim: ``owners[key] = thread`` inline;
+    * virgin claim: ``record.owner = thread`` inline;
     * owner re-access;
-    * shared access whose cache probe hits (probing mutates nothing).
+    * shared access whose cache slot ``record.slot`` holds
+      ``record.key`` (probing mutates nothing).
 
     Their counter effects are deferred to ``owned_cell``/``hit_cell``
     and applied by :meth:`fold` when the run ends; nothing reads the
     counters mid-run.  Everything else — the owned→shared transition,
-    a cache miss — reaches ``on_access_parts`` with no state touched, so
-    the spine recounts it itself.
+    a cache miss — reaches ``on_access_parts`` with no state touched
+    but the record's creation, so the spine recounts it itself.
     """
 
     __slots__ = (
-        "detector", "owners", "intern", "fields_merged", "shared",
-        "cache_threads", "cache_size", "hash_multiplier", "hash_mask",
-        "field_code",
-        "owned_cell", "hit_cell",
+        "detector", "location_table", "location_record", "fields_merged",
+        "shared", "cache_threads", "owned_cell", "hit_cell",
     )
 
     def __init__(self, detector: RaceDetector):
         self.detector = detector
-        self.owners = detector._owners
-        self.intern = detector._intern
+        self.location_table = detector.location_table
+        self.location_record = detector.location_record
         self.fields_merged = detector._fields_merged
         self.shared = SHARED
         self.cache_threads = detector.cache._threads
-        self.cache_size = detector.cache._size
-        # The slot function's constants and field codes
-        # (cache.slot_of), so the inlined probe cannot drift from it.
-        self.hash_multiplier = _HASH_MULTIPLIER
-        self.hash_mask = _MASK32
-        self.field_code = field_code
         self.owned_cell = [0]
         self.hit_cell = [0]
 
@@ -446,7 +510,7 @@ class InlineFastPath:
         stats.accesses += owned + hits
         stats.owned_filtered += owned
         stats.cache_hits += hits
-        own_stats = detector._own_stats
+        own_stats = detector.ownership_stats
         own_stats.owned_filtered += owned
         own_stats.shared_passed += hits
         detector.cache.stats.hits += hits

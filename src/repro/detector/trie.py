@@ -233,8 +233,11 @@ class LockTrie:
         node = self._insert(path, thread, kind)
         # Prune with the node's *post-meet* value: if the insert merged
         # threads to t⊥ (or kinds to WRITE), the node now covers
-        # strictly more stored accesses than the raw event would.
-        self._prune(root, path, 0, node.thread, node.kind, node)
+        # strictly more stored accesses than the raw event would.  No
+        # walk while no stored lockset is larger than this one: the
+        # only one that can contain it is the node's own.
+        if self.depth > end:
+            self._prune(root, path, 0, node.thread, node.kind, node)
         return prior
 
     # ------------------------------------------------------------------
@@ -415,9 +418,10 @@ class LockTrie:
         untouched, and the trie holds no dead internal nodes between
         prunes, so skipping never strands a trimmable node.)
         """
-        return self._prune(
-            self.root, tuple(sorted(lockset)), 0, thread, kind, keep
-        )
+        path = tuple(sorted(lockset))
+        if self.depth <= len(path):
+            return 0
+        return self._prune(self.root, path, 0, thread, kind, keep)
 
     def _prune(
         self,
@@ -430,11 +434,9 @@ class LockTrie:
     ) -> int:
         # ``path[index:]`` are the locks still missing from the walk's
         # lockset; advancing ``index`` replaces slicing a fresh tuple.
+        # Callers walk only while some stored lockset is larger than
+        # ``path`` (``self.depth > len(path)``).
         end = len(path)
-        if self.depth <= end:
-            # No stored lockset is larger than this one, so the only
-            # one that can contain it is its own: ``keep``'s.
-            return 0
         removed = 0
         if index == end:
             if node is not keep:

@@ -707,28 +707,25 @@ class ProgramCompiler:
 
             return record
 
-        # The detector's dominant outcomes inlined.  Keying mirrors
-        # on_access_parts, the owner check mirrors its inlined
+        # The detector's dominant outcomes inlined.  The record lookup
+        # mirrors on_access_parts' (the field's table is bound here, so
+        # an access costs one get), the owner check mirrors its inlined
         # OwnershipFilter.admit, and the cache probe mirrors
         # AccessCache.access_tracked's hit path (which mutates nothing
         # but the hit counter).  A completed branch performs the
         # spine's *state* effect (the virgin claim) inline and defers
         # its *counter* effects to one list-cell increment, folded back
         # by InlineFastPath.fold at run end.  Transitions and cache
-        # misses fall through to the unmodified spine call, which
-        # re-derives the key and counts everything itself — the fast
-        # path must not touch any state before falling through.
-        owners = fast.owners
-        intern = fast.intern
+        # misses fall through to the unmodified spine call, which finds
+        # the same record and counts everything itself — the fast path
+        # must not touch any state but the record's creation before
+        # falling through.
+        table = fast.location_table(field_name)
+        make_record = fast.location_record
         merged = fast.fields_merged
+        merged_table = fast.location_table(None)
         shared = fast.shared
         cache_threads = fast.cache_threads
-        cache_size = fast.cache_size
-        hash_multiplier = fast.hash_multiplier
-        hash_mask = fast.hash_mask
-        # The field's code in the cache's slot function, folded in now;
-        # a FieldsMerged instance key (the uid alone) has code 0.
-        code = fast.field_code(field_name)
         is_write = kind is ast.AccessKind.WRITE
         owned_cell = fast.owned_cell
         hit_cell = fast.hit_cell
@@ -737,25 +734,24 @@ class ProgramCompiler:
             counts[0] += 1
             uid = ref.uid
             if merged and type(ref) is not MJClassObject:
-                key = uid
-                key_code = 0
+                location = merged_table.get(uid)
+                if location is None:
+                    location = make_record(uid, None)
             else:
-                key = intern(uid, field_name)
-                key_code = code
+                location = table.get(uid)
+                if location is None:
+                    location = make_record(uid, field_name)
             tid = thread.thread_id
-            owner = owners.get(key)
+            owner = location.owner
             if owner is shared:
                 caches = cache_threads.get(tid)
                 if caches is not None:
                     slots = (caches.write if is_write else caches.read)._slots
-                    if slots[
-                        ((((uid ^ key_code) * hash_multiplier) & hash_mask) >> 16)
-                        % cache_size
-                    ] == key:
+                    if slots[location.slot] is location.key:
                         hit_cell[0] += 1
                         return
             elif owner is None:
-                owners[key] = tid
+                location.owner = tid
                 owned_cell[0] += 1
                 return
             elif owner == tid:

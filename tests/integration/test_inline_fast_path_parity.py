@@ -106,7 +106,7 @@ def _counters(detector, result):
         result.accesses_emitted,
         detector.stats,
         detector.cache.stats,
-        detector.ownership.stats,
+        detector.ownership_stats,
         tuple(report.describe() for report in detector.reports.reports),
     )
 

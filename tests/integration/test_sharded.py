@@ -224,7 +224,7 @@ class TestOwnershipTransitionParity:
         # The scenario is only meaningful if ownership actually
         # transitions inside the recorded window.
         _, _, _, live = transition_recording
-        assert live.ownership.stats.transitions > 0
+        assert live.ownership_stats.transitions > 0
 
 
 RACY = """

@@ -51,7 +51,7 @@ def run_detector(source, config):
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_tries_match_model_on_benchmark(name, config):
     detector = run_detector(BENCHMARKS[name].build(SCALES[name]), CONFIGS[config])
-    tries = detector._tries  # noqa: SLF001
+    tries = detector.tries
     assert detector.monitored_locations == len(tries) > 0
 
     for key, trie in tries.items():

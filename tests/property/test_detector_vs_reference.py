@@ -202,7 +202,7 @@ class TestTrieInvariants:
             DetectorConfig(ownership=False, cache=False, join_pseudolocks=False)
         )
         feed(detector, events)
-        for key, trie in detector._tries.items():  # noqa: SLF001
+        for key, trie in detector.tries.items():
             stored = trie.stored_accesses()
             for i, (locks_a, thread_a, kind_a) in enumerate(stored):
                 for j, (locks_b, thread_b, kind_b) in enumerate(stored):
@@ -223,7 +223,7 @@ class TestTrieInvariants:
         )
         feed(detector, events)
         live = sum(
-            trie.node_count() for trie in detector._tries.values()  # noqa: SLF001
+            trie.node_count() for trie in detector.tries.values()
         )
         stats = detector.trie_stats
         assert live == stats.nodes_allocated - stats.nodes_freed

@@ -186,7 +186,7 @@ class TestDetectorFunnelParity:
                     result.accesses_emitted,
                     detector.stats,
                     detector.cache.stats if detector.cache else None,
-                    detector.ownership.stats if detector.ownership else None,
+                    detector.ownership_stats,
                     detector.monitored_locations,
                     detector.total_trie_nodes(),
                     tuple(sorted(detector.reports.racy_objects)),

@@ -33,11 +33,9 @@ class TransitionProbe(RaceDetector):
         self, object_uid, field, thread_id, kind, site_id, object_kind,
         object_label,
     ) -> None:
-        if self._fields_merged and object_kind is not ObjectKind.CLASS:
-            key = object_uid
-        else:
-            key = self._intern(object_uid, field)
-        owner = self._owners.get(key)
+        merged = self._fields_merged and object_kind is not ObjectKind.CLASS
+        record = self.location_record(object_uid, None if merged else field)
+        key, owner = record.key, record.owner
         if owner is not None and owner is not SHARED and owner != thread_id:
             self.transitions_checked += 1
             for caches in self.cache._threads.values():  # noqa: SLF001

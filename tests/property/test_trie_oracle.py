@@ -332,8 +332,20 @@ class TestWalkShape:
         # covered (Case I), so the root frame settles it.
         assert _observe(trie, frozenset({-1, 7}), 0) is None
         assert trie.race_frames == 1
-        # The prune settles the S_1 subtree and the new node's parent
-        # (whose only edge leads to the new leaf) in the root frame.
+        # No stored lockset is larger than {S_0, 7}, so no stored
+        # access can be stronger than the new one: no prune frame.
+        assert trie.prune_frames == 0
+
+    def test_prune_settles_subtrees_in_the_root_frame(self):
+        trie = FrameCountingTrie()
+        _observe(trie, frozenset({-2, 7}), 1)
+        # A larger stored lockset, so the next access's prune walks.
+        _observe(trie, frozenset({-3, 7, 8}), 2)
+        trie.prune_frames = 0
+        assert _observe(trie, frozenset({-1, 7}), 0) is None
+        # The S_1 and S_2 subtrees (whose edges never reach S_0) and
+        # the new node's parent (whose only edge leads to the new leaf)
+        # are settled in the root frame.
         assert trie.prune_frames == 1
 
     def test_prune_opens_a_frame_to_demote_below_a_grandchild(self):

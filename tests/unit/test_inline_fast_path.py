@@ -79,7 +79,7 @@ def _counters(detector, result=None):
         result.accesses_emitted if result is not None else None,
         detector.stats,
         detector.cache.stats if detector.cache else None,
-        detector.ownership.stats if detector.ownership else None,
+        detector.ownership_stats,
         tuple(report.describe() for report in detector.reports.reports),
     )
 

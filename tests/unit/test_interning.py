@@ -149,4 +149,5 @@ class TestDetectorPartsPath:
         self._drive(detector)
         assert detector.stats.races_reported == 1
         (report,) = detector.reports.reports
-        assert report.current.location is detector.interner.intern(5, "x")
+        assert report.current.location is report.key
+        assert report.key is detector.location_record(5, "x").key
