@@ -71,13 +71,6 @@ class Lowerer:
         ctx.block.append(instr)
         return instr
 
-    def _goto_new_block(self, ctx: _LoweringContext) -> ir.Block:
-        """End the current block with a jump to a fresh block."""
-        new_block = ctx.function.new_block()
-        ctx.block.successors = [new_block.id]
-        ctx.block = new_block
-        return new_block
-
     # ------------------------------------------------------------------
     # Statements.
 

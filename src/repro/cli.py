@@ -129,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--executor", choices=("serial", "process"),
                        default="serial",
                        help="how sharded detection runs: the shards one "
-                       "after another in-process, or in a process pool, "
-                       "one worker per shard (default: serial)")
+                       "after another in-process, or in a process pool of "
+                       "at most one worker per CPU (default: serial)")
     check.add_argument("--report-json", action="store_true",
                        help="print one canonical machine-readable JSON "
                        "report instead of the human-readable lines "

@@ -7,8 +7,7 @@ The flags correspond to the paper's experimental configurations:
 * ``fields_merged=True``   → the ``FieldsMerged`` column of Table 3;
 * ``join_pseudolocks``     → the ``S_j`` modeling of Section 2.3 (on by
   default; turning it off shows the spurious post-join reports the
-  paper contrasts with Eraser in Section 8.3);
-* ``read_read_races``      → footnote 2's memory-model variant.
+  paper contrasts with Eraser in Section 8.3).
 
 The *static* configurations of Table 2 (``NoStatic``, ``NoDominators``,
 ``NoPeeling``) live in :class:`repro.instrument.planner.PlannerConfig`,
@@ -29,7 +28,6 @@ class DetectorConfig:
     cache_size: int = 256
     fields_merged: bool = False
     join_pseudolocks: bool = True
-    read_read_races: bool = False
 
     def but(self, **changes) -> "DetectorConfig":
         """A copy with the given fields replaced."""

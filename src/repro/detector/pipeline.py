@@ -187,7 +187,6 @@ class RaceDetector(EventSink):
         self._lock_stacks = self.locks._stacks
         self._lockset_entries = self.locks._cached
         self._lockset_path = self.locks.lockset_path
-        self._read_read_races = self.config.read_read_races
         # Main thread's own pseudo-lock, for uniformity with children.
         if self.config.join_pseudolocks:
             self.locks.acquire_pseudo(0, join_pseudo_lock(0))
@@ -343,9 +342,7 @@ class RaceDetector(EventSink):
         trie = record.trie
         if trie is None:
             record.trie = trie = self.trie_class(self.trie_stats)
-        prior = trie.observe(
-            lockset, path, thread_id, kind, self._read_read_races
-        )
+        prior = trie.observe(lockset, path, thread_id, kind)
         # The weakness check drops the vast majority of accesses here.
         if prior is FILTERED:
             stats.detector_weaker_filtered += 1

@@ -126,8 +126,6 @@ class ReferenceDetector(EventSink):
             return False
         if e_i.lockset & e_j.lockset:
             return False
-        if self.config.read_read_races:
-            return True
         return e_i.kind is AccessKind.WRITE or e_j.kind is AccessKind.WRITE
 
     # -- results ----------------------------------------------------------

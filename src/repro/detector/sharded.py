@@ -65,6 +65,7 @@ shard).  Executors:
 from __future__ import annotations
 
 import gc
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -243,9 +244,11 @@ def detect_sharded(
             ]
         else:
             # What a worker can unpickle: the mapped log's path, or the
-            # resident tuple log itself.  One worker process per shard.
+            # resident tuple log itself.  At most one worker process per
+            # usable CPU: a fork pool starts every worker up front.
             handle = source.path if isinstance(source, BinaryLogReader) else source
-            with ProcessPoolExecutor(shards) as pool:
+            workers = min(shards, len(os.sched_getaffinity(0)))
+            with ProcessPoolExecutor(workers) as pool:
                 futures = [
                     pool.submit(_detect_shard, index, handle, shards, config)
                     for index in range(shards)

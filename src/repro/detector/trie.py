@@ -171,7 +171,6 @@ class LockTrie:
         path: tuple,
         thread: int,
         kind: AccessKind,
-        read_read_races: bool = False,
     ):
         """Process one access: weakness check, race check, insert, prune.
 
@@ -229,7 +228,7 @@ class LockTrie:
                 get = children.get
         stats.weaker_misses += 1
 
-        prior = self._find_race(root, [], lockset, thread, kind, read_read_races)
+        prior = self._find_race(root, [], lockset, thread, kind)
         node = self._insert(path, thread, kind)
         # Prune with the node's *post-meet* value: if the insert merged
         # threads to t⊥ (or kinds to WRITE), the node now covers
@@ -289,16 +288,13 @@ class LockTrie:
         lockset: frozenset,
         thread: int,
         kind: AccessKind,
-        read_read_races: bool = False,
     ) -> Optional[PriorAccess]:
         """Search for a stored access racing with the incoming event.
 
         Returns information about the prior access of the first race
         found (depth-first order), or ``None``.
         """
-        return self._find_race(
-            self.root, [], lockset, thread, kind, read_read_races
-        )
+        return self._find_race(self.root, [], lockset, thread, kind)
 
     def _find_race(
         self,
@@ -307,7 +303,6 @@ class LockTrie:
         lockset: frozenset,
         thread: int,
         kind: AccessKind,
-        read_read_races: bool,
     ) -> Optional[PriorAccess]:
         # Case II: this node's accesses are lock-disjoint from the event
         # (guaranteed by Case I pruning below), involve another thread
@@ -316,7 +311,7 @@ class LockTrie:
         if node_thread is not THREAD_TOP and (
             node_thread != thread or node_thread is THREAD_BOTTOM
         ):
-            if read_read_races or node.kind is _WRITE or kind is _WRITE:
+            if node.kind is _WRITE or kind is _WRITE:
                 self.stats.races_found += 1
                 return PriorAccess(
                     thread=node_thread,
@@ -333,7 +328,7 @@ class LockTrie:
             if (
                 node_thread is not THREAD_TOP
                 and (node_thread != thread or node_thread is THREAD_BOTTOM)
-                and (read_read_races or child.kind is _WRITE or kind is _WRITE)
+                and (child.kind is _WRITE or kind is _WRITE)
             ):
                 self.stats.races_found += 1
                 path.append(lock)
@@ -358,9 +353,7 @@ class LockTrie:
             # allocating a tuple per edge; a hit freezes it before
             # unwinding.
             path.append(lock)
-            race = self._find_race(
-                child, path, lockset, thread, kind, read_read_races
-            )
+            race = self._find_race(child, path, lockset, thread, kind)
             if race is not None:
                 return race
             path.pop()

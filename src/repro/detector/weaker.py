@@ -110,17 +110,12 @@ def weaker_than(p: StoredAccess, q: StoredAccess) -> bool:
     )
 
 
-def is_race(
-    e_i: StoredAccess, e_j: StoredAccess, read_read_races: bool = False
-) -> bool:
+def is_race(e_i: StoredAccess, e_j: StoredAccess) -> bool:
     """``IsRace(e_i, e_j)`` from Section 2.4.
 
     Only meaningful for *concrete* events (integer thread ids); events
     whose thread is t⊥ represent merged history, and racing against
     them is the trie's job (Case II), not this predicate's.
-
-    ``read_read_races`` implements footnote 2: under some memory models
-    two reads may race, in which case the write requirement is dropped.
     """
     if not (isinstance(e_i.thread, int) and isinstance(e_j.thread, int)):
         raise ValueError("IsRace is defined on concrete thread ids only")
@@ -130,6 +125,4 @@ def is_race(
         return False
     if e_i.lockset & e_j.lockset:
         return False
-    if read_read_races:
-        return True
     return e_i.kind is AccessKind.WRITE or e_j.kind is AccessKind.WRITE

@@ -84,7 +84,7 @@ class ReadBlindLockTrie(LockTrie):
     reader/writer mixes hit readily under the default config.
     """
 
-    def _find_race(self, node, path, lockset, thread, kind, read_read_races):
+    def _find_race(self, node, path, lockset, thread, kind):
         if node.holds_accesses and thread_meet(node.thread, thread) is THREAD_BOTTOM:
             # The bug: `node.kind is WRITE and kind is WRITE` instead of
             # the meet (which detects read-write conflicts too).
@@ -99,9 +99,7 @@ class ReadBlindLockTrie(LockTrie):
             if lock in lockset:
                 continue
             path.append(lock)
-            race = self._find_race(
-                child, path, lockset, thread, kind, read_read_races
-            )
+            race = self._find_race(child, path, lockset, thread, kind)
             if race is not None:
                 return race
             path.pop()

@@ -45,13 +45,6 @@ class PlannerConfig:
     #: Opt-in Section 10 extension: prune accesses to construction-
     #: immutable fields from the static datarace set.
     immutability_analysis: bool = False
-    #: When True, array trace points match only when their index value
-    #: numbers coincide (the literal reading of Section 6.1's trace
-    #: instruction, where ``f`` is the array index).  The default False
-    #: matches the runtime's one-location-per-array abstraction
-    #: (footnote 1): base equality implies location equality, which is
-    #: what makes the sor2-style array-loop eliminations possible.
-    array_index_sensitive: bool = False
 
     def but(self, **changes) -> "PlannerConfig":
         return replace(self, **changes)
@@ -122,11 +115,7 @@ def plan_instrumentation(
     if config.static_weaker:
         functions = lower_program(resolved)
         for function in functions.values():
-            result = eliminate_redundant_traces(
-                function,
-                traced_sites=candidates,
-                array_index_sensitive=config.array_index_sensitive,
-            )
+            result = eliminate_redundant_traces(function, traced_sites=candidates)
             eliminations.update(result.justification)
         candidates -= set(eliminations)
     stats.sites_eliminated_weaker = len(eliminations)

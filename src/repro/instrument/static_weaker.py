@@ -22,8 +22,10 @@ site ``S_i`` in the same method always generates a weaker event first:
 * ``outer`` — ``S_j`` sits at the same sync-block nesting as ``S_i`` or
   deeper inside it (the enclosing sync-id stack of ``S_i`` is a prefix
   of ``S_j``'s), guaranteeing ``e_i.L ⊆ e_j.L``.
-* ``valnum``/field — the base objects provably coincide (and for array
-  accesses the paper's trace instruction compares the index too).
+* ``valnum``/field — the base objects provably coincide.  Array
+  accesses compare the base only: the runtime tracks one location per
+  array (footnote 1), so equal bases mean equal locations whatever the
+  indices.
 
 Only sites that will actually be instrumented may serve as the weaker
 source ``S_i`` (a site pruned by static datarace analysis emits no
@@ -72,11 +74,9 @@ class StaticWeakerAnalysis:
         self,
         function: ir.Function,
         traced_sites: Optional[set[int]],
-        array_index_sensitive: bool = False,
     ):
         self._function = function
         self._traced = traced_sites
-        self._array_index_sensitive = array_index_sensitive
         self._graph, self._dom = build_ssa(function)
         self._vn = value_numbering(function, self._graph)
         #: Availability cache: source (block, index) -> block-entry states.
@@ -154,11 +154,6 @@ class StaticWeakerAnalysis:
             base_vn = self._vn.vn(instr.array)
             if base_vn is None:
                 return None
-            if self._array_index_sensitive:
-                index_vn = self._vn.vn(instr.index)
-                if index_vn is None:
-                    return None
-                return ("array", base_vn, index_vn)
             return ("array", base_vn)
         return None
 
@@ -254,14 +249,11 @@ class StaticWeakerAnalysis:
 
 
 def eliminate_redundant_traces(
-    function: ir.Function,
-    traced_sites: Optional[set[int]],
-    array_index_sensitive: bool = False,
+    function: ir.Function, traced_sites: Optional[set[int]]
 ) -> EliminationResult:
     """Run static weaker-than elimination on one lowered function.
 
     ``function`` is converted to SSA in place.  ``traced_sites`` is the
     set of sites that will be instrumented (``None`` = all sites).
     """
-    analysis = StaticWeakerAnalysis(function, traced_sites, array_index_sensitive)
-    return analysis.eliminate()
+    return StaticWeakerAnalysis(function, traced_sites).eliminate()

@@ -80,6 +80,8 @@ def synthesize_into(
     so report volume and condition-object state stay constant as the
     trace grows.
     """
+    if threads < 1:
+        raise ValueError(f"threads={threads} must be at least 1")
     if events < threads * 4 + racy_total + 2 * cond_total:
         raise ValueError(
             f"events={events} is too small for {threads} threads' "

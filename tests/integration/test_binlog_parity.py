@@ -265,6 +265,14 @@ class TestCliSynthlog:
         assert main([
             "synthlog", str(tmp_path / "x.mjbl"), "--compress", "10",
         ]) == 2
+        for threads in ("0", "-1"):
+            capsys.readouterr()
+            assert main([
+                "synthlog", str(tmp_path / "x.mjbl"), "--threads", threads,
+            ]) == 2
+            assert capsys.readouterr().err == (
+                f"error: threads={threads} must be at least 1\n"
+            )
 
 
 class TestCliLogStats:

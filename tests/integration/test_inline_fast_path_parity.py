@@ -177,11 +177,8 @@ class TestCounters:
 
     @pytest.mark.parametrize(
         "config",
-        [
-            DetectorConfig(read_read_races=True),
-            DetectorConfig(fields_merged=True),
-        ],
-        ids=["read-read-races", "fields-merged"],
+        [DetectorConfig(fields_merged=True)],
+        ids=["fields-merged"],
     )
     def test_engaging_configs_match_the_ast_engine(self, config):
         compiled = _run(MAIN_AFTER_JOIN, "compiled", config=config)

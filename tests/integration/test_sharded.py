@@ -1,9 +1,12 @@
 """Integration tests for the sharded post-mortem engine: real
 workloads, both executors, and the CLI flags."""
 
+import os
+from concurrent.futures import Future
+
 import pytest
 
-from repro.detector import RaceDetector, detect_sharded
+from repro.detector import RaceDetector, detect_sharded, sharded
 from repro.instrument import PlannerConfig, plan_instrumentation
 from repro.lang import compile_source
 from repro.runtime import MulticastSink, RandomPolicy, RecordingSink, run_program
@@ -154,6 +157,39 @@ class TestExecutorEquivalence:
         for report, expected in zip(result.reports.reports, one.reports.reports):
             assert report.site_descriptor == expected.site_descriptor
             assert report.site_descriptor  # Post-filled, not empty.
+
+    def test_process_pool_is_capped_at_the_usable_cpus(
+        self, tsp_recording, monkeypatch
+    ):
+        # A fork pool starts every worker up front, so the pool must not
+        # be sized by the shard count.  The fake pool runs each task
+        # inline: no process is started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, function, *args):
+                future = Future()
+                future.set_result(function(*args))
+                return future
+
+        resolved, log, _ = tsp_recording
+        monkeypatch.setattr(sharded, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pooled = detect_sharded(log, 64, resolved=resolved, executor="process")
+        assert sizes == [3]
+        detect_sharded(log, 2, resolved=resolved, executor="process")
+        assert sizes == [3, 2]
+        serial = detect_sharded(log, 64, resolved=resolved)
+        assert _outcome_fields(pooled) == _outcome_fields(serial)
 
     def test_shard_summary_mentions_every_shard(self, tsp_recording):
         resolved, log, _ = tsp_recording

@@ -30,9 +30,9 @@ class RecordingLockTrie(LockTrie):
         super().__init__(stats)
         self.history = []
 
-    def observe(self, lockset, path, thread, kind, read_read_races=False):
+    def observe(self, lockset, path, thread, kind):
         self.history.append((lockset, thread, kind))
-        return super().observe(lockset, path, thread, kind, read_read_races)
+        return super().observe(lockset, path, thread, kind)
 
 
 class RecordingDetector(RaceDetector):

@@ -146,17 +146,16 @@ class TestScheduleParity:
         assert "error" in outcomes
 
 
-#: Every detector configuration the harness tables run, plus three
-#: non-default settings behind an engaged fast path: a different trie
-#: query (read-read races), no join pseudo-locks (a different lockset
-#: on every post-join access), and a small cache (the stub's inline
-#: slot computation over a non-default size, with frequent conflicts).
+#: Every detector configuration the harness tables run, plus two
+#: non-default settings behind an engaged fast path: no join
+#: pseudo-locks (a different lockset on every post-join access), and a
+#: small cache (the stub's inline slot computation over a non-default
+#: size, with frequent conflicts).
 FUNNEL_CONFIGS = {
     "Full": CONFIG_FULL.detector,
     "NoCache": CONFIG_NO_CACHE.detector,
     "NoOwnership": CONFIG_NO_OWNERSHIP.detector,
     "FieldsMerged": CONFIG_FIELDS_MERGED.detector,
-    "ReadReadRaces": DetectorConfig(read_read_races=True),
     "NoJoinPseudolocks": DetectorConfig(join_pseudolocks=False),
     "SmallCache": DetectorConfig(cache_size=7),
 }

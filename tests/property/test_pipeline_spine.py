@@ -77,7 +77,7 @@ class StageCallDetector(RaceDetector):
         if trie.find_weaker(lockset, thread_id, kind):
             self.stats.detector_weaker_filtered += 1
             return
-        prior = trie.find_race(lockset, thread_id, kind, self._read_read_races)
+        prior = trie.find_race(lockset, thread_id, kind)
         node = trie.insert(lockset, thread_id, kind)
         trie.prune_stronger(lockset, node.thread, node.kind, keep=node)
         self.stats.detector_processed += 1
@@ -216,7 +216,6 @@ configs = st.builds(
     cache_size=st.sampled_from([1, 2, 3, 256]),
     fields_merged=st.booleans(),
     join_pseudolocks=st.booleans(),
-    read_read_races=st.booleans(),
 )
 
 
@@ -343,7 +342,6 @@ stub_configs = st.builds(
     cache_size=st.sampled_from([1, 2, 3, 256]),
     fields_merged=st.booleans(),
     join_pseudolocks=st.booleans(),
-    read_read_races=st.booleans(),
 )
 
 

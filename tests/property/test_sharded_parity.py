@@ -96,20 +96,16 @@ def test_sharded_equals_serial_post_mortem(program_seed, schedule_seed):
 @settings(max_examples=15, deadline=None)
 @given(program_seeds, schedule_seeds)
 def test_sharded_equals_on_the_fly(program_seed, schedule_seed):
-    # The trie-side settings the other properties leave at their
-    # defaults: read-read races change the trie query, and without
-    # join pseudo-locks every post-join access carries a different
-    # lockset.  Each recording's one-shard result is checked against
-    # its live detector in _record; every shard count must agree.
-    source = generate_program(program_seed)
-    for config in (
-        DetectorConfig(read_read_races=True),
-        DetectorConfig(join_pseudolocks=False),
-    ):
-        resolved, log, one = _record(source, schedule_seed, config)
-        for shards in SHARD_COUNTS:
-            sharded = detect_sharded(log, shards, config=config, resolved=resolved)
-            _assert_parity(one, sharded)
+    # The trie-side setting the other properties leave at its default:
+    # without join pseudo-locks every post-join access carries a
+    # different lockset.  The recording's one-shard result is checked
+    # against its live detector in _record; every shard count must
+    # agree.
+    config = DetectorConfig(join_pseudolocks=False)
+    resolved, log, one = _record(generate_program(program_seed), schedule_seed, config)
+    for shards in SHARD_COUNTS:
+        sharded = detect_sharded(log, shards, config=config, resolved=resolved)
+        _assert_parity(one, sharded)
 
 
 @settings(max_examples=15, deadline=None)

@@ -140,19 +140,6 @@ class TestTrieMatchesModel:
         assert (trie.find_race(lockset, thread, kind) is not None) == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(event_lists, events)
-    def test_find_race_read_read_mode(self, history, probe):
-        trie, model = build_trie_like_detector(history)
-        lockset, thread, kind = probe
-        expected = any(
-            not (locks & lockset)
-            and thread_meet(t, thread) is THREAD_BOTTOM
-            for locks, t, _ in model
-        )
-        found = trie.find_race(lockset, thread, kind, read_read_races=True)
-        assert (found is not None) == expected
-
-    @settings(max_examples=200, deadline=None)
     @given(event_lists)
     def test_race_report_lockset_is_genuinely_disjoint(self, history):
         trie, model = build_trie_like_detector(history)
@@ -162,11 +149,11 @@ class TestTrieMatchesModel:
             assert not (prior.lockset & probe_lockset)
 
 
-def four_steps(trie, lockset, thread, kind, read_read_races):
+def four_steps(trie, lockset, thread, kind):
     """The detector's per-access protocol as four separate traversals."""
     if trie.find_weaker(lockset, thread, kind):
         return FILTERED
-    prior = trie.find_race(lockset, thread, kind, read_read_races)
+    prior = trie.find_race(lockset, thread, kind)
     node = trie.insert(lockset, thread, kind)
     trie.prune_stronger(lockset, node.thread, node.kind, keep=node)
     return prior
@@ -180,9 +167,9 @@ class FramePerNodeTrie(LockTrie):
     """The race check and prune as textbook walks: one frame per node
     visited, no child or grandchild settled in its parent's frame."""
 
-    def _find_race(self, node, path, lockset, thread, kind, read_read_races):
+    def _find_race(self, node, path, lockset, thread, kind):
         if node.holds_accesses and thread_meet(node.thread, thread) is THREAD_BOTTOM:
-            if read_read_races or AccessKind.WRITE in (node.kind, kind):
+            if AccessKind.WRITE in (node.kind, kind):
                 self.stats.races_found += 1
                 return PriorAccess(
                     thread=node.thread, lockset=frozenset(path), kind=node.kind
@@ -190,9 +177,7 @@ class FramePerNodeTrie(LockTrie):
         for lock, child in node.children.items():
             if lock in lockset:
                 continue
-            race = self._find_race(
-                child, path + [lock], lockset, thread, kind, read_read_races
-            )
+            race = self._find_race(child, path + [lock], lockset, thread, kind)
             if race is not None:
                 return race
         return None
@@ -239,15 +224,13 @@ def children_order(node):
     ]
 
 
-def assert_observe_matches_four_steps(fused, split, history, read_read_races):
+def assert_observe_matches_four_steps(fused, split, history):
     """``fused.observe`` and the four steps on ``split`` agree in every
     answer, stored set and counter along ``history``; the race check
     also picks the same prior, so both tries' child orders agree."""
     for lockset, thread, kind in history:
-        expected = four_steps(split, lockset, thread, kind, read_read_races)
-        answer = fused.observe(
-            lockset, tuple(sorted(lockset)), thread, kind, read_read_races
-        )
+        expected = four_steps(split, lockset, thread, kind)
+        answer = fused.observe(lockset, tuple(sorted(lockset)), thread, kind)
         assert answer == expected
         assert children_order(fused.root) == children_order(split.root)
         assert normalized(fused.stored_accesses()) == normalized(
@@ -261,25 +244,17 @@ class TestObserveMatchesFourSteps:
         "trie_class", [LockTrie, NoMeetLockTrie, ReadBlindLockTrie]
     )
     @settings(max_examples=200, deadline=None)
-    @given(history=long_event_lists, read_read_races=st.booleans())
-    def test_same_answers_stored_sets_and_stats(
-        self, trie_class, history, read_read_races
-    ):
-        assert_observe_matches_four_steps(
-            trie_class(), trie_class(), history, read_read_races
-        )
+    @given(history=long_event_lists)
+    def test_same_answers_stored_sets_and_stats(self, trie_class, history):
+        assert_observe_matches_four_steps(trie_class(), trie_class(), history)
 
     @pytest.mark.parametrize(
         "trie_class", [LockTrie, NoMeetLockTrie, ReadBlindLockTrie]
     )
     @settings(max_examples=200, deadline=None)
-    @given(history=pseudo_lock_histories, read_read_races=st.booleans())
-    def test_same_on_pseudo_lock_histories(
-        self, trie_class, history, read_read_races
-    ):
-        assert_observe_matches_four_steps(
-            trie_class(), trie_class(), history, read_read_races
-        )
+    @given(history=pseudo_lock_histories)
+    def test_same_on_pseudo_lock_histories(self, trie_class, history):
+        assert_observe_matches_four_steps(trie_class(), trie_class(), history)
 
 
 class TestFrameLightWalksMatchFramePerNode:
@@ -289,13 +264,10 @@ class TestFrameLightWalksMatchFramePerNode:
         ids=["flat-locks", "pseudo-locks"],
     )
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), read_read_races=st.booleans())
-    def test_observe_equals_frame_per_node_steps(
-        self, histories, data, read_read_races
-    ):
+    @given(data=st.data())
+    def test_observe_equals_frame_per_node_steps(self, histories, data):
         assert_observe_matches_four_steps(
-            LockTrie(), FramePerNodeTrie(), data.draw(histories),
-            read_read_races,
+            LockTrie(), FramePerNodeTrie(), data.draw(histories)
         )
 
 

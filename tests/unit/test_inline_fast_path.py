@@ -106,11 +106,10 @@ class TestEngagement:
         "config",
         [
             DetectorConfig(fields_merged=True),
-            DetectorConfig(read_read_races=True),
             DetectorConfig(join_pseudolocks=False),
             DetectorConfig(cache_size=7),
         ],
-        ids=["fields-merged", "read-read-races", "no-join-pseudolocks", "small-cache"],
+        ids=["fields-merged", "no-join-pseudolocks", "small-cache"],
     )
     def test_every_config_with_ownership_and_cache_engages(self, config):
         # Only ownership and the cache gate the fast path; no other

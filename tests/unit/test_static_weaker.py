@@ -92,18 +92,6 @@ class TestStraightLine:
         )
         assert len(result.eliminated) == 1
 
-    def test_array_index_sensitive_mode_keeps_different_indices(self):
-        source = (
-            "class Main { static def main() { "
-            "var a = newarray(4); var x = a[0]; var y = a[1]; } }"
-        )
-        resolved = compile_source(source)
-        function = lower_program(resolved)["Main.main"]
-        result = eliminate_redundant_traces(
-            function, traced_sites=None, array_index_sensitive=True
-        )
-        assert not result.eliminated
-
 
 class TestBarriers:
     def test_call_is_a_barrier(self):

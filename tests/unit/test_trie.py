@@ -92,11 +92,6 @@ class TestFindRace:
         trie.insert(fs(), 1, READ)
         assert trie.find_race(fs(), 2, READ) is None
 
-    def test_read_read_race_in_footnote2_mode(self):
-        trie = LockTrie()
-        trie.insert(fs(), 1, READ)
-        assert trie.find_race(fs(), 2, READ, read_read_races=True) is not None
-
     def test_same_thread_no_race(self):
         trie = LockTrie()
         trie.insert(fs(), 1, WRITE)

@@ -117,12 +117,6 @@ class TestIsRace:
     def test_read_read_not_race(self):
         assert not is_race(acc(thread=1, kind=READ), acc(thread=2, kind=READ))
 
-    def test_read_read_race_under_footnote2_mode(self):
-        assert is_race(
-            acc(thread=1, kind=READ), acc(thread=2, kind=READ),
-            read_read_races=True,
-        )
-
     def test_common_lock_prevents_race(self):
         assert not is_race(
             acc(thread=1, locks={9}, kind=WRITE),
