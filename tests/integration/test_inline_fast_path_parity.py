@@ -177,8 +177,12 @@ class TestCounters:
 
     @pytest.mark.parametrize(
         "config",
-        [DetectorConfig(fields_merged=True)],
-        ids=["fields-merged"],
+        [
+            DetectorConfig(fields_merged=True),
+            DetectorConfig(join_pseudolocks=False),
+            DetectorConfig(cache_size=7),
+        ],
+        ids=["fields-merged", "no-join-pseudolocks", "small-cache"],
     )
     def test_engaging_configs_match_the_ast_engine(self, config):
         compiled = _run(MAIN_AFTER_JOIN, "compiled", config=config)

@@ -146,11 +146,12 @@ class TestScheduleParity:
         assert "error" in outcomes
 
 
-#: Every detector configuration the harness tables run, plus two
+#: Every detector configuration the harness tables run, plus three
 #: non-default settings behind an engaged fast path: no join
-#: pseudo-locks (a different lockset on every post-join access), and a
+#: pseudo-locks (a different lockset on every post-join access), a
 #: small cache (the stub's inline slot computation over a non-default
-#: size, with frequent conflicts).
+#: size, with frequent conflicts), and the same small cache keyed by
+#: merged-fields instances.
 FUNNEL_CONFIGS = {
     "Full": CONFIG_FULL.detector,
     "NoCache": CONFIG_NO_CACHE.detector,
@@ -158,6 +159,7 @@ FUNNEL_CONFIGS = {
     "FieldsMerged": CONFIG_FIELDS_MERGED.detector,
     "NoJoinPseudolocks": DetectorConfig(join_pseudolocks=False),
     "SmallCache": DetectorConfig(cache_size=7),
+    "FieldsMergedSmallCache": DetectorConfig(fields_merged=True, cache_size=7),
 }
 
 

@@ -140,6 +140,17 @@ class TestTrieMatchesModel:
         assert (trie.find_race(lockset, thread, kind) is not None) == expected
 
     @settings(max_examples=200, deadline=None)
+    @given(event_lists, events)
+    def test_race_prior_is_never_a_read_against_a_read(self, history, probe):
+        # IsRace needs a write on one side: a read probe only ever
+        # reports a stored write.
+        trie, _ = build_trie_like_detector(history)
+        lockset, thread, kind = probe
+        prior = trie.find_race(lockset, thread, kind)
+        if prior is not None:
+            assert AccessKind.WRITE in (prior.kind, kind)
+
+    @settings(max_examples=200, deadline=None)
     @given(event_lists)
     def test_race_report_lockset_is_genuinely_disjoint(self, history):
         trie, model = build_trie_like_detector(history)

@@ -108,8 +108,12 @@ class TestEngagement:
             DetectorConfig(fields_merged=True),
             DetectorConfig(join_pseudolocks=False),
             DetectorConfig(cache_size=7),
+            DetectorConfig(fields_merged=True, cache_size=7),
         ],
-        ids=["fields-merged", "no-join-pseudolocks", "small-cache"],
+        ids=[
+            "fields-merged", "no-join-pseudolocks", "small-cache",
+            "fields-merged-small-cache",
+        ],
     )
     def test_every_config_with_ownership_and_cache_engages(self, config):
         # Only ownership and the cache gate the fast path; no other

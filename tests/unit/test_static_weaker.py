@@ -92,6 +92,19 @@ class TestStraightLine:
         )
         assert len(result.eliminated) == 1
 
+    def test_array_write_covers_read_at_another_index(self):
+        # The array key ignores the index, so a write to a[0] is weaker
+        # than a later read of a[1]; the read is not weaker than a later
+        # write, so that write stays.
+        covered, _, _ = eliminate(
+            "var a = newarray(4); a[0] = 1; var y = a[1];"
+        )
+        assert len(covered.eliminated) == 1
+        kept, _, _ = eliminate(
+            "var a = newarray(4); var x = a[0]; a[1] = 1;"
+        )
+        assert not kept.eliminated
+
 
 class TestBarriers:
     def test_call_is_a_barrier(self):

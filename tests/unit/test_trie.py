@@ -92,6 +92,17 @@ class TestFindRace:
         trie.insert(fs(), 1, READ)
         assert trie.find_race(fs(), 2, READ) is None
 
+    def test_write_races_with_merged_shared_reads(self):
+        # Unlocked reads from two threads merge into one (t⊥, READ)
+        # node without a report; a later write by any thread races it.
+        trie = LockTrie()
+        trie.insert(fs(), 1, READ)
+        assert trie.find_race(fs(), 2, READ) is None
+        trie.insert(fs(), 2, READ)
+        prior = trie.find_race(fs(), 1, WRITE)
+        assert prior is not None
+        assert (prior.thread, prior.kind) == (THREAD_BOTTOM, READ)
+
     def test_same_thread_no_race(self):
         trie = LockTrie()
         trie.insert(fs(), 1, WRITE)

@@ -117,6 +117,11 @@ class TestIsRace:
     def test_read_read_not_race(self):
         assert not is_race(acc(thread=1, kind=READ), acc(thread=2, kind=READ))
 
+    def test_one_write_makes_a_race_in_either_order(self):
+        read, write = acc(thread=1, kind=READ), acc(thread=2, kind=WRITE)
+        assert is_race(read, write)
+        assert is_race(write, read)
+
     def test_common_lock_prevents_race(self):
         assert not is_race(
             acc(thread=1, locks={9}, kind=WRITE),
