@@ -64,10 +64,8 @@ from .weaker import THREAD_BOTTOM, THREAD_TOP, ThreadValue
 #: ``t⊤``.
 _WRITE = AccessKind.WRITE
 
-#: The children of every childless node: one shared, read-only empty
-#: mapping.  About half of a large trie's nodes are leaves, so a real
-#: dict is allocated only when a node gains its first child (and a
-#: write into this one raises instead of corrupting another node).
+#: The edges of every childless node: one shared, read-only empty
+#: mapping (a write into it raises instead of corrupting another node).
 _NO_CHILDREN = MappingProxyType({})
 
 
@@ -88,14 +86,74 @@ _ABOVE_EVERY_LOCK = math.inf
 
 
 class TrieNode:
-    """One node of a lockset trie."""
+    """One node of a lockset trie.
 
-    __slots__ = ("thread", "kind", "children")
+    ``label`` is the lock on the edge into the node (``None`` at the
+    root).  ``edges`` holds the children in one of three layouts:
+    :data:`_NO_CHILDREN` when there are none; the only child itself,
+    which carries its own label; or a ``{lock: child}`` dict, allocated
+    only when a second child arrives and collapsed back to the inline
+    child when a prune leaves one.  Most nodes have at most one child
+    (every thread's ``S_t`` node on the pseudo-lock shape has exactly
+    one), so most nodes own no dict.  Every layout keeps insertion
+    order, which is the race check's visit order.  Edges change only
+    through :meth:`add_child` and :meth:`remove_child` (and the
+    traversals of :class:`LockTrie`, which read ``edges`` directly);
+    :attr:`children` is a read-only view of them.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("label", "thread", "kind", "edges")
+
+    def __init__(self, label: Optional[int] = None) -> None:
+        self.label = label
         self.thread: ThreadValue = THREAD_TOP
         self.kind: AccessKind = AccessKind.READ
-        self.children: Mapping[int, "TrieNode"] = _NO_CHILDREN
+        self.edges = _NO_CHILDREN
+
+    @property
+    def children(self) -> Mapping[int, "TrieNode"]:
+        """A read-only ``{lock: child}`` view, in insertion order."""
+        edges = self.edges
+        if type(edges) is TrieNode:
+            return MappingProxyType({edges.label: edges})
+        if edges:
+            return MappingProxyType(edges)
+        return _NO_CHILDREN
+
+    def child(self, lock: int) -> Optional["TrieNode"]:
+        """The child on the edge labeled ``lock``, or ``None``."""
+        edges = self.edges
+        if type(edges) is TrieNode:
+            return edges if edges.label == lock else None
+        return edges.get(lock)
+
+    def add_child(self, lock: int) -> "TrieNode":
+        """Create and return the child on a new edge labeled ``lock``
+        (no edge may carry that label yet)."""
+        child = TrieNode(lock)
+        edges = self.edges
+        if type(edges) is TrieNode:
+            self.edges = {edges.label: edges, lock: child}
+        elif edges:
+            edges[lock] = child
+        else:
+            self.edges = child
+        return child
+
+    def remove_child(self, lock: int) -> None:
+        """Drop the edge labeled ``lock`` (``KeyError`` if there is
+        none); a dict left with one child collapses to it."""
+        edges = self.edges
+        if type(edges) is TrieNode:
+            if edges.label != lock:
+                raise KeyError(lock)
+            self.edges = _NO_CHILDREN
+        elif edges:
+            del edges[lock]
+            if len(edges) == 1:
+                (self.edges,) = edges.values()
+        else:
+            raise KeyError(lock)
 
     @property
     def holds_accesses(self) -> bool:
@@ -187,7 +245,8 @@ class LockTrie:
         # Weakness check (``_find_weaker``, inlined).  Each child on an
         # edge of ``path`` is tested as it is found; only a child that
         # has children of its own and more of ``path`` left to follow
-        # is queued for a later scan.
+        # is queued for a later scan, and an only child's edges are
+        # scanned next without queueing.
         stats = self.stats
         root = self.root
         node_thread = root.thread
@@ -198,34 +257,51 @@ class LockTrie:
         ):
             stats.weaker_hits += 1
             return FILTERED
-        children = root.children
+        edges = root.edges
         end = len(path)
-        if children and end:
-            get = children.get
+        if edges and end:
             index = 0
             pending = None
             while True:
-                while index < end:
-                    child = get(path[index])
-                    index += 1
-                    if child is None:
-                        continue
-                    node_thread = child.thread
-                    if (
-                        node_thread is not THREAD_TOP
-                        and (node_thread == thread or node_thread is THREAD_BOTTOM)
-                        and (child.kind is kind or child.kind is _WRITE)
-                    ):
-                        stats.weaker_hits += 1
-                        return FILTERED
-                    if index < end and child.children:
-                        if pending is None:
-                            pending = []
-                        pending.append((child.children, index))
+                if type(edges) is TrieNode:
+                    # An only child.  Stored paths are sorted, so its
+                    # label can sit only in ``path[index:]`` if at all.
+                    lock = edges.label
+                    if lock in path:
+                        node_thread = edges.thread
+                        if (
+                            node_thread is not THREAD_TOP
+                            and (node_thread == thread or node_thread is THREAD_BOTTOM)
+                            and (edges.kind is kind or edges.kind is _WRITE)
+                        ):
+                            stats.weaker_hits += 1
+                            return FILTERED
+                        index = path.index(lock) + 1
+                        if index < end and edges.edges:
+                            edges = edges.edges
+                            continue
+                else:
+                    get = edges.get
+                    while index < end:
+                        child = get(path[index])
+                        index += 1
+                        if child is None:
+                            continue
+                        node_thread = child.thread
+                        if (
+                            node_thread is not THREAD_TOP
+                            and (node_thread == thread or node_thread is THREAD_BOTTOM)
+                            and (child.kind is kind or child.kind is _WRITE)
+                        ):
+                            stats.weaker_hits += 1
+                            return FILTERED
+                        if index < end and child.edges:
+                            if pending is None:
+                                pending = []
+                            pending.append((child.edges, index))
                 if not pending:
                     break
-                children, index = pending.pop()
-                get = children.get
+                edges, index = pending.pop()
         stats.weaker_misses += 1
 
         prior = self._find_race(root, [], lockset, thread, kind)
@@ -269,9 +345,14 @@ class LockTrie:
             ):
                 self.stats.weaker_hits += 1
                 return True
-            children = node.children
-            if children:
-                get = children.get
+            edges = node.edges
+            if type(edges) is TrieNode:
+                # Sorted paths: an only child's label can sit only in
+                # ``path[index:]`` if it is in ``path`` at all.
+                if edges.label in path:
+                    push((edges, path.index(edges.label) + 1))
+            elif edges:
+                get = edges.get
                 while index < end:
                     child = get(path[index])
                     index += 1
@@ -318,9 +399,11 @@ class LockTrie:
                     lockset=frozenset(path),
                     kind=node.kind,
                 )
-        for lock, child in node.children.items():
+        edges = node.edges
+        for child in (edges,) if type(edges) is TrieNode else edges.values():
             # Case I: the subtree's accesses all hold `lock`, which the
             # incoming event also holds — no race anywhere below.
+            lock = child.label
             if lock in lockset:
                 continue
             # Case II for the child, in this frame.
@@ -337,16 +420,20 @@ class LockTrie:
                     lockset=frozenset(path),
                     kind=child.kind,
                 )
-            grandchildren = child.children
+            grandchildren = child.edges
             if not grandchildren:
                 continue
             # Case I for every grandchild, in this frame: a child whose
             # edges below all carry locks the event holds is settled.
-            for below in grandchildren:
-                if below not in lockset:
-                    break
+            if type(grandchildren) is TrieNode:
+                if grandchildren.label in lockset:
+                    continue
             else:
-                continue
+                for below in grandchildren:
+                    if below not in lockset:
+                        break
+                else:
+                    continue
             # Case III: a frame for the subtree the checks above could
             # not settle (it re-tests the child's Case II, false here).
             # ``path`` is a shared mutable stack — push/pop instead of
@@ -371,14 +458,14 @@ class LockTrie:
             self.depth = len(path)
         node = self.root
         for lock in path:
-            children = node.children
-            child = children.get(lock)
+            edges = node.edges
+            if type(edges) is TrieNode:
+                child = edges if edges.label == lock else None
+            else:
+                child = edges.get(lock)
             if child is None:
-                child = TrieNode()
+                child = node.add_child(lock)
                 self.stats.nodes_allocated += 1
-                if children is _NO_CHILDREN:
-                    node.children = children = {}
-                children[lock] = child
             node = child
         node_thread = node.thread
         if node_thread is THREAD_TOP:
@@ -445,17 +532,18 @@ class LockTrie:
             first = _ABOVE_EVERY_LOCK
         else:
             first = path[index]
-        children = node.children
-        if not children:
+        edges = node.edges
+        if not edges:
             return removed
         dead = None
-        for lock, child in children.items():
+        for child in (edges,) if type(edges) is TrieNode else edges.values():
+            lock = child.label
             if lock > first:
                 # Edges below carry strictly larger labels, so
                 # ``first`` can never join the path: skip.
                 continue
             below = index + 1 if lock == first else index
-            grandchildren = child.children
+            grandchildren = child.edges
             if grandchildren:
                 if below != end:
                     # The child's frame would follow only the edges
@@ -466,9 +554,14 @@ class LockTrie:
                     # settled here.
                     nxt = path[below]
                     last = below + 1 == end
-                    for below_lock, grandchild in grandchildren.items():
+                    for grandchild in (
+                        (grandchildren,)
+                        if type(grandchildren) is TrieNode
+                        else grandchildren.values()
+                    ):
+                        below_lock = grandchild.label
                         if below_lock <= nxt and (
-                            grandchild.children
+                            grandchild.edges
                             or (
                                 last
                                 and below_lock == nxt
@@ -479,7 +572,7 @@ class LockTrie:
                     else:
                         continue
                 removed += self._prune(child, path, below, thread, kind, keep)
-                if child.children or child.thread is not THREAD_TOP:
+                if child.edges or child.thread is not THREAD_TOP:
                     continue
             elif below != end or child is keep:
                 continue
@@ -505,10 +598,8 @@ class LockTrie:
             dead.append(lock)
         if dead is not None:
             for lock in dead:
-                del children[lock]
+                node.remove_child(lock)
             self.stats.nodes_freed += len(dead)
-            if not children:
-                node.children = _NO_CHILDREN
         return removed
 
     # ------------------------------------------------------------------
@@ -523,14 +614,17 @@ class LockTrie:
     def _collect(self, node: TrieNode, path: tuple, out: list) -> None:
         if node.holds_accesses:
             out.append((frozenset(path), node.thread, node.kind))
-        for lock, child in node.children.items():
-            self._collect(child, path + (lock,), out)
+        for child in node.children.values():
+            self._collect(child, path + (child.label,), out)
 
     def node_count(self) -> int:
         count = 0
         stack = [self.root]
         while stack:
-            node = stack.pop()
+            edges = stack.pop().edges
             count += 1
-            stack.extend(node.children.values())
+            if type(edges) is TrieNode:
+                stack.append(edges)
+            else:
+                stack.extend(edges.values())
         return count

@@ -62,7 +62,7 @@ class NoMeetLockTrie(LockTrie):
     def _insert(self, path, thread, kind):
         node = self.root
         for lock in path:
-            node = node.children.get(lock)
+            node = node.child(lock)
             if node is None:
                 break
         else:

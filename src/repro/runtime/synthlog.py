@@ -30,6 +30,8 @@ state and report volume stay bounded at any scale:
 
 from __future__ import annotations
 
+import inspect
+
 from ..lang.ast import AccessKind
 from .events import EventSink, ObjectKind
 
@@ -57,6 +59,20 @@ class _Lcg:
         return (self.state >> 33) % bound
 
 
+def _check_shape(
+    events: int, threads: int, racy_total: int, cond_total: int
+) -> None:
+    """Raise ``ValueError`` for a trace shape :func:`synthesize_into`
+    cannot deliver exactly."""
+    if threads < 1:
+        raise ValueError(f"threads={threads} must be at least 1")
+    if events < threads * 4 + racy_total + 2 * cond_total:
+        raise ValueError(
+            f"events={events} is too small for {threads} threads' "
+            f"lifecycle plus the racy/condition budgets"
+        )
+
+
 def synthesize_into(
     sink: EventSink,
     events: int,
@@ -80,13 +96,7 @@ def synthesize_into(
     so report volume and condition-object state stay constant as the
     trace grows.
     """
-    if threads < 1:
-        raise ValueError(f"threads={threads} must be at least 1")
-    if events < threads * 4 + racy_total + 2 * cond_total:
-        raise ValueError(
-            f"events={events} is too small for {threads} threads' "
-            f"lifecycle plus the racy/condition budgets"
-        )
+    _check_shape(events, threads, racy_total, cond_total)
     rng = _Lcg(seed)
     read = AccessKind.READ
     write = AccessKind.WRITE
@@ -200,10 +210,20 @@ def synthesize_file(
     The one-call form the ``repro synthlog`` command and the benchmarks
     share: ``compress=None`` writes format v1, an integer zlib level
     (0-9) writes v2.  Extra keyword arguments go to
-    :func:`synthesize_into`.  Returns the event count written.
+    :func:`synthesize_into`.  Returns the event count written.  Rejected
+    arguments raise before the file is opened, so an existing file at
+    ``path`` is left as it was.
     """
     from .binlog import DEFAULT_RECORDS_PER_BLOCK, BinaryLogSink
 
+    shape = inspect.signature(synthesize_into).bind(None, events, **kwargs)
+    shape.apply_defaults()
+    _check_shape(
+        events,
+        shape.arguments["threads"],
+        shape.arguments["racy_total"],
+        shape.arguments["cond_total"],
+    )
     sink = BinaryLogSink(
         path,
         records_per_block=(

@@ -257,22 +257,40 @@ class TestCliSynthlog:
             assert replayed(ra) == replayed(rb)
         assert b.stat().st_size < a.stat().st_size
 
-    def test_synthlog_rejects_bad_arguments(self, tmp_path, capsys):
-        assert main([
-            "synthlog", str(tmp_path / "x.mjbl"), "--events", "0",
-        ]) == 2
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            ["--events", "0"],
+            ["--events", "10"],
+            ["--compress", "10"],
+            ["--records-per-block", "0"],
+            ["--threads", "0"],
+            ["--threads", "-1"],
+            ["--threads", "200", "--events", "1000"],
+        ],
+        ids=lambda arguments: " ".join(arguments),
+    )
+    def test_synthlog_rejects_bad_arguments(self, arguments, tmp_path, capsys):
+        fresh = tmp_path / "fresh.mjbl"
+        assert main(["synthlog", str(fresh), *arguments]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not fresh.exists()
+        # A rejected run leaves an existing log byte-identical.
+        existing = tmp_path / "existing.mjbl"
+        assert main(["synthlog", str(existing), "--events", "2000"]) == 0
+        before = existing.read_bytes()
         capsys.readouterr()
+        assert main(["synthlog", str(existing), *arguments]) == 2
+        assert existing.read_bytes() == before
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_synthlog_names_a_bad_thread_count(self, threads, tmp_path, capsys):
         assert main([
-            "synthlog", str(tmp_path / "x.mjbl"), "--compress", "10",
+            "synthlog", str(tmp_path / "x.mjbl"), "--threads", threads,
         ]) == 2
-        for threads in ("0", "-1"):
-            capsys.readouterr()
-            assert main([
-                "synthlog", str(tmp_path / "x.mjbl"), "--threads", threads,
-            ]) == 2
-            assert capsys.readouterr().err == (
-                f"error: threads={threads} must be at least 1\n"
-            )
+        assert capsys.readouterr().err == (
+            f"error: threads={threads} must be at least 1\n"
+        )
 
 
 class TestCliLogStats:

@@ -167,8 +167,8 @@ class TestExecutorEquivalence:
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, workers):
+                sizes.append(workers)
 
             def __enter__(self):
                 return self

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.detector import LockTrie, THREAD_BOTTOM, TrieStats
-from repro.detector.trie import FILTERED, PriorAccess
+from repro.detector.trie import FILTERED, PriorAccess, TrieNode
 from repro.difflab.inject import NoMeetLockTrie, ReadBlindLockTrie
 from repro.detector.weaker import (
     THREAD_TOP,
@@ -222,7 +222,7 @@ class FramePerNodeTrie(LockTrie):
             ):
                 dead.append(lock)
         for lock in dead:
-            del node.children[lock]
+            node.remove_child(lock)
             self.stats.nodes_freed += 1
         return removed
 
@@ -235,10 +235,31 @@ def children_order(node):
     ]
 
 
+def assert_layout(trie):
+    """Every node holds its children in the layout for their number:
+    no storage, the only child inline, or a dict of two or more; and
+    every child carries the label of its edge."""
+    stack = [trie.root]
+    while stack:
+        node = stack.pop()
+        children = node.children
+        if not children:
+            assert not node.edges
+        elif len(children) == 1:
+            assert type(node.edges) is TrieNode
+        else:
+            assert type(node.edges) is dict
+        for lock, child in children.items():
+            assert child.label == lock
+            stack.append(child)
+
+
 def assert_observe_matches_four_steps(fused, split, history):
     """``fused.observe`` and the four steps on ``split`` agree in every
     answer, stored set and counter along ``history``; the race check
-    also picks the same prior, so both tries' child orders agree."""
+    also picks the same prior, so both tries' child orders agree.  The
+    live-node counter equals a walk, and every node's layout fits its
+    number of children, after every step."""
     for lockset, thread, kind in history:
         expected = four_steps(split, lockset, thread, kind)
         answer = fused.observe(lockset, tuple(sorted(lockset)), thread, kind)
@@ -248,6 +269,8 @@ def assert_observe_matches_four_steps(fused, split, history):
             split.stored_accesses()
         )
         assert fused.stats == split.stats
+        assert fused.stats.live_nodes == fused.node_count()
+        assert_layout(fused)
 
 
 class TestObserveMatchesFourSteps:
@@ -280,6 +303,89 @@ class TestFrameLightWalksMatchFramePerNode:
         assert_observe_matches_four_steps(
             LockTrie(), FramePerNodeTrie(), data.draw(histories)
         )
+
+
+def _tracked(trie, path):
+    node = trie.root
+    for lock in path:
+        node = node.child(lock)
+    return node
+
+
+W = AccessKind.WRITE
+R = AccessKind.READ
+
+#: Histories that take one node (the node at ``path``) through 0, 1
+#: and 2 children, back to 1 and to 0 by prunes, and regrow it to 2;
+#: ``children`` is its child labels, in visit order, after each access.
+LAYOUT_SCRIPTS = {
+    "flat-locks": dict(
+        path=(1,),
+        history=[
+            (frozenset({1}), 0, W),
+            (frozenset({1, 3}), 1, W),
+            (frozenset({1, 2}), 2, W),
+            # Races with {1}/0 and prunes {1, 3}/1: a dict of one left.
+            (frozenset({3}), 1, W),
+            # Races with {1}/0 and prunes the inline {1, 2}/2.
+            (frozenset({2}), 2, W),
+            (frozenset({1, 5}), 3, W),
+            (frozenset({1, 4}), 3, W),
+        ],
+        children=[[], [3], [3, 2], [2], [], [5], [5, 4]],
+    ),
+    # Thread j holds its join pseudo-lock S_j = -(j + 1).
+    "pseudo-locks": dict(
+        path=(-1, 1),
+        history=[
+            (frozenset({-1, 1}), 0, R),
+            (frozenset({-1, 1, 3}), 0, W),
+            (frozenset({-2, 2}), 1, W),
+            (frozenset({-1, 1, 2}), 0, W),
+            # Prunes {S_0, 1, 3}: the dict collapses to the inline child.
+            (frozenset({-1, 3}), 0, W),
+            (frozenset({-2, 3}), 1, W),
+            # Prunes {S_0, 1, 2}, the only child.
+            (frozenset({-1, 2}), 0, W),
+            (frozenset({-1, 1, 5}), 0, W),
+            (frozenset({-1, 1, 4}), 0, W),
+        ],
+        children=[[], [3], [3], [3, 2], [2], [2], [], [5], [5, 4]],
+    ),
+}
+
+
+class TestChildLayoutTransitions:
+    """A node's children move between none, one inline child and a
+    dict, with the same answers, visit order and counters as the
+    frame-per-node walks (which see the edges only through the node's
+    view and :meth:`TrieNode.remove_child`).  Random histories of both
+    shapes check the layout in ``TestFrameLightWalksMatchFramePerNode``."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_SCRIPTS))
+    def test_scripted_node_goes_through_every_layout(self, name):
+        script = LAYOUT_SCRIPTS[name]
+        fused, split = LockTrie(), FramePerNodeTrie()
+        children = []
+        for event in script["history"]:
+            assert_observe_matches_four_steps(fused, split, [event])
+            children.append(list(_tracked(fused, script["path"]).children))
+        assert children == script["children"]
+
+    def test_remove_child_collapses_in_insertion_order(self):
+        node = TrieNode()
+        for lock in (3, 1, 2):
+            node.add_child(lock)
+        assert list(node.children) == [3, 1, 2]
+        node.remove_child(1)
+        assert list(node.children) == [3, 2]
+        node.remove_child(3)
+        assert node.edges is node.child(2)
+        assert node.child(3) is None
+        node.remove_child(2)
+        assert not node.edges and node.child(2) is None
+        with pytest.raises(KeyError):
+            node.remove_child(2)
 
 
 class FrameCountingTrie(LockTrie):
