@@ -20,11 +20,12 @@ program):
   schema-v3 tuples in memory, then run the identical sharded detection
   over the list.
 * **sharding crossover** — the mapped v1 file detected as one shard,
-  then with the ``process`` executor at 2 and 4 shards (one worker
-  process per shard, each replaying its own filtered view).  A process
-  arm's peak RSS adds the largest worker's (``RUSAGE_CHILDREN``) once
-  per shard to the parent's: an upper bound on the concurrent
-  footprint, since forked workers share pages with the parent.
+  then with the ``process`` executor at 2 and 4 shards (a pool of
+  ``min(shards, usable CPUs)`` worker processes, each shard replaying
+  its own filtered view in one of them).  A process arm's peak RSS adds
+  the largest worker's (``RUSAGE_CHILDREN``) once per pool worker to
+  the parent's: an upper bound on the concurrent footprint, since
+  forked workers share pages with the parent.
 
 Every arm runs in a fresh subprocess so ``resource.getrusage``'s
 ``ru_maxrss`` is a clean per-arm peak-RSS reading; the parent asserts
@@ -158,10 +159,12 @@ def _worker_detect_process(path: str, events: int, compress, shards: int) -> dic
     outcome = detect_sharded(path, shards, executor="process", validate=False)
     elapsed = time.perf_counter() - started
     # The pool has shut down, so every worker is reaped and counted.
+    # It held one worker per usable CPU, never more than the shards.
     worker_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    workers = min(shards, len(os.sched_getaffinity(0)))
     return {
         "seconds": elapsed,
-        "peak_rss_kb": _peak_rss_kb() + shards * worker_kb,
+        "peak_rss_kb": _peak_rss_kb() + workers * worker_kb,
         "worker_peak_rss_kb": worker_kb,
         **_report_evidence(outcome),
     }
@@ -388,7 +391,8 @@ def generate(quick: bool = False, repeats: int = 3, tier100m: bool = False) -> d
             "The 1M/10M rows' shards/executor fields describe the three "
             "serial 4-shard arms; one_shard_* and process_{2,4}_* are "
             "the sharding crossover.  Process peak RSS adds the largest "
-            "worker's (RUSAGE_CHILDREN) once per shard to the parent's. "
+            "worker's (RUSAGE_CHILDREN) once per pool worker, "
+            "min(shards, usable CPUs), to the parent's. "
             "The 100M row is measured only with --tier100m (nightly); "
             "a run without it carries the output file's previous 100M "
             "row forward unchanged."

@@ -281,6 +281,12 @@ def _compile(path: Path):
     return compile_source(source, filename=str(path))
 
 
+def _cannot_write(path: Path, error: OSError) -> int:
+    """Report an output path that cannot be opened: a usage error."""
+    print(f"error: cannot write {path}: {error}", file=sys.stderr)
+    return 2
+
+
 def cmd_check(args) -> int:
     if args.file is None and args.from_log is None:
         print("error: check needs an MJ program, a --from-log PATH, "
@@ -470,7 +476,10 @@ def cmd_run(args) -> int:
     if args.record_binary is not None:
         from .runtime import BinaryLogSink
 
-        sink = BinaryLogSink(args.record_binary, compress=args.compress)
+        try:
+            sink = BinaryLogSink(args.record_binary, compress=args.compress)
+        except OSError as error:
+            return _cannot_write(args.record_binary, error)
     try:
         result = engine_runner(args.engine)(
             resolved, sink=sink, policy=_policy(args.seed)
@@ -557,6 +566,8 @@ def cmd_synthlog(args) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except OSError as error:
+        return _cannot_write(args.out, error)
     size = args.out.stat().st_size
     flavor = (
         "MJBL v1"

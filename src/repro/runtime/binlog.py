@@ -73,13 +73,13 @@ corrupt, not a different kind of log.
 
 from __future__ import annotations
 
-import io
 import mmap
+import os
 import struct
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import BinaryIO, Iterator, Optional, Sequence, Union
 
 from ..lang.ast import AccessKind
 from .events import (
@@ -146,10 +146,12 @@ _RECORD_SIZE = {
     TAG_NOTIFY: _NOTIFY.size,
 }
 
-_KIND_CODE = {AccessKind.READ: 0, AccessKind.WRITE: 1}
+#: Enum members by code.  The writer maps a member to its code (its
+#: position here) by identity tests, not a member-keyed dict.
 _KIND_FROM = (AccessKind.READ, AccessKind.WRITE)
-_OBJKIND_CODE = {ObjectKind.INSTANCE: 0, ObjectKind.ARRAY: 1, ObjectKind.CLASS: 2}
 _OBJKIND_FROM = (ObjectKind.INSTANCE, ObjectKind.ARRAY, ObjectKind.CLASS)
+_READ, _WRITE = _KIND_FROM
+_INSTANCE, _ARRAY, _CLASS = _OBJKIND_FROM
 
 #: Shard-index entry: byte offset, stored byte length, record count,
 #: access count, sync count, uid-partition bitmap (uid % 64), has-sync
@@ -181,19 +183,33 @@ DEFAULT_RECORDS_PER_BLOCK = 4096
 
 
 class BinaryLogSink(EventSink):
-    """Streams the event stream to disk as ``MJBL`` with bounded memory.
+    """Streams the event stream as ``MJBL`` with bounded memory.
 
     A drop-in :class:`~repro.runtime.events.EventSink`: attach it to any
     engine run (or :func:`write_binary_log` an existing tuple log
     through it) and every event becomes one fixed-width record appended
-    to an in-memory block buffer that is flushed to disk at block
-    boundaries.  State that grows with the *trace* — the per-event
-    tuples of :class:`~repro.runtime.events.RecordingSink` — is never
-    held; what is held is bounded by the *program*: the string table
-    (distinct field names and object labels) and the 40-bytes-per-4096-
-    events block index.
+    to an in-memory block buffer that is flushed to the destination at
+    block boundaries.  State that grows with the *trace* — the
+    per-event tuples of :class:`~repro.runtime.events.RecordingSink` —
+    is never held; what is held is bounded by the *program*: the string
+    table (distinct field names and object labels) and the
+    40-bytes-per-4096-events block index.
 
-    ``on_run_end`` finalizes the file (string table, index, header
+    ``destination`` is a path, which the sink creates (truncating any
+    file there) and closes when it finalizes, or a seekable binary
+    stream such as :class:`io.BytesIO`.  The log starts at the stream's
+    current position; finalizing patches its header in place, leaves
+    the stream positioned after the log, and does not close it.
+
+    Each record costs one ``pack`` and one buffer append.  Kind codes
+    come from identity tests (an ``Enum``'s ``__hash__`` is Python
+    code), string ids from the interning table's ``get`` — only a
+    string's first sighting calls :meth:`_intern` — and the block's
+    counters and uid-partition bitmap are updated inline, with a
+    countdown closing the block.  An event with an unknown kind raises
+    before anything is written.
+
+    ``on_run_end`` finalizes the log (string table, index, header
     patch); :meth:`close` does the same for streams that end without a
     run-end event.  Both are idempotent.
 
@@ -209,7 +225,7 @@ class BinaryLogSink(EventSink):
 
     def __init__(
         self,
-        path: Union[str, Path],
+        destination: Union[str, Path, BinaryIO],
         records_per_block: int = DEFAULT_RECORDS_PER_BLOCK,
         compress: Optional[int] = None,
     ) -> None:
@@ -217,13 +233,20 @@ class BinaryLogSink(EventSink):
             raise ValueError("records_per_block must be positive")
         if compress is not None and not 0 <= compress <= 9:
             raise ValueError("compress must be a zlib level between 0 and 9")
-        self.path = Path(path)
         self.records_per_block = records_per_block
         self.compress = compress
         self.version = (
             BINLOG_VERSION if compress is None else BINLOG_VERSION_COMPRESSED
         )
-        self._file: Optional[io.BufferedWriter] = open(self.path, "wb")
+        if isinstance(destination, (str, os.PathLike)):
+            self.path: Optional[Path] = Path(destination)
+            self._file: Optional[BinaryIO] = open(self.path, "wb")
+            self._owns_file = True
+        else:
+            self.path = None
+            self._file = destination
+            self._owns_file = False
+        self._start = self._file.tell()
         # A *provisional* header: real magic and version, finalized
         # flag clear, every section zero.  A recording that crashes
         # before close() leaves a file that is still recognizably MJBL,
@@ -235,38 +258,60 @@ class BinaryLogSink(EventSink):
                 0, 0, HEADER_SIZE, 0, 0, 0, 0, 0, 0,
             )
         )
-        self._buffer = bytearray()
+        # The open block's records, one packed ``bytes`` each, joined
+        # when the block is sealed: a list append costs less than
+        # growing a bytearray.
+        self._buffer: list[bytes] = []
         self._strings: dict[str, int] = {}
         self._index = bytearray()
         self._crc = 0
         self._records_length = 0
-        self.record_count = 0
-        self.access_count = 0
-        # Per-block accumulators.
+        # Totals of the blocks already flushed; the open block's are
+        # added by the record_count and access_count properties.
+        self._flushed_records = 0
+        self._flushed_accesses = 0
+        # Per-block accumulators.  ``_room`` counts down the records the
+        # open block can still take.  Syncs are counted, being the rarer
+        # kind, and the block's accesses are its records minus its
+        # syncs.
         self._block_offset = HEADER_SIZE
-        self._block_records = 0
-        self._block_accesses = 0
+        self._room = records_per_block
         self._block_syncs = 0
         self._block_partitions = 0
-        self._block_has_sync = False
+
+    @property
+    def record_count(self) -> int:
+        """Records written so far, the open block's included."""
+        return self._flushed_records + self.records_per_block - self._room
+
+    @property
+    def access_count(self) -> int:
+        """Access records written so far, the open block's included."""
+        return (
+            self._flushed_accesses
+            + self.records_per_block - self._room - self._block_syncs
+        )
 
     # -- string interning ------------------------------------------------
 
     def _intern(self, text: str) -> int:
+        """Give ``text`` the next string id.  The record path calls
+        this only on a string's first sighting."""
         table = self._strings
-        ident = table.get(text)
-        if ident is None:
-            table[text] = ident = len(table)
+        table[text] = ident = len(table)
         return ident
 
     # -- block bookkeeping ----------------------------------------------
 
     def _end_block(self) -> None:
-        raw_length = len(self._buffer)
-        payload = self._buffer
+        records = self.records_per_block - self._room
+        syncs = self._block_syncs
+        accesses = records - syncs
+        payload = b"".join(self._buffer)
+        raw_length = len(payload)
         compressed = 0
         if self.compress and raw_length:
-            deflated = zlib.compress(bytes(self._buffer), self.compress)
+            deflated = zlib.compress(payload, self.compress)
             # Store the deflated form only when it actually wins: an
             # incompressible block stays raw and its flag stays clear.
             if len(deflated) < raw_length:
@@ -277,21 +322,21 @@ class BinaryLogSink(EventSink):
             self._index += _INDEX_ENTRY.pack(
                 self._block_offset,
                 length,
-                self._block_records,
-                self._block_accesses,
-                self._block_syncs,
+                records,
+                accesses,
+                syncs,
                 self._block_partitions,
-                1 if self._block_has_sync else 0,
+                1 if syncs else 0,
             )
         else:
             self._index += _INDEX_ENTRY_V2.pack(
                 self._block_offset,
                 length,
-                self._block_records,
-                self._block_accesses,
-                self._block_syncs,
+                records,
+                accesses,
+                syncs,
                 self._block_partitions,
-                1 if self._block_has_sync else 0,
+                1 if syncs else 0,
                 compressed,
                 raw_length,
             )
@@ -302,70 +347,96 @@ class BinaryLogSink(EventSink):
         self._file.write(payload)
         self._records_length += length
         self._block_offset += length
+        self._flushed_records += records
+        self._flushed_accesses += accesses
         self._buffer.clear()
-        self._block_records = 0
-        self._block_accesses = 0
+        self._room = self.records_per_block
         self._block_syncs = 0
         self._block_partitions = 0
-        self._block_has_sync = False
-
-    def _bump(self, access: bool, uid: int = 0) -> None:
-        self.record_count += 1
-        self._block_records += 1
-        if access:
-            self.access_count += 1
-            self._block_accesses += 1
-            self._block_partitions |= 1 << (uid % UID_PARTITIONS)
-        else:
-            self._block_syncs += 1
-            self._block_has_sync = True
-        if self._block_records >= self.records_per_block:
-            self._end_block()
 
     # -- EventSink -------------------------------------------------------
 
     def on_access_parts(
         self, object_uid, field, thread_id, kind, site_id, object_kind, object_label
     ) -> None:
-        self._buffer += _ACCESS.pack(
-            TAG_ACCESS,
-            _KIND_CODE[kind],
-            _OBJKIND_CODE[object_kind],
-            object_uid,
-            thread_id,
-            site_id,
-            self._intern(field),
-            self._intern(object_label),
-        )
-        self._bump(True, object_uid)
+        if kind is _WRITE:
+            kind_code = 1
+        elif kind is _READ:
+            kind_code = 0
+        else:
+            raise KeyError(kind)
+        if object_kind is _INSTANCE:
+            objkind_code = 0
+        elif object_kind is _ARRAY:
+            objkind_code = 1
+        elif object_kind is _CLASS:
+            objkind_code = 2
+        else:
+            raise KeyError(object_kind)
+        strings = self._strings
+        field_id = strings.get(field)
+        if field_id is None:
+            field_id = self._intern(field)
+        label_id = strings.get(object_label)
+        if label_id is None:
+            label_id = self._intern(object_label)
+        self._buffer.append(_ACCESS.pack(
+            TAG_ACCESS, kind_code, objkind_code, object_uid, thread_id,
+            site_id, field_id, label_id,
+        ))
+        self._block_partitions |= 1 << (object_uid % UID_PARTITIONS)
+        self._room -= 1
+        if not self._room:
+            self._end_block()
 
     def on_monitor_enter(self, thread_id, lock_uid, reentrant) -> None:
-        self._buffer += _MONITOR.pack(TAG_ENTER, 1 if reentrant else 0, thread_id, lock_uid)
-        self._bump(False)
+        self._buffer.append(_MONITOR.pack(TAG_ENTER, 1 if reentrant else 0, thread_id, lock_uid))
+        self._block_syncs += 1
+        self._room -= 1
+        if not self._room:
+            self._end_block()
 
     def on_monitor_exit(self, thread_id, lock_uid, reentrant) -> None:
-        self._buffer += _MONITOR.pack(TAG_EXIT, 1 if reentrant else 0, thread_id, lock_uid)
-        self._bump(False)
+        self._buffer.append(_MONITOR.pack(TAG_EXIT, 1 if reentrant else 0, thread_id, lock_uid))
+        self._block_syncs += 1
+        self._room -= 1
+        if not self._room:
+            self._end_block()
 
     def on_thread_start(self, parent_id, child_id) -> None:
-        self._buffer += _START.pack(TAG_START, parent_id, child_id)
-        self._bump(False)
+        self._buffer.append(_START.pack(TAG_START, parent_id, child_id))
+        self._block_syncs += 1
+        self._room -= 1
+        if not self._room:
+            self._end_block()
 
     def on_thread_end(self, thread_id) -> None:
-        self._buffer += _END.pack(TAG_END, thread_id)
-        self._bump(False)
+        self._buffer.append(_END.pack(TAG_END, thread_id))
+        self._block_syncs += 1
+        self._room -= 1
+        if not self._room:
+            self._end_block()
 
     def on_thread_join(self, joiner_id, joined_id) -> None:
-        self._buffer += _JOIN.pack(TAG_JOIN, joiner_id, joined_id)
-        self._bump(False)
+        self._buffer.append(_JOIN.pack(TAG_JOIN, joiner_id, joined_id))
+        self._block_syncs += 1
+        self._room -= 1
+        if not self._room:
+            self._end_block()
 
     def on_wait(self, thread_id, cond_uid) -> None:
-        self._buffer += _WAIT.pack(TAG_WAIT, thread_id, cond_uid)
-        self._bump(False)
+        self._buffer.append(_WAIT.pack(TAG_WAIT, thread_id, cond_uid))
+        self._block_syncs += 1
+        self._room -= 1
+        if not self._room:
+            self._end_block()
 
     def on_notify(self, thread_id, cond_uid, notify_all) -> None:
-        self._buffer += _NOTIFY.pack(TAG_NOTIFY, 1 if notify_all else 0, thread_id, cond_uid)
-        self._bump(False)
+        self._buffer.append(_NOTIFY.pack(TAG_NOTIFY, 1 if notify_all else 0, thread_id, cond_uid))
+        self._block_syncs += 1
+        self._room -= 1
+        if not self._room:
+            self._end_block()
 
     def on_run_end(self) -> None:
         self.close()
@@ -374,10 +445,11 @@ class BinaryLogSink(EventSink):
 
     def close(self) -> None:
         """Flush the tail block, write string table + index, patch the
-        header.  Idempotent."""
+        header.  Idempotent.  A path's file is closed; a stream is left
+        open, positioned after the log."""
         if self._file is None:
             return
-        if self._block_records or not self._index:
+        if self._room < self.records_per_block or not self._index:
             self._end_block()
         strings_offset = HEADER_SIZE + self._records_length
         strings = bytearray(struct.pack("<I", len(self._strings)))
@@ -390,7 +462,8 @@ class BinaryLogSink(EventSink):
         block_count = len(self._index) // _INDEX_ENTRY.size
         index = _INDEX_HEADER.pack(block_count, self.records_per_block) + bytes(self._index)
         self._file.write(index)
-        self._file.seek(0)
+        end = self._file.tell()
+        self._file.seek(self._start)
         self._file.write(
             _HEADER.pack(
                 MAGIC,
@@ -408,7 +481,10 @@ class BinaryLogSink(EventSink):
                 self._crc,
             )
         )
-        self._file.close()
+        if self._owns_file:
+            self._file.close()
+        else:
+            self._file.seek(end)
         self._file = None
 
     def __enter__(self) -> "BinaryLogSink":
@@ -1129,7 +1205,6 @@ def temporary_binary_log():
     both ``repro serve`` upload spools (submit-time validation and the
     log job) route through it.
     """
-    import os
     import tempfile
 
     descriptor, name = tempfile.mkstemp(suffix=".mjbl")

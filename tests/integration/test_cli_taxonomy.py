@@ -14,6 +14,7 @@ distinguishable ways scripts can branch on without parsing messages:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +227,45 @@ class TestV2LogErrorExitCodes:
         assert code == 4
         assert "schema" in captured.err
         assert "re-record" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "synthlog"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+class TestUnwritableOutputExits2:
+    """An output log path that cannot be opened is a usage error: exit
+    2 with the path in the message, no traceback, and nothing created.
+    The commands run in a subprocess, so an uncaught error would show
+    as its traceback and exit 1."""
+
+    def test_unwritable_output(self, command, target, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        program = tmp_path / "prog.mj"
+        program.write_text(PROGRAM)
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        if target == "directory":
+            out = outputs
+        else:
+            out = outputs / "missing" / "run.mjbl"
+        if command == "run":
+            argv = ["run", str(program), "--record-binary", str(out)]
+        else:
+            argv = ["synthlog", str(out), "--events", "2000"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in proc.stderr
+        assert list(outputs.iterdir()) == []
 
 
 class TestUnbalancedMonitorExit:
