@@ -146,6 +146,8 @@ class RaceDetector(EventSink):
             else None
         )
         self.trie_stats = TrieStats()
+        #: The tries' shared guard intern table (see :class:`LockTrie`).
+        self.trie_guards: dict = {}
         self.reports = ReportCollector()
         self.stats = PipelineStats()
         #: Accesses the compiled engine's inline fast path completed
@@ -341,7 +343,9 @@ class RaceDetector(EventSink):
         lockset, path = entry
         trie = record.trie
         if trie is None:
-            record.trie = trie = self.trie_class(self.trie_stats)
+            record.trie = trie = self.trie_class(
+                self.trie_stats, self.trie_guards
+            )
         prior = trie.observe(lockset, path, thread_id, kind)
         # The weakness check drops the vast majority of accesses here.
         if prior is FILTERED:

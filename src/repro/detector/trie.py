@@ -34,15 +34,24 @@ Three traversals implement the algorithm of Section 3.2.1:
     nodes), demoting their nodes to internal status and trimming
     childless internal nodes.
 
+Each trie also keeps a *guard*: the locks held by every access it has
+ever stored (Eraser's candidate lockset, the intersection of the stored
+locksets).  An incoming lockset that meets the guard shares a lock with
+every stored access, so Case I settles the whole trie and the race walk
+is skipped; it is skipped on an empty trie too.  Every insertion
+narrows the guard and a prune only removes accesses, so a guard is
+never wider than the live intersection and the skip is exact.
+
 The detector runs them as one transaction per access,
 :meth:`LockTrie.observe`, which takes the lockset together with its
 sorted lock path (interned once per distinct lockset by the
 :class:`~repro.detector.locksets.LockTracker`) so no traversal sorts.
-``observe`` runs the weakness check inline and calls ``_find_race``,
-``_insert`` and ``_prune``, which settle what they can in the frame
-already running instead of opening one per node.  The public methods
-are thin wrappers over the same helpers; ``find_weaker``'s
-``_find_weaker`` is the stand-alone form of the inlined check.
+``observe`` runs the weakness check, the guard test and the insert
+inline, and calls ``_find_race`` and ``_prune``, which settle what they
+can in the frame already running instead of opening one per node.  The
+public methods are thin wrappers over the same helpers;
+``_find_weaker`` and ``_insert`` are the stand-alone forms of the
+inlined weakness check and insert.
 """
 
 from __future__ import annotations
@@ -63,6 +72,11 @@ from .weaker import THREAD_BOTTOM, THREAD_TOP, ThreadValue
 #: event threads are concrete ids (or ``t⊥`` after a meet), never
 #: ``t⊤``.
 _WRITE = AccessKind.WRITE
+_READ = AccessKind.READ
+
+#: Allocates a node without running ``TrieNode.__init__``; the inline
+#: insert sets every slot itself.
+_new_node = object.__new__
 
 #: The edges of every childless node: one shared, read-only empty
 #: mapping (a write into it raises instead of corrupting another node).
@@ -98,7 +112,8 @@ class TrieNode:
     one), so most nodes own no dict.  Every layout keeps insertion
     order, which is the race check's visit order.  Edges change only
     through :meth:`add_child` and :meth:`remove_child` (and the
-    traversals of :class:`LockTrie`, which read ``edges`` directly);
+    traversals of :class:`LockTrie`, which read ``edges`` directly, and
+    its inline insert, which builds new nodes and their edges itself);
     :attr:`children` is a read-only view of them.
     """
 
@@ -186,6 +201,9 @@ class TrieStats:
     nodes_freed: int = 0
     weaker_hits: int = 0
     weaker_misses: int = 0
+    #: Race checks settled by the guard (or an empty trie) without a
+    #: walk; ``weaker_misses`` minus this is the walks that ran.
+    race_walks_skipped: int = 0
     races_found: int = 0
     inserts: int = 0
     updates: int = 0
@@ -202,6 +220,7 @@ class TrieStats:
         self.nodes_freed += other.nodes_freed
         self.weaker_hits += other.weaker_hits
         self.weaker_misses += other.weaker_misses
+        self.race_walks_skipped += other.race_walks_skipped
         self.races_found += other.races_found
         self.inserts += other.inserts
         self.updates += other.updates
@@ -210,15 +229,24 @@ class TrieStats:
 class LockTrie:
     """The access history of one memory location."""
 
-    __slots__ = ("stats", "root", "depth")
+    __slots__ = ("stats", "guards", "root", "depth", "guard")
 
-    def __init__(self, stats: Optional[TrieStats] = None):
+    def __init__(
+        self, stats: Optional[TrieStats] = None, guards: Optional[dict] = None
+    ):
         self.stats = stats if stats is not None else TrieStats()
+        #: The intern table of guards (``{guard: guard}``): tries handed
+        #: one table share one frozenset per distinct guard value.
+        self.guards = guards if guards is not None else {}
         self.root = TrieNode()
         self.stats.nodes_allocated += 1
         #: The longest path ever inserted (never lowered by a prune):
         #: no stored access has a larger lockset.
         self.depth = 0
+        #: The locks held by every access ever stored (the intersection
+        #: of their locksets), or ``None`` while none has been.  A prune
+        #: never widens it, so it is a subset of every stored lockset.
+        self.guard = None
 
     # ------------------------------------------------------------------
     # The per-access transaction.
@@ -238,9 +266,10 @@ class LockTrie:
         access of the first race found, or ``None``.  Equivalent to
         ``find_weaker`` → ``find_race`` → ``insert`` → ``prune_stronger``.
 
-        The weakness check runs inline (it filters most accesses, so
-        those cost this one frame); the other three steps call the
-        overridable ``_find_race``, ``_insert`` and ``_prune``.
+        The weakness check (it filters most accesses, so those cost
+        this one frame), the guard test and the insert run inline; the
+        race walk and the prune call the overridable ``_find_race`` and
+        ``_prune``.
         """
         # Weakness check (``_find_weaker``, inlined).  Each child on an
         # edge of ``path`` is tested as it is found; only a child that
@@ -304,8 +333,80 @@ class LockTrie:
                 edges, index = pending.pop()
         stats.weaker_misses += 1
 
-        prior = self._find_race(root, [], lockset, thread, kind)
-        node = self._insert(path, thread, kind)
+        # Race check: no walk on an empty trie, or when the event holds
+        # a lock every stored access held (Case I for the whole trie).
+        guard = self.guard
+        if guard is not None and guard.isdisjoint(lockset):
+            prior = self._find_race(root, [], lockset, thread, kind)
+        else:
+            stats.race_walks_skipped += 1
+            prior = None
+
+        # Insert (``_insert``, inlined): follow ``path`` as far as it is
+        # stored, then build the missing suffix bottom-up, each new node
+        # the only child of the one above it, and hang it below the
+        # last stored node.  New nodes skip ``TrieNode.__init__``: a
+        # Python-level call per node costs more than its four stores.
+        if end > self.depth:
+            self.depth = end
+        node = root
+        index = 0
+        while index < end:
+            edges = node.edges
+            if type(edges) is TrieNode:
+                if edges.label != path[index]:
+                    break
+                node = edges
+            else:
+                child = edges.get(path[index])
+                if child is None:
+                    break
+                node = child
+            index += 1
+        else:
+            edges = None
+        if edges is None:
+            # The node for ``path`` exists: meet the access into it.
+            node_thread = node.thread
+            if node_thread is THREAD_TOP:
+                stats.inserts += 1
+                node.thread = thread
+            else:
+                stats.updates += 1
+                if node_thread != thread:
+                    node.thread = THREAD_BOTTOM
+            if node.kind is not kind:
+                node.kind = _WRITE
+        else:
+            stats.inserts += 1
+            stats.nodes_allocated += end - index
+            below = _new_node(TrieNode)
+            below.label = path[end - 1]
+            below.thread = thread
+            below.kind = kind
+            below.edges = _NO_CHILDREN
+            new = below
+            for position in range(end - 2, index - 1, -1):
+                above = _new_node(TrieNode)
+                above.label = path[position]
+                above.thread = THREAD_TOP
+                above.kind = _READ
+                above.edges = below
+                below = above
+            if type(edges) is TrieNode:
+                node.edges = {edges.label: edges, below.label: below}
+            elif edges:
+                edges[below.label] = below
+            else:
+                node.edges = below
+            node = new
+        # Narrow the guard to the locks this access holds too.
+        if guard is None:
+            self.guard = self.guards.setdefault(lockset, lockset)
+        elif not guard <= lockset:
+            guard &= lockset
+            self.guard = self.guards.setdefault(guard, guard)
+
         # Prune with the node's *post-meet* value: if the insert merged
         # threads to t⊥ (or kinds to WRITE), the node now covers
         # strictly more stored accesses than the raw event would.  No
@@ -373,8 +474,13 @@ class LockTrie:
         """Search for a stored access racing with the incoming event.
 
         Returns information about the prior access of the first race
-        found (depth-first order), or ``None``.
+        found (depth-first order), or ``None``.  Like ``observe``, walks
+        nothing on an empty trie or when ``lockset`` meets the guard.
         """
+        guard = self.guard
+        if guard is None or not guard.isdisjoint(lockset):
+            self.stats.race_walks_skipped += 1
+            return None
         return self._find_race(self.root, [], lockset, thread, kind)
 
     def _find_race(
@@ -477,6 +583,13 @@ class LockTrie:
                 node.thread = THREAD_BOTTOM
         if node.kind is not kind:
             node.kind = _WRITE
+        lockset = frozenset(path)
+        guard = self.guard
+        if guard is None:
+            self.guard = self.guards.setdefault(lockset, lockset)
+        elif not guard <= lockset:
+            guard &= lockset
+            self.guard = self.guards.setdefault(guard, guard)
         return node
 
     def prune_stronger(

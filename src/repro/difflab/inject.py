@@ -31,7 +31,7 @@ from typing import Callable
 
 from ..detector.config import DetectorConfig
 from ..detector.pipeline import RaceDetector
-from ..detector.trie import LockTrie, PriorAccess
+from ..detector.trie import FILTERED, LockTrie, PriorAccess
 from ..lang.ast import AccessKind
 from ..detector.weaker import THREAD_BOTTOM, thread_meet
 
@@ -58,6 +58,16 @@ class NoMeetLockTrie(LockTrie):
     the second thread's stored access is silently missed — a
     Definition 1 completeness break (the §3.1 optimization done wrong).
     """
+
+    def observe(self, lockset, path, thread, kind):
+        # The transaction from the public steps: ``LockTrie.observe``
+        # inserts inline, so the broken ``_insert`` runs only this way.
+        if self.find_weaker(lockset, thread, kind):
+            return FILTERED
+        prior = self.find_race(lockset, thread, kind)
+        node = self.insert(lockset, thread, kind)
+        self.prune_stronger(lockset, node.thread, node.kind, keep=node)
+        return prior
 
     def _insert(self, path, thread, kind):
         node = self.root

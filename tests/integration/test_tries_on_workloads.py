@@ -26,8 +26,8 @@ CONFIGS = {
 class RecordingLockTrie(LockTrie):
     """A `LockTrie` that remembers every access the detector offers it."""
 
-    def __init__(self, stats=None):
-        super().__init__(stats)
+    def __init__(self, stats=None, guards=None):
+        super().__init__(stats, guards)
         self.history = []
 
     def observe(self, lockset, path, thread, kind):

@@ -23,7 +23,7 @@ a negative join pseudo-lock ``S_j`` per thread plus nested real locks.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.detector import LockTrie, THREAD_BOTTOM, TrieStats
+from repro.detector import LockTrie, RaceDetector, THREAD_BOTTOM, TrieStats
 from repro.detector.trie import FILTERED, PriorAccess, TrieNode
 from repro.difflab.inject import NoMeetLockTrie, ReadBlindLockTrie
 from repro.detector.weaker import (
@@ -34,6 +34,7 @@ from repro.detector.weaker import (
     thread_meet,
 )
 from repro.lang.ast import AccessKind
+from repro.runtime.synthlog import synthesize_into
 
 locksets = st.frozensets(st.integers(1, 5), max_size=3)
 threads = st.integers(0, 3)
@@ -259,11 +260,16 @@ def assert_observe_matches_four_steps(fused, split, history):
     answer, stored set and counter along ``history``; the race check
     also picks the same prior, so both tries' child orders agree.  The
     live-node counter equals a walk, and every node's layout fits its
-    number of children, after every step."""
+    number of children, after every step.  Both tries hold the same
+    guard, and every stored lockset contains it."""
     for lockset, thread, kind in history:
         expected = four_steps(split, lockset, thread, kind)
         answer = fused.observe(lockset, tuple(sorted(lockset)), thread, kind)
         assert answer == expected
+        assert fused.guard is not None and fused.guard == split.guard
+        assert all(
+            locks >= fused.guard for locks, _, _ in fused.stored_accesses()
+        )
         assert children_order(fused.root) == children_order(split.root)
         assert normalized(fused.stored_accesses()) == normalized(
             split.stored_accesses()
@@ -413,17 +419,32 @@ class TestWalkShape:
     """Where the frame-light walks open frames, on the pseudo-lock
     shape: thread ``j`` always holds ``S_j = -(j + 1)``."""
 
-    def test_covered_grandchild_is_settled_in_the_root_frame(self):
+    def test_guard_settles_a_covered_history_without_a_frame(self):
         trie = FrameCountingTrie()
         _observe(trie, frozenset({-2, 7}), 1)
         trie.race_frames = trie.prune_frames = 0
-        # Thread 0 holds lock 7 too: the S_1 subtree's only edge is
-        # covered (Case I), so the root frame settles it.
+        # Thread 0 holds lock 7 too, which every stored access held
+        # (the guard is {S_1, 7}): Case I for the whole trie, no walk.
         assert _observe(trie, frozenset({-1, 7}), 0) is None
-        assert trie.race_frames == 1
+        assert trie.race_frames == 0
+        assert trie.stats.race_walks_skipped == 2
         # No stored lockset is larger than {S_0, 7}, so no stored
         # access can be stronger than the new one: no prune frame.
         assert trie.prune_frames == 0
+
+    def test_covered_grandchild_is_settled_in_the_root_frame(self):
+        trie = FrameCountingTrie()
+        _observe(trie, frozenset({-2, 7}), 1)
+        # Thread 2 holds no lock in common with thread 1: the guard
+        # narrows to the empty set, so every later race check walks.
+        _observe(trie, frozenset({-3}), 2, AccessKind.READ)
+        assert trie.guard == frozenset()
+        trie.race_frames = 0
+        # The S_1 subtree's only edge carries lock 7, which thread 0
+        # holds (Case I), and the S_2 node holds a read: the root frame
+        # settles both.
+        assert _observe(trie, frozenset({-1, 7}), 0, AccessKind.READ) is None
+        assert trie.race_frames == 1
 
     def test_prune_settles_subtrees_in_the_root_frame(self):
         trie = FrameCountingTrie()
@@ -467,6 +488,47 @@ class TestWalkShape:
         # Root, S_1 and lock 3 each need a frame; lock 5's node is
         # tested in its parent's.
         assert trie.race_frames == 3
+
+
+class TestGuard:
+    """The guard is the intersection of every stored lockset, on every
+    insertion path, and tries handed one table share its values."""
+
+    @pytest.mark.parametrize("probe", ["find_race", "observe"])
+    def test_public_insert_narrows_the_guard(self, probe):
+        trie = LockTrie()
+        trie.insert(frozenset({1}), 0, W)
+        assert trie.guard == frozenset({1})
+        # Lock-disjoint from the first access: the guard empties, so a
+        # later event holding lock 1 is still checked against {2}.
+        trie.insert(frozenset({2}), 1, W)
+        assert trie.guard == frozenset()
+        expected = PriorAccess(1, frozenset({2}), W)
+        if probe == "find_race":
+            assert trie.find_race(frozenset({1}), 2, W) == expected
+        else:
+            assert _observe(trie, frozenset({1}), 2) == expected
+        assert trie.stats.race_walks_skipped == 0
+
+    def test_find_race_skips_empty_and_guarded_tries(self):
+        trie = LockTrie()
+        assert trie.find_race(frozenset(), 0, W) is None
+        trie.insert(frozenset({1, 2}), 0, W)
+        trie.insert(frozenset({2, 3}), 1, W)
+        assert trie.guard == frozenset({2})
+        assert trie.find_race(frozenset({2}), 2, W) is None
+        assert trie.stats.race_walks_skipped == 2
+        assert trie.find_race(frozenset({4}), 2, W) is not None
+        assert trie.stats.race_walks_skipped == 2
+
+    def test_tries_share_one_object_per_guard_value(self):
+        detector = RaceDetector()
+        synthesize_into(detector, 20_000, seed=2002)
+        guards = [trie.guard for trie in detector.tries.values()]
+        assert len(guards) > 1_000
+        values = set(guards)
+        assert len({id(guard) for guard in guards}) == len(values)
+        assert all(detector.trie_guards[guard] is guard for guard in values)
 
 
 class TestLiveNodeCounter:
