@@ -404,7 +404,11 @@ def generate(quick: bool = False, repeats: int = 3, tier100m: bool = False) -> d
             "min(shards, usable CPUs), to the parent's. "
             "The 100M row is measured only with --tier100m (nightly); "
             "a run without it carries the output file's previous 100M "
-            "row forward unchanged."
+            "row forward unchanged.  Each arm is the best of `repeats` "
+            "runs within one invocation; on a shared host the same arm "
+            "has moved by up to 25% between invocations, so a difference "
+            "between two generated files is not an effect of the code "
+            "unless interleaved runs of both checkouts repeat it."
         ),
         "quick": quick,
         "repeats": repeats,

@@ -46,12 +46,11 @@ The detector runs them as one transaction per access,
 :meth:`LockTrie.observe`, which takes the lockset together with its
 sorted lock path (interned once per distinct lockset by the
 :class:`~repro.detector.locksets.LockTracker`) so no traversal sorts.
-``observe`` runs the weakness check, the guard test and the insert
-inline, and calls ``_find_race`` and ``_prune``, which settle what they
+``observe`` runs the weakness check and the guard test inline and
+calls ``_find_race``, ``_insert`` and ``_prune``, which settle what they
 can in the frame already running instead of opening one per node.  The
-public methods are thin wrappers over the same helpers;
-``_find_weaker`` and ``_insert`` are the stand-alone forms of the
-inlined weakness check and insert.
+public methods are thin wrappers over the same helpers; ``find_weaker``'s
+``_find_weaker`` is the stand-alone form of the inlined check.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ from .weaker import THREAD_BOTTOM, THREAD_TOP, ThreadValue
 _WRITE = AccessKind.WRITE
 _READ = AccessKind.READ
 
-#: Allocates a node without running ``TrieNode.__init__``; the inline
-#: insert sets every slot itself.
+#: Allocates a node without running ``TrieNode.__init__``; ``_insert``
+#: sets every slot itself.
 _new_node = object.__new__
 
 #: The edges of every childless node: one shared, read-only empty
@@ -113,7 +112,7 @@ class TrieNode:
     order, which is the race check's visit order.  Edges change only
     through :meth:`add_child` and :meth:`remove_child` (and the
     traversals of :class:`LockTrie`, which read ``edges`` directly, and
-    its inline insert, which builds new nodes and their edges itself);
+    its ``_insert``, which builds new nodes and their edges itself);
     :attr:`children` is a read-only view of them.
     """
 
@@ -267,8 +266,8 @@ class LockTrie:
         ``find_weaker`` → ``find_race`` → ``insert`` → ``prune_stronger``.
 
         The weakness check (it filters most accesses, so those cost
-        this one frame), the guard test and the insert run inline; the
-        race walk and the prune call the overridable ``_find_race`` and
+        this one frame) and the guard test run inline; the other three
+        steps call the overridable ``_find_race``, ``_insert`` and
         ``_prune``.
         """
         # Weakness check (``_find_weaker``, inlined).  Each child on an
@@ -342,71 +341,7 @@ class LockTrie:
             stats.race_walks_skipped += 1
             prior = None
 
-        # Insert (``_insert``, inlined): follow ``path`` as far as it is
-        # stored, then build the missing suffix bottom-up, each new node
-        # the only child of the one above it, and hang it below the
-        # last stored node.  New nodes skip ``TrieNode.__init__``: a
-        # Python-level call per node costs more than its four stores.
-        if end > self.depth:
-            self.depth = end
-        node = root
-        index = 0
-        while index < end:
-            edges = node.edges
-            if type(edges) is TrieNode:
-                if edges.label != path[index]:
-                    break
-                node = edges
-            else:
-                child = edges.get(path[index])
-                if child is None:
-                    break
-                node = child
-            index += 1
-        else:
-            edges = None
-        if edges is None:
-            # The node for ``path`` exists: meet the access into it.
-            node_thread = node.thread
-            if node_thread is THREAD_TOP:
-                stats.inserts += 1
-                node.thread = thread
-            else:
-                stats.updates += 1
-                if node_thread != thread:
-                    node.thread = THREAD_BOTTOM
-            if node.kind is not kind:
-                node.kind = _WRITE
-        else:
-            stats.inserts += 1
-            stats.nodes_allocated += end - index
-            below = _new_node(TrieNode)
-            below.label = path[end - 1]
-            below.thread = thread
-            below.kind = kind
-            below.edges = _NO_CHILDREN
-            new = below
-            for position in range(end - 2, index - 1, -1):
-                above = _new_node(TrieNode)
-                above.label = path[position]
-                above.thread = THREAD_TOP
-                above.kind = _READ
-                above.edges = below
-                below = above
-            if type(edges) is TrieNode:
-                node.edges = {edges.label: edges, below.label: below}
-            elif edges:
-                edges[below.label] = below
-            else:
-                node.edges = below
-            node = new
-        # Narrow the guard to the locks this access holds too.
-        if guard is None:
-            self.guard = self.guards.setdefault(lockset, lockset)
-        elif not guard <= lockset:
-            guard &= lockset
-            self.guard = self.guards.setdefault(guard, guard)
-
+        node = self._insert(lockset, path, thread, kind)
         # Prune with the node's *post-meet* value: if the insert merged
         # threads to t⊥ (or kinds to WRITE), the node now covers
         # strictly more stored accesses than the raw event would.  No
@@ -557,33 +492,74 @@ class LockTrie:
 
     def insert(self, lockset: frozenset, thread: int, kind: AccessKind) -> TrieNode:
         """Record the access, creating or updating the node for ``lockset``."""
-        return self._insert(tuple(sorted(lockset)), thread, kind)
+        return self._insert(
+            frozenset(lockset), tuple(sorted(lockset)), thread, kind
+        )
 
-    def _insert(self, path: tuple, thread: int, kind: AccessKind) -> TrieNode:
-        if len(path) > self.depth:
-            self.depth = len(path)
+    def _insert(
+        self, lockset: frozenset, path: tuple, thread: int, kind: AccessKind
+    ) -> TrieNode:
+        # Follow ``path`` as far as it is stored, then build the missing
+        # suffix bottom-up, each new node the only child of the one
+        # above it, and hang it below the last stored node.  New nodes
+        # skip ``TrieNode.__init__``: a Python-level call per node costs
+        # more than its four stores.
+        stats = self.stats
+        end = len(path)
+        if end > self.depth:
+            self.depth = end
         node = self.root
-        for lock in path:
+        index = 0
+        while index < end:
             edges = node.edges
             if type(edges) is TrieNode:
-                child = edges if edges.label == lock else None
+                if edges.label != path[index]:
+                    break
+                node = edges
             else:
-                child = edges.get(lock)
-            if child is None:
-                child = node.add_child(lock)
-                self.stats.nodes_allocated += 1
-            node = child
-        node_thread = node.thread
-        if node_thread is THREAD_TOP:
-            self.stats.inserts += 1
-            node.thread = thread
+                child = edges.get(path[index])
+                if child is None:
+                    break
+                node = child
+            index += 1
         else:
-            self.stats.updates += 1
-            if node_thread != thread:
-                node.thread = THREAD_BOTTOM
-        if node.kind is not kind:
-            node.kind = _WRITE
-        lockset = frozenset(path)
+            edges = None
+        if edges is None:
+            # The node for ``path`` exists: meet the access into it.
+            node_thread = node.thread
+            if node_thread is THREAD_TOP:
+                stats.inserts += 1
+                node.thread = thread
+            else:
+                stats.updates += 1
+                if node_thread != thread:
+                    node.thread = THREAD_BOTTOM
+            if node.kind is not kind:
+                node.kind = _WRITE
+        else:
+            stats.inserts += 1
+            stats.nodes_allocated += end - index
+            below = _new_node(TrieNode)
+            below.label = path[end - 1]
+            below.thread = thread
+            below.kind = kind
+            below.edges = _NO_CHILDREN
+            new = below
+            for position in range(end - 2, index - 1, -1):
+                above = _new_node(TrieNode)
+                above.label = path[position]
+                above.thread = THREAD_TOP
+                above.kind = _READ
+                above.edges = below
+                below = above
+            if type(edges) is TrieNode:
+                node.edges = {edges.label: edges, below.label: below}
+            elif edges:
+                edges[below.label] = below
+            else:
+                node.edges = below
+            node = new
+        # Narrow the guard to the locks this access holds too.
         guard = self.guard
         if guard is None:
             self.guard = self.guards.setdefault(lockset, lockset)

@@ -31,7 +31,7 @@ from typing import Callable
 
 from ..detector.config import DetectorConfig
 from ..detector.pipeline import RaceDetector
-from ..detector.trie import FILTERED, LockTrie, PriorAccess
+from ..detector.trie import LockTrie, PriorAccess
 from ..lang.ast import AccessKind
 from ..detector.weaker import THREAD_BOTTOM, thread_meet
 
@@ -59,17 +59,7 @@ class NoMeetLockTrie(LockTrie):
     Definition 1 completeness break (the §3.1 optimization done wrong).
     """
 
-    def observe(self, lockset, path, thread, kind):
-        # The transaction from the public steps: ``LockTrie.observe``
-        # inserts inline, so the broken ``_insert`` runs only this way.
-        if self.find_weaker(lockset, thread, kind):
-            return FILTERED
-        prior = self.find_race(lockset, thread, kind)
-        node = self.insert(lockset, thread, kind)
-        self.prune_stronger(lockset, node.thread, node.kind, keep=node)
-        return prior
-
-    def _insert(self, path, thread, kind):
+    def _insert(self, lockset, path, thread, kind):
         node = self.root
         for lock in path:
             node = node.child(lock)
@@ -80,7 +70,7 @@ class NoMeetLockTrie(LockTrie):
                 # The bug: re-store the existing thread value, so the
                 # meet keeps it instead of going to t⊥.
                 thread = node.thread
-        return super()._insert(path, thread, kind)
+        return super()._insert(lockset, path, thread, kind)
 
 
 class ReadBlindLockTrie(LockTrie):
